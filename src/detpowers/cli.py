@@ -95,7 +95,6 @@ class Report:
     ok: bool
     results: tuple = ()
     version: str = __version__
-    timings: tuple = ()  # (label, seconds); kept off the JSON payload
 
 
 def report_json(report: Report) -> str:
@@ -216,6 +215,15 @@ def parse_decomposition(text: str):
 # LaTeX emitters
 
 
+def _join_signed(parts) -> str:
+    """Join (sign, body) pairs into "a + b - c"; a leading "+" is dropped."""
+    (first_sign, first_body), *rest = parts
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in rest:
+        text += f" {sign} {body}"
+    return text
+
+
 def cyc_latex(value: Cyc) -> str:
     rat = value.rational()
     if rat is not None:
@@ -239,11 +247,7 @@ def cyc_latex(value: Cyc) -> str:
         body = base if abs(c) == 1 and k > 0 else (f"{abs(c)}" if k == 0
                                                    else f"{abs(c)}{base}")
         parts.append(("-" if c < 0 else "+", body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    wrapped = f"\\bigl({text}\\bigr)"
+    wrapped = f"\\bigl({_join_signed(parts)}\\bigr)"
     if value.den != 1:
         return f"{wrapped}/{value.den}"
     return wrapped
@@ -260,11 +264,7 @@ def form_latex(form: LinForm) -> str:
             parts.append(("-", f"{cyc_latex(-c)} {var}"))
         else:
             parts.append(("+", f"{cyc_latex(c)} {var}"))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _join_signed(parts)
 
 
 def _target_latex(dec: PowerDecomposition) -> str:
@@ -287,11 +287,7 @@ def power_decomposition_latex(dec: PowerDecomposition) -> str:
             pieces.append(("-", body))
         else:
             pieces.append(("+", f"{cyc_latex(term.coeff)} \\, {body}"))
-    first_sign, first_body = pieces[0]
-    rhs = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        rhs += f" {sign} {body}"
-    return f"{lhs} = {rhs}\n"
+    return f"{lhs} = {_join_signed(pieces)}\n"
 
 
 def product_latex(pd: ProductDecomposition) -> str:
@@ -306,11 +302,7 @@ def product_latex(pd: ProductDecomposition) -> str:
             else:
                 factors.append(f"\\left({form_latex(form)}\\right)")
         pieces.append(("+" if sign > 0 else "-", " ".join(factors)))
-    first_sign, first_body = pieces[0]
-    rhs = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        rhs += f" {sign} {body}"
-    return f"\\det X = {rhs}\n"
+    return f"\\det X = {_join_signed(pieces)}\n"
 
 
 def bounds_latex(rows) -> str:
@@ -381,10 +373,12 @@ def _cmd_decompose(config: RunConfig, timings: list):
     return decomposition_text(dec), True
 
 
-def _witness_obj(report) -> list | None:
+def _witness_obj(report) -> dict | None:
     if report.witness is None:
         return None
-    return [list(pair) for pair in report.witness.entries]
+    mono, got, want = report.witness
+    return {"monomial": [list(entry) for entry in mono],
+            "got": cyc_to_obj(got), "want": cyc_to_obj(want)}
 
 
 def _cmd_verify(config: RunConfig, timings: list):

@@ -27,7 +27,13 @@ from fractions import Fraction
 from typing import Iterator
 
 from .cyclotomic import Cyc, omega
-from .multipoly import LinForm, SparsePoly, determinant_poly, diagonal_product_poly
+from .multipoly import (
+    LinForm,
+    SparsePoly,
+    determinant_poly,
+    diagonal_product_poly,
+    perm_sign,
+)
 
 TARGET_DETERMINANT = "determinant"
 TARGET_DIAGONAL = "diagonal-product"
@@ -70,13 +76,7 @@ class Perm:
     @property
     def sign(self) -> int:
         if self._sign is None:
-            inv = 0
-            imgs = self.images
-            for a in range(len(imgs)):
-                for b in range(a + 1, len(imgs)):
-                    if imgs[a] > imgs[b]:
-                        inv += 1
-            self._sign = -1 if inv & 1 else 1
+            self._sign = perm_sign(self.images)
         return self._sign
 
     def __call__(self, i: int) -> int:

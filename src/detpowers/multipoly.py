@@ -360,7 +360,9 @@ def expand_power(form: LinForm, exponent: int) -> SparsePoly:
     return SparsePoly(order, terms)
 
 
-def _perm_sign(images: tuple[int, ...]) -> int:
+def perm_sign(images: tuple[int, ...]) -> int:
+    """Sign of the permutation with one-line images ``images``, by counting
+    inversions."""
     inv = 0
     for a in range(len(images)):
         for b in range(a + 1, len(images)):
@@ -377,7 +379,7 @@ def determinant_poly(d: int, order: int = 1) -> SparsePoly:
     plus, minus = Cyc.from_int(order, 1), Cyc.from_int(order, -1)
     for images in itertools.permutations(range(1, d + 1)):
         m = tuple((i, images[i - 1], 1) for i in range(1, d + 1))
-        terms[m] = plus if _perm_sign(images) > 0 else minus
+        terms[m] = plus if perm_sign(images) > 0 else minus
     return SparsePoly(order, terms)
 
 

@@ -416,43 +416,52 @@ def _full_affine_count(d: int, p: int, jobs: int) -> int:
     return total - 1  # the zero matrix satisfies everything
 
 
-def _poly_value_mod_p(poly: SparsePoly, coords: dict, p: int) -> PrimeScalar:
-    total = PrimeScalar(p, 0)
+def _integer_terms(poly: SparsePoly) -> list[tuple[int, Monomial]]:
+    """The (coefficient, monomial) pairs of an integer polynomial."""
+    terms = []
     for m, c in poly.terms.items():
         rat = _rational_coefficient(c)
         if rat.denominator != 1:
             raise ArithmeticError(f"non-integral coefficient {rat}")
-        value = PrimeScalar(p, int(rat))
+        terms.append((int(rat), m))
+    return terms
+
+
+def _value_mod_p(terms, coords: dict, p: int) -> int:
+    """Evaluate integer terms mod p; ``coords`` holds the nonzero entries."""
+    total = 0
+    for value, m in terms:
         for i, j, e in m:
             coord = coords.get((i, j))
-            if coord is None or coord.is_zero:
-                value = None
+            if coord is None:
                 break
-            value = value * coord ** e
-        if value is not None:
-            total = total + value
-    return total
+            value *= coord ** e
+        else:
+            total += value
+    return total % p
 
 
 @functools.lru_cache(maxsize=None)
 def _staged_solutions(d: int, p: int):
     """Support-restricted candidates Delta P_sigma over GF(p) surviving all
-    generators. The monomial quadrics are evaluated too, as a consistency
-    check: they must vanish identically on these supports."""
+    generators. The monomial quadrics are evaluated too, once per support,
+    as a consistency check: they must vanish identically on these supports.
+    Setting the entries to 1 decides that for every Delta, since GF(p) has
+    no zero divisors."""
     qs = quadric_generators(d)
-    monomial_gens = qs.row_monomials + qs.column_monomials
+    monomial_gens = [_integer_terms(g)
+                     for g in qs.row_monomials + qs.column_monomials]
+    rho = [_integer_terms(g) for g in qs.rho_quadrics]
     solutions = []
     for sigma in Perm.all_perms(d):
+        ones = {(i, sigma(i)): 1 for i in range(1, d + 1)}
+        if any(_value_mod_p(gen, ones, p) for gen in monomial_gens):
+            raise ArithmeticError(
+                "a monomial quadric failed on a one-entry-per-row "
+                "support; the staged construction is wrong")
         for deltas in itertools.product(range(1, p), repeat=d):
-            coords = {(i, sigma(i)): PrimeScalar(p, deltas[i - 1])
-                      for i in range(1, d + 1)}
-            for gen in monomial_gens:
-                if not _poly_value_mod_p(gen, coords, p).is_zero:
-                    raise ArithmeticError(
-                        "a monomial quadric failed on a one-entry-per-row "
-                        "support; the staged construction is wrong")
-            if all(_poly_value_mod_p(gen, coords, p).is_zero
-                   for gen in qs.rho_quadrics):
+            coords = {(i, sigma(i)): deltas[i - 1] for i in range(1, d + 1)}
+            if not any(_value_mod_p(gen, coords, p) for gen in rho):
                 solutions.append((sigma.images, deltas))
     return tuple(solutions)
 

@@ -29,7 +29,6 @@ from .cyclotomic import Cyc, omega
 from .decompositions import (
     PowerDecomposition,
     ProductDecomposition,
-    SCHEME_BUILDERS,
     sign_vectors,
 )
 from .multipoly import (
@@ -40,6 +39,7 @@ from .multipoly import (
     expand_power,
     monomial,
     multinomial,
+    perm_sign,
     weak_compositions,
 )
 
@@ -153,13 +153,7 @@ def determinant_coefficient(pair: IJPair) -> int:
     for i, j in zip(pair.I, pair.J):
         if mapping.setdefault(i, j) != j:
             return 0
-    images = tuple(mapping[i] for i in range(1, d + 1))
-    inv = 0
-    for a in range(d):
-        for b in range(a + 1, d):
-            if images[a] > images[b]:
-                inv += 1
-    return -1 if inv & 1 else 1
+    return perm_sign(tuple(mapping[i] for i in range(1, d + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +174,6 @@ class VerificationReport:
     mismatches: tuple[tuple[Monomial, Cyc, Cyc], ...] | None = None
 
 
-@lru_cache(maxsize=8)
-def _cached_decomposition(scheme: str, d: int) -> PowerDecomposition:
-    return SCHEME_BUILDERS[scheme](d)
-
-
 def _accumulate_terms(terms, acc: dict) -> None:
     """Add coeff * form^exponent for each term into acc, keeping keys whose
     coefficients cancel to zero (the key set is the union of supports)."""
@@ -197,26 +186,21 @@ def _accumulate_terms(terms, acc: dict) -> None:
             acc[mono] = contrib if prior is None else prior + contrib
 
 
-def _expand_chunk(args) -> dict:
-    scheme, d, start, stop = args
-    dec = _cached_decomposition(scheme, d)
+def _expand_chunk(terms) -> dict:
     acc: dict = {}
-    _accumulate_terms(dec.terms[start:stop], acc)
+    _accumulate_terms(terms, acc)
     return acc
 
 
 def _expand_sum(dec: PowerDecomposition, jobs: int) -> dict:
-    if jobs <= 1 or len(dec.terms) < 4 * jobs or dec.scheme not in SCHEME_BUILDERS:
-        acc: dict = {}
-        _accumulate_terms(dec.terms, acc)
-        return acc
+    if jobs <= 1 or len(dec.terms) < 4 * jobs:
+        return _expand_chunk(dec.terms)
     n = len(dec.terms)
     chunk = -(-n // (4 * jobs))
-    spans = [(dec.scheme, dec.d, s, min(s + chunk, n))
-             for s in range(0, n, chunk)]
+    slices = [dec.terms[s:s + chunk] for s in range(0, n, chunk)]
     acc = {}
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for partial in pool.map(_expand_chunk, spans):
+        for partial in pool.map(_expand_chunk, slices):
             for mono, c in partial.items():
                 prior = acc.get(mono)
                 acc[mono] = c if prior is None else prior + c
@@ -301,24 +285,14 @@ def _sign_vector_sum(d: int, powers: tuple[int, ...]) -> int:
 
 def _signed_extension_sum(d: int, partial: dict[int, int]) -> int:
     """Sum of signs of all permutations extending the partial row -> column
-    assignment (which must be injective)."""
-    rows = [r for r in range(1, d + 1) if r not in partial]
-    cols = [c for c in range(1, d + 1) if c not in set(partial.values())]
-    total = 0
-    base = list(range(1, d + 1))
-    for assign in itertools.permutations(cols):
-        images = base[:]
-        for r, c in partial.items():
-            images[r - 1] = c
-        for r, c in zip(rows, assign):
-            images[r - 1] = c
-        inv = 0
-        for a in range(d):
-            for b in range(a + 1, d):
-                if images[a] > images[b]:
-                    inv += 1
-        total += -1 if inv & 1 else 1
-    return total
+    assignment (which must be injective). With two or more unassigned rows,
+    swapping the images of two of them pairs the extensions off with
+    opposite signs, so the sum is 0; otherwise the extension is unique."""
+    if d - len(partial) >= 2:
+        return 0
+    spare = iter(set(range(1, d + 1)).difference(partial.values()))
+    return perm_sign(tuple(partial[r] if r in partial else next(spare)
+                           for r in range(1, d + 1)))
 
 
 def _stream_check(dec: PowerDecomposition, collect_all: bool):
@@ -374,13 +348,7 @@ def _target_coefficient(dec: PowerDecomposition, mono: Monomial,
     if any(e != 1 for e in comp):
         return Cyc.zero(dec.order)
     if dec.target == "determinant":
-        images = tuple(j for _, j, _ in mono)
-        inv = 0
-        for a in range(dec.d):
-            for b in range(a + 1, dec.d):
-                if images[a] > images[b]:
-                    inv += 1
-        sign = -1 if inv & 1 else 1
+        sign = perm_sign(tuple(j for _, j, _ in mono))
         return Cyc.from_int(dec.order, dec.scale * sign)
     # diagonal-product target
     if all(i == j for i, j, _ in mono):

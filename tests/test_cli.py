@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,12 @@ import pytest
 
 from detpowers import cli
 from detpowers.cyclotomic import Cyc, omega
-from detpowers.decompositions import SCHEME_BUILDERS, krishna_makam_det3
+from detpowers.decompositions import (
+    SCHEME_BUILDERS,
+    PowerTerm,
+    krishna_makam_det3,
+    main_decomposition,
+)
 
 
 def run_cli(capsys, *args):
@@ -88,7 +94,44 @@ class TestRoundTrip:
             cli.parse_decomposition(json.dumps(obj))
 
 
+# the one-line LaTeX output of `decompose --format latex`, byte for byte
+PINNED_LATEX = [
+    ("main", "2",
+     r"4 \, \det X = -\left(-x_{1,1} + x_{2,2}\right)^{2} + "
+     r"\left(x_{1,1} + x_{2,2}\right)^{2} + \left(-x_{1,2} + "
+     r"x_{2,1}\right)^{2} - \left(x_{1,2} + x_{2,1}\right)^{2}" "\n"),
+    ("classical", "2",
+     r"4 \, \det X = \left(x_{1,1} + x_{2,2}\right)^{2} - "
+     r"\left(x_{1,1} - x_{2,2}\right)^{2} - \left(x_{1,2} + "
+     r"x_{2,1}\right)^{2} + \left(x_{1,2} - x_{2,1}\right)^{2}" "\n"),
+    ("gurvits", "2",
+     r"2 \, \det X = \left(x_{1,1} + x_{2,2}\right)^{2} - "
+     r"\left(x_{2,2}\right)^{2} - \left(x_{1,1}\right)^{2} - "
+     r"\left(x_{1,2} + x_{2,1}\right)^{2} + "
+     r"\left(x_{2,1}\right)^{2} + \left(x_{1,2}\right)^{2}" "\n"),
+    ("monomial", "2",
+     r"4 \, x_{1,1} x_{2,2} = \left(x_{1,1} + x_{2,2}\right)^{2} - "
+     r"\left(x_{1,1} - x_{2,2}\right)^{2}" "\n"),
+    ("krishna-makam", "3",
+     r"\det X = x_{1,1} \left(x_{2,2} + x_{2,3}\right) "
+     r"\left(x_{3,1} + x_{3,3}\right) + \left(x_{1,2} + "
+     r"x_{1,3}\right) x_{2,1} x_{3,2} - \left(x_{1,1} + "
+     r"x_{1,3}\right) x_{2,2} x_{3,1} - x_{1,2} \left(x_{2,1} + "
+     r"x_{2,3}\right) \left(x_{3,2} + x_{3,3}\right) + "
+     r"\left(-x_{1,1} + x_{1,2}\right) x_{2,3} \left(x_{3,1} + "
+     r"x_{3,2} + x_{3,3}\right)" "\n"),
+]
+
+
 class TestLatex:
+    @pytest.mark.parametrize("scheme, d, expected", PINNED_LATEX,
+                             ids=[row[0] for row in PINNED_LATEX])
+    def test_pinned_output(self, capsys, scheme, d, expected):
+        code, out = run_cli(capsys, "decompose", "--d", d,
+                            "--scheme", scheme, "--format", "latex")
+        assert code == 0
+        assert out == expected
+
     def test_monomial_d3_is_the_xyz_identity(self, capsys):
         code, out = run_cli(capsys, "decompose", "--d", "3",
                             "--scheme", "monomial", "--format", "latex")
@@ -124,6 +167,8 @@ class TestLatex:
         assert cli.cyc_latex(Cyc.one(3) / 2) == "\\tfrac{1}{2}"
         mixed = omega(5, 1) + Cyc.one(5)
         assert cli.cyc_latex(mixed) == "\\bigl(1 + \\omega\\bigr)"
+        negative = omega(5, 1) - Cyc.one(5) * 2
+        assert cli.cyc_latex(negative) == "\\bigl(-2 + \\omega\\bigr)"
 
     def test_bounds_latex_contains_lower_bound(self, capsys):
         code, out = run_cli(capsys, "bounds", "--format", "latex")
@@ -157,6 +202,26 @@ class TestVerifyCommand:
         assert set(obj) == {"command", "ok", "results", "version"}
         assert obj["command"] == "verify"
         assert obj["version"] == cli.__version__
+
+    def test_failing_verify_reports_witness(self, capsys, monkeypatch):
+        dec = main_decomposition(3)
+        term = dec.terms[7]
+        terms = list(dec.terms)
+        terms[7] = PowerTerm(term.index, term.coeff * (-1), term.form,
+                             term.exponent)
+        flipped = dataclasses.replace(dec, terms=tuple(terms))
+        monkeypatch.setitem(cli.SCHEME_BUILDERS, "main", lambda d: flipped)
+        code, obj = run_json(capsys, "verify", "--d", "3", "--jobs", "1")
+        assert code == 1
+        assert obj["ok"] is False
+        by_mode = {r["mode"]: r for r in obj["results"] if "mode" in r}
+        witness = by_mode["expansion"]["witness"]
+        assert set(witness) == {"monomial", "got", "want"}
+        assert all(len(entry) == 3 for entry in witness["monomial"])
+        assert cli.obj_to_cyc(witness["got"]) \
+            != cli.obj_to_cyc(witness["want"])
+        agree = [r for r in obj["results"] if r.get("check") == "modes_agree"]
+        assert agree[0]["ok"] is False
 
 
 class TestCheckCommands:

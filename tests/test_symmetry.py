@@ -59,7 +59,7 @@ class TestTotientAndJacobi:
 
 
 class TestCycleSign:
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_inversion_count_sign(self, d):
         for p in Perm.all_perms(d):
             assert cycle_sign(p) == p.sign

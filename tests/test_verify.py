@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from detpowers.cyclotomic import Cyc
 from detpowers.decompositions import (
+    Perm,
     PowerTerm,
     classical_decomposition,
     gurvits_decomposition,
@@ -14,12 +16,14 @@ from detpowers.decompositions import (
     monomial_power_decomposition,
 )
 from detpowers.multipoly import SparsePoly, determinant_poly, monomial
+from detpowers.symmetry import conjugate_decomposition, cycle_sign
 from detpowers.verify import (
     IJPair,
     MultiIndex,
     check_closed_form_coefficients,
     closed_form_coefficient,
     determinant_coefficient,
+    _signed_extension_sum,
     phase_polynomial,
     verify_power_decomposition,
     verify_product_identity,
@@ -173,6 +177,15 @@ class TestStreamingMode:
             verify_power_decomposition(dec, mode="streaming")
 
 
+def conjugated_main3():
+    """main(3) conjugated by a unitriangular pair, so its coefficients are
+    general elements of Q(w) rather than roots of unity."""
+    zero, one, two = (Cyc.from_int(3, v) for v in (0, 1, 2))
+    a = ((one, two, zero), (zero, one, zero), (zero, zero, one))
+    b = ((one, zero, zero), (zero, one, zero), (zero, -one, one))
+    return conjugate_decomposition(a, b, main_decomposition(3))
+
+
 class TestParallelExpansion:
     def test_parallel_report_matches_sequential(self):
         dec = main_decomposition(4)
@@ -180,6 +193,35 @@ class TestParallelExpansion:
         par = verify_power_decomposition(dec, jobs=2)
         assert dataclasses.replace(seq, elapsed=0.0) \
             == dataclasses.replace(par, elapsed=0.0)
+
+    @pytest.mark.parametrize("dec, equal", [
+        (flip_one_sign(main_decomposition(3), 7), False),
+        (conjugated_main3(), True),
+        (flip_one_sign(conjugated_main3(), 7), False),
+    ], ids=["flipped-main", "conjugated", "flipped-conjugated"])
+    def test_workers_check_the_given_terms(self, dec, equal):
+        seq = verify_power_decomposition(dec, jobs=1)
+        par = verify_power_decomposition(dec, jobs=2)
+        assert seq.equal is equal
+        assert dataclasses.replace(seq, elapsed=0.0) \
+            == dataclasses.replace(par, elapsed=0.0)
+
+
+class TestSignedExtensionSum:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_brute_force_over_permutations(self, d):
+        perms = list(Perm.all_perms(d))
+        seen = 0
+        for k in range(d + 1):
+            for rows in itertools.combinations(range(1, d + 1), k):
+                for cols in itertools.permutations(range(1, d + 1), k):
+                    partial = dict(zip(rows, cols))
+                    brute = sum(cycle_sign(p) for p in perms
+                                if all(p(r) == c for r, c in partial.items()))
+                    assert _signed_extension_sum(d, partial) == brute
+                    seen += 1
+        assert seen == sum(math.comb(d, k) ** 2 * math.factorial(k)
+                           for k in range(d + 1))
 
 
 class TestPhasePolynomial:
