@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -379,6 +380,20 @@ def omega(order: int, power: int = 1) -> Cyc:
 @functools.cache
 def _root_power_table(order: int) -> dict[tuple[tuple[int, ...], int], int]:
     return {(omega(order, k).num, 1): k for k in range(order)}
+
+
+def from_root_coefficients(order: int, coeffs) -> Cyc:
+    """sum over k of coeffs[k] * w^k, for integer coeffs[0..order-1]: the
+    image in Q(w) of an element of the group ring Z[C_order]."""
+    if not any(coeffs):
+        return _int_cyc(order, 0)
+    out = Cyc.__new__(Cyc)
+    out.order = order
+    # coordinate i: coeffs dotted with coordinate i of w^0, ..., w^(order-1)
+    out.num = tuple([sum(map(operator.mul, coeffs, column))
+                     for column in zip(*_omega_power_vectors(order))])
+    out.den = 1
+    return out
 
 
 def root_power_sum(order: int, p: int) -> Cyc:

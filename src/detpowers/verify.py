@@ -2,14 +2,20 @@
 
 Two independent engines are provided:
 
-* expansion mode expands every term with ``expand_power`` and adds the
-  results into one big coefficient table;
-* streaming mode never stores the whole sum: it walks candidate monomials
-  group by group and computes each total coefficient combinatorially,
-  summing the per-term contributions for that one monomial.
+* expansion mode builds one coefficient table for the whole sum. A term
+  whose scalars are all units +-w^k adds +-multinomial to an integer
+  vector per monomial, an element of the group ring Z[C_n] indexed by
+  the phase, and each vector is projected to Q(w) once at the end; any
+  other term is expanded with ``expand_power`` and Cyc products;
+* streaming mode never expands a term: it walks the candidate monomials
+  of the scheme in sorted order and computes each total coefficient from
+  the scheme's combinatorial formula, corrected, for that one monomial,
+  by every given term that differs from the scheme's own term.
 
 The engines share no code path, so they act as each other's oracle; both
-compare against the scaled target polynomial with exact arithmetic.
+read the terms they are given, compare against the scaled target
+polynomial with exact arithmetic, and name the first mismatching monomial
+in sorted order as the witness.
 
 The module also houses the closed-form coefficient rule for the single-row
 phase polynomial P = sum_j (-1)^((d+1)j) (sum_i w^(ij) x_i)^d and the
@@ -24,9 +30,13 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
+from operator import add, itemgetter, mul
 
-from .cyclotomic import Cyc, omega
+from .cyclotomic import Cyc, from_root_coefficients, omega
 from .decompositions import (
+    SCHEME_BUILDERS,
+    TARGET_DETERMINANT,
+    TARGET_DIAGONAL,
     PowerDecomposition,
     ProductDecomposition,
     sign_vectors,
@@ -174,9 +184,49 @@ class VerificationReport:
     mismatches: tuple[tuple[Monomial, Cyc, Cyc], ...] | None = None
 
 
-def _accumulate_terms(terms, acc: dict) -> None:
-    """Add coeff * form^exponent for each term into acc, keeping keys whose
-    coefficients cancel to zero (the key set is the union of supports)."""
+# --- expansion engine -------------------------------------------------------
+#
+# A term whose coefficient and nonzero form entries are all units +-w^k adds
+# +-multinomial(e) * w^phase to the monomial of each weak composition e of
+# the exponent over the form's support, where the phase is the exponent-
+# weighted sum of the entries' root powers. So each monomial accumulates an
+# integer vector indexed by the phase mod the root order, an element of the
+# group ring Z[C_order], and is projected to Q(w) once at the end; no Cyc
+# product is needed. Any other term falls back to ``expand_power`` and Cyc
+# arithmetic, and its sums merge into the same table.
+
+
+def _unit(c: Cyc) -> tuple[int, int] | None:
+    """(sign, k) with c == sign * w^k, or None. The sign is found apart
+    from the root table because -1 is not a power of w at order 1."""
+    k = c.root_power()
+    if k is not None:
+        return 1, k
+    k = (-c).root_power()
+    return None if k is None else (-1, k)
+
+
+def _unit_term(term):
+    """(sign, k) of the coefficient, the support variables, and the root
+    powers and negation flags (0/1) of the entries, when every scalar of
+    the term is a unit; else None."""
+    head = _unit(term.coeff)
+    if head is None:
+        return None
+    variables, powers, negated = [], [], []
+    for var, c in term.form.support():
+        unit = _unit(c)
+        if unit is None:
+            return None
+        variables.append(var)
+        powers.append(unit[1])
+        negated.append(int(unit[0] < 0))
+    return head, tuple(variables), powers, negated
+
+
+def _cyc_accumulate(terms, acc: dict) -> None:
+    """Add coeff * form^exponent for each term into acc with ``expand_power``
+    and Cyc products: the fallback path, and the oracle of the group ring."""
     for term in terms:
         expanded = expand_power(term.form, term.exponent)
         coeff = term.coeff
@@ -186,24 +236,83 @@ def _accumulate_terms(terms, acc: dict) -> None:
             acc[mono] = contrib if prior is None else prior + contrib
 
 
-def _expand_chunk(terms) -> dict:
-    acc: dict = {}
-    _accumulate_terms(terms, acc)
-    return acc
+def _accumulate_terms(terms, order: int, ring: dict, fallback: dict) -> None:
+    """Add each term into ``ring`` (monomial -> Z[C_order] vector) when its
+    scalars are all units, else into ``fallback`` (monomial -> Cyc). Both
+    keep keys whose coefficients cancel to zero, so their key union is the
+    union of the terms' supports."""
+    tables: dict[tuple[int, int], tuple] = {}
+    last_vars = vecs = None
+    for term in terms:
+        unit = _unit_term(term)
+        if unit is None:
+            _cyc_accumulate((term,), fallback)
+            continue
+        (sign, k0), variables, powers, negated = unit
+        key = (term.exponent, len(variables))
+        if key not in tables:
+            comps = list(weak_compositions(*key))
+            nonzero = [[(k, e) for k, e in enumerate(c) if e] for c in comps]
+            mults = [multinomial(term.exponent, c) for c in comps]
+            tables[key] = comps, nonzero, {1: mults, -1: [-m for m in mults]}
+        comps, nonzero, signed = tables[key]
+        if variables != last_vars:
+            # builders emit the terms of one support consecutively
+            last_vars, vecs = variables, []
+            cells = [[(i, j, e) for e in range(term.exponent + 1)]
+                     for i, j in variables]
+            for nz in nonzero:
+                mono = tuple([cells[k][e] for k, e in nz])
+                vec = ring.get(mono)
+                if vec is None:
+                    vec = ring[mono] = [0] * order
+                vecs.append(vec)
+        odd = negated if any(negated) else None
+        phased = powers if any(powers) else None
+        for vec, comp, m in zip(vecs, comps, signed[sign]):
+            if odd and sum(map(mul, comp, odd)) & 1:
+                m = -m
+            if phased:
+                vec[(k0 + sum(map(mul, comp, phased))) % order] += m
+            else:
+                vec[k0] += m
+
+
+def _merge_cyc(acc: dict, part: dict) -> None:
+    for mono, c in part.items():
+        prior = acc.get(mono)
+        acc[mono] = c if prior is None else prior + c
+
+
+def _expand_chunk(order: int, terms) -> tuple[dict, dict]:
+    ring: dict = {}
+    fallback: dict = {}
+    _accumulate_terms(terms, order, ring, fallback)
+    return ring, fallback
 
 
 def _expand_sum(dec: PowerDecomposition, jobs: int) -> dict:
+    order = dec.order
     if jobs <= 1 or len(dec.terms) < 4 * jobs:
-        return _expand_chunk(dec.terms)
-    n = len(dec.terms)
-    chunk = -(-n // (4 * jobs))
-    slices = [dec.terms[s:s + chunk] for s in range(0, n, chunk)]
-    acc = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for partial in pool.map(_expand_chunk, slices):
-            for mono, c in partial.items():
-                prior = acc.get(mono)
-                acc[mono] = c if prior is None else prior + c
+        ring, fallback = _expand_chunk(order, dec.terms)
+    else:
+        # one slice per worker: the partial tables are merged here, serially,
+        # and every extra slice repeats the monomials slices share
+        n = len(dec.terms)
+        chunk = -(-n // jobs)
+        slices = [dec.terms[s:s + chunk] for s in range(0, n, chunk)]
+        ring, fallback = {}, {}
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for part_ring, part_fallback in pool.map(
+                    _expand_chunk, itertools.repeat(order), slices):
+                for mono, vec in part_ring.items():
+                    prior = ring.get(mono)
+                    ring[mono] = vec if prior is None \
+                        else list(map(add, prior, vec))
+                _merge_cyc(fallback, part_fallback)
+    acc = {mono: from_root_coefficients(order, vec)
+           for mono, vec in ring.items()}
+    _merge_cyc(acc, fallback)
     return acc
 
 
@@ -213,14 +322,16 @@ def _compare_with_target(dec: PowerDecomposition, computed: dict,
     monomials to total coefficients and may carry exact zeros."""
     target = dec.target_poly() * dec.scale
     zero = Cyc.zero(dec.order)
-    mismatches = []
-    for mono in sorted(set(computed) | set(target.terms)):
+    mismatches = [(mono, got, zero) for mono, got in computed.items()
+                  if got and mono not in target.terms]
+    for mono, want in target.terms.items():
         got = computed.get(mono, zero)
-        want = target.coefficient(mono)
         if got != want:
             mismatches.append((mono, got, want))
-            if not collect_all:
-                break
+    # the witness is the first mismatch in sorted monomial order
+    mismatches.sort(key=itemgetter(0))
+    if not collect_all:
+        del mismatches[1:]
     return mismatches, len(computed)
 
 
@@ -230,7 +341,9 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
     """Check scale * target == sum of the terms, exactly.
 
     ``mode`` picks the engine: "expansion" works for any decomposition;
-    "streaming" is implemented for the four structured schemes only.
+    "streaming" works for the four structured schemes, and raises
+    ValueError when a given term that differs from the scheme's own
+    reaches a monomial outside the scheme's walk.
     ``jobs`` > 1 parallelizes expansion mode over term chunks; the sum is
     identical because merging is associative and commutative.
     """
@@ -259,7 +372,10 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
 # support contributes multinomial(d; e) times the product of its coefficients
 # raised to the exponents. Grouping the contributions by the permutation and
 # summing the per-group scalar factors gives the total coefficient without
-# ever materializing the expanded sum.
+# ever materializing the expanded sum. That formula describes the scheme's
+# own terms; each given term that differs from the scheme's term in its
+# position adds its difference, term minus scheme term, to the monomials
+# its power reaches.
 
 
 @lru_cache(maxsize=None)
@@ -295,59 +411,129 @@ def _signed_extension_sum(d: int, partial: dict[int, int]) -> int:
                            for r in range(1, d + 1)))
 
 
+def _term_corrections(dec: PowerDecomposition, diagonal: bool) -> dict:
+    """The terms of ``dec`` that differ from the term its scheme's builder
+    puts in the same position, each paired with that builder term: the
+    given term with sign +1, the builder term with sign -1. Both are
+    indexed by every nonempty subset of their support, so a monomial finds
+    the terms whose power reaches it by its own support. Raises ValueError
+    when the root orders differ, or for a differing term whose support is
+    not a partial permutation pattern the walk covers (only the diagonal
+    when ``diagonal``)."""
+    d = dec.d
+    family = SCHEME_BUILDERS[dec.scheme](d)
+    if dec.order != family.order:
+        raise ValueError(f"streaming {dec.scheme} needs root order "
+                         f"{family.order}, got {dec.order}")
+    out: dict[tuple[tuple[int, int], ...], list] = {}
+    for mine, theirs in zip(dec.terms, family.terms, strict=True):
+        if mine.coeff == theirs.coeff and mine.form == theirs.form:
+            continue
+        for sign, term in ((1, mine), (-1, theirs)):
+            support = term.form.support()
+            variables = [var for var, _ in support]
+            rows = {i for i, _ in variables}
+            cols = {j for _, j in variables}
+            if (len(rows) < len(variables) or len(cols) < len(variables)
+                    or (diagonal and any(i != j for i, j in variables))):
+                raise ValueError(
+                    f"term {term.index!r} differs from the scheme's term and "
+                    f"its support {variables} is not a pattern the streaming "
+                    f"walk covers")
+            powers = {var: [c ** e for e in range(d + 1)]
+                      for var, c in support}
+            for size in range(1, len(variables) + 1):
+                for sub in itertools.combinations(variables, size):
+                    out.setdefault(sub, []).append((sign, term.coeff, powers))
+    return out
+
+
+def _correction(entries, mono: Monomial, mult: int, order: int) -> Cyc:
+    """sum of sign * coeff * mult * prod entry^e over the indexed terms."""
+    total = Cyc.zero(order)
+    for sign, coeff, powers in entries:
+        value = coeff * (sign * mult)
+        for i, j, e in mono:
+            value = value * powers[(i, j)][e]
+        total = total + value
+    return total
+
+
 def _stream_check(dec: PowerDecomposition, collect_all: bool):
+    """Walk the monomials the scheme's terms can reach, in sorted order, and
+    compare each total coefficient with the target. The total is the
+    scheme's combinatorial formula, corrected by every given term that
+    differs from the scheme's own term in its position."""
     d, order, scheme = dec.d, dec.order, dec.scheme
-    if scheme not in ("main", "classical", "gurvits", "monomial"):
+    if scheme not in SCHEME_BUILDERS:
         raise ValueError(f"streaming mode not available for scheme {scheme!r}")
-    if scheme == "monomial":
-        groups = [tuple(range(1, d + 1))]  # the identity diagonal only
-    else:
-        groups = list(itertools.permutations(range(1, d + 1)))
-    seen: set[Monomial] = set()
+    if dec.target not in (TARGET_DETERMINANT, TARGET_DIAGONAL):
+        raise ValueError(f"unknown target {dec.target!r}")
+    # the monomial scheme lives on the diagonal; a determinant target also
+    # needs the off-diagonal permutation patterns walked
+    diagonal = scheme == "monomial" and dec.target == TARGET_DIAGONAL
+    corrections = _term_corrections(dec, diagonal)
+    # each monomial once: a weak composition e of d over the rows, and an
+    # injective choice of columns for the rows with e_i > 0; the monomials
+    # share one (i, j, e) entry object per value
+    cell = {c: c for c in itertools.product(range(1, d + 1), repeat=3)}
+    candidates = []
+    for comp in weak_compositions(d, d):
+        rows = tuple(i for i, e in enumerate(comp, start=1) if e)
+        exps = tuple(e for e in comp if e)
+        mult = multinomial(d, comp)
+        choices = ([rows] if diagonal
+                   else itertools.permutations(range(1, d + 1), len(rows)))
+        for cols in choices:
+            mono = tuple(map(cell.__getitem__, zip(rows, cols, exps)))
+            candidates.append((mono, comp, mult))
+    # sorted, like expansion's comparison, so both name the same witness;
+    # on a mismatch the count is of the monomials checked so far
+    candidates.sort(key=itemgetter(0))
     mismatches = []
-    fact = [math.factorial(k) for k in range(d + 1)]
-    for images in groups:
-        for comp in weak_compositions(d, d):
-            mono = tuple((i, images[i - 1], e)
-                         for i, e in enumerate(comp, start=1) if e)
-            if mono in seen:
-                continue
-            seen.add(mono)
-            mult = fact[d]
-            for e in comp:
-                mult //= fact[e]
-            got = _streaming_coefficient(scheme, d, order, mono, comp, mult)
-            want = _target_coefficient(dec, mono, comp)
-            if got != want:
-                mismatches.append((mono, got, want))
-                if not collect_all:
-                    return mismatches, len(seen)
-    return mismatches, len(seen)
+    checked = 0
+    for mono, comp, mult in candidates:
+        checked += 1
+        got = _streaming_coefficient(scheme, d, order, mono, comp, mult)
+        if corrections:
+            entries = corrections.get(tuple((i, j) for i, j, _ in mono))
+            if entries:
+                got = got + _correction(entries, mono, mult, order)
+        want = _target_coefficient(dec, mono, comp)
+        if got != want:
+            mismatches.append((mono, got, want))
+            if not collect_all:
+                break
+    return mismatches, checked
 
 
 def _streaming_coefficient(scheme: str, d: int, order: int, mono: Monomial,
                            comp: tuple[int, ...], mult: int) -> Cyc:
-    partial = {i: j for i, j, _ in mono}
-    ext = _signed_extension_sum(d, partial)
+    if scheme == "monomial":
+        # diagonal support only, no permutation group
+        if any(i != j for i, j, _ in mono):
+            return Cyc.zero(1)
+        eps_sum = _sign_vector_sum(d, tuple(e + 1 for e in comp))
+        return Cyc.from_int(1, mult * eps_sum)
+    ext = _signed_extension_sum(d, {i: j for i, j, _ in mono})
+    if not ext:
+        return Cyc.zero(order)
     if scheme == "main":
         s = sum(i * e for i, _, e in mono) % d
         return _phase_group_sum(d, s) * (mult * ext)
     if scheme == "classical":
         eps_sum = _sign_vector_sum(d, tuple(e + 1 for e in comp))
         return Cyc.from_int(1, mult * ext * eps_sum)
-    if scheme == "gurvits":
-        zero_rows = sum(1 for e in comp if e == 0)
-        return Cyc.from_int(1, mult * ext * (1 - zero_rows))
-    # monomial scheme: diagonal support only, no permutation group
-    eps_sum = _sign_vector_sum(d, tuple(e + 1 for e in comp))
-    return Cyc.from_int(1, mult * eps_sum)
+    # gurvits
+    zero_rows = sum(1 for e in comp if e == 0)
+    return Cyc.from_int(1, mult * ext * (1 - zero_rows))
 
 
 def _target_coefficient(dec: PowerDecomposition, mono: Monomial,
                         comp: tuple[int, ...]) -> Cyc:
     if any(e != 1 for e in comp):
         return Cyc.zero(dec.order)
-    if dec.target == "determinant":
+    if dec.target == TARGET_DETERMINANT:
         sign = perm_sign(tuple(j for _, j, _ in mono))
         return Cyc.from_int(dec.order, dec.scale * sign)
     # diagonal-product target

@@ -8,6 +8,7 @@ from detpowers.cyclotomic import (
     Cyc,
     PrimeScalar,
     cyclotomic_polynomial,
+    from_root_coefficients,
     omega,
     primitive_root_of_unity,
     root_power_sum,
@@ -72,6 +73,20 @@ def test_known_values():
     assert omega(4) * omega(4) == Cyc.from_int(4, -1)
     w6 = omega(6)
     assert w6 * w6 == w6 - 1
+
+
+def test_from_root_coefficients_matches_summed_powers():
+    rng = random.Random(4)
+    for order in range(1, 13):
+        for _ in range(20):
+            coeffs = [rng.randint(-9, 9) for _ in range(order)]
+            total = Cyc.zero(order)
+            for k, c in enumerate(coeffs):
+                total = total + omega(order, k) * c
+            assert from_root_coefficients(order, coeffs) == total
+        # the sum of all roots of unity of order > 1 is zero
+        assert from_root_coefficients(order, [1] * order) \
+            == Cyc.from_int(order, 1 if order == 1 else 0)
 
 
 def test_root_power_sum_matches_closed_form():

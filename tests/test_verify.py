@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from detpowers.cyclotomic import Cyc
+from detpowers.cyclotomic import Cyc, omega
 from detpowers.decompositions import (
+    SCHEME_BUILDERS,
     Perm,
+    PowerDecomposition,
     PowerTerm,
     classical_decomposition,
     gurvits_decomposition,
@@ -15,7 +17,7 @@ from detpowers.decompositions import (
     main_decomposition,
     monomial_power_decomposition,
 )
-from detpowers.multipoly import SparsePoly, determinant_poly, monomial
+from detpowers.multipoly import LinForm, SparsePoly, determinant_poly, monomial
 from detpowers.symmetry import conjugate_decomposition, cycle_sign
 from detpowers.verify import (
     IJPair,
@@ -23,7 +25,10 @@ from detpowers.verify import (
     check_closed_form_coefficients,
     closed_form_coefficient,
     determinant_coefficient,
+    _cyc_accumulate,
+    _expand_sum,
     _signed_extension_sum,
+    _unit,
     phase_polynomial,
     verify_power_decomposition,
     verify_product_identity,
@@ -205,6 +210,141 @@ class TestParallelExpansion:
         assert seq.equal is equal
         assert dataclasses.replace(seq, elapsed=0.0) \
             == dataclasses.replace(par, elapsed=0.0)
+
+
+def cyc_path(terms):
+    """The expand_power / Cyc-product sum, the group ring's oracle."""
+    acc = {}
+    _cyc_accumulate(terms, acc)
+    return acc
+
+
+def loose(d, order, terms):
+    """A decomposition with no term-count rule, for hand-made term lists."""
+    return PowerDecomposition(d, "mixed", 1, "determinant", order,
+                              tuple(terms))
+
+
+class TestGroupRingExpansion:
+    @pytest.mark.parametrize("scheme, d", [
+        (scheme, d) for scheme in SCHEME_BUILDERS for d in range(1, 5)
+    ] + [("main", 5)])
+    def test_matches_cyc_path_key_for_key(self, scheme, d):
+        dec = SCHEME_BUILDERS[scheme](d)
+        assert _expand_sum(dec, 1) == cyc_path(dec.terms)
+
+    def test_keeps_keys_that_cancel_to_zero(self):
+        got = _expand_sum(main_decomposition(3), 1)
+        zeros = [mono for mono, c in got.items() if not c]
+        assert len(got) == 51 and len(zeros) == 51 - 6
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_unit_and_general_terms(self, jobs):
+        terms = main_decomposition(3).terms + conjugated_main3().terms
+        dec = loose(3, 3, terms)
+        assert _unit(conjugated_main3().terms[0].form.entry(1, 2)) is None
+        assert _expand_sum(dec, jobs) == cyc_path(terms)
+
+    def test_order_one_negative_units(self):
+        assert _unit(Cyc.from_int(1, -1)) == (-1, 0)
+        form = LinForm.from_entries(1, 2, {(1, 1): -1, (1, 2): 1,
+                                           (2, 1): -1})
+        terms = [PowerTerm((0,), Cyc.from_int(1, -1), form, 2),
+                 PowerTerm((1,), Cyc.from_int(1, 1), form, 2)]
+        got = _expand_sum(loose(2, 1, terms), 1)
+        assert got == cyc_path(terms)
+        assert len(got) == 6 and not any(got.values())
+
+    def test_order_two_minus_one_is_w(self):
+        assert _unit(Cyc.from_int(2, -1)) == (1, 1)
+        form = LinForm.from_entries(2, 2, {(1, 2): -1, (2, 1): 1})
+        terms = [PowerTerm((0,), Cyc.from_int(2, -1), form, 2)]
+        assert _expand_sum(loose(2, 2, terms), 1) == cyc_path(terms)
+
+    def test_non_unit_coefficient_falls_back(self):
+        two_w = omega(3, 1) * 2
+        assert _unit(two_w) is None
+        form = LinForm.from_entries(3, 2, {(1, 1): omega(3, 2),
+                                           (2, 2): 1})
+        terms = [PowerTerm((0,), two_w, form, 2),
+                 PowerTerm((1,), omega(3, 1), form, 2)]
+        got = _expand_sum(loose(2, 3, terms), 1)
+        assert got == cyc_path(terms)
+        # 2w * 2w^2 + w * 2w^2 = 4 + 2
+        assert got[((1, 1, 1), (2, 2, 1))] == Cyc.from_int(3, 6)
+
+    def test_gurvits_d1_zero_form(self):
+        dec = gurvits_decomposition(1)
+        assert dec.terms[1].form.is_zero
+        assert _expand_sum(dec, 1) == cyc_path(dec.terms) \
+            == {((1, 1, 1),): Cyc.from_int(1, 1)}
+
+
+class TestStreamingChecksTerms:
+    @pytest.mark.parametrize("dec", [
+        flip_one_sign(main_decomposition(3), 7),
+        flip_one_sign(classical_decomposition(3), 5),
+        flip_one_sign(gurvits_decomposition(3), 2),
+        flip_one_sign(monomial_power_decomposition(3), 1),
+    ], ids=["main", "classical", "gurvits", "monomial"])
+    def test_flipped_term_fails_with_expansion_witness(self, dec):
+        stream = verify_power_decomposition(dec, mode="streaming")
+        exp1 = verify_power_decomposition(dec, jobs=1)
+        exp2 = verify_power_decomposition(dec, jobs=2)
+        assert not stream.equal and not exp1.equal
+        assert stream.witness == exp1.witness == exp2.witness
+
+    def test_collect_all_lists_the_same_mismatches(self):
+        dec = flip_one_sign(main_decomposition(3), 4)
+        stream = verify_power_decomposition(dec, mode="streaming",
+                                            collect_all=True)
+        exp = verify_power_decomposition(dec, collect_all=True)
+        assert stream.mismatch_count == exp.mismatch_count > 1
+        assert stream.mismatches == exp.mismatches
+
+    def test_reordered_terms_are_checked_not_rejected(self):
+        dec = main_decomposition(3)
+        terms = dec.terms[1:] + dec.terms[:1]
+        report = verify_power_decomposition(
+            dataclasses.replace(dec, terms=terms), mode="streaming")
+        assert report.equal
+        assert report.distinct_monomials == 51
+
+    @pytest.mark.parametrize("field, value", [
+        ("scale", 17), ("target", "diagonal-product")])
+    def test_perturbed_scale_or_target_fails(self, field, value):
+        dec = dataclasses.replace(main_decomposition(3), **{field: value})
+        stream = verify_power_decomposition(dec, mode="streaming")
+        exp = verify_power_decomposition(dec)
+        assert not stream.equal
+        assert stream.witness == exp.witness
+
+    def test_monomial_scheme_with_determinant_target_fails(self):
+        dec = dataclasses.replace(monomial_power_decomposition(3),
+                                  target="determinant")
+        stream = verify_power_decomposition(dec, mode="streaming")
+        exp = verify_power_decomposition(dec)
+        assert not stream.equal and not exp.equal
+        assert stream.witness == exp.witness
+
+    @pytest.mark.parametrize("dec", [
+        conjugated_main3(),
+        dataclasses.replace(conjugated_main3(), scheme="main"),
+        dataclasses.replace(main_decomposition(2), scheme="classical"),
+    ], ids=["conjugated", "conjugated-relabelled-main",
+            "main-relabelled-classical"])
+    def test_unwalkable_input_raises(self, dec):
+        with pytest.raises(ValueError):
+            verify_power_decomposition(dec, mode="streaming")
+
+    def test_off_pattern_term_raises(self):
+        dec = monomial_power_decomposition(2)
+        term = dec.terms[0]
+        moved = LinForm.from_entries(1, 2, {(1, 2): 1, (2, 1): 1})
+        terms = (dataclasses.replace(term, form=moved),) + dec.terms[1:]
+        with pytest.raises(ValueError):
+            verify_power_decomposition(
+                dataclasses.replace(dec, terms=terms), mode="streaming")
 
 
 class TestSignedExtensionSum:
