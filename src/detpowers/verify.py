@@ -34,11 +34,14 @@ from operator import add, itemgetter, mul
 
 from .cyclotomic import Cyc, from_root_coefficients, omega
 from .decompositions import (
-    SCHEME_BUILDERS,
     TARGET_DETERMINANT,
     TARGET_DIAGONAL,
     PowerDecomposition,
     ProductDecomposition,
+    classical_decomposition,
+    gurvits_decomposition,
+    main_decomposition,
+    monomial_power_decomposition,
     sign_vectors,
 )
 from .multipoly import (
@@ -411,6 +414,17 @@ def _signed_extension_sum(d: int, partial: dict[int, int]) -> int:
                            for r in range(1, d + 1)))
 
 
+# the builders whose terms the streaming formulas describe, bound by name
+# so that a replaced entry of the mutable SCHEME_BUILDERS registry cannot
+# become the reference a given decomposition is compared with
+_STREAM_REFERENCE = {
+    "main": main_decomposition,
+    "classical": classical_decomposition,
+    "gurvits": gurvits_decomposition,
+    "monomial": monomial_power_decomposition,
+}
+
+
 def _term_corrections(dec: PowerDecomposition, diagonal: bool) -> dict:
     """The terms of ``dec`` that differ from the term its scheme's builder
     puts in the same position, each paired with that builder term: the
@@ -421,7 +435,7 @@ def _term_corrections(dec: PowerDecomposition, diagonal: bool) -> dict:
     not a partial permutation pattern the walk covers (only the diagonal
     when ``diagonal``)."""
     d = dec.d
-    family = SCHEME_BUILDERS[dec.scheme](d)
+    family = _STREAM_REFERENCE[dec.scheme](d)
     if dec.order != family.order:
         raise ValueError(f"streaming {dec.scheme} needs root order "
                          f"{family.order}, got {dec.order}")
@@ -465,7 +479,7 @@ def _stream_check(dec: PowerDecomposition, collect_all: bool):
     scheme's combinatorial formula, corrected by every given term that
     differs from the scheme's own term in its position."""
     d, order, scheme = dec.d, dec.order, dec.scheme
-    if scheme not in SCHEME_BUILDERS:
+    if scheme not in _STREAM_REFERENCE:
         raise ValueError(f"streaming mode not available for scheme {scheme!r}")
     if dec.target not in (TARGET_DETERMINANT, TARGET_DIAGONAL):
         raise ValueError(f"unknown target {dec.target!r}")

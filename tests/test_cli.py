@@ -220,8 +220,13 @@ class TestVerifyCommand:
         assert all(len(entry) == 3 for entry in witness["monomial"])
         assert cli.obj_to_cyc(witness["got"]) \
             != cli.obj_to_cyc(witness["want"])
+        # streaming checks the flipped object against the scheme's own
+        # builder, not the patched registry entry, so both engines reject it
+        # with the same witness and the modes agree
+        assert by_mode["streaming"]["equal"] is False
+        assert by_mode["streaming"]["witness"] == witness
         agree = [r for r in obj["results"] if r.get("check") == "modes_agree"]
-        assert agree[0]["ok"] is False
+        assert agree[0]["ok"] is True
 
 
 class TestCheckCommands:
@@ -377,6 +382,16 @@ class TestDeterminism:
         assert code == 0
         assert "[time]" not in out
         json.loads(out)
+
+
+class TestImportPath:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # a fresh interpreter, so modules the test session loaded do not count
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, detpowers.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestReportSerialization:

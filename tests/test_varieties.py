@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from detpowers.multipoly import SparsePoly, monomial
 from detpowers.symmetry import MonoMatrix
 from detpowers.varieties import (
     LocusCount,
-    _full_block_count,
+    _full_affine_count,
     _solve_exact,
     check_geometric_ratios,
     extra_generators,
@@ -255,10 +256,25 @@ class TestLocusCounts:
         assert finite_field_locus_count(2, 5).mode == "full"
         assert finite_field_locus_count(4, 5).mode == "staged"
 
-    def test_block_partition_is_consistent(self):
-        whole = _full_block_count((2, 5, ()))
-        split = sum(_full_block_count((2, 5, (v,))) for v in range(5))
-        assert whole == split
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_row_by_row_count_matches_brute_force(self, p):
+        # every one of the p^4 matrices, against the generator polynomials
+        # themselves evaluated mod p
+        gens = [[(int(c.rational()), m) for m, c in g.terms.items()]
+                for g in quadric_generators(2).generators]
+        cells = [(i, j) for i in (1, 2) for j in (1, 2)]
+        solutions = 0
+        for values in itertools.product(range(p), repeat=4):
+            x = dict(zip(cells, values))
+            if all(sum(c * math.prod(x[i, j] ** e for i, j, e in m)
+                       for c, m in gen) % p == 0 for gen in gens):
+                solutions += 1
+        assert _full_affine_count(2, p) == solutions - 1  # less the zero matrix
+
+    def test_full_count_d4_p5_equals_staged(self):
+        # every matrix, not only the one-entry-per-row-and-column supports
+        # staged mode walks: an independent check of that restriction at d=4
+        assert _full_affine_count(4, 5) == 384
 
     @pytest.mark.parametrize("d,p", [(2, 5), (3, 7), (4, 5)])
     def test_geometric_ratios(self, d, p):

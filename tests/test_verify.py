@@ -294,6 +294,16 @@ class TestStreamingChecksTerms:
         assert not stream.equal and not exp1.equal
         assert stream.witness == exp1.witness == exp2.witness
 
+    def test_replaced_registry_entry_is_not_the_reference(self, monkeypatch):
+        # the registry is one mutable dict shared with the CLI; streaming's
+        # reference must stay the builder its formulas describe
+        dec = flip_one_sign(main_decomposition(3), 7)
+        monkeypatch.setitem(SCHEME_BUILDERS, "main", lambda d: dec)
+        stream = verify_power_decomposition(dec, mode="streaming")
+        exp = verify_power_decomposition(dec)
+        assert not stream.equal and not exp.equal
+        assert stream.witness == exp.witness
+
     def test_collect_all_lists_the_same_mismatches(self):
         dec = flip_one_sign(main_decomposition(3), 4)
         stream = verify_power_decomposition(dec, mode="streaming",
