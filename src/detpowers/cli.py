@@ -40,6 +40,7 @@ from .symmetry import (
     check_affine_characterization,
     check_sign_formulas,
     check_symmetry_action,
+    conjugate_decomposition,
     enumerate_symmetries,
     sample_symmetry_actions,
     transpose_closure,
@@ -151,13 +152,13 @@ def _index_to_obj(index):
     return index
 
 
-def _obj_to_index(obj: list, scheme: str):
-    images = tuple(obj[0])
-    if scheme == "monomial":
-        return (images,)
-    if scheme == "classical":
-        return (images, tuple(obj[1]))
-    return (images, obj[1])  # main's j, or gurvits' omitted row / None
+def _obj_to_index(obj):
+    """The inverse of ``_index_to_obj``: every index is built from tuples,
+    so nested lists become tuples whatever the scheme (a conjugated
+    decomposition keeps the index of the scheme it came from)."""
+    if isinstance(obj, list):
+        return tuple(_obj_to_index(part) for part in obj)
+    return obj
 
 
 def decomposition_to_obj(dec: PowerDecomposition) -> dict:
@@ -204,7 +205,7 @@ def parse_decomposition(text: str):
             for t in obj["terms"])
         return ProductDecomposition(d, scheme, terms)
     terms = tuple(
-        PowerTerm(_obj_to_index(t["index"], scheme), obj_to_cyc(t["coeff"]),
+        PowerTerm(_obj_to_index(t["index"]), obj_to_cyc(t["coeff"]),
                   obj_to_form(t["form"], order, d), t["exponent"])
         for t in obj["terms"])
     return PowerDecomposition(d, scheme, obj["scale"], obj["target"], order,
@@ -634,6 +635,9 @@ def _cmd_bench(config: RunConfig, timings: list):
         ("verify-monomial-5",
          lambda: verify_power_decomposition(
              SCHEME_BUILDERS["monomial"](5)).equal),
+        ("verify-conjugated-main-4-expansion",
+         lambda: verify_power_decomposition(
+             _conjugated_main(4), mode="expansion", jobs=config.jobs).equal),
         ("bounds-9", lambda: len(bounds_table(9)) == 8),
     ]
     results = []
@@ -650,6 +654,21 @@ def _cmd_bench(config: RunConfig, timings: list):
 
 def _count_terms(dec: PowerDecomposition, expected: int) -> bool:
     return len(dec.terms) == expected
+
+
+def _conjugated_main(d: int) -> PowerDecomposition:
+    """main(d) conjugated by the unitriangular pair I + 2 E_12, I - E_32, so
+    its coefficients are general elements of Q(w), not roots of unity."""
+    dec = SCHEME_BUILDERS["main"](d)
+
+    def unitriangular(r, c, v):
+        return tuple(
+            tuple(Cyc.from_int(dec.order, (i == j) + v * ((i, j) == (r, c)))
+                  for j in range(1, d + 1))
+            for i in range(1, d + 1))
+
+    return conjugate_decomposition(unitriangular(1, 2, 2),
+                                   unitriangular(3, 2, -1), dec)
 
 
 def _format_report(report: Report, config: RunConfig) -> str:

@@ -382,16 +382,20 @@ def _root_power_table(order: int) -> dict[tuple[tuple[int, ...], int], int]:
     return {(omega(order, k).num, 1): k for k in range(order)}
 
 
-def from_root_coefficients(order: int, coeffs) -> Cyc:
-    """sum over k of coeffs[k] * w^k, for integer coeffs[0..order-1]: the
-    image in Q(w) of an element of the group ring Z[C_order]."""
+def from_root_coefficients(order: int, coeffs, den: int = 1) -> Cyc:
+    """sum over k of coeffs[k] * w^k / den, for integer coeffs[0..order-1]:
+    the image in Q(w) of an element of the group ring Z[C_order], divided
+    by den."""
     if not any(coeffs):
         return _int_cyc(order, 0)
+    # coordinate i: coeffs dotted with coordinate i of w^0, ..., w^(order-1)
+    num = [sum(map(operator.mul, coeffs, column))
+           for column in zip(*_omega_power_vectors(order))]
+    if den != 1:
+        return Cyc._make(order, num, den)
     out = Cyc.__new__(Cyc)
     out.order = order
-    # coordinate i: coeffs dotted with coordinate i of w^0, ..., w^(order-1)
-    out.num = tuple([sum(map(operator.mul, coeffs, column))
-                     for column in zip(*_omega_power_vectors(order))])
+    out.num = tuple(num)
     out.den = 1
     return out
 

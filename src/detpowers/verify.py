@@ -2,11 +2,13 @@
 
 Two independent engines are provided:
 
-* expansion mode builds one coefficient table for the whole sum. A term
-  whose scalars are all units +-w^k adds +-multinomial to an integer
-  vector per monomial, an element of the group ring Z[C_n] indexed by
-  the phase, and each vector is projected to Q(w) once at the end; any
-  other term is expanded with ``expand_power`` and Cyc products;
+* expansion mode builds one coefficient table for the whole sum: every
+  term adds integers to a vector per monomial, an element of the group
+  ring Z[C_n] indexed by the phase, and each vector is projected to Q(w)
+  once at the end. A term whose scalars are all units +-w^k adds
+  +-multinomial at a phase; any other term has its scalars lifted to the
+  ring and multiplied there, with denominators cleared by one common
+  denominator of the sum; nothing falls back to Cyc products;
 * streaming mode never expands a term: it walks the candidate monomials
   of the scheme in sorted order and computes each total coefficient from
   the scheme's combinatorial formula, corrected, for that one monomial,
@@ -189,14 +191,23 @@ class VerificationReport:
 
 # --- expansion engine -------------------------------------------------------
 #
-# A term whose coefficient and nonzero form entries are all units +-w^k adds
-# +-multinomial(e) * w^phase to the monomial of each weak composition e of
-# the exponent over the form's support, where the phase is the exponent-
-# weighted sum of the entries' root powers. So each monomial accumulates an
-# integer vector indexed by the phase mod the root order, an element of the
-# group ring Z[C_order], and is projected to Q(w) once at the end; no Cyc
-# product is needed. Any other term falls back to ``expand_power`` and Cyc
-# arithmetic, and its sums merge into the same table.
+# Every term adds coeff * multinomial(e) * prod_k entry_k^e_k to the monomial
+# of each weak composition e of the exponent over the form's support. Each
+# monomial accumulates these as an integer vector indexed by the phase mod
+# the root order, an element of the group ring Z[C_order], and is projected
+# to Q(w) once at the end; no Cyc product is taken.
+#
+# * A term whose coefficient and nonzero entries are all units +-w^k adds
+#   +-multinomial(e) at the phase of its composition, the exponent-weighted
+#   sum of the entries' root powers.
+# * Any other scalar is lifted to the ring: its numerator over 1, w, ...,
+#   w^(phi-1), padded with zeros to length order, is an element of
+#   Z[C_order] that projects back to itself, and the projection is a ring
+#   map, so products of lifts (cyclic convolutions) project to the products
+#   in Q(w). The products over a term's compositions walk a tree of nonzero
+#   prefixes, one convolution per node, shared by the compositions below it.
+# * Denominators are cleared by one common denominator L of the whole sum,
+#   so every term adds integers; the projection divides by L once.
 
 
 def _unit(c: Cyc) -> tuple[int, int] | None:
@@ -209,56 +220,94 @@ def _unit(c: Cyc) -> tuple[int, int] | None:
     return None if k is None else (-1, k)
 
 
-def _unit_term(term):
-    """(sign, k) of the coefficient, the support variables, and the root
-    powers and negation flags (0/1) of the entries, when every scalar of
-    the term is a unit; else None."""
-    head = _unit(term.coeff)
+def _unit_phases(coeff: Cyc, support):
+    """(sign, k) of the coefficient, and the root powers and negation flags
+    (0/1) of the entries, when every scalar of the term is a unit; else
+    None."""
+    head = _unit(coeff)
     if head is None:
         return None
-    variables, powers, negated = [], [], []
-    for var, c in term.form.support():
+    powers, negated = [], []
+    for _, c in support:
         unit = _unit(c)
         if unit is None:
             return None
-        variables.append(var)
         powers.append(unit[1])
         negated.append(int(unit[0] < 0))
-    return head, tuple(variables), powers, negated
+    return head, powers, negated
 
 
-def _cyc_accumulate(terms, acc: dict) -> None:
-    """Add coeff * form^exponent for each term into acc with ``expand_power``
-    and Cyc products: the fallback path, and the oracle of the group ring."""
+def _composition_table(exponent: int, size: int, scale: int):
+    """The weak compositions of ``exponent`` >= 1 over ``size`` parts, their
+    nonzero parts (k, e), their multinomials (plain, and signed times
+    ``scale`` for unit terms), and a tree of their nonzero prefixes for
+    products over the parts. Node n >= 1 of the tree is ``nodes[n - 1]`` =
+    (parent, k, e), its parent's prefix extended by part k = e; node 0 is
+    the empty prefix. ``steps[c]`` = (parent, k, e) is the step from an
+    inner node that completes composition c."""
+    nodes, steps, nonzero = [], [], []
+
+    def grow(parent, start, rem, parts):
+        for k in range(start, size):
+            # the last part takes all that remains
+            for e in range(rem, rem - 1 if k == size - 1 else 0, -1):
+                if e == rem:
+                    steps.append((parent, k, e))
+                    nonzero.append(parts + ((k, e),))
+                else:
+                    nodes.append((parent, k, e))
+                    grow(len(nodes), k + 1, rem - e, parts + ((k, e),))
+
+    grow(0, 0, exponent, ())
+    comps = []
+    for parts in nonzero:
+        comp = [0] * size
+        for k, e in parts:
+            comp[k] = e
+        comps.append(comp)
+    mults = [multinomial(exponent, c) for c in comps]
+    signed = {1: [scale * m for m in mults], -1: [-scale * m for m in mults]}
+    return comps, nonzero, mults, signed, nodes, steps
+
+
+def _circulant(b: list[int], order: int) -> list[tuple[int, ...]]:
+    """The rows of multiplication by b in Z[C_order], a circulant matrix:
+    (a * b)[k] = sum_i a[i] * b[(k - i) % order] is a dotted with row k."""
+    return [tuple([b[(k - i) % order] for i in range(order)])
+            for k in range(order)]
+
+
+def _lift(c: Cyc, order: int, factor: int) -> list[int]:
+    """factor * the numerator of c, as an element of Z[C_order]."""
+    return [factor * x for x in c.num] + [0] * (order - len(c.num))
+
+
+def _common_denominator(terms) -> int:
+    """lcm over the terms of coeff.den * D^exponent, D the lcm of the
+    form's entry denominators: L times a term is an integer times the
+    coefficient's numerator times the power of the form scaled by D, all
+    integral. 1 when every scalar is integral, as for every builder."""
+    common = 1
     for term in terms:
-        expanded = expand_power(term.form, term.exponent)
-        coeff = term.coeff
-        for mono, c in expanded.terms.items():
-            contrib = c * coeff
-            prior = acc.get(mono)
-            acc[mono] = contrib if prior is None else prior + contrib
+        den = math.lcm(*(c.den for row in term.form.entries for c in row))
+        common = math.lcm(common, term.coeff.den * den ** term.exponent)
+    return common
 
 
-def _accumulate_terms(terms, order: int, ring: dict, fallback: dict) -> None:
-    """Add each term into ``ring`` (monomial -> Z[C_order] vector) when its
-    scalars are all units, else into ``fallback`` (monomial -> Cyc). Both
-    keep keys whose coefficients cancel to zero, so their key union is the
-    union of the terms' supports."""
+def _accumulate_terms(terms, order: int, scale: int, ring: dict) -> None:
+    """Add ``scale`` times each term into ``ring`` (monomial -> Z[C_order]
+    vector); ``scale`` must clear every denominator (see
+    ``_common_denominator``). Keys whose coefficients cancel to zero are
+    kept, so the key set is the union of the terms' supports."""
     tables: dict[tuple[int, int], tuple] = {}
     last_vars = vecs = None
     for term in terms:
-        unit = _unit_term(term)
-        if unit is None:
-            _cyc_accumulate((term,), fallback)
-            continue
-        (sign, k0), variables, powers, negated = unit
+        support = term.form.support()
+        variables = [var for var, _ in support]
         key = (term.exponent, len(variables))
         if key not in tables:
-            comps = list(weak_compositions(*key))
-            nonzero = [[(k, e) for k, e in enumerate(c) if e] for c in comps]
-            mults = [multinomial(term.exponent, c) for c in comps]
-            tables[key] = comps, nonzero, {1: mults, -1: [-m for m in mults]}
-        comps, nonzero, signed = tables[key]
+            tables[key] = _composition_table(*key, scale)
+        comps, nonzero, mults, signed, nodes, steps = tables[key]
         if variables != last_vars:
             # builders emit the terms of one support consecutively
             last_vars, vecs = variables, []
@@ -270,6 +319,12 @@ def _accumulate_terms(terms, order: int, ring: dict, fallback: dict) -> None:
                 if vec is None:
                     vec = ring[mono] = [0] * order
                 vecs.append(vec)
+        unit = _unit_phases(term.coeff, support)
+        if unit is None:
+            _add_general_term(term, support, order, scale, vecs, mults,
+                              nodes, steps)
+            continue
+        (sign, k0), powers, negated = unit
         odd = negated if any(negated) else None
         phased = powers if any(powers) else None
         for vec, comp, m in zip(vecs, comps, signed[sign]):
@@ -281,42 +336,60 @@ def _accumulate_terms(terms, order: int, ring: dict, fallback: dict) -> None:
                 vec[k0] += m
 
 
-def _merge_cyc(acc: dict, part: dict) -> None:
-    for mono, c in part.items():
-        prior = acc.get(mono)
-        acc[mono] = c if prior is None else prior + c
+def _add_general_term(term, support, order: int, scale: int, vecs, mults,
+                      nodes, steps) -> None:
+    """Add scale * coeff * multinomial(e) * prod_k entry_k^e_k into the
+    vector of each composition e, with every scalar lifted to the ring.
+    Each power of an entry is built once and kept as the circulant rows of
+    multiplication by it."""
+    exponent = term.exponent
+    den = math.lcm(*(c.den for _, c in support))
+    powers = []
+    for _, c in support:
+        power = _lift(c, order, den // c.den)
+        rows = [None, _circulant(power, order)]
+        for _ in range(exponent - 1):
+            power = [sum(map(mul, power, row)) for row in rows[1]]
+            rows.append(_circulant(power, order))
+        powers.append(rows)
+    coeff = term.coeff
+    products = [_lift(coeff, order, scale // (coeff.den * den ** exponent))]
+    for parent, k, e in nodes:
+        a = products[parent]
+        products.append([sum(map(mul, a, row)) for row in powers[k][e]])
+    for vec, m, (parent, k, e) in zip(vecs, mults, steps):
+        a = products[parent]
+        for i, row in enumerate(powers[k][e]):
+            vec[i] += m * sum(map(mul, a, row))
 
 
-def _expand_chunk(order: int, terms) -> tuple[dict, dict]:
+def _expand_chunk(order: int, scale: int, terms) -> dict:
     ring: dict = {}
-    fallback: dict = {}
-    _accumulate_terms(terms, order, ring, fallback)
-    return ring, fallback
+    _accumulate_terms(terms, order, scale, ring)
+    return ring
 
 
 def _expand_sum(dec: PowerDecomposition, jobs: int) -> dict:
     order = dec.order
+    scale = _common_denominator(dec.terms)
     if jobs <= 1 or len(dec.terms) < 4 * jobs:
-        ring, fallback = _expand_chunk(order, dec.terms)
+        ring = _expand_chunk(order, scale, dec.terms)
     else:
         # one slice per worker: the partial tables are merged here, serially,
         # and every extra slice repeats the monomials slices share
         n = len(dec.terms)
         chunk = -(-n // jobs)
         slices = [dec.terms[s:s + chunk] for s in range(0, n, chunk)]
-        ring, fallback = {}, {}
+        ring = {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part_ring, part_fallback in pool.map(
-                    _expand_chunk, itertools.repeat(order), slices):
-                for mono, vec in part_ring.items():
+            for part in pool.map(_expand_chunk, itertools.repeat(order),
+                                 itertools.repeat(scale), slices):
+                for mono, vec in part.items():
                     prior = ring.get(mono)
                     ring[mono] = vec if prior is None \
                         else list(map(add, prior, vec))
-                _merge_cyc(fallback, part_fallback)
-    acc = {mono: from_root_coefficients(order, vec)
-           for mono, vec in ring.items()}
-    _merge_cyc(acc, fallback)
-    return acc
+    return {mono: from_root_coefficients(order, vec, scale)
+            for mono, vec in ring.items()}
 
 
 def _compare_with_target(dec: PowerDecomposition, computed: dict,

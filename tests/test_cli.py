@@ -15,6 +15,8 @@ from detpowers.decompositions import (
     krishna_makam_det3,
     main_decomposition,
 )
+from detpowers.symmetry import conjugate_decomposition
+from detpowers.verify import verify_power_decomposition
 
 
 def run_cli(capsys, *args):
@@ -85,6 +87,21 @@ class TestRoundTrip:
                             "--scheme", "classical")
         assert code == 0
         assert cli.parse_decomposition(out) == SCHEME_BUILDERS["classical"](3)
+
+    @pytest.mark.parametrize("scheme", ["main", "classical", "gurvits"])
+    def test_conjugated_decompositions(self, scheme):
+        dec = SCHEME_BUILDERS[scheme](3)
+        zero, one = Cyc.zero(dec.order), Cyc.one(dec.order)
+        a = ((one, Cyc.from_int(dec.order, 2), zero), (zero, one, zero),
+             (zero, zero, one))
+        b = ((one, zero, zero), (zero, one, zero), (zero, -one, one))
+        conj = conjugate_decomposition(a, b, dec)
+        text = json.dumps(cli.decomposition_to_obj(conj), sort_keys=True)
+        parsed = cli.parse_decomposition(text)
+        assert parsed == conj
+        assert hash(parsed) == hash(conj)
+        assert [t.index for t in parsed.terms] == [t.index for t in dec.terms]
+        assert verify_power_decomposition(parsed).equal
 
     def test_tampered_combination_rejected(self):
         dec = SCHEME_BUILDERS["main"](2)
@@ -416,4 +433,5 @@ class TestBench:
         assert obj["ok"] is True
         names = [r["benchmark"] for r in obj["results"]]
         assert "verify-main-4-streaming" in names
+        assert "verify-conjugated-main-4-expansion" in names
         assert all(r["ok"] for r in obj["results"])

@@ -2,9 +2,11 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from detpowers import multipoly, verify
 from detpowers.cyclotomic import Cyc, omega
 from detpowers.decompositions import (
     SCHEME_BUILDERS,
@@ -17,7 +19,13 @@ from detpowers.decompositions import (
     main_decomposition,
     monomial_power_decomposition,
 )
-from detpowers.multipoly import LinForm, SparsePoly, determinant_poly, monomial
+from detpowers.multipoly import (
+    LinForm,
+    SparsePoly,
+    determinant_poly,
+    expand_power,
+    monomial,
+)
 from detpowers.symmetry import conjugate_decomposition, cycle_sign
 from detpowers.verify import (
     IJPair,
@@ -25,10 +33,11 @@ from detpowers.verify import (
     check_closed_form_coefficients,
     closed_form_coefficient,
     determinant_coefficient,
-    _cyc_accumulate,
+    _common_denominator,
     _expand_sum,
     _signed_extension_sum,
     _unit,
+    _unit_phases,
     phase_polynomial,
     verify_power_decomposition,
     verify_product_identity,
@@ -182,6 +191,18 @@ class TestStreamingMode:
             verify_power_decomposition(dec, mode="streaming")
 
 
+def unitriangular_pair(rng, d, order):
+    """A seeded lower and upper unitriangular pair with integer entries in
+    [-3, 3] off the diagonal, as matrices over Q(w) of the given order."""
+    def matrix(keep):
+        return tuple(
+            tuple(Cyc.from_int(order, 1 if r == c
+                               else rng.randint(-3, 3) if keep(r, c) else 0)
+                  for c in range(d))
+            for r in range(d))
+    return matrix(lambda r, c: c < r), matrix(lambda r, c: c > r)
+
+
 def conjugated_main3():
     """main(3) conjugated by a unitriangular pair, so its coefficients are
     general elements of Q(w) rather than roots of unity."""
@@ -213,9 +234,15 @@ class TestParallelExpansion:
 
 
 def cyc_path(terms):
-    """The expand_power / Cyc-product sum, the group ring's oracle."""
+    """The group ring's oracle: coeff * form^exponent summed term by term
+    with ``expand_power`` and Cyc products. Every key a term reaches is
+    kept, zeros included."""
     acc = {}
-    _cyc_accumulate(terms, acc)
+    for term in terms:
+        for mono, c in expand_power(term.form, term.exponent).terms.items():
+            contrib = c * term.coeff
+            prior = acc.get(mono)
+            acc[mono] = contrib if prior is None else prior + contrib
     return acc
 
 
@@ -278,6 +305,72 @@ class TestGroupRingExpansion:
         assert dec.terms[1].form.is_zero
         assert _expand_sum(dec, 1) == cyc_path(dec.terms) \
             == {((1, 1, 1),): Cyc.from_int(1, 1)}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fractional_scalars_share_the_ring(self, jobs):
+        # main(3) conjugated by diag(2, 1/2, 1), one coefficient times 2/3
+        order = 3
+        zero, one = Cyc.zero(order), Cyc.one(order)
+        a = ((Cyc.from_int(order, 2), zero, zero),
+             (zero, Cyc.from_fraction(order, Fraction(1, 2)), zero),
+             (zero, zero, one))
+        b = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+        conj = conjugate_decomposition(a, b, main_decomposition(3))
+        assert verify_power_decomposition(conj, jobs=jobs).equal
+        term = conj.terms[4]
+        scaled = dataclasses.replace(
+            term, coeff=term.coeff * Cyc.from_fraction(order, Fraction(2, 3)))
+        terms = conj.terms[:4] + (scaled,) + conj.terms[5:]
+        assert scaled.coeff.den == 3
+        assert any(c.den == 2 for _, c in scaled.form.support())
+        dec = dataclasses.replace(conj, terms=terms)
+        assert _common_denominator(dec.terms) == 3 * 2 ** 3
+        got = _expand_sum(dec, jobs)
+        assert got == cyc_path(terms)
+        assert any(c.den != 1 for c in got.values())
+        assert not verify_power_decomposition(dec, jobs=jobs).equal
+
+    @pytest.mark.parametrize("scheme", SCHEME_BUILDERS)
+    def test_builder_terms_need_no_denominator(self, scheme):
+        assert _common_denominator(SCHEME_BUILDERS[scheme](4).terms) == 1
+
+    @pytest.mark.parametrize("scheme", ["main", "classical", "gurvits"])
+    def test_seeded_conjugates_match_cyc_path(self, scheme):
+        rng = random.Random(20261018)
+        base = SCHEME_BUILDERS[scheme](3)
+        for _ in range(5):
+            a, b = unitriangular_pair(rng, 3, base.order)
+            conj = conjugate_decomposition(a, b, base)
+            position = rng.randrange(len(conj.terms))
+            for dec, equal in ((conj, True),
+                               (flip_one_sign(conj, position), False)):
+                oracle = cyc_path(dec.terms)
+                assert _expand_sum(dec, 1) == oracle
+                assert _expand_sum(dec, 2) == oracle
+                assert verify_power_decomposition(dec).equal is equal
+
+    def test_general_terms_take_no_cyc_products(self, monkeypatch):
+        dec = conjugated_main3()
+        general = [t for t in dec.terms
+                   if _unit_phases(t.coeff, t.form.support()) is None]
+        assert len(general) == 17 and len(dec.terms) == 18
+        calls = {"mul": 0, "expand_power": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Cyc, "__mul__", counting("mul", Cyc.__mul__))
+        monkeypatch.setattr(Cyc, "__rmul__", counting("mul", Cyc.__rmul__))
+        for module in (multipoly, verify):
+            monkeypatch.setattr(module, "expand_power",
+                                counting("expand_power", expand_power))
+        got = _expand_sum(dec, 1)
+        assert calls == {"mul": 0, "expand_power": 0}
+        monkeypatch.undo()
+        assert got == cyc_path(dec.terms)
 
 
 class TestStreamingChecksTerms:
