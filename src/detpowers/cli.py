@@ -638,6 +638,9 @@ def _cmd_bench(config: RunConfig, timings: list):
         ("verify-conjugated-main-4-expansion",
          lambda: verify_power_decomposition(
              _conjugated_main(4), mode="expansion", jobs=config.jobs).equal),
+        ("separation-5", lambda: not separation_violations(5)),
+        ("symmetries-6", lambda: enumerate_symmetries(
+            6, with_elements=False).matches_formula),
         ("bounds-9", lambda: len(bounds_table(9)) == 8),
     ]
     results = []

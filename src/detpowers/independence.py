@@ -7,6 +7,13 @@ diagonal, that evaluates to (-1)^((d+1)j) * d at the term's own point and to
 exactly zero at every other term point. That separation pattern proves the
 terms linearly independent; an exact Gaussian-elimination rank over the
 cyclotomic field confirms it independently at small d.
+
+A pairing is decided by support before any arithmetic. A form's value at a
+point is a sum over its monomials, and a monomial with a variable outside the
+point's support contributes an exact zero. So a form none of whose monomials
+lies in a point's support is exactly 0 there. An integer support index built
+from the actual monomials and points finds the covered pairs. Only those pairs
+are evaluated in Q(w); for the dual forms that is d points per form.
 """
 
 from __future__ import annotations
@@ -91,33 +98,78 @@ def term_index_list(d: int) -> list[tuple[tuple[int, ...], int]]:
             for sigma in Perm.all_perms(d) for j in range(1, d + 1)]
 
 
-def separation_matrix(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
-                                       list[list[Cyc]]]:
-    """The full pairing table: entry [r][c] is the r-th dual form evaluated
-    at the c-th term point."""
+def _covered_values(forms: list[DualForm],
+                   points: list[TermPoint]) -> list[dict[int, Cyc]]:
+    """Each form's value at every point that covers one of its monomials,
+    as {point position: value}; the form is exactly 0 at every other point.
+
+    A monomial is nonzero at a point only when all its variables are in the
+    point's support, and a form with no such monomial is a sum of exact
+    zeros. The covering points come from an integer support index: for
+    every variable, the bit set of the points where it is nonzero, built
+    from the points' actual coordinates; a monomial's covering set is the
+    intersection over its variables. Only covered pairs are evaluated.
+    """
+    holders: dict[tuple[int, int], int] = {}
+    for c, point in enumerate(points):
+        for var in point.sparse():
+            holders[var] = holders.get(var, 0) | (1 << c)
+    everyone = (1 << len(points)) - 1
+    out = []
+    for form in forms:
+        covering = 0
+        for mono in form.poly.terms:
+            bits = everyone
+            for i, k, _ in mono:
+                bits &= holders.get((i, k), 0)
+            covering |= bits
+        values = {}
+        while covering:
+            low = covering & -covering
+            c = low.bit_length() - 1
+            values[c] = form.at(points[c])
+            covering ^= low
+        out.append(values)
+    return out
+
+
+def _separation_values(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
+                                        list[dict[int, Cyc]]]:
     if not 2 <= d <= 5:
         raise ValueError(f"d must be in [2, 5], got {d}")
     indices = term_index_list(d)
     points = [term_point(d, Perm(images), j) for images, j in indices]
+    forms = [dual_form(d, Perm(images), j) for images, j in indices]
+    return indices, _covered_values(forms, points)
+
+
+def separation_matrix(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
+                                       list[list[Cyc]]]:
+    """The full pairing table: entry [r][c] is the r-th dual form evaluated
+    at the c-th term point, zero wherever no monomial is covered."""
+    indices, values = _separation_values(d)
+    zero = Cyc.zero(d)
     matrix = []
-    for images, j in indices:
-        form = dual_form(d, Perm(images), j)
-        matrix.append([form.at(p) for p in points])
+    for row in values:
+        entries = [zero] * len(indices)
+        for c, value in row.items():
+            entries[c] = value
+        matrix.append(entries)
     return indices, matrix
 
 
 def separation_violations(d: int) -> list[tuple[int, int, Cyc]]:
     """Entries breaking the expected pattern: diagonal (-1)^((d+1)j) * d,
     zero off the diagonal. Empty means the pattern holds exactly."""
-    indices, matrix = separation_matrix(d)
+    indices, values = _separation_values(d)
     zero = Cyc.zero(d)
     bad = []
-    for r, (_, j) in enumerate(indices):
+    for r, ((_, j), row) in enumerate(zip(indices, values)):
         expected_diag = Cyc.from_int(d, (-1) ** ((d + 1) * j) * d)
-        for c in range(len(indices)):
-            expected = expected_diag if r == c else zero
-            if matrix[r][c] != expected:
-                bad.append((r, c, matrix[r][c]))
+        for c in sorted(row.keys() | {r}):
+            value = row.get(c, zero)
+            if value != (expected_diag if r == c else zero):
+                bad.append((r, c, value))
     return bad
 
 
@@ -130,12 +182,12 @@ def check_promotion(d: int) -> bool:
     nonzero at their own point, zero at all the others."""
     indices = term_index_list(d)
     points = [term_point(d, Perm(images), j) for images, j in indices]
-    for r, (images, j) in enumerate(indices):
-        form = promoted_dual_form(d, Perm(images), j)
-        for c, p in enumerate(points):
-            value = form.at(p)
-            if (r == c) == value.is_zero:
-                return False
+    forms = [promoted_dual_form(d, Perm(images), j) for images, j in indices]
+    for r, row in enumerate(_covered_values(forms, points)):
+        if row.get(r, Cyc.zero(d)).is_zero:
+            return False
+        if any(not value.is_zero for c, value in row.items() if c != r):
+            return False
     return True
 
 

@@ -8,16 +8,30 @@ multiplier acts by sign-preserving term bijections. The module provides the
 normal form, membership testing, the affine characterization and its sign
 formulas, subgroup enumeration with order bookkeeping, the term action, the
 transpose closure test, and conjugation by arbitrary unimodular pairs.
+
+Orders are counted by characters, not by walking elements. The multiplier
+w^(dm) det(D)^n sgn(pi) sgn(sigma) is a product of three factors, each
+evaluated once: per (m, n), per affine pi and per sigma. Because each factor
+is +-1, the number of preserving tuples is a sum of products of the factor
+tallies, which equals the walk's count exactly (the tests keep the walk).
+
+The term action reads each term's (sigma, j) from its form once per
+decomposition. Membership in M is decided on integer exponent tuples: rows
+1 and 2 fix the only candidate (k, j). Under the full check, one image table
+per (pi, sigma) serves every phase (m, n), since the phase adds m + n*r to
+the row exponents and so only moves the image j by n.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import random
 
 from .cyclotomic import Cyc, omega
 from .decompositions import (
+    TARGET_DETERMINANT,
     Perm,
     PowerDecomposition,
     PowerTerm,
@@ -109,20 +123,26 @@ class MonoMatrix:
         return tuple(tuple(m[c][r] for c in range(d)) for r in range(d))
 
 
+def _solve_row_exponents(d: int, exponents) -> tuple[int, int] | None:
+    """The (k, j) with k + i*j = exponents[i-1] (mod d) for every row i, or
+    None. Rows 1 and 2 fix j = e2 - e1 and k = e1 - j, so no other pair can
+    fit; every row after the first is then checked."""
+    j = (exponents[1] - exponents[0]) % d if len(exponents) > 1 else 0
+    k = (exponents[0] - j) % d
+    if all((k + i * j) % d == t
+           for i, t in enumerate(exponents[1:], start=2)):
+        return k, j
+    return None
+
+
 def mono_membership_sparse(d: int, images: tuple[int, ...],
                            exponents: tuple[int, ...]) -> MonoMatrix | None:
     """Decide whether the monomial matrix with entry w^(exponents[i-1]) at
-    (i, images[i-1]) lies in M, returning its normal form.
-
-    Membership needs k, j with k + i*j = exponents[i-1] (mod d) for all i;
-    the candidate j values are tried directly.
-    """
-    for j in range(d):
-        k = (exponents[0] - j) % d
-        if all((k + i * j) % d == t
-               for i, t in enumerate(exponents[1:], start=2)):
-            return MonoMatrix(k, j, Perm(images))
-    return None
+    (i, images[i-1]) lies in M, returning its normal form."""
+    solved = _solve_row_exponents(d, exponents)
+    if solved is None:
+        return None
+    return MonoMatrix(solved[0], solved[1], Perm(images))
 
 
 def mono_membership(matrix) -> MonoMatrix | None:
@@ -341,48 +361,66 @@ def check_faithfulness(d: int) -> bool:
     return True
 
 
+def _multiplier_factors(d: int) -> tuple[dict, list, list]:
+    """The determinant multiplier's factors, each evaluated once: the phase
+    factor w^(dm) det(D)^n as an integer sign per (m, n), and the cycle
+    sign of every affine pi and of every sigma. The multiplier of
+    (m, n, pi, sigma) is the product of the three, so it is +-1 exactly
+    when the phase factor is; any other phase factor raises."""
+    det_d = math.comb(d + 1, 2)
+    one = Cyc.one(d)
+    minus_one = Cyc.from_int(d, -1)
+    phase = {}
+    for m in range(d):
+        for n in range(d):
+            value = omega(d, d * m) * omega(d, n * det_d)
+            if value == one:
+                phase[(m, n)] = 1
+            elif value == minus_one:
+                phase[(m, n)] = -1
+            else:
+                raise ArithmeticError(f"multiplier {value!r} is not a sign")
+    pis = [(pi, cycle_sign(pi.perm())) for pi in affine_group(d)]
+    sigmas = [(sigma, cycle_sign(sigma)) for sigma in Perm.all_perms(d)]
+    return phase, pis, sigmas
+
+
 def enumerate_symmetries(d: int, with_elements: bool = True,
                          check_faithful: bool = True) -> SymmetryEnumeration:
-    """Walk all (m, n, pi, sigma), split by determinant multiplier, and
-    compare |H| against both the closed formula and the printed table.
+    """Count all (m, n, pi, sigma) by determinant multiplier, and compare
+    |H| against both the closed formula and the printed table.
 
-    For d = 6 call with with_elements=False (order-only mode); the full
-    element list is supported for d <= 5.
+    The counts come from tallies of the factor signs: a phase sign a and a
+    pi sign b pair with every sigma of sign a*b to give multiplier +1, so
+    |H| = sum over a, b of #phases(a) * #pi(b) * #sigma(a*b), and every
+    other tuple reverses. For d = 6 call with with_elements=False
+    (order-only mode); the element list is supported for d <= 5.
     """
     if not 2 <= d <= 6:
         raise ValueError(f"d must be in [2, 6], got {d}")
     if with_elements and d > 5:
         raise ValueError("element lists are limited to d <= 5")
-    one = Cyc.one(d)
-    minus_one = Cyc.from_int(d, -1)
-    preserving = 0
-    reversing = 0
-    elements = [] if with_elements else None
-    total = 0
-    for m in range(d):
-        for n in range(d):
-            for pi in affine_group(d):
-                for sigma in Perm.all_perms(d):
-                    elem = SymElement(m, n, pi, sigma)
-                    total += 1
-                    mult = elem.determinant_multiplier()
-                    if mult == one:
-                        preserving += 1
-                    elif mult == minus_one:
-                        reversing += 1
-                    else:
-                        raise ArithmeticError(
-                            f"multiplier {mult!r} is not a sign")
-                    if elements is not None:
-                        elements.append(elem)
+    phase, pis, sigmas = _multiplier_factors(d)
+    phase_count = collections.Counter(phase.values())
+    pi_count = collections.Counter(sign for _, sign in pis)
+    sigma_count = collections.Counter(sign for _, sign in sigmas)
+    preserving = sum(phase_count[a] * pi_count[b] * sigma_count[a * b]
+                     for a in (1, -1) for b in (1, -1))
+    total = len(phase) * len(pis) * len(sigmas)
+    elements = None
+    if with_elements:
+        elements = tuple(SymElement(m, n, pi, sigma)
+                         for m, n in phase
+                         for pi, _ in pis
+                         for sigma, _ in sigmas)
     faithful = check_faithfulness(d) if check_faithful else None
     return SymmetryEnumeration(
         d=d, full_order=total, preserving_order=preserving,
-        reversing_order=reversing,
+        reversing_order=total - preserving,
         formula_order=d ** 3 * euler_totient(d) * math.factorial(d) // 2,
         printed_order=PRINTED_SUBGROUP_ORDERS.get(d),
         faithful=faithful,
-        elements=tuple(elements) if elements is not None else None)
+        elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -407,59 +445,118 @@ class ActionOutcome:
             and self.structural_failures == 0 and self.flipped > 0
 
 
+class _TermTable:
+    """The terms of a main decomposition keyed by the (sigma, j) read from
+    their forms, built once and shared by every element acted on it.
+
+    A term's form must be w^k D^j P_sigma for the (sigma images, j) of its
+    index (k is free: w^k dies in the d-th power); any other form raises
+    ValueError, so the action never trusts an index its form contradicts.
+    """
+
+    def __init__(self, dec: PowerDecomposition):
+        if dec.scheme != "main":
+            raise ValueError(
+                "the symmetry action is defined for the main scheme")
+        self.d = dec.d
+        self.rows = []
+        # equal coefficients share one small int, so comparing is int ==
+        ids: dict[Cyc, int] = {}
+        for term in dec.terms:
+            member = mono_membership(term.form.entries)
+            read = (None if member is None
+                    else (member.sigma.images, member.j or dec.d))
+            if read != term.index:
+                raise ValueError(f"term {term.index} has a form that reads "
+                                 f"as {read}")
+            self.rows.append((read[0], read[1],
+                              ids.setdefault(term.coeff, len(ids))))
+        self.coeff_ids = {(images, j): coeff_id
+                          for images, j, coeff_id in self.rows}
+
+    def images(self, m: int, n: int, pi_images: tuple[int, ...],
+               sigma_images: tuple[int, ...]) -> list:
+        """Each term's image under X -> w^m D^n P_pi X P_sigma, as (image
+        sigma images, image j mod d or None when outside M, the source's
+        coefficient id).
+
+        A term's matrix has entry w^(j * pi r) at (pi r, source(pi r)), so
+        the image row r holds w^(m + nr + j*pi r) at column
+        sigma(source(pi r)); the w^k scalar dies in the d-th power.
+        """
+        d = self.d
+        out = []
+        for source, j, coeff_id in self.rows:
+            image = tuple(sigma_images[source[p - 1] - 1] for p in pi_images)
+            solved = _solve_row_exponents(
+                d, [(m + n * r + j * p) % d
+                    for r, p in enumerate(pi_images, start=1)])
+            out.append((image, None if solved is None else solved[1],
+                        coeff_id))
+        return out
+
+    def outcome(self, image_rows: list, shift: int = 0) -> ActionOutcome:
+        """Compare every image's coefficient with its source's; an image
+        outside M or outside the decomposition is a structural failure.
+        ``shift`` adds n to each image j: a phase D^n adds n*r to the row
+        exponents, which keeps them affine in r and moves j by n, so the
+        images at (m, n) are those at (0, 0) shifted by n."""
+        d = self.d
+        seen = set()
+        preserved = flipped = failures = 0
+        for image, j, coeff_id in image_rows:
+            index = None if j is None else (image, (j + shift - 1) % d + 1)
+            image_coeff_id = self.coeff_ids.get(index)
+            if image_coeff_id is None:
+                failures += 1
+                continue
+            seen.add(index)
+            if image_coeff_id == coeff_id:
+                preserved += 1
+            else:
+                flipped += 1
+        return ActionOutcome(
+            bijection=len(seen) == len(image_rows) and failures == 0,
+            preserved=preserved, flipped=flipped,
+            structural_failures=failures)
+
+    def act(self, h: SymElement) -> ActionOutcome:
+        if h.d != self.d:
+            raise ValueError(
+                "element dimension does not match the decomposition")
+        return self.outcome(self.images(h.m, h.n, h.pi.perm().images,
+                                        h.sigma.images))
+
+
 def apply_symmetry(h: SymElement, dec: PowerDecomposition) -> ActionOutcome:
     """Map each term's coefficient matrix through h, renormalize (the w^k
     scalar dies in the d-th power), find which term the image is, and
     compare the +-1 coefficients."""
-    if dec.scheme != "main":
-        raise ValueError("the symmetry action is defined for the main scheme")
-    d = dec.d
-    if h.d != d:
-        raise ValueError("element dimension does not match the decomposition")
-    coeff_by_index = {t.index: t.coeff for t in dec.terms}
-    seen_images = set()
-    preserved = flipped = failures = 0
-    for term in dec.terms:
-        images, j = term.index
-        source = Perm(images)
-        # image entry (r, c): w^(m + nr) * A[pi r, sigma^-1 c]; A has entry
-        # w^(j * pi r) at (pi r, source(pi r)), so the image row r holds
-        # w^(m + nr + j*pi r) at column sigma(source(pi r))
-        img_images = []
-        img_exponents = []
-        for r in range(1, d + 1):
-            pr = h.pi(r)
-            img_images.append(h.sigma(source(pr)))
-            img_exponents.append((h.m + h.n * r + j * pr) % d)
-        member = mono_membership_sparse(d, tuple(img_images),
-                                        tuple(img_exponents))
-        if member is None:
-            failures += 1
-            continue
-        image_j = member.j if member.j else d
-        image_index = (member.sigma.images, image_j)
-        seen_images.add(image_index)
-        if coeff_by_index[image_index] == term.coeff:
-            preserved += 1
-        else:
-            flipped += 1
-    return ActionOutcome(
-        bijection=len(seen_images) == len(dec.terms) and failures == 0,
-        preserved=preserved, flipped=flipped, structural_failures=failures)
+    return _TermTable(dec).act(h)
 
 
 def check_symmetry_action(d: int) -> bool:
-    """Every element of H acts as a sign-preserving term bijection."""
+    """Every element of H acts as a sign-preserving term bijection.
+
+    Each (pi, sigma) image table is built once, at m = n = 0; the phases
+    (m, n) whose multiplier sign makes the element preserving then only
+    shift the image j by n and compare coefficients.
+    """
     if not 2 <= d <= 4:
         raise ValueError(f"d must be in [2, 4], got {d}")
-    dec = main_decomposition(d)
-    enum = enumerate_symmetries(d, with_elements=True, check_faithful=False)
-    one = Cyc.one(d)
-    for elem in enum.elements:
-        if elem.determinant_multiplier() != one:
-            continue
-        if not apply_symmetry(elem, dec).sign_preserving:
-            return False
+    table = _TermTable(main_decomposition(d))
+    phase, pis, sigmas = _multiplier_factors(d)
+    for pi, pi_sign in pis:
+        pi_images = pi.perm().images
+        for sigma, sigma_sign in sigmas:
+            image_rows = None
+            for (_, n), phase_sign in phase.items():
+                if phase_sign * pi_sign * sigma_sign != 1:
+                    continue
+                if image_rows is None:
+                    image_rows = table.images(0, 0, pi_images, sigma.images)
+                if not table.outcome(image_rows, shift=n).sign_preserving:
+                    return False
     return True
 
 
@@ -467,7 +564,7 @@ def sample_symmetry_actions(d: int, count: int, seed: int = 0) -> dict:
     """Random elements of H~ acted on the decomposition: preserving
     elements must be sign-preserving, reversing ones sign-reversing."""
     rng = random.Random(seed)
-    dec = main_decomposition(d)
+    table = _TermTable(main_decomposition(d))
     aff = affine_group(d)
     perms = list(Perm.all_perms(d))
     one = Cyc.one(d)
@@ -475,7 +572,7 @@ def sample_symmetry_actions(d: int, count: int, seed: int = 0) -> dict:
     for _ in range(count):
         elem = SymElement(rng.randrange(d), rng.randrange(d),
                           rng.choice(aff), rng.choice(perms))
-        outcome = apply_symmetry(elem, dec)
+        outcome = table.act(elem)
         stats["checked"] += 1
         if elem.determinant_multiplier() == one:
             key = "preserving_ok" if outcome.sign_preserving else "bad"
@@ -500,8 +597,8 @@ def transpose_closure(d: int) -> tuple[bool, list[tuple[int, tuple[int, ...]]]]:
         inv = sigma.inverse()
         for j in range(d):
             # transpose of D^j P_sigma has entry w^(j * inv(r)) at (r, inv r)
-            exponents = tuple((j * inv(r)) % d for r in range(1, d + 1))
-            if mono_membership_sparse(d, inv.images, exponents) is None:
+            exponents = [(j * inv(r)) % d for r in range(1, d + 1)]
+            if _solve_row_exponents(d, exponents) is None:
                 witnesses.append((j, sigma.images))
     return not witnesses, witnesses
 
@@ -534,7 +631,11 @@ def matrix_determinant(m, order: int) -> Cyc:
 
 def conjugate_decomposition(a, b, dec: PowerDecomposition) -> PowerDecomposition:
     """Replace each term's coefficient matrix C by a*C*b. Requires
-    det(a*b) = 1, which keeps the target determinant unscaled."""
+    det(a*b) = 1, which keeps the target determinant unscaled, and a
+    determinant target: X -> aXb preserves no other target."""
+    if dec.target != TARGET_DETERMINANT:
+        raise ValueError(f"conjugation preserves only the determinant, not "
+                         f"the {dec.target!r} target")
     order = dec.order
     d = dec.d
     if matrix_determinant(matrix_product(a, b, order), order) != Cyc.one(order):

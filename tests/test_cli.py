@@ -434,4 +434,6 @@ class TestBench:
         names = [r["benchmark"] for r in obj["results"]]
         assert "verify-main-4-streaming" in names
         assert "verify-conjugated-main-4-expansion" in names
+        assert "separation-5" in names
+        assert "symmetries-6" in names
         assert all(r["ok"] for r in obj["results"])

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from detpowers import independence
 from detpowers.cyclotomic import Cyc, omega
 from detpowers.decompositions import Perm
 from detpowers.independence import (
+    DualForm,
     check_promotion,
     check_separation,
     diagonal_cofactor_monomial,
@@ -17,6 +19,7 @@ from detpowers.independence import (
     term_index_list,
     term_point,
 )
+from detpowers.multipoly import SparsePoly
 
 
 def c1(n):
@@ -115,6 +118,58 @@ class TestSeparation:
     def test_index_order_is_sigma_lex_then_j(self):
         indices = term_index_list(2)
         assert indices == [((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2)]
+
+
+def full_table(d, make_form=dual_form):
+    """Oracle: every dual form evaluated at every term point."""
+    indices = term_index_list(d)
+    points = [term_point(d, Perm(images), j) for images, j in indices]
+    return [[make_form(d, Perm(images), j).at(p) for p in points]
+            for images, j in indices]
+
+
+def pattern_violations(d, table):
+    indices = term_index_list(d)
+    count = 0
+    for r, (_, j) in enumerate(indices):
+        diagonal = Cyc.from_int(d, (-1) ** ((d + 1) * j) * d)
+        for c, value in enumerate(table[r]):
+            count += value != (diagonal if r == c else Cyc.zero(d))
+    return count
+
+
+class TestSupportDecidedPairings:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matrix_equals_full_table(self, d):
+        _, matrix = separation_matrix(d)
+        assert matrix == full_table(d)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_covering_monomial_is_caught(self, d, monkeypatch):
+        # the first form gains a cofactor monomial of tau = (2 3), so it no
+        # longer vanishes at tau's points, nor does its promotion by x[1,1]
+        original = dual_form
+        tau = Perm.transposition(d, 2, 3)
+
+        def widened(d_, sigma, j):
+            form = original(d_, sigma, j)
+            if sigma != Perm.identity(d_) or j != 1:
+                return form
+            extra = diagonal_cofactor_monomial(d_, tau, 1)
+            terms = dict(form.poly.terms)
+            terms[extra] = Cyc.one(d_)
+            return DualForm(SparsePoly(d_, terms), form.degree)
+
+        expected = pattern_violations(d, full_table(d, widened))
+        promoted = full_table(d, lambda *args: DualForm(
+            widened(*args).poly * SparsePoly.variable(d, (1, args[1](1))), d))
+        promotion_holds = all((r == c) != value.is_zero
+                              for r, row in enumerate(promoted)
+                              for c, value in enumerate(row))
+        monkeypatch.setattr(independence, "dual_form", widened)
+        assert expected > 0
+        assert len(separation_violations(d)) == expected
+        assert check_promotion(d) is promotion_holds is False
 
 
 class TestRank:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from detpowers.cyclotomic import Cyc, omega
-from detpowers.decompositions import Perm, main_decomposition
+from detpowers import symmetry
+from detpowers.decompositions import (
+    Perm,
+    main_decomposition,
+    monomial_power_decomposition,
+)
 from detpowers.symmetry import (
     AffinePerm,
     MonoMatrix,
@@ -29,6 +35,7 @@ from detpowers.symmetry import (
     sample_symmetry_actions,
     transpose_closure,
 )
+from detpowers.symmetry import _TermTable
 from detpowers.verify import verify_power_decomposition
 
 
@@ -217,6 +224,36 @@ class TestEnumeration:
     def test_faithful(self, d):
         assert check_faithfulness(d)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_character_count_matches_element_walk(self, d):
+        # oracle: every element's own multiplier, one Cyc product at a time
+        one, minus_one = Cyc.one(d), Cyc.from_int(d, -1)
+        walked = {"preserving": 0, "reversing": 0}
+        total = 0
+        for m in range(d):
+            for n in range(d):
+                for pi in affine_group(d):
+                    for sigma in Perm.all_perms(d):
+                        mult = SymElement(m, n, pi, sigma) \
+                            .determinant_multiplier()
+                        assert mult in (one, minus_one)
+                        walked["preserving" if mult == one
+                               else "reversing"] += 1
+                        total += 1
+        enum = enumerate_symmetries(d, with_elements=False,
+                                    check_faithful=False)
+        assert enum.preserving_order == walked["preserving"]
+        assert enum.reversing_order == walked["reversing"]
+        assert enum.full_order == total
+
+    def test_element_list_order_and_size(self):
+        enum = enumerate_symmetries(3, check_faithful=False)
+        assert len(enum.elements) == enum.full_order
+        assert enum.elements[0] == SymElement(
+            0, 0, AffinePerm(1, 0, 3), Perm.identity(3))
+        assert enum.elements[-1] == SymElement(
+            2, 2, affine_group(3)[-1], Perm((3, 2, 1)))
+
     def test_multiplier_values(self):
         # n = 0 and trivial permutations leave the determinant alone
         for m in range(3):
@@ -294,6 +331,43 @@ class TestAction:
         with pytest.raises(ValueError):
             apply_symmetry(elem, classical_decomposition(3))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shared_table_matches_apply_symmetry_on_every_element(self, d):
+        # oracle: each element acted on alone, phases in the exponents
+        dec = main_decomposition(d)
+        table = _TermTable(dec)
+        one = Cyc.one(d)
+        walk_verdict = True
+        for elem in enumerate_symmetries(d, check_faithful=False).elements:
+            alone = apply_symmetry(elem, dec)
+            shared = table.outcome(
+                table.images(0, 0, elem.pi.perm().images,
+                             elem.sigma.images), shift=elem.n)
+            assert shared == alone
+            if elem.determinant_multiplier() == one:
+                walk_verdict = walk_verdict and alone.sign_preserving
+        assert check_symmetry_action(d) is walk_verdict is True
+
+    def test_flipped_coefficient_fails_the_full_check(self, monkeypatch):
+        def flipped(d):
+            dec = main_decomposition(d)
+            terms = list(dec.terms)
+            terms[4] = dataclasses.replace(terms[4], coeff=-terms[4].coeff)
+            return dataclasses.replace(dec, terms=tuple(terms))
+
+        monkeypatch.setattr(symmetry, "main_decomposition", flipped)
+        assert check_symmetry_action(3) is False
+
+    def test_form_swapped_term_is_rejected(self):
+        dec = main_decomposition(3)
+        terms = list(dec.terms)
+        terms[0] = dataclasses.replace(terms[0], form=terms[5].form)
+        swapped = dataclasses.replace(dec, terms=tuple(terms))
+        assert not verify_power_decomposition(swapped).equal
+        elem = SymElement(1, 2, AffinePerm(2, 1, 3), Perm((2, 3, 1)))
+        with pytest.raises(ValueError, match="form"):
+            apply_symmetry(elem, swapped)
+
     def test_sampled_actions_are_reproducible(self):
         a = sample_symmetry_actions(3, 25, seed=7)
         b = sample_symmetry_actions(3, 25, seed=7)
@@ -369,6 +443,14 @@ class TestConjugation:
         a = ((Cyc.from_int(2, 2), zero), (zero, Cyc.one(2)))
         with pytest.raises(ValueError):
             conjugate_decomposition(a, self.identity_matrix(2, 2), dec)
+
+    def test_non_determinant_target_is_rejected(self):
+        dec = monomial_power_decomposition(3)
+        zero, one, two = (Cyc.from_int(1, v) for v in (0, 1, 2))
+        a = ((one, two, zero), (zero, one, zero), (zero, zero, one))
+        b = ((one, zero, zero), (zero, one, zero), (zero, -one, one))
+        with pytest.raises(ValueError, match="determinant"):
+            conjugate_decomposition(a, b, dec)
 
     def test_matrix_determinant_of_d(self):
         for d in (2, 3, 4):
