@@ -9,10 +9,12 @@ Two independent engines are provided:
   +-multinomial at a phase; any other term has its scalars lifted to the
   ring and multiplied there, with denominators cleared by one common
   denominator of the sum; nothing falls back to Cyc products;
-* streaming mode never expands a term: it walks the candidate monomials
-  of the scheme in sorted order and computes each total coefficient from
-  the scheme's combinatorial formula, corrected, for that one monomial,
-  by every given term that differs from the scheme's own term.
+* streaming mode never expands a term: the scheme's combinatorial formula
+  gives its total at a monomial as a factor of the exponents' composition
+  times the signed extension sum of the pattern, so one comparison decides
+  a whole composition class. Only the monomials of a failing class, and
+  those a given term that differs from the scheme's own term reaches
+  (corrected by that difference), are evaluated one by one.
 
 The engines share no code path, so they act as each other's oracle; both
 read the terms they are given, compare against the scaled target
@@ -44,7 +46,6 @@ from .decompositions import (
     gurvits_decomposition,
     main_decomposition,
     monomial_power_decomposition,
-    sign_vectors,
 )
 from .multipoly import (
     LinForm,
@@ -443,15 +444,23 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
 
 # --- streaming engine -------------------------------------------------------
 #
-# For one candidate monomial with per-row exponents e_i on the entries
-# (i, sigma i), every term whose form's support contains the monomial's
-# support contributes multinomial(d; e) times the product of its coefficients
-# raised to the exponents. Grouping the contributions by the permutation and
-# summing the per-group scalar factors gives the total coefficient without
-# ever materializing the expanded sum. That formula describes the scheme's
-# own terms; each given term that differs from the scheme's term in its
-# position adds its difference, term minus scheme term, to the monomials
-# its power reaches.
+# At a monomial with exponents e on the entries (i, sigma i) of k rows, the
+# scheme's own terms sum to F(e) * ext: the class factor F depends on the
+# composition e alone (phase-group sum, sign-vector sum or 1 - zero rows,
+# times the multinomial), ext is the signed extension sum of the pattern.
+# The determinant target is scale * sgn(columns) when e is all ones and 0
+# otherwise, so one test decides a whole composition class, exactly:
+#
+# * k <= d-2: ext = 0 and the target is 0, so the class matches;
+# * k = d-1: the target is 0 and ext = +-1, so it matches iff F == 0;
+# * k = d: ext = sgn(columns) = target / scale, so it matches iff F == scale.
+#
+# Evaluated one by one, in sorted order, are only the monomials that can
+# mismatch: those of a failing class or one whose target is not uniform
+# (all ones under the diagonal-product target), those of the monomial
+# scheme (F on the diagonal, 0 off it), and those reached by a given term
+# that differs from the scheme's term in its position, which adds its
+# difference, term minus scheme term.
 
 
 @lru_cache(maxsize=None)
@@ -463,16 +472,11 @@ def _phase_group_sum(d: int, s: int) -> Cyc:
     return total
 
 
-@lru_cache(maxsize=None)
-def _sign_vector_sum(d: int, powers: tuple[int, ...]) -> int:
-    """sum over sign vectors eps (eps_1 = +1) of prod_i eps_i^powers[i]."""
-    total = 0
-    for eps in sign_vectors(d):
-        prod = 1
-        for e, k in zip(eps, powers):
-            prod *= e ** k
-        total += prod
-    return total
+def _sign_vector_sum(powers: tuple[int, ...]) -> int:
+    """sum over sign vectors eps (eps_1 = +1) of prod_i eps_i^powers[i].
+    The sum factors as prod over i >= 2 of (1 + (-1)^powers[i]): 2^(d-1)
+    when powers[1:] are all even, else 0."""
+    return 0 if any(p & 1 for p in powers[1:]) else 1 << (len(powers) - 1)
 
 
 def _signed_extension_sum(d: int, partial: dict[int, int]) -> int:
@@ -546,12 +550,41 @@ def _correction(entries, mono: Monomial, mult: int, order: int) -> Cyc:
     return total
 
 
+def _walk_count(diagonal: bool, rows: int, budget: int, cols: int) -> int:
+    """How many walk monomials put exponent sum ``budget`` on ``rows`` free
+    rows with ``cols`` free columns: k of the rows, a composition of the
+    budget into k positive parts, and an injective choice of k columns (on
+    the diagonal, none)."""
+    if budget == 0:
+        return 1
+    return sum(math.comb(rows, k) * math.comb(budget - 1, k - 1)
+               * (1 if diagonal else math.perm(cols, k))
+               for k in range(1, min(rows, budget) + 1))
+
+
+def _walk_rank(d: int, diagonal: bool, mono: Monomial) -> int:
+    """How many walk monomials sort before ``mono``: for each position t,
+    those that share its first t entries and have a smaller entry at t (no
+    walk monomial is a prefix of another, all having degree d)."""
+    below, used, budget = 0, set(), d
+    for t, entry in enumerate(mono):
+        for i in range(mono[t - 1][0] + 1 if t else 1, d + 1):
+            for j in [i] if diagonal else set(range(1, d + 1)) - used:
+                for e in range(1, budget + 1):
+                    if (i, j, e) < entry:
+                        below += _walk_count(diagonal, d - i, budget - e,
+                                             d - t - 1)
+        used.add(entry[1])
+        budget -= entry[2]
+    return below
+
+
 def _stream_check(dec: PowerDecomposition, collect_all: bool):
-    """Walk the monomials the scheme's terms can reach, in sorted order, and
-    compare each total coefficient with the target. The total is the
-    scheme's combinatorial formula, corrected by every given term that
-    differs from the scheme's own term in its position."""
-    d, order, scheme = dec.d, dec.order, dec.scheme
+    """Decide each composition class by the rule above, then compare the
+    total coefficient of every monomial that can mismatch with the target,
+    in sorted order. The count is of the whole walk, or, on a stop at the
+    first mismatch, of the walk's monomials up to it."""
+    d, scheme = dec.d, dec.scheme
     if scheme not in _STREAM_REFERENCE:
         raise ValueError(f"streaming mode not available for scheme {scheme!r}")
     if dec.target not in (TARGET_DETERMINANT, TARGET_DIAGONAL):
@@ -560,60 +593,68 @@ def _stream_check(dec: PowerDecomposition, collect_all: bool):
     # needs the off-diagonal permutation patterns walked
     diagonal = scheme == "monomial" and dec.target == TARGET_DIAGONAL
     corrections = _term_corrections(dec, diagonal)
-    # each monomial once: a weak composition e of d over the rows, and an
-    # injective choice of columns for the rows with e_i > 0; the monomials
-    # share one (i, j, e) entry object per value
-    cell = {c: c for c in itertools.product(range(1, d + 1), repeat=3)}
-    candidates = []
+    visit = set()
     for comp in weak_compositions(d, d):
         rows = tuple(i for i, e in enumerate(comp, start=1) if e)
+        k = len(rows)
+        # a class decided by the rule above is never walked
+        uniform = scheme != "monomial" and (
+            k < d or dec.target == TARGET_DETERMINANT)
+        if uniform and (k < d - 1 or _class_factor(scheme, d, comp)
+                        == (dec.scale if k == d else 0)):
+            continue
         exps = tuple(e for e in comp if e)
-        mult = multinomial(d, comp)
-        choices = ([rows] if diagonal
-                   else itertools.permutations(range(1, d + 1), len(rows)))
-        for cols in choices:
-            mono = tuple(map(cell.__getitem__, zip(rows, cols, exps)))
-            candidates.append((mono, comp, mult))
-    # sorted, like expansion's comparison, so both name the same witness;
-    # on a mismatch the count is of the monomials checked so far
-    candidates.sort(key=itemgetter(0))
+        for cols in ([rows] if diagonal
+                     else itertools.permutations(range(1, d + 1), k)):
+            visit.add(tuple(zip(rows, cols, exps)))
+    # every monomial a differing term reaches: positive exponents on a
+    # subset of its support
+    for support in corrections:
+        for exps in weak_compositions(d - len(support), len(support)):
+            visit.add(tuple((i, j, e + 1) for (i, j), e in zip(support, exps)))
+    # sorted, like expansion's comparison, so both name the same witness
     mismatches = []
-    checked = 0
-    for mono, comp, mult in candidates:
-        checked += 1
-        got = _streaming_coefficient(scheme, d, order, mono, comp, mult)
-        if corrections:
-            entries = corrections.get(tuple((i, j) for i, j, _ in mono))
-            if entries:
-                got = got + _correction(entries, mono, mult, order)
+    for mono in sorted(visit):
+        comp = [0] * d
+        for i, _, e in mono:
+            comp[i - 1] = e
+        comp = tuple(comp)
+        got = _streaming_coefficient(scheme, d, mono, comp)
+        entries = corrections.get(tuple((i, j) for i, j, _ in mono))
+        if entries:
+            got = got + _correction(entries, mono, multinomial(d, comp),
+                                    dec.order)
         want = _target_coefficient(dec, mono, comp)
         if got != want:
             mismatches.append((mono, got, want))
             if not collect_all:
-                break
-    return mismatches, checked
+                return mismatches, 1 + _walk_rank(d, diagonal, mono)
+    return mismatches, _walk_count(diagonal, d, d, d)
 
 
-def _streaming_coefficient(scheme: str, d: int, order: int, mono: Monomial,
-                           comp: tuple[int, ...], mult: int) -> Cyc:
-    if scheme == "monomial":
-        # diagonal support only, no permutation group
-        if any(i != j for i, j, _ in mono):
-            return Cyc.zero(1)
-        eps_sum = _sign_vector_sum(d, tuple(e + 1 for e in comp))
-        return Cyc.from_int(1, mult * eps_sum)
-    ext = _signed_extension_sum(d, {i: j for i, j, _ in mono})
-    if not ext:
-        return Cyc.zero(order)
+def _class_factor(scheme: str, d: int, comp: tuple[int, ...]) -> Cyc:
+    """F(e): the scheme's total at a monomial of composition ``comp`` over
+    its signed extension sum (over its diagonal indicator for the monomial
+    scheme, whose factor is classical's)."""
+    mult = multinomial(d, comp)
     if scheme == "main":
-        s = sum(i * e for i, _, e in mono) % d
-        return _phase_group_sum(d, s) * (mult * ext)
-    if scheme == "classical":
-        eps_sum = _sign_vector_sum(d, tuple(e + 1 for e in comp))
-        return Cyc.from_int(1, mult * ext * eps_sum)
-    # gurvits
-    zero_rows = sum(1 for e in comp if e == 0)
-    return Cyc.from_int(1, mult * ext * (1 - zero_rows))
+        s = sum(i * e for i, e in enumerate(comp, start=1)) % d
+        return _phase_group_sum(d, s) * mult
+    if scheme == "gurvits":
+        return Cyc.from_int(1, mult * (1 - comp.count(0)))
+    return Cyc.from_int(1, mult * _sign_vector_sum(tuple(e + 1 for e in comp)))
+
+
+def _streaming_coefficient(scheme: str, d: int, mono: Monomial,
+                           comp: tuple[int, ...]) -> Cyc:
+    """The scheme's own total at ``mono``: the class factor times the
+    signed extension sum of its pattern, or, for the monomial scheme, times
+    1 on the diagonal and 0 off it."""
+    if scheme == "monomial":
+        ext = int(all(i == j for i, j, _ in mono))
+    else:
+        ext = _signed_extension_sum(d, {i: j for i, j, _ in mono})
+    return _class_factor(scheme, d, comp) * ext
 
 
 def _target_coefficient(dec: PowerDecomposition, mono: Monomial,

@@ -433,6 +433,7 @@ class TestBench:
         assert obj["ok"] is True
         names = [r["benchmark"] for r in obj["results"]]
         assert "verify-main-4-streaming" in names
+        assert "verify-main-6-streaming" in names
         assert "verify-conjugated-main-4-expansion" in names
         assert "separation-5" in names
         assert "symmetries-6" in names

@@ -18,6 +18,7 @@ from detpowers.decompositions import (
     krishna_makam_det3,
     main_decomposition,
     monomial_power_decomposition,
+    sign_vectors,
 )
 from detpowers.multipoly import (
     LinForm,
@@ -25,6 +26,8 @@ from detpowers.multipoly import (
     determinant_poly,
     expand_power,
     monomial,
+    multinomial,
+    weak_compositions,
 )
 from detpowers.symmetry import conjugate_decomposition, cycle_sign
 from detpowers.verify import (
@@ -35,6 +38,8 @@ from detpowers.verify import (
     determinant_coefficient,
     _common_denominator,
     _expand_sum,
+    _phase_group_sum,
+    _sign_vector_sum,
     _signed_extension_sum,
     _unit,
     _unit_phases,
@@ -448,6 +453,158 @@ class TestStreamingChecksTerms:
         with pytest.raises(ValueError):
             verify_power_decomposition(
                 dataclasses.replace(dec, terms=terms), mode="streaming")
+
+
+def enumerated_sign_vector_sum(powers):
+    """sum over sign vectors eps (eps_1 = +1) of prod_i eps_i^powers[i],
+    term by term."""
+    total = 0
+    for eps in sign_vectors(len(powers)):
+        prod = 1
+        for e, k in zip(eps, powers):
+            prod *= e ** k
+        total += prod
+    return total
+
+
+def walked_coefficient(scheme, d, order, mono, comp, mult):
+    """The scheme's own total at one monomial, from each scheme's formula
+    written out in full."""
+    if scheme == "monomial":
+        if any(i != j for i, j, _ in mono):
+            return Cyc.zero(1)
+        eps_sum = enumerated_sign_vector_sum(tuple(e + 1 for e in comp))
+        return Cyc.from_int(1, mult * eps_sum)
+    ext = _signed_extension_sum(d, {i: j for i, j, _ in mono})
+    if not ext:
+        return Cyc.zero(order)
+    if scheme == "main":
+        s = sum(i * e for i, _, e in mono) % d
+        return _phase_group_sum(d, s) * (mult * ext)
+    if scheme == "classical":
+        eps_sum = enumerated_sign_vector_sum(tuple(e + 1 for e in comp))
+        return Cyc.from_int(1, mult * ext * eps_sum)
+    zero_rows = sum(1 for e in comp if e == 0)
+    return Cyc.from_int(1, mult * ext * (1 - zero_rows))
+
+
+def walk_check(dec, coefficient=walked_coefficient):
+    """The per-monomial streaming walk: build every candidate monomial of
+    the scheme, sort them, and check each one, valued by ``coefficient``,
+    against the target. Returns the report fields the class-decided engine
+    must give, without and with ``collect_all``; the first counts the
+    monomials up to the witness."""
+    d, order, scheme = dec.d, dec.order, dec.scheme
+    diagonal = scheme == "monomial" and dec.target == "diagonal-product"
+    corrections = verify._term_corrections(dec, diagonal)
+    candidates = []
+    for comp in weak_compositions(d, d):
+        rows = tuple(i for i, e in enumerate(comp, start=1) if e)
+        exps = tuple(e for e in comp if e)
+        mult = multinomial(d, comp)
+        choices = ([rows] if diagonal
+                   else itertools.permutations(range(1, d + 1), len(rows)))
+        for cols in choices:
+            candidates.append((tuple(zip(rows, cols, exps)), comp, mult))
+    candidates.sort(key=lambda c: c[0])
+    mismatches = []
+    first_at = len(candidates)
+    for checked, (mono, comp, mult) in enumerate(candidates, start=1):
+        got = coefficient(scheme, d, order, mono, comp, mult)
+        entries = corrections.get(tuple((i, j) for i, j, _ in mono))
+        if entries:
+            got = got + verify._correction(entries, mono, mult, order)
+        want = verify._target_coefficient(dec, mono, comp)
+        if got != want:
+            if not mismatches:
+                first_at = checked
+            mismatches.append((mono, got, want))
+    witness = mismatches[0] if mismatches else None
+    return ((not mismatches, first_at, witness, min(len(mismatches), 1),
+             None),
+            (not mismatches, len(candidates), witness, len(mismatches),
+             tuple(mismatches)))
+
+
+def perturbations(dec, seed):
+    """The decomposition, three seeded single flips, scale + 1, the other
+    target, and its terms rotated by one."""
+    rng = random.Random(seed)
+    swapped = ("diagonal-product" if dec.target == "determinant"
+               else "determinant")
+    return ([dec]
+            + [flip_one_sign(dec, p)
+               for p in (rng.randrange(len(dec.terms)) for _ in range(3))]
+            + [dataclasses.replace(dec, scale=dec.scale + 1),
+               dataclasses.replace(dec, target=swapped),
+               dataclasses.replace(dec, terms=dec.terms[1:] + dec.terms[:1])])
+
+
+class TestClassDecidedStreaming:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_sign_vector_sum_closed_form(self, d):
+        # both parities at every position, and up to d + 1 for d <= 3
+        for powers in itertools.product(range(1, min(d, 3) + 2), repeat=d):
+            assert _sign_vector_sum(powers) == \
+                enumerated_sign_vector_sum(powers)
+
+    @pytest.mark.parametrize("builder, d", [
+        (builder, d)
+        for builder in (main_decomposition, classical_decomposition,
+                        gurvits_decomposition, monomial_power_decomposition)
+        for d in (2, 3, 4)
+    ] + [(main_decomposition, 5), (gurvits_decomposition, 5)],
+        ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_reports_match_the_walk(self, builder, d):
+        for n, dec in enumerate(perturbations(builder(d), seed=d)):
+            for collect_all, want in zip((False, True), walk_check(dec)):
+                report = verify_power_decomposition(
+                    dec, mode="streaming", collect_all=collect_all)
+                got = (report.equal, report.distinct_monomials,
+                       report.witness, report.mismatch_count,
+                       report.mismatches)
+                assert got == want, (n, collect_all)
+
+    @pytest.mark.parametrize("builder", [
+        main_decomposition, classical_decomposition, gurvits_decomposition])
+    def test_class_rule_follows_a_wrong_factor(self, builder, monkeypatch):
+        # off by one, the factor fails every class of d - 1 or d rows; the
+        # classes the rule skips must be those whose every monomial the
+        # same formula, evaluated monomial by monomial, would accept
+        factor = verify._class_factor
+        monkeypatch.setattr(verify, "_class_factor",
+                            lambda *args: factor(*args) + 1)
+        dec = builder(4)
+
+        def engine_formula(scheme, d, order, mono, comp, mult):
+            return verify._streaming_coefficient(scheme, d, mono, comp)
+
+        want = walk_check(dec, engine_formula)
+        for collect_all, fields in zip((False, True), want):
+            report = verify_power_decomposition(
+                dec, mode="streaming", collect_all=collect_all)
+            assert not report.equal
+            assert (report.equal, report.distinct_monomials, report.witness,
+                    report.mismatch_count, report.mismatches) == fields
+
+    def test_main_7_is_equal_over_the_whole_walk(self):
+        report = verify_power_decomposition(main_decomposition(7),
+                                            mode="streaming")
+        assert report.equal
+        assert report.distinct_monomials == 1_714_111
+
+    def test_scale_perturbation_fails_a_whole_class(self):
+        dec = main_decomposition(5)
+        dec = dataclasses.replace(dec, scale=dec.scale + 1)
+        stream = verify_power_decomposition(dec, mode="streaming",
+                                            collect_all=True)
+        exp = verify_power_decomposition(dec, collect_all=True)
+        # every one of the 5! monomials of the all-ones class
+        assert stream.mismatch_count == math.factorial(5)
+        assert stream.mismatches == exp.mismatches
+        assert stream.witness == exp.witness
+        first = verify_power_decomposition(dec, mode="streaming")
+        assert first.witness == exp.witness
 
 
 class TestSignedExtensionSum:
