@@ -640,7 +640,12 @@ def _cmd_bench(config: RunConfig, timings: list):
              SCHEME_BUILDERS["monomial"](5)).equal),
         ("verify-conjugated-main-4-expansion",
          lambda: verify_power_decomposition(
-             _conjugated_main(4), mode="expansion", jobs=config.jobs).equal),
+             _conjugated("main", 4), mode="expansion",
+             jobs=config.jobs).equal),
+        ("verify-conjugated-classical-4-expansion",
+         lambda: verify_power_decomposition(
+             _conjugated("classical", 4), mode="expansion",
+             jobs=config.jobs).equal),
         ("separation-5", lambda: not separation_violations(5)),
         ("symmetries-6", lambda: enumerate_symmetries(
             6, with_elements=False).matches_formula),
@@ -662,10 +667,11 @@ def _count_terms(dec: PowerDecomposition, expected: int) -> bool:
     return len(dec.terms) == expected
 
 
-def _conjugated_main(d: int) -> PowerDecomposition:
-    """main(d) conjugated by the unitriangular pair I + 2 E_12, I - E_32, so
-    its coefficients are general elements of Q(w), not roots of unity."""
-    dec = SCHEME_BUILDERS["main"](d)
+def _conjugated(scheme: str, d: int) -> PowerDecomposition:
+    """The scheme's decomposition at d conjugated by the unitriangular pair
+    I + 2 E_12, I - E_32, so its coefficients are general elements of
+    Q(w), not roots of unity."""
+    dec = SCHEME_BUILDERS[scheme](d)
 
     def unitriangular(r, c, v):
         return tuple(

@@ -604,16 +604,18 @@ def transpose_closure(d: int) -> tuple[bool, list[tuple[int, tuple[int, ...]]]]:
 
 
 def matrix_product(a, b, order: int):
-    d = len(a)
+    """a * b for square matrices over Q(w), skipping every product with a
+    zero factor: a builder's coefficient matrix has d nonzeros of d^2, and
+    the pairs it is conjugated by are sparse too."""
     zero = Cyc.zero(order)
     out = []
-    for r in range(d):
-        row = []
-        for c in range(d):
-            total = zero
-            for k in range(d):
-                total = total + a[r][k] * b[k][c]
-            row.append(total)
+    for a_row in a:
+        row = [zero] * len(a)
+        for x, b_row in zip(a_row, b):
+            if x:
+                for c, y in enumerate(b_row):
+                    if y:
+                        row[c] = row[c] + x * y
         out.append(tuple(row))
     return tuple(out)
 

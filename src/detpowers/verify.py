@@ -7,8 +7,11 @@ Two independent engines are provided:
   ring Z[C_n] indexed by the phase, and each vector is projected to Q(w)
   once at the end. A term whose scalars are all units +-w^k adds
   +-multinomial at a phase; any other term has its scalars lifted to the
-  ring and multiplied there, with denominators cleared by one common
-  denominator of the sum; nothing falls back to Cyc products;
+  ring and packed into one integer each, the ring element evaluated at
+  2^B, so one integer product mod 2^(nB) - 1 is one product in the ring.
+  The width B comes from a proved bound on every digit, and denominators
+  are cleared by one common denominator of the sum; nothing falls back
+  to Cyc products;
 * streaming mode never expands a term: the scheme's combinatorial formula
   gives its total at a monomial as a factor of the exponents' composition
   times the signed extension sum of the pattern, so one comparison decides
@@ -205,8 +208,19 @@ class VerificationReport:
 #   w^(phi-1), padded with zeros to length order, is an element of
 #   Z[C_order] that projects back to itself, and the projection is a ring
 #   map, so products of lifts (cyclic convolutions) project to the products
-#   in Q(w). The products over a term's compositions walk a tree of nonzero
-#   prefixes, one convolution per node, shared by the compositions below it.
+#   in Q(w). A lift is packed into one int, the vector evaluated at
+#   x = 2^B (Kronecker substitution), and kept mod M = 2^(order*B) - 1,
+#   which is x^order - 1 at x = 2^B: one int product mod M is one cyclic
+#   convolution. The products over a term's compositions walk a tree of
+#   nonzero prefixes, one product per node, shared by the compositions
+#   below it, and each composition adds multinomial * prefix * power into
+#   one packed int per monomial.
+# * The width B is the bit length of a bound on every digit, plus 2 (see
+#   ``_packed_width``), taken over the chunk's non-unit terms when the
+#   first of them is met; a chunk of unit terms packs nothing. Each
+#   monomial's packed sum is decoded once, at the end of its chunk:
+#   centered mod M, then split into order signed base-2^B digits, which
+#   are added into its vector.
 # * Denominators are cleared by one common denominator L of the whole sum,
 #   so every term adds integers; the projection divides by L once.
 
@@ -240,47 +254,33 @@ def _unit_phases(coeff: Cyc, support):
 
 def _composition_table(exponent: int, size: int, scale: int):
     """The weak compositions of ``exponent`` >= 1 over ``size`` parts, their
-    nonzero parts (k, e), their multinomials (plain, and signed times
-    ``scale`` for unit terms), and a tree of their nonzero prefixes for
-    products over the parts. Node n >= 1 of the tree is ``nodes[n - 1]`` =
+    multinomials (plain, and signed times ``scale`` for unit terms), and a
+    tree of their nonzero prefixes, for products over the parts and for
+    the monomials' keys. Node n >= 1 of the tree is ``nodes[n - 1]`` =
     (parent, k, e), its parent's prefix extended by part k = e; node 0 is
     the empty prefix. ``steps[c]`` = (parent, k, e) is the step from an
     inner node that completes composition c."""
-    nodes, steps, nonzero = [], [], []
+    nodes, steps, comps, mults = [], [], [], []
+    fact = [math.factorial(e) for e in range(exponent + 1)]
+    comp = [0] * size
 
-    def grow(parent, start, rem, parts):
+    def grow(parent, start, rem, den):
         for k in range(start, size):
             # the last part takes all that remains
             for e in range(rem, rem - 1 if k == size - 1 else 0, -1):
+                comp[k] = e
                 if e == rem:
                     steps.append((parent, k, e))
-                    nonzero.append(parts + ((k, e),))
+                    comps.append(comp.copy())
+                    mults.append(fact[exponent] // (den * fact[e]))
                 else:
                     nodes.append((parent, k, e))
-                    grow(len(nodes), k + 1, rem - e, parts + ((k, e),))
+                    grow(len(nodes), k + 1, rem - e, den * fact[e])
+            comp[k] = 0
 
-    grow(0, 0, exponent, ())
-    comps = []
-    for parts in nonzero:
-        comp = [0] * size
-        for k, e in parts:
-            comp[k] = e
-        comps.append(comp)
-    mults = [multinomial(exponent, c) for c in comps]
+    grow(0, 0, exponent, 1)
     signed = {1: [scale * m for m in mults], -1: [-scale * m for m in mults]}
-    return comps, nonzero, mults, signed, nodes, steps
-
-
-def _circulant(b: list[int], order: int) -> list[tuple[int, ...]]:
-    """The rows of multiplication by b in Z[C_order], a circulant matrix:
-    (a * b)[k] = sum_i a[i] * b[(k - i) % order] is a dotted with row k."""
-    return [tuple([b[(k - i) % order] for i in range(order)])
-            for k in range(order)]
-
-
-def _lift(c: Cyc, order: int, factor: int) -> list[int]:
-    """factor * the numerator of c, as an element of Z[C_order]."""
-    return [factor * x for x in c.num] + [0] * (order - len(c.num))
+    return comps, mults, signed, nodes, steps
 
 
 def _common_denominator(terms) -> int:
@@ -295,35 +295,67 @@ def _common_denominator(terms) -> int:
     return common
 
 
-def _accumulate_terms(terms, order: int, scale: int, ring: dict) -> None:
-    """Add ``scale`` times each term into ``ring`` (monomial -> Z[C_order]
-    vector); ``scale`` must clear every denominator (see
-    ``_common_denominator``). Keys whose coefficients cancel to zero are
-    kept, so the key set is the union of the terms' supports."""
-    tables: dict[tuple[int, int], tuple] = {}
-    last_vars = vecs = None
+def _packed_width(terms, scale: int) -> int:
+    """Bits per digit of the packed group ring of the non-unit ``terms``.
+    Lifted with the common-denominator factors, a term adds at most
+    |coeff|_1 * (sum over its entries of |entry|_1)^exponent to the L1
+    norm of all its monomials' vectors together (the multinomial theorem,
+    with |a * b|_1 <= |a|_1 * |b|_1), so the sum over the terms bounds
+    every digit; two more bits hold the sign and a margin."""
+    bound = 0
     for term in terms:
+        support = term.form.support()
+        if _unit_phases(term.coeff, support) is not None:
+            continue
+        den = math.lcm(*(c.den for _, c in support))
+        base = sum(den // c.den * sum(map(abs, c.num)) for _, c in support)
+        factor = scale // (term.coeff.den * den ** term.exponent)
+        bound += factor * sum(map(abs, term.coeff.num)) * base ** term.exponent
+    return bound.bit_length() + 2
+
+
+def _expand_chunk(order: int, scale: int, terms) -> dict:
+    """``scale`` times the sum of the terms, as a table monomial ->
+    Z[C_order] vector; ``scale`` must clear every denominator (see
+    ``_common_denominator``). Keys whose coefficients cancel to zero are
+    kept, so the key set is the union of the terms' supports. From the
+    first non-unit term on, each vector carries one more slot, the packed
+    sum of the non-unit terms, decoded into the vector at the end."""
+    ring: dict = {}
+    tables: dict[tuple[int, int], tuple] = {}
+    last_vars = vecs = width = None
+    blank = [0] * order
+    for t, term in enumerate(terms):
         support = term.form.support()
         variables = [var for var, _ in support]
         key = (term.exponent, len(variables))
         if key not in tables:
             tables[key] = _composition_table(*key, scale)
-        comps, nonzero, mults, signed, nodes, steps = tables[key]
+        comps, mults, signed, nodes, steps = tables[key]
         if variables != last_vars:
             # builders emit the terms of one support consecutively
             last_vars, vecs = variables, []
             cells = [[(i, j, e) for e in range(term.exponent + 1)]
                      for i, j in variables]
-            for nz in nonzero:
-                mono = tuple([cells[k][e] for k, e in nz])
+            prefixes = [()]
+            for parent, k, e in nodes:
+                prefixes.append(prefixes[parent] + (cells[k][e],))
+            for parent, k, e in steps:
+                mono = prefixes[parent] + (cells[k][e],)
                 vec = ring.get(mono)
                 if vec is None:
-                    vec = ring[mono] = [0] * order
+                    vec = ring[mono] = blank.copy()
                 vecs.append(vec)
         unit = _unit_phases(term.coeff, support)
         if unit is None:
-            _add_general_term(term, support, order, scale, vecs, mults,
-                              nodes, steps)
+            if width is None:
+                # the terms before this one are all units
+                width = _packed_width(terms[t:], scale)
+                blank.append(0)
+                for vec in ring.values():
+                    vec.append(0)
+            _add_general_term(term, support, order, scale, width, vecs,
+                              mults, nodes, steps)
             continue
         (sign, k0), powers, negated = unit
         odd = negated if any(negated) else None
@@ -335,39 +367,63 @@ def _accumulate_terms(terms, order: int, scale: int, ring: dict) -> None:
                 vec[(k0 + sum(map(mul, comp, phased))) % order] += m
             else:
                 vec[k0] += m
+    if width is not None:
+        _unpack(ring, order, width)
+    return ring
 
 
-def _add_general_term(term, support, order: int, scale: int, vecs, mults,
-                      nodes, steps) -> None:
-    """Add scale * coeff * multinomial(e) * prod_k entry_k^e_k into the
-    vector of each composition e, with every scalar lifted to the ring.
-    Each power of an entry is built once and kept as the circulant rows of
-    multiplication by it."""
+def _pack(c: Cyc, factor: int, width: int) -> int:
+    """factor * the numerator of c, an element of Z[C_order], evaluated at
+    x = 2^width."""
+    return sum(factor * x << i * width for i, x in enumerate(c.num))
+
+
+def _add_general_term(term, support, order: int, scale: int, width: int,
+                      vecs, mults, nodes, steps) -> None:
+    """Add scale * coeff * multinomial(e) * prod_k entry_k^e_k, packed,
+    into the last slot of the vector of each composition e. Products are
+    taken mod 2^(order * width) - 1, which is x^order - 1 at x = 2^width,
+    so they are products in Z[C_order]."""
+    modulus = (1 << order * width) - 1
     exponent = term.exponent
     den = math.lcm(*(c.den for _, c in support))
     powers = []
     for _, c in support:
-        power = _lift(c, order, den // c.den)
-        rows = [None, _circulant(power, order)]
+        power = _pack(c, den // c.den, width) % modulus
+        row = [None, power]
         for _ in range(exponent - 1):
-            power = [sum(map(mul, power, row)) for row in rows[1]]
-            rows.append(_circulant(power, order))
-        powers.append(rows)
+            row.append(row[-1] * power % modulus)
+        powers.append(row)
     coeff = term.coeff
-    products = [_lift(coeff, order, scale // (coeff.den * den ** exponent))]
+    products = [_pack(coeff, scale // (coeff.den * den ** exponent), width)
+                % modulus]
     for parent, k, e in nodes:
-        a = products[parent]
-        products.append([sum(map(mul, a, row)) for row in powers[k][e]])
+        products.append(products[parent] * powers[k][e] % modulus)
     for vec, m, (parent, k, e) in zip(vecs, mults, steps):
-        a = products[parent]
-        for i, row in enumerate(powers[k][e]):
-            vec[i] += m * sum(map(mul, a, row))
+        vec[-1] += m * products[parent] * powers[k][e]
 
 
-def _expand_chunk(order: int, scale: int, terms) -> dict:
-    ring: dict = {}
-    _accumulate_terms(terms, order, scale, ring)
-    return ring
+def _unpack(ring: dict, order: int, width: int) -> None:
+    """Add the last slot of each vector, a packed element of Z[C_order],
+    into the vector's digits, and drop it. Every digit is below
+    2^(width - 2) in size (see ``_packed_width``), so the value centered
+    mod 2^(order * width) - 1 is the element evaluated at 2^width; adding
+    half a base to every digit makes them all nonnegative, so each is read
+    off without a borrow."""
+    base = 1 << width
+    modulus = (1 << order * width) - 1
+    half = base >> 1
+    # modulus // (base - 1) = sum of base^i, i < order
+    offset = half * (modulus // (base - 1))
+    for vec in ring.values():
+        packed = vec.pop() % modulus
+        if not packed:
+            continue
+        if packed > modulus >> 1:
+            packed -= modulus
+        packed += offset
+        for i in range(order):
+            vec[i] += (packed >> i * width & base - 1) - half
 
 
 def _expand_sum(dec: PowerDecomposition, jobs: int) -> dict:

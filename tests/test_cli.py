@@ -435,6 +435,7 @@ class TestBench:
         assert "verify-main-4-streaming" in names
         assert "verify-main-6-streaming" in names
         assert "verify-conjugated-main-4-expansion" in names
+        assert "verify-conjugated-classical-4-expansion" in names
         assert "separation-5" in names
         assert "symmetries-6" in names
         assert all(r["ok"] for r in obj["results"])

@@ -456,3 +456,34 @@ class TestConjugation:
         for d in (2, 3, 4):
             m = MonoMatrix(0, 1, Perm.identity(d)).matrix()
             assert matrix_determinant(m, d) == omega(d, math.comb(d + 1, 2))
+
+    @pytest.mark.parametrize("order", [1, 3, 4])
+    def test_sparse_matrix_product_matches_dense(self, order):
+        """Skipping zero factors changes no entry: seeded matrices from
+        all-zero to dense, with general entries of Q(w), against the
+        plain triple loop."""
+        rng = random.Random(order)
+        phi = len(Cyc.zero(order).num)
+
+        def matrix(d, density):
+            return tuple(
+                tuple(Cyc(order, tuple(rng.randint(-3, 3)
+                                       for _ in range(phi)),
+                          rng.choice([1, 1, 2]))
+                      if rng.random() < density else Cyc.zero(order)
+                      for _ in range(d))
+                for _ in range(d))
+
+        def dense(a, b):
+            d = len(a)
+            return tuple(
+                tuple(sum((a[r][k] * b[k][c] for k in range(d)),
+                          Cyc.zero(order))
+                      for c in range(d))
+                for r in range(d))
+
+        for d in (1, 2, 4):
+            for density in (0.0, 0.25, 0.5, 1.0):
+                for _ in range(3):
+                    a, b = matrix(d, density), matrix(d, density)
+                    assert matrix_product(a, b, order) == dense(a, b)

@@ -3,11 +3,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from detpowers import multipoly, verify
-from detpowers.cyclotomic import Cyc, omega
+from detpowers.cyclotomic import Cyc, from_root_coefficients, omega
 from detpowers.decompositions import (
     SCHEME_BUILDERS,
     Perm,
@@ -251,6 +252,80 @@ def cyc_path(terms):
     return acc
 
 
+def circulant(b, order):
+    """The rows of multiplication by b in Z[C_order], a circulant matrix:
+    (a * b)[k] = sum_i a[i] * b[(k - i) % order] is a dotted with row k."""
+    return [tuple([b[(k - i) % order] for i in range(order)])
+            for k in range(order)]
+
+
+def lift(c, order, factor):
+    """factor * the numerator of c, as an element of Z[C_order]."""
+    return [factor * x for x in c.num] + [0] * (order - len(c.num))
+
+
+def add_general_term(term, support, order, scale, vecs, mults, nodes,
+                     steps):
+    """Add scale * coeff * multinomial(e) * prod_k entry_k^e_k into the
+    vector of each composition e, with every scalar lifted to the ring.
+    Each power of an entry is built once and kept as the circulant rows of
+    multiplication by it."""
+    exponent = term.exponent
+    den = math.lcm(*(c.den for _, c in support))
+    powers = []
+    for _, c in support:
+        power = lift(c, order, den // c.den)
+        rows = [None, circulant(power, order)]
+        for _ in range(exponent - 1):
+            power = [sum(map(mul, power, row)) for row in rows[1]]
+            rows.append(circulant(power, order))
+        powers.append(rows)
+    coeff = term.coeff
+    products = [lift(coeff, order, scale // (coeff.den * den ** exponent))]
+    for parent, k, e in nodes:
+        a = products[parent]
+        products.append([sum(map(mul, a, row)) for row in powers[k][e]])
+    for vec, m, (parent, k, e) in zip(vecs, mults, steps):
+        a = products[parent]
+        for i, row in enumerate(powers[k][e]):
+            vec[i] += m * sum(map(mul, a, row))
+
+
+def circulant_path(dec):
+    """The group ring's oracle in the ring itself: every term, unit or not,
+    lifted to Z[C_order] and multiplied by circulant rows, one dot product
+    per digit, then projected to Q(w) like ``_expand_sum``."""
+    order, scale = dec.order, _common_denominator(dec.terms)
+    ring = {}
+    for term in dec.terms:
+        support = term.form.support()
+        comps, mults, _, nodes, steps = verify._composition_table(
+            term.exponent, len(support), scale)
+        vecs = [ring.setdefault(tuple((i, j, e) for ((i, j), _), e
+                                      in zip(support, comp) if e),
+                                [0] * order)
+                for comp in comps]
+        add_general_term(term, support, order, scale, vecs, mults, nodes,
+                         steps)
+    return {mono: from_root_coefficients(order, vec, scale)
+            for mono, vec in ring.items()}
+
+
+def bidiagonal_pair(rng, d, order):
+    """A seeded lower and upper unitriangular pair, +-2 on the first
+    subdiagonal and +-3 on the first superdiagonal, the shape of the
+    pairs the benchmark conjugates by: a conjugated builder form has 6 to
+    12 of its d^2 = 16 variables at d = 4."""
+    def matrix(offset, value):
+        return tuple(
+            tuple(Cyc.from_int(order, 1 if r == c
+                               else rng.choice((-value, value))
+                               if c == r + offset else 0)
+                  for c in range(d))
+            for r in range(d))
+    return matrix(-1, 2), matrix(1, 3)
+
+
 def loose(d, order, terms):
     """A decomposition with no term-count rule, for hand-made term lists."""
     return PowerDecomposition(d, "mixed", 1, "determinant", order,
@@ -376,6 +451,68 @@ class TestGroupRingExpansion:
         assert calls == {"mul": 0, "expand_power": 0}
         monkeypatch.undo()
         assert got == cyc_path(dec.terms)
+
+
+class TestPackedGroupRing:
+    """Non-unit terms accumulate as packed ints, the ring element evaluated
+    at 2^B, with B from a proved bound on every digit."""
+
+    @pytest.mark.parametrize("scheme", ["main", "classical", "gurvits"])
+    def test_seeded_d4_conjugates_match_circulant_path(self, scheme):
+        rng = random.Random(20261018)
+        base = SCHEME_BUILDERS[scheme](4)
+        a, b = bidiagonal_pair(rng, 4, base.order)
+        dec = conjugate_decomposition(a, b, base)
+        sizes = {len(t.form.support()) for t in dec.terms}
+        assert 6 <= min(sizes) and max(sizes) <= 12
+        oracle = circulant_path(dec)
+        assert _expand_sum(dec, 1) == oracle
+        assert _expand_sum(dec, 2) == oracle
+
+    @pytest.mark.parametrize("order", [1, 4, 6])
+    @pytest.mark.parametrize("c", [10 ** 6, -10 ** 6])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_digit_at_the_bound(self, order, c, d):
+        # the one digit of (c x11)^d is c^d, the L1 bound itself; at order
+        # 6 the lift of c has phi = 2 < 6 digits, zero-padded
+        form = LinForm.from_entries(order, d, {(1, 1): c})
+        terms = [PowerTerm((0,), Cyc.one(order), form, d)]
+        got = _expand_sum(loose(d, order, terms), 1)
+        assert got == cyc_path(terms) \
+            == {((1, 1, d),): Cyc.from_int(order, c ** d)}
+        assert verify._packed_width(terms, 1) \
+            == (abs(c) ** d).bit_length() + 2
+
+    @pytest.mark.parametrize("order", [4, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_decoding_borrows_through_a_negative_digit(self, order, sign):
+        # sign * ((L - L w) x11)^2 - sign * (L x11)^2 has the digits
+        # sign * L^2 * (0, -2, 1, 0, ...) in the ring: phase 0 cancels,
+        # phases 1 and 2 are large with opposite signs
+        big = 10 ** 6
+        lifted = Cyc(order, (big, -big), 1)
+        terms = [
+            PowerTerm((0,), Cyc.from_int(order, sign),
+                      LinForm.from_entries(order, 2, {(1, 1): lifted}), 2),
+            PowerTerm((1,), Cyc.from_int(order, -sign),
+                      LinForm.from_entries(order, 2, {(1, 1): big}), 2),
+        ]
+        ring = verify._expand_chunk(order, 1, terms)
+        digits = [0, -2, 1] + [0] * (order - 3)
+        assert ring == {((1, 1, 2),): [sign * big ** 2 * x for x in digits]}
+        assert _expand_sum(loose(2, order, terms), 1) == cyc_path(terms)
+
+    def test_general_coefficient_on_a_zero_form(self):
+        dec = gurvits_decomposition(1)
+        term = dec.terms[1]
+        assert term.form.is_zero
+        terms = (dec.terms[0],
+                 dataclasses.replace(term, coeff=Cyc.from_int(1, 7)))
+        assert _unit_phases(terms[1].coeff, []) is None
+        dec = dataclasses.replace(dec, terms=terms)
+        assert _expand_sum(dec, 1) == cyc_path(terms) \
+            == {((1, 1, 1),): Cyc.from_int(1, 1)}
+        assert verify_power_decomposition(dec).equal
 
 
 class TestStreamingChecksTerms:
