@@ -31,8 +31,8 @@ from .decompositions import (
     krishna_makam_det3,
 )
 from .independence import (
+    certified_rank,
     check_promotion,
-    rank_oracle,
     separation_violations,
 )
 from .multipoly import LinForm
@@ -457,7 +457,7 @@ def _cmd_independence(config: RunConfig, timings: list):
     ok = ok and promoted
     expected = d * math.factorial(d)
     started = time.perf_counter()
-    rank = rank_oracle(d, allow_large=config.force)
+    rank = certified_rank(d)
     timings.append(("rank", time.perf_counter() - started))
     results.append({"check": "rank", "d": d, "rank": rank,
                     "expected": expected, "ok": rank == expected})
@@ -647,6 +647,7 @@ def _cmd_bench(config: RunConfig, timings: list):
              _conjugated("classical", 4), mode="expansion",
              jobs=config.jobs).equal),
         ("separation-5", lambda: not separation_violations(5)),
+        ("rank-5-certificate", lambda: certified_rank(5) == 600),
         ("symmetries-6", lambda: enumerate_symmetries(
             6, with_elements=False).matches_formula),
         ("bounds-9", lambda: len(bounds_table(9)) == 8),
@@ -758,7 +759,7 @@ def _build_parser() -> argparse.ArgumentParser:
         with_scheme=True,
         jobs_help="worker processes for the expansion engine")
     add("lemma-check", "closed-form power-sum coefficients vs expansion")
-    add("independence", "separation pairings and the exact rank")
+    add("independence", "separation pairings and the certified rank")
     add("symmetries", "group orders, the term action, and closure checks",
         with_full=True, with_seed=True)
     add("equations", "quadric vanishing and finite-field locus counts",

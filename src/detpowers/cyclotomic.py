@@ -175,6 +175,17 @@ class Cyc:
         """If this value equals w^k for some k in [0, order), return k."""
         return _root_power_table(self.order).get((self.num, self.den))
 
+    def mod_p(self, root: int, p: int) -> int:
+        """The image in GF(p) with w sent to ``root``. When ``root`` has
+        multiplicative order exactly ``order`` mod p, and p divides neither
+        the order nor the denominator, this is a ring map."""
+        if self.den % p == 0:
+            raise ZeroDivisionError(f"denominator {self.den} is 0 mod {p}")
+        value = 0
+        for c in reversed(self.num):
+            value = (value * root + c) % p
+        return value * pow(self.den, -1, p) % p
+
     # arithmetic --------------------------------------------------------------
 
     def _coerce(self, other) -> "Cyc | None":

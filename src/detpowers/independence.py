@@ -5,42 +5,62 @@ matrix is a point in d^2-space. For every term there is a degree-(d-1)
 "dual" form, built from the products of all-but-one coordinate along sigma's
 diagonal, that evaluates to (-1)^((d+1)j) * d at the term's own point and to
 exactly zero at every other term point. That separation pattern proves the
-terms linearly independent; an exact Gaussian-elimination rank over the
-cyclotomic field confirms it independently at small d.
+terms linearly independent; the rank of the expanded terms confirms it
+independently.
 
 A pairing is decided by support before any arithmetic. A form's value at a
 point is a sum over its monomials, and a monomial with a variable outside the
 point's support contributes an exact zero. So a form none of whose monomials
 lies in a point's support is exactly 0 there. An integer support index built
 from the actual monomials and points finds the covered pairs. Only those pairs
-are evaluated in Q(w); for the dual forms that is d points per form.
+are evaluated, exactly, from the point's phases (every coordinate is w^k or
+0) by counting phases in the group ring (``multipoly.covered_values``); for
+the dual forms that is d points per form.
+
+The rank is certified mod a prime: a full rank mod p proves a full rank over
+Q(w). When the rank mod p falls short, an exact elimination over Q(w)
+decides it; that elimination alone is ``rank_oracle``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+import heapq
 
-from .cyclotomic import Cyc, omega
+from .cyclotomic import Cyc, omega, primitive_root_of_unity
 from .decompositions import Perm, main_decomposition
-from .multipoly import Monomial, SparsePoly, monomial, expand_power
+from .multipoly import (
+    Monomial,
+    SparsePoly,
+    covered_values,
+    expand_power,
+    mono_mul,
+    monomial,
+    multinomial,
+    weak_compositions,
+)
 
 
 @dataclasses.dataclass(frozen=True)
 class TermPoint:
-    """Coefficient matrix of one term's linear form, as a point."""
+    """Coefficient matrix of one term's linear form, as a point: the
+    coordinate at each var of ``phases`` is w^phases[var], every other
+    coordinate is zero."""
     index: tuple
-    coords: tuple[tuple[Cyc, ...], ...]
+    d: int
+    phases: dict[tuple[int, int], int] = dataclasses.field(hash=False)
 
     @property
-    def d(self) -> int:
-        return len(self.coords)
+    def coords(self) -> tuple[tuple[Cyc, ...], ...]:
+        d = self.d
+        zero = Cyc.zero(d)
+        return tuple(
+            tuple(omega(d, self.phases[i, k]) if (i, k) in self.phases
+                  else zero for k in range(1, d + 1))
+            for i in range(1, d + 1))
 
     def sparse(self) -> dict[tuple[int, int], Cyc]:
-        d = self.d
-        return {(i, k): self.coords[i - 1][k - 1]
-                for i in range(1, d + 1) for k in range(1, d + 1)
-                if not self.coords[i - 1][k - 1].is_zero}
+        return {var: omega(self.d, k) for var, k in self.phases.items()}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,13 +81,8 @@ def term_point(d: int, sigma: Perm, j: int) -> TermPoint:
     """The point whose (i, sigma i) coordinate is w^(ij), all others zero."""
     if not 1 <= j <= d:
         raise ValueError(f"j must be in [1, {d}], got {j}")
-    zero = Cyc.zero(d)
-    rows = []
-    for i in range(1, d + 1):
-        row = [zero] * d
-        row[sigma(i) - 1] = omega(d, i * j)
-        rows.append(tuple(row))
-    return TermPoint((sigma.images, j), tuple(rows))
+    return TermPoint((sigma.images, j), d,
+                     {(i, sigma(i)): i * j % d for i in range(1, d + 1)})
 
 
 def diagonal_cofactor_monomial(d: int, sigma: Perm, k: int) -> Monomial:
@@ -86,10 +101,12 @@ def dual_form(d: int, sigma: Perm, j: int) -> DualForm:
 
 def promoted_dual_form(d: int, sigma: Perm, j: int) -> DualForm:
     """The degree-d promotion: L multiplied by x[1, sigma 1], a linear form
-    that does not vanish at the matching point."""
-    base = dual_form(d, sigma, j)
-    riser = SparsePoly.variable(d, (1, sigma(1)))
-    return DualForm(base.poly * riser, d)
+    that does not vanish at the matching point. Multiplying by one monomial
+    keeps every coefficient and the monomials distinct."""
+    riser = monomial({(1, sigma(1)): 1})
+    terms = {mono_mul(m, riser): c
+             for m, c in dual_form(d, sigma, j).poly.terms.items()}
+    return DualForm(SparsePoly(d, terms), d)
 
 
 def term_index_list(d: int) -> list[tuple[tuple[int, ...], int]]:
@@ -98,49 +115,20 @@ def term_index_list(d: int) -> list[tuple[tuple[int, ...], int]]:
             for sigma in Perm.all_perms(d) for j in range(1, d + 1)]
 
 
-def _covered_values(forms: list[DualForm],
-                   points: list[TermPoint]) -> list[dict[int, Cyc]]:
-    """Each form's value at every point that covers one of its monomials,
-    as {point position: value}; the form is exactly 0 at every other point.
-
-    A monomial is nonzero at a point only when all its variables are in the
-    point's support, and a form with no such monomial is a sum of exact
-    zeros. The covering points come from an integer support index: for
-    every variable, the bit set of the points where it is nonzero, built
-    from the points' actual coordinates; a monomial's covering set is the
-    intersection over its variables. Only covered pairs are evaluated.
-    """
-    holders: dict[tuple[int, int], int] = {}
-    for c, point in enumerate(points):
-        for var in point.sparse():
-            holders[var] = holders.get(var, 0) | (1 << c)
-    everyone = (1 << len(points)) - 1
-    out = []
-    for form in forms:
-        covering = 0
-        for mono in form.poly.terms:
-            bits = everyone
-            for i, k, _ in mono:
-                bits &= holders.get((i, k), 0)
-            covering |= bits
-        values = {}
-        while covering:
-            low = covering & -covering
-            c = low.bit_length() - 1
-            values[c] = form.at(points[c])
-            covering ^= low
-        out.append(values)
-    return out
+def _pairings(d: int, make_form) -> list[dict[int, Cyc]]:
+    """Every form make_form(d, sigma, j) paired with the term points, in
+    ``term_index_list`` order, by ``covered_values``."""
+    indices = term_index_list(d)
+    return covered_values(
+        [make_form(d, Perm(images), j).poly for images, j in indices],
+        [term_point(d, Perm(images), j).phases for images, j in indices])
 
 
 def _separation_values(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
                                         list[dict[int, Cyc]]]:
     if not 2 <= d <= 5:
         raise ValueError(f"d must be in [2, 5], got {d}")
-    indices = term_index_list(d)
-    points = [term_point(d, Perm(images), j) for images, j in indices]
-    forms = [dual_form(d, Perm(images), j) for images, j in indices]
-    return indices, _covered_values(forms, points)
+    return term_index_list(d), _pairings(d, dual_form)
 
 
 def separation_matrix(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
@@ -180,10 +168,7 @@ def check_separation(d: int) -> bool:
 def check_promotion(d: int) -> bool:
     """The degree-d promoted functionals keep the separation pattern:
     nonzero at their own point, zero at all the others."""
-    indices = term_index_list(d)
-    points = [term_point(d, Perm(images), j) for images, j in indices]
-    forms = [promoted_dual_form(d, Perm(images), j) for images, j in indices]
-    for r, row in enumerate(_covered_values(forms, points)):
+    for r, row in enumerate(_pairings(d, promoted_dual_form)):
         if row.get(r, Cyc.zero(d)).is_zero:
             return False
         if any(not value.is_zero for c, value in row.items() if c != r):
@@ -224,16 +209,130 @@ def rank_of_rows(rows: list[dict]) -> int:
     return len(pivots)
 
 
+def _exact_rank(terms) -> int:
+    return rank_of_rows([dict((expand_power(term.form, term.exponent)
+                               * term.coeff).terms) for term in terms])
+
+
 def rank_oracle(d: int, allow_large: bool = False) -> int:
     """Rank of the expanded terms T_{sigma,j} in the degree-d monomial
-    basis. d = 5 means exact elimination on a 600-row system and takes
-    minutes; it is gated behind allow_large."""
+    basis, by exact elimination over Q(w). d = 5 means a 600-row system;
+    it is gated behind allow_large."""
     if d < 2 or d > 5 or (d == 5 and not allow_large):
         limit = "in [2, 5] with allow_large" if d == 5 else "in [2, 4]"
         raise ValueError(f"d must be {limit}, got {d}")
-    dec = main_decomposition(d)
+    return _exact_rank(main_decomposition(d).terms)
+
+
+# ---------------------------------------------------------------------------
+# the rank certified mod p
+#
+# Reduction mod p, with w sent to a primitive order-th root of unity r in
+# GF(p), is a ring map from Z[w] (and from its elements over denominators
+# prime to p) onto GF(p): since p does not divide the order, r is a root of
+# the cyclotomic polynomial mod p. Every minor of the reduced rows is the
+# image of the same minor over Q(w), so a minor nonzero mod p is nonzero
+# over Q(w): full rank mod p proves full rank. A rank short of the row
+# count proves nothing, and the exact elimination decides it.
+
+CERTIFICATE_PRIME = 7681  # p - 1 = 2^9 * 3 * 5: d | p - 1 for d = 2..6
+
+
+def certificate_root(order: int) -> int:
+    """The image of w in GF(CERTIFICATE_PRIME)."""
+    return primitive_root_of_unity(order, CERTIFICATE_PRIME).value
+
+
+def rows_mod_p(terms, order: int) -> list[dict[int, int]]:
+    """Each term's expansion coeff * form^exponent, reduced mod
+    CERTIFICATE_PRIME, as {column: value} with the zeros dropped. Every
+    composition e of the exponent over the form's support adds
+    multinomial(e) * coeff * prod_k entry_k^e_k at the monomial of e.
+    Columns are numbered with the monomials of more variables first: those
+    belong to fewer supports, so the elimination's pivots land there."""
+    p = CERTIFICATE_PRIME
+    root = certificate_root(order)
+    compositions: dict[tuple[int, int], list] = {}
+    monomials: dict[tuple, list] = {}
     rows = []
-    for term in dec.terms:
-        expanded = expand_power(term.form, term.exponent) * term.coeff
-        rows.append(dict(expanded.terms))
-    return rank_of_rows(rows)
+    for term in terms:
+        support = term.form.support()
+        variables = tuple(var for var, _ in support)
+        key = (term.exponent, len(variables))
+        if key not in compositions:
+            compositions[key] = [
+                (tuple((k, e) for k, e in enumerate(comp) if e),
+                 multinomial(term.exponent, comp))
+                for comp in weak_compositions(*key)]
+        table = compositions[key]
+        if (term.exponent, variables) not in monomials:
+            monomials[term.exponent, variables] = [
+                tuple((*variables[k], e) for k, e in parts)
+                for parts, _ in table]
+        powers = [[pow(c.mod_p(root, p), e, p)
+                   for e in range(term.exponent + 1)] for _, c in support]
+        coeff = term.coeff.mod_p(root, p)
+        row = {}
+        for mono, (parts, mult) in zip(monomials[term.exponent, variables],
+                                       table):
+            value = coeff * mult
+            for k, e in parts:
+                value *= powers[k][e]
+            value %= p
+            if value:
+                row[mono] = value
+        rows.append(row)
+    columns = sorted({mono for row in rows for mono in row},
+                     key=lambda mono: (-len(mono), mono))
+    number = {mono: c for c, mono in enumerate(columns)}
+    return [{number[mono]: v for mono, v in row.items()} for row in rows]
+
+
+def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of sparse integer rows. Each new row is reduced by
+    the stored pivot rows in creation order, each pivot row being zero at
+    every earlier pivot column; a heap of the pivot positions the row
+    touches finds the pivots that apply, including those at columns the
+    reduction fills in. A row that survives pivots on its smallest column."""
+    pivots: list[tuple[int, dict[int, int]]] = []
+    position: dict[int, int] = {}
+    for row in rows:
+        work = {c: v % p for c, v in row.items() if v % p}
+        pending = [position[c] for c in work if c in position]
+        heapq.heapify(pending)
+        while pending:
+            col, pivot = pivots[heapq.heappop(pending)]
+            factor = work.get(col)
+            if not factor:
+                continue
+            for c, v in pivot.items():
+                prior = work.get(c)
+                if prior is None:
+                    work[c] = -factor * v % p
+                    if c in position:
+                        heapq.heappush(pending, position[c])
+                elif (updated := (prior - factor * v) % p):
+                    work[c] = updated
+                else:
+                    del work[c]
+        if work:
+            lead = min(work)
+            inv = pow(work[lead], -1, p)
+            position[lead] = len(pivots)
+            pivots.append((lead, {c: v * inv % p for c, v in work.items()}))
+    return len(pivots)
+
+
+def term_rank(terms, order: int) -> int:
+    """Rank of the expanded terms in the monomial basis over Q(w): the rank
+    mod CERTIFICATE_PRIME when it equals the row count, which certifies it;
+    otherwise the exact elimination."""
+    rank = rank_mod_p(rows_mod_p(terms, order), CERTIFICATE_PRIME)
+    return rank if rank == len(terms) else _exact_rank(terms)
+
+
+def certified_rank(d: int) -> int:
+    """Rank of the expanded terms T_{sigma,j}, by ``term_rank``."""
+    if not 2 <= d <= 6:
+        raise ValueError(f"d must be in [2, 6], got {d}")
+    return term_rank(main_decomposition(d).terms, d)

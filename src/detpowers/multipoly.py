@@ -6,7 +6,9 @@ it is hashable and cheap to compare; polynomials are hash maps from
 monomials to nonzero cyclotomic coefficients. Powers of linear forms are
 expanded with the multinomial theorem over weak compositions, never by
 repeated multiplication (the repeated-multiplication route exists only as
-a test oracle).
+a test oracle). At points whose coordinates are roots of unity or zero, a
+polynomial is evaluated by counting phases in the group ring
+(``PhaseEvaluator``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, from_root_coefficients
 
 Var = tuple[int, int]
 Monomial = tuple[tuple[int, int, int], ...]
@@ -246,6 +248,83 @@ class SparsePoly:
             parts.append(f"({self.terms[m]!r})*{vars_txt}" if m else repr(self.terms[m]))
         more = "" if len(self.terms) <= 6 else f" + ... ({len(self.terms)} terms)"
         return f"SparsePoly({self.order}: " + " + ".join(parts) + more + ")"
+
+
+class PhaseEvaluator:
+    """A polynomial lifted once for exact evaluation at root-of-unity points.
+
+    A point is a mapping {var: k}: its coordinate at var is w^k, and every
+    missing coordinate is zero. A monomial with every variable present is
+    w^s at the point, s the exponent-weighted sum of the k, and contributes
+    its coefficient rotated by s. Each coefficient's numerator over 1, w,
+    ..., w^(phi-1), times L / den for one common denominator L, lifts it to
+    the group ring Z[C_order], where rotation by s is a shift of indices;
+    the sum of the shifted lifts is projected to Q(w) once, divided by L.
+    No Cyc product is taken.
+    """
+
+    __slots__ = ("order", "den", "terms")
+
+    def __init__(self, poly: SparsePoly):
+        self.order = poly.order
+        self.den = math.lcm(*(c.den for c in poly.terms.values()))
+        self.terms = tuple(
+            (tuple(((i, j), e) for i, j, e in m),
+             tuple((s, x * (self.den // c.den))
+                   for s, x in enumerate(c.num) if x))
+            for m, c in poly.terms.items())
+
+    def __call__(self, phases: Mapping[Var, int]) -> Cyc:
+        order = self.order
+        ring = [0] * order
+        for factors, lift in self.terms:
+            shift = 0
+            for var, e in factors:
+                k = phases.get(var)
+                if k is None:
+                    break
+                shift += e * k
+            else:
+                for s, x in lift:
+                    ring[(s + shift) % order] += x
+        return from_root_coefficients(order, ring, self.den)
+
+
+def covered_values(polys: list[SparsePoly],
+                   points: list[Mapping[Var, int]]) -> list[dict[int, Cyc]]:
+    """Each polynomial's value at every point, given as a phase map (see
+    ``PhaseEvaluator``), that covers one of its monomials, as {point
+    position: value}; the polynomial is exactly 0 at every other point.
+
+    A monomial is nonzero at a point only when all its variables are in the
+    point's support, and a polynomial with no such monomial is a sum of
+    exact zeros. The covering points come from an integer support index:
+    for every variable, the bit set of the points where it is nonzero; a
+    monomial's covering set is the intersection over its variables. Only
+    covered pairs are evaluated.
+    """
+    holders: dict[Var, int] = {}
+    for c, point in enumerate(points):
+        for var in point:
+            holders[var] = holders.get(var, 0) | (1 << c)
+    everyone = (1 << len(points)) - 1
+    out = []
+    for poly in polys:
+        covering = 0
+        for mono in poly.terms:
+            bits = everyone
+            for i, j, _ in mono:
+                bits &= holders.get((i, j), 0)
+            covering |= bits
+        values = {}
+        at = PhaseEvaluator(poly)
+        while covering:
+            low = covering & -covering
+            c = low.bit_length() - 1
+            values[c] = at(points[c])
+            covering ^= low
+        out.append(values)
+    return out
 
 
 def _as_cyc(order: int, value) -> Cyc:

@@ -4,13 +4,16 @@ The projective points [D^j P_sigma] are the common zeros of three families
 of quadrics: products of two entries in a common row, products of two
 entries in a common column, and rho_i^2 - rho_{i-1} rho_{i+1} in the row
 sums rho_i (indices cyclic mod d). The module builds the families exactly,
-checks vanishing on the point set, constructs the extra generator families
-recorded for d = 3 and d = 4 together with vanishing and reduction reports,
-and counts the GF(p) solution locus to test the converse direction at desk
-scale, either row by row over all matrices or over the supports with one
-entry per row and column. The d = 4 square family is reproduced exactly as
-stated; it does not vanish on the point set, and its report keeps explicit
-failure witnesses rather than papering over the discrepancy.
+checks vanishing on the point set (each point's coordinates are w^k or 0,
+so a polynomial is evaluated from the points' phases, and only where a
+support index finds one of its monomials), constructs the extra generator
+families recorded for d = 3 and d = 4 together with vanishing and
+reduction reports, and counts the GF(p) solution locus to test the
+converse direction at desk scale, either row by row over all matrices or
+over the supports with one entry per row and column. The d = 4 square
+family is reproduced exactly as stated; it does not vanish on the point
+set, and its report keeps explicit failure witnesses rather than papering
+over the discrepancy.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .decompositions import Perm
 from .multipoly import (
     Monomial,
     SparsePoly,
+    covered_values,
     mono_degree,
     monomial,
     permanent_poly,
@@ -109,17 +113,18 @@ def point_set(d: int):
 
 def _family_violations(polys, d: int, cap: int = 12):
     """Count evaluation failures of the given polynomials over the point
-    set, keeping at most ``cap`` witnesses (poly position, j, sigma)."""
-    count = 0
-    witnesses = []
-    for j, sigma in point_set(d):
-        coords = point_assignment(d, j, sigma)
-        for pos, poly in enumerate(polys):
-            if not poly.evaluate(coords).is_zero:
-                count += 1
-                if len(witnesses) < cap:
-                    witnesses.append((pos, j, sigma.images))
-    return count, tuple(witnesses)
+    set, keeping at most ``cap`` witnesses (poly position, j, sigma), the
+    first in point order, then in position order. The point D^j P_sigma is
+    the phase map {(i, sigma i): ij mod d}."""
+    points = list(point_set(d))
+    phases = [{(i, sigma(i)): i * j % d for i in range(1, d + 1)}
+              for j, sigma in points]
+    failures = sorted((c, pos) for pos, values in
+                      enumerate(covered_values(polys, phases))
+                      for c, value in values.items() if value)
+    witnesses = tuple((pos, points[c][0], points[c][1].images)
+                      for c, pos in failures[:cap])
+    return len(failures), witnesses
 
 
 def vanish_on_points(d: int) -> bool:

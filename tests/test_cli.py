@@ -437,5 +437,6 @@ class TestBench:
         assert "verify-conjugated-main-4-expansion" in names
         assert "verify-conjugated-classical-4-expansion" in names
         assert "separation-5" in names
+        assert "rank-5-certificate" in names
         assert "symmetries-6" in names
         assert all(r["ok"] for r in obj["results"])

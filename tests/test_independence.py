@@ -1,25 +1,35 @@
+import dataclasses
+import json
 import math
+import random
 
 import pytest
 
 from detpowers import independence
+from detpowers.cli import main
 from detpowers.cyclotomic import Cyc, omega
-from detpowers.decompositions import Perm
+from detpowers.decompositions import Perm, main_decomposition
 from detpowers.independence import (
+    CERTIFICATE_PRIME,
     DualForm,
+    certificate_root,
+    certified_rank,
     check_promotion,
     check_separation,
     diagonal_cofactor_monomial,
     dual_form,
     promoted_dual_form,
+    rank_mod_p,
     rank_of_rows,
     rank_oracle,
+    rows_mod_p,
     separation_matrix,
     separation_violations,
     term_index_list,
     term_point,
+    term_rank,
 )
-from detpowers.multipoly import SparsePoly
+from detpowers.multipoly import SparsePoly, expand_power
 
 
 def c1(n):
@@ -208,3 +218,78 @@ class TestRank:
             rank_oracle(1)
         with pytest.raises(ValueError):
             rank_oracle(6, allow_large=True)
+
+
+class TestRankCertificate:
+    def test_rank_mod_p_of_simple_rows(self):
+        # the third row meets the second pivot only through the fill-in
+        # of the first
+        assert rank_mod_p([{0: 1, 2: 1}, {2: 1}, {0: 1}], 7) == 2
+        assert rank_mod_p([{0: 1, 1: 7}, {0: 1}], 7) == 1
+        assert rank_of_rows([{0: c1(1), 1: c1(7)}, {0: c1(1)}]) == 2
+        assert rank_mod_p([], 7) == 0 and rank_mod_p([{0: 14}], 7) == 0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_rank_mod_p_itself_is_full(self, d):
+        rows = rows_mod_p(main_decomposition(d).terms, d)
+        assert rank_mod_p(rows, CERTIFICATE_PRIME) == d * math.factorial(d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_certified_rank_equals_exact_oracle(self, d):
+        assert certified_rank(d) == rank_oracle(d) == d * math.factorial(d)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_reduction_is_a_ring_map(self, order):
+        # w goes to an element of multiplicative order exactly `order`, and
+        # sums and products of seeded elements reduce to sums and products
+        p = CERTIFICATE_PRIME
+        root = certificate_root(order)
+        image = omega(order, 1).mod_p(root, p)
+        assert [k for k in range(1, order + 1)
+                if pow(image, k, p) == 1] == [order]
+        rng = random.Random(order)
+        phi = len(Cyc.zero(order).num)
+
+        def element():
+            num = tuple(rng.randint(-9, 9) for _ in range(phi))
+            return Cyc(order, num, rng.choice([1, 2, 5, 12]))
+
+        for _ in range(30):
+            a, b = element(), element()
+            assert (a * b).mod_p(root, p) == \
+                a.mod_p(root, p) * b.mod_p(root, p) % p
+            assert (a + b).mod_p(root, p) == \
+                (a.mod_p(root, p) + b.mod_p(root, p)) % p
+
+    def test_rank_lost_only_mod_p_falls_back_to_exact(self):
+        # one coefficient times p: the row vanishes mod p, not over Q(w)
+        terms = list(main_decomposition(3).terms)
+        terms[5] = dataclasses.replace(
+            terms[5], coeff=terms[5].coeff * CERTIFICATE_PRIME)
+        assert rank_mod_p(rows_mod_p(terms, 3), CERTIFICATE_PRIME) == 17
+        assert term_rank(terms, 3) == 18
+
+    def test_duplicated_term_reports_exact_deficient_rank(self):
+        terms = list(main_decomposition(3).terms)
+        terms[1] = terms[0]
+        exact = rank_of_rows([dict((expand_power(t.form, t.exponent)
+                                    * t.coeff).terms) for t in terms])
+        assert exact == 17
+        assert term_rank(terms, 3) == 17
+
+    def test_range_check(self):
+        with pytest.raises(ValueError):
+            certified_rank(1)
+        with pytest.raises(ValueError):
+            certified_rank(7)
+
+    def test_cli_d5_is_certified_without_exact_elimination(
+            self, capsys, monkeypatch):
+        def exact(terms):
+            raise AssertionError("exact elimination at d=5")
+
+        monkeypatch.setattr(independence, "_exact_rank", exact)
+        assert main(["independence", "--d", "5", "--force"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rank_row = [r for r in report["results"] if r["check"] == "rank"][0]
+        assert rank_row["rank"] == rank_row["expected"] == 600

@@ -9,6 +9,7 @@ from detpowers.cyclotomic import Cyc, omega
 from detpowers.multipoly import (
     MONO_ONE,
     LinForm,
+    PhaseEvaluator,
     SparsePoly,
     determinant_poly,
     diagonal_product_poly,
@@ -170,6 +171,54 @@ def test_evaluate_sparse_point():
     coords = {(1, 1): Cyc.from_int(1, 3),
               (2, 2): Cyc.from_fraction(1, Fraction(1, 2))}
     assert p.evaluate(coords) == Cyc.from_int(1, 3)
+
+
+class TestPhaseEvaluator:
+    """The phase evaluator against ``SparsePoly.evaluate`` at root-of-unity
+    points with missing coordinates."""
+
+    @staticmethod
+    def random_coefficient(rng, order):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Cyc.from_int(order, rng.choice([-3, -1, 1, 2, 5]))
+        if kind == 1:
+            return rng.choice([1, -1]) * omega(order, rng.randrange(order))
+        phi = len(Cyc.zero(order).num)
+        num = tuple(rng.randint(-4, 4) for _ in range(phi))
+        den = 1 if kind == 2 else rng.choice([2, 3, 6, 7])
+        return Cyc(order, num, den)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_matches_sparse_evaluate(self, order):
+        rng = random.Random(100 + order)
+        variables = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        for _ in range(40):
+            terms = {}
+            for _ in range(rng.randint(0, 7)):
+                chosen = rng.sample(variables, rng.randint(0, 3))
+                mono = monomial({v: rng.randint(1, 3) for v in chosen})
+                terms[mono] = self.random_coefficient(rng, order)
+            poly = SparsePoly(order, terms)
+            at = PhaseEvaluator(poly)
+            for _ in range(6):
+                present = rng.sample(variables, rng.randint(0, 9))
+                phases = {v: rng.randrange(2 * order) for v in present}
+                coords = {v: omega(order, k) for v, k in phases.items()}
+                assert at(phases) == poly.evaluate(coords)
+
+    def test_cancellation_projects_to_zero(self):
+        # 1 + w + w^2 is a nonzero vector in Z[C_3] that projects to 0
+        x = monomial({(1, 1): 1})
+        poly = SparsePoly(3, {(): Cyc.one(3), x: Cyc.one(3),
+                              monomial({(2, 2): 1}): Cyc.one(3)})
+        at = PhaseEvaluator(poly)
+        assert at({(1, 1): 1, (2, 2): 2}).is_zero
+        assert at({(1, 1): 1, (2, 2): 1}) == 1 + 2 * omega(3, 1)
+        assert at({}) == Cyc.one(3)
+
+    def test_zero_polynomial(self):
+        assert PhaseEvaluator(SparsePoly.zero(4))({(1, 1): 3}).is_zero
 
 
 def test_determinant_poly_small():

@@ -165,6 +165,16 @@ class TestExtraGeneratorsD4:
         assert report4.square_failure_count == 768
         assert report4.square_failures
 
+    def test_failures_match_plain_evaluation(self, report4):
+        # the phase evaluator against SparsePoly.evaluate in Q(w), in the
+        # report's order: points first, then the family's positions
+        failures = [(pos, j, sigma.images)
+                    for j, sigma in point_set(4)
+                    for pos, poly in enumerate(report4.squares)
+                    if poly.evaluate(point_assignment(4, j, sigma))]
+        assert len(failures) == report4.square_failure_count == 768
+        assert report4.square_failures == tuple(failures[:12])
+
     def test_explicit_failure_witness(self, report4):
         # x[1,1]^2 + x[1,2]^2 - (x[4,3]x[2,4] + x[4,4]x[2,3]) at D^1 P_id:
         # the squares give w^2, the permanent gives 0
