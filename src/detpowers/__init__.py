@@ -6,10 +6,8 @@ cyclotomic field elements); there is no floating point anywhere.
 
 from .cyclotomic import (
     Cyc,
-    PrimeScalar,
     cyclotomic_polynomial,
     omega,
-    primitive_root_of_unity,
     root_power_sum,
 )
 from .multipoly import (
@@ -85,7 +83,6 @@ __all__ = [
     "PhaseEvaluator",
     "PowerDecomposition",
     "PowerTerm",
-    "PrimeScalar",
     "ProductDecomposition",
     "QuadricSet",
     "SCHEMES",
@@ -117,7 +114,6 @@ __all__ = [
     "monomial_power_decomposition",
     "omega",
     "permanent_poly",
-    "primitive_root_of_unity",
     "quadric_generators",
     "rank_oracle",
     "root_power_sum",

@@ -1,9 +1,11 @@
 """Command-line front end: build, verify, and inspect the decompositions.
 
 Commands: decompose, verify, lemma-check, independence, symmetries,
-equations, bounds, bench. Reports go to standard output as JSON with
-sorted keys (byte-stable across runs and across --jobs settings);
-wall-clock timings go to the error stream so reports stay deterministic.
+equations, bounds, bench. Every command runs in one process; verify,
+equations and bench accept --jobs for compatibility and ignore it.
+Reports go to standard output as JSON with sorted keys (byte-stable
+across runs); wall-clock timings go to the error stream so reports stay
+deterministic.
 Exit codes: 0 when everything checked holds, 1 when a mathematical check
 fails, 2 on usage errors.
 """
@@ -14,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 
@@ -85,7 +86,6 @@ class RunConfig:
     prime: int | None = None
     full: bool = False
     force: bool = False
-    jobs: int = 1
     seed: int = 0
     out: str | None = None
 
@@ -396,7 +396,7 @@ def _cmd_verify(config: RunConfig, timings: list):
     reports = {}
     for mode in ("expansion", "streaming"):
         started = time.perf_counter()
-        rep = verify_power_decomposition(dec, mode=mode, jobs=config.jobs)
+        rep = verify_power_decomposition(dec, mode=mode)
         timings.append((f"verify-{mode}", time.perf_counter() - started))
         reports[mode] = rep
         ok = ok and rep.equal
@@ -624,8 +624,7 @@ def _cmd_bench(config: RunConfig, timings: list):
          lambda: _count_terms(SCHEME_BUILDERS["main"](4), 96)),
         ("verify-main-3-expansion",
          lambda: verify_power_decomposition(
-             SCHEME_BUILDERS["main"](3), mode="expansion",
-             jobs=config.jobs).equal),
+             SCHEME_BUILDERS["main"](3), mode="expansion").equal),
         ("verify-main-4-streaming",
          lambda: verify_power_decomposition(
              SCHEME_BUILDERS["main"](4), mode="streaming").equal),
@@ -640,12 +639,10 @@ def _cmd_bench(config: RunConfig, timings: list):
              SCHEME_BUILDERS["monomial"](5)).equal),
         ("verify-conjugated-main-4-expansion",
          lambda: verify_power_decomposition(
-             _conjugated("main", 4), mode="expansion",
-             jobs=config.jobs).equal),
+             _conjugated("main", 4), mode="expansion").equal),
         ("verify-conjugated-classical-4-expansion",
          lambda: verify_power_decomposition(
-             _conjugated("classical", 4), mode="expansion",
-             jobs=config.jobs).equal),
+             _conjugated("classical", 4), mode="expansion").equal),
         ("separation-5", lambda: not separation_violations(5)),
         ("rank-5-certificate", lambda: certified_rank(5) == 600),
         ("symmetries-6", lambda: enumerate_symmetries(
@@ -728,7 +725,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text, with_scheme=False, with_d=True,
             d_required=True, formats=("json", "text"), with_prime=False,
-            with_full=False, with_seed=False, jobs_help=None):
+            with_full=False, with_seed=False, with_jobs=False):
         cmd = sub.add_parser(name, help=help_text)
         if with_d:
             cmd.add_argument("--d", type=int, required=d_required,
@@ -744,9 +741,10 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--full", action="store_true")
         cmd.add_argument("--force", action="store_true",
                          help="override the desk-scale caps")
-        if jobs_help:
-            cmd.add_argument("--jobs", type=int,
-                             default=os.cpu_count() or 1, help=jobs_help)
+        if with_jobs:
+            cmd.add_argument("--jobs", type=int, default=1,
+                             help="accepted for compatibility and ignored; "
+                                  "every command runs in one process")
         if with_seed:
             cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--out", type=str, default=None,
@@ -756,21 +754,17 @@ def _build_parser() -> argparse.ArgumentParser:
     add("decompose", "build a decomposition and print it",
         with_scheme=True, formats=("json", "latex", "text"))
     add("verify", "expand a decomposition and compare with its target",
-        with_scheme=True,
-        jobs_help="worker processes for the expansion engine")
+        with_scheme=True, with_jobs=True)
     add("lemma-check", "closed-form power-sum coefficients vs expansion")
     add("independence", "separation pairings and the certified rank")
     add("symmetries", "group orders, the term action, and closure checks",
         with_full=True, with_seed=True)
     add("equations", "quadric vanishing and finite-field locus counts",
-        with_prime=True, with_full=True,
-        jobs_help="accepted for compatibility; the locus count runs in one "
-                  "process")
+        with_prime=True, with_full=True, with_jobs=True)
     add("bounds", "decomposition-size table", d_required=False,
         formats=("json", "latex", "text"))
     add("bench", "timings for a fixed small suite", with_d=False,
-        with_seed=True,
-        jobs_help="worker processes for the suite's expansion check")
+        with_seed=True, with_jobs=True)
     return parser
 
 
@@ -783,7 +777,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         prime=getattr(args, "prime", None),
         full=getattr(args, "full", False),
         force=getattr(args, "force", False),
-        jobs=getattr(args, "jobs", 1),
         seed=getattr(args, "seed", 0),
         out=getattr(args, "out", None),
     )

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: cyclotomic fields Q(w) and prime fields GF(p).
+"""Exact scalar arithmetic: cyclotomic fields Q(w), roots of unity in GF(p).
 
 A `Cyc` is an element of Q[x]/(Phi_n) where Phi_n is the n-th cyclotomic
 polynomial, stored as an integer numerator vector over the power basis
@@ -18,15 +18,6 @@ from fractions import Fraction
 
 # ---------------------------------------------------------------------------
 # integer polynomials, dense little-endian coefficient tuples
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
 
 
 def _poly_divmod_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
@@ -161,9 +152,6 @@ class Cyc:
 
     def __bool__(self) -> bool:
         return any(self.num)
-
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     def rational(self) -> Fraction | None:
         """The value as a Fraction if it lies in Q, else None."""
@@ -461,90 +449,13 @@ def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# prime fields
+# roots of unity in prime fields
 
 
 @functools.cache
 def _check_prime(p: int) -> None:
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
-
-
-class PrimeScalar:
-    """An exact element of GF(p), used by the finite-field locus counts."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int):
-        _check_prime(p)
-        self.p = p
-        self.value = value % p
-
-    def _coerce(self, other) -> "PrimeScalar | None":
-        if isinstance(other, PrimeScalar):
-            if other.p != self.p:
-                raise ValueError(f"mixed characteristics {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return PrimeScalar(self.p, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else PrimeScalar(self.p, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PrimeScalar(self.p, -self.value)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else PrimeScalar(self.p, self.value - o.value)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else PrimeScalar(self.p, o.value - self.value)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else PrimeScalar(self.p, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "PrimeScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return PrimeScalar(self.p, pow(self.value, self.p - 2, self.p))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return PrimeScalar(self.p, pow(self.value, e, self.p))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = PrimeScalar(self.p, other)
-        if not isinstance(other, PrimeScalar):
-            return NotImplemented
-        return self.p == other.p and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __repr__(self):
-        return f"PrimeScalar({self.value} mod {self.p})"
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -562,7 +473,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 @functools.cache
-def primitive_root_of_unity(order: int, p: int) -> PrimeScalar:
+def primitive_root_of_unity(order: int, p: int) -> int:
     """The smallest element of GF(p) with multiplicative order exactly `order`.
 
     Requires order | p - 1 (otherwise no such element exists). Found by
@@ -572,11 +483,11 @@ def primitive_root_of_unity(order: int, p: int) -> PrimeScalar:
     if order < 1 or (p - 1) % order != 0:
         raise ValueError(f"GF({p}) has no elements of multiplicative order {order}")
     if order == 1:
-        return PrimeScalar(p, 1)
+        return 1
     factors = _prime_factors(order)
     for g in range(2, p):
         if pow(g, order, p) != 1:
             continue
         if all(pow(g, order // q, p) != 1 for q in factors):
-            return PrimeScalar(p, g)
+            return g
     raise ArithmeticError("no primitive root found; p is not prime?")

@@ -240,7 +240,7 @@ CERTIFICATE_PRIME = 7681  # p - 1 = 2^9 * 3 * 5: d | p - 1 for d = 2..6
 
 def certificate_root(order: int) -> int:
     """The image of w in GF(CERTIFICATE_PRIME)."""
-    return primitive_root_of_unity(order, CERTIFICATE_PRIME).value
+    return primitive_root_of_unity(order, CERTIFICATE_PRIME)
 
 
 def rows_mod_p(terms, order: int) -> list[dict[int, int]]:

@@ -68,11 +68,6 @@ def mono_degree(m: Monomial) -> int:
     return sum(t[2] for t in m)
 
 
-def mono_divides(divisor: Monomial, m: Monomial) -> bool:
-    exps = {(i, j): e for i, j, e in m}
-    return all(exps.get((i, j), 0) >= e for i, j, e in divisor)
-
-
 def multinomial(total: int, parts: Iterable[int]) -> int:
     """total! / prod(part!) for a weak composition of `total`."""
     parts = tuple(parts)

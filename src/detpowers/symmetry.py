@@ -117,11 +117,6 @@ class MonoMatrix:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def transpose_matrix(self) -> tuple[tuple[Cyc, ...], ...]:
-        m = self.matrix()
-        d = self.d
-        return tuple(tuple(m[c][r] for c in range(d)) for r in range(d))
-
 
 def _solve_row_exponents(d: int, exponents) -> tuple[int, int] | None:
     """The (k, j) with k + i*j = exponents[i-1] (mod d) for every row i, or
@@ -209,11 +204,6 @@ def affine_group(d: int) -> list[AffinePerm]:
     return [AffinePerm(a, b, d)
             for a in range(d) if math.gcd(a, d) == 1
             for b in range(d)]
-
-
-def is_affine(perm: Perm) -> bool:
-    images = perm.images
-    return any(aff.perm().images == images for aff in affine_group(perm.d))
 
 
 def check_affine_characterization(d: int) -> bool:
@@ -526,13 +516,6 @@ class _TermTable:
                 "element dimension does not match the decomposition")
         return self.outcome(self.images(h.m, h.n, h.pi.perm().images,
                                         h.sigma.images))
-
-
-def apply_symmetry(h: SymElement, dec: PowerDecomposition) -> ActionOutcome:
-    """Map each term's coefficient matrix through h, renormalize (the w^k
-    scalar dies in the d-th power), find which term the image is, and
-    compare the +-1 coefficients."""
-    return _TermTable(dec).act(h)
 
 
 def check_symmetry_action(d: int) -> bool:

@@ -24,7 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyc, PrimeScalar, omega
+from .cyclotomic import Cyc, _check_prime
 from .decompositions import Perm
 from .multipoly import (
     Monomial,
@@ -99,11 +99,6 @@ def quadric_generators(d: int) -> QuadricSet:
 
 # ---------------------------------------------------------------------------
 # the point set and vanishing checks
-
-
-def point_assignment(d: int, j: int, sigma: Perm) -> dict:
-    """Sparse coordinates of D^j P_sigma: w^(ij) at (i, sigma i)."""
-    return {(i, sigma(i)): omega(d, i * j) for i in range(1, d + 1)}
 
 
 def point_set(d: int):
@@ -441,26 +436,6 @@ def _staged_solutions(d: int, p: int):
     return tuple(solutions)
 
 
-def check_geometric_ratios(d: int, p: int) -> bool:
-    """Every staged solution's diagonal is a geometric progression whose
-    ratio is a d-th root of unity in GF(p)."""
-    solutions = _staged_solutions(d, p)
-    if not solutions:
-        return False
-    for _, deltas in solutions:
-        values = [PrimeScalar(p, v) for v in deltas]
-        ratio = values[1] / values[0] if d > 1 else PrimeScalar(p, 1)
-        if any(values[i + 1] != values[i] * ratio
-               for i in range(d - 1)):
-            return False
-        if ratio ** d != 1:
-            return False
-        # cyclic wrap: the same ratio carries the last entry to the first
-        if values[0] != values[d - 1] * ratio:
-            return False
-    return True
-
-
 def finite_field_locus_count(d: int, p: int,
                              mode: str = "auto") -> LocusCount:
     """Projective count of GF(p) solutions of all quadric generators.
@@ -473,7 +448,7 @@ def finite_field_locus_count(d: int, p: int,
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    PrimeScalar(p, 0)  # validates primality
+    _check_prime(p)
     if (p - 1) % d != 0:
         raise ValueError(f"d = {d} must divide p - 1 = {p - 1} so that "
                          f"GF({p}) has the needed roots of unity")

@@ -25,8 +25,7 @@ polynomial with exact arithmetic, and name the first mismatching monomial
 in sorted order as the witness.
 
 The module also houses the closed-form coefficient rule for the single-row
-phase polynomial P = sum_j (-1)^((d+1)j) (sum_i w^(ij) x_i)^d and the
-support/pairing rule for determinant coefficients.
+phase polynomial P = sum_j (-1)^((d+1)j) (sum_i w^(ij) x_i)^d.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ import dataclasses
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 from .cyclotomic import Cyc, from_root_coefficients, omega
 from .decompositions import (
@@ -95,30 +93,6 @@ class MultiIndex:
         return frozenset(self.entries)
 
 
-@dataclasses.dataclass(frozen=True)
-class IJPair:
-    """Names the monomial x[i_1,j_1] * ... * x[i_d,j_d]."""
-    I: tuple[int, ...]
-    J: tuple[int, ...]
-
-    def __post_init__(self):
-        d = len(self.I)
-        if len(self.J) != d:
-            raise ValueError("I and J must have equal length")
-        if not all(1 <= v <= d for v in self.I + self.J):
-            raise ValueError(f"indices must lie in [1, {d}]")
-
-    @property
-    def d(self) -> int:
-        return len(self.I)
-
-    def as_monomial(self) -> Monomial:
-        counts: dict[tuple[int, int], int] = {}
-        for i, j in zip(self.I, self.J):
-            counts[(i, j)] = counts.get((i, j), 0) + 1
-        return monomial(counts)
-
-
 def closed_form_coefficient(index: MultiIndex, d: int) -> Cyc:
     """Coefficient of the monomial named by ``index`` in the phase
     polynomial P, by the closed-form rule: (d choose multiplicities) * d
@@ -158,21 +132,6 @@ def check_closed_form_coefficients(d: int) -> bool:
         seen += 1
     # every monomial of P has degree d, so the sweep above was exhaustive
     return seen == math.comb(2 * d - 1, d - 1) and len(poly) <= seen
-
-
-def determinant_coefficient(pair: IJPair) -> int:
-    """Coefficient of x_{I,J} in the determinant: the sign of the pairing
-    permutation i_k -> j_k when both index tuples cover [d] and the pairing
-    is a well-defined bijection, 0 otherwise."""
-    d = pair.d
-    full = set(range(1, d + 1))
-    if set(pair.I) != full or set(pair.J) != full:
-        return 0
-    mapping: dict[int, int] = {}
-    for i, j in zip(pair.I, pair.J):
-        if mapping.setdefault(i, j) != j:
-            return 0
-    return perm_sign(tuple(mapping[i] for i in range(1, d + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +175,11 @@ class VerificationReport:
 #   below it, and each composition adds multinomial * prefix * power into
 #   one packed int per monomial.
 # * The width B is the bit length of a bound on every digit, plus 2 (see
-#   ``_packed_width``), taken over the chunk's non-unit terms when the
-#   first of them is met; a chunk of unit terms packs nothing. Each
-#   monomial's packed sum is decoded once, at the end of its chunk:
-#   centered mod M, then split into order signed base-2^B digits, which
-#   are added into its vector.
+#   ``_packed_width``), taken over the remaining non-unit terms when the
+#   first of them is met; a sum of unit terms packs nothing. Each
+#   monomial's packed sum is decoded once, at the end: centered mod M,
+#   then split into order signed base-2^B digits, which are added into
+#   its vector.
 # * Denominators are cleared by one common denominator L of the whole sum,
 #   so every term adds integers; the projection divides by L once.
 
@@ -426,25 +385,10 @@ def _unpack(ring: dict, order: int, width: int) -> None:
             vec[i] += (packed >> i * width & base - 1) - half
 
 
-def _expand_sum(dec: PowerDecomposition, jobs: int) -> dict:
+def _expand_sum(dec: PowerDecomposition) -> dict:
     order = dec.order
     scale = _common_denominator(dec.terms)
-    if jobs <= 1 or len(dec.terms) < 4 * jobs:
-        ring = _expand_chunk(order, scale, dec.terms)
-    else:
-        # one slice per worker: the partial tables are merged here, serially,
-        # and every extra slice repeats the monomials slices share
-        n = len(dec.terms)
-        chunk = -(-n // jobs)
-        slices = [dec.terms[s:s + chunk] for s in range(0, n, chunk)]
-        ring = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_expand_chunk, itertools.repeat(order),
-                                 itertools.repeat(scale), slices):
-                for mono, vec in part.items():
-                    prior = ring.get(mono)
-                    ring[mono] = vec if prior is None \
-                        else list(map(add, prior, vec))
+    ring = _expand_chunk(order, scale, dec.terms)
     return {mono: from_root_coefficients(order, vec, scale)
             for mono, vec in ring.items()}
 
@@ -477,12 +421,12 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
     "streaming" works for the four structured schemes, and raises
     ValueError when a given term that differs from the scheme's own
     reaches a monomial outside the scheme's walk.
-    ``jobs`` > 1 parallelizes expansion mode over term chunks; the sum is
-    identical because merging is associative and commutative.
+    Both engines run in the calling process; ``jobs`` is accepted for
+    compatibility and ignored.
     """
     start = time.perf_counter()
     if mode == "expansion":
-        computed = _expand_sum(dec, jobs)
+        computed = _expand_sum(dec)
         mismatches, distinct = _compare_with_target(dec, computed, collect_all)
     elif mode == "streaming":
         mismatches, distinct = _stream_check(dec, collect_all)

@@ -404,11 +404,14 @@ class TestDeterminism:
 class TestImportPath:
     def test_cli_import_leaves_numpy_unloaded(self):
         # a fresh interpreter, so modules the test session loaded do not count
+        # nor the process-pool machinery: every command runs in one process
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, detpowers.cli; print('numpy' in sys.modules)"],
+             "import sys, detpowers.cli; print(sorted(m for m in "
+             "('numpy', 'concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))"],
             capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 class TestReportSerialization:

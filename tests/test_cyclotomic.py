@@ -6,7 +6,6 @@ import pytest
 
 from detpowers.cyclotomic import (
     Cyc,
-    PrimeScalar,
     cyclotomic_polynomial,
     from_root_coefficients,
     omega,
@@ -179,40 +178,20 @@ def test_pow_including_negative():
 
 
 # ---------------------------------------------------------------------------
-# prime scalars
-
-
-def test_prime_scalar_arithmetic():
-    a = PrimeScalar(7, 3)
-    b = PrimeScalar(7, 5)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (a / b).value == (3 * pow(5, 5, 7)) % 7
-    assert a ** 6 == PrimeScalar(7, 1)
-    assert a.inverse() * a == PrimeScalar(7, 1)
-
-
-def test_prime_scalar_validation():
-    with pytest.raises(ValueError):
-        PrimeScalar(6, 1)
-    with pytest.raises(ValueError):
-        PrimeScalar(7, 1) + PrimeScalar(5, 1)
-    with pytest.raises(ZeroDivisionError):
-        PrimeScalar(7, 0).inverse()
+# roots of unity mod p
 
 
 def test_primitive_root_of_unity():
     # d | p - 1 cases used by the variety checks
     for d, p in ((2, 5), (3, 7), (4, 5), (6, 7), (5, 11)):
         g = primitive_root_of_unity(d, p)
-        assert g ** d == PrimeScalar(p, 1)
+        assert pow(g, d, p) == 1
         for k in range(1, d):
-            assert g ** k != PrimeScalar(p, 1)
+            assert pow(g, k, p) != 1
         # smallest such element: exhaustive confirmation
-        for smaller in range(2, g.value):
+        for smaller in range(2, g):
             if pow(smaller, d, p) == 1 and all(
                     pow(smaller, k, p) != 1 for k in range(1, d)):
-                pytest.fail(f"{smaller} has order {d} and is below {g.value}")
+                pytest.fail(f"{smaller} has order {d} and is below {g}")
     with pytest.raises(ValueError):
         primitive_root_of_unity(3, 5)

@@ -15,7 +15,6 @@ from detpowers.multipoly import (
     diagonal_product_poly,
     expand_power,
     mono_degree,
-    mono_divides,
     mono_mul,
     monomial,
     multinomial,
@@ -47,8 +46,6 @@ def test_mono_mul_and_degree():
     assert mono_mul(a, b) == ((1, 1, 1), (2, 2, 3), (3, 1, 4))
     assert mono_mul(a, MONO_ONE) == a
     assert mono_degree(mono_mul(a, b)) == 8
-    assert mono_divides(a, mono_mul(a, b))
-    assert not mono_divides(b, a)
 
 
 def test_multinomial():

@@ -12,14 +12,18 @@ from detpowers.varieties import (
     LocusCount,
     _full_affine_count,
     _solve_exact,
-    check_geometric_ratios,
+    _staged_solutions,
     extra_generators,
     finite_field_locus_count,
-    point_assignment,
     point_set,
     quadric_generators,
     vanish_on_points,
 )
+
+
+def point_assignment(d, j, sigma):
+    """Sparse coordinates of D^j P_sigma: w^(ij) at (i, sigma i)."""
+    return {(i, sigma(i)): omega(d, i * j) for i in range(1, d + 1)}
 
 
 def var_product(d, v1, v2):
@@ -288,7 +292,15 @@ class TestLocusCounts:
 
     @pytest.mark.parametrize("d,p", [(2, 5), (3, 7), (4, 5)])
     def test_geometric_ratios(self, d, p):
-        assert check_geometric_ratios(d, p)
+        # every staged solution's diagonal is a geometric progression, its
+        # ratio a d-th root of unity carrying the last entry to the first
+        solutions = _staged_solutions(d, p)
+        assert solutions
+        for _, deltas in solutions:
+            ratio = deltas[1] * pow(deltas[0], -1, p) % p
+            assert pow(ratio, d, p) == 1
+            for i in range(d):
+                assert deltas[(i + 1) % d] == deltas[i] * ratio % p
 
     def test_projective_count_matches_normal_form_classes(self):
         matrices = {MonoMatrix(0, j, sigma).matrix()

@@ -24,7 +24,6 @@ from detpowers.decompositions import (
 from detpowers.multipoly import (
     LinForm,
     SparsePoly,
-    determinant_poly,
     expand_power,
     monomial,
     multinomial,
@@ -32,11 +31,9 @@ from detpowers.multipoly import (
 )
 from detpowers.symmetry import conjugate_decomposition, cycle_sign
 from detpowers.verify import (
-    IJPair,
     MultiIndex,
     check_closed_form_coefficients,
     closed_form_coefficient,
-    determinant_coefficient,
     _common_denominator,
     _expand_sum,
     _phase_group_sum,
@@ -100,32 +97,6 @@ class TestClosedFormCoefficient:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             closed_form_coefficient(MultiIndex.of([1, 2]), 3)
-
-
-class TestDeterminantCoefficient:
-    def test_small_cases(self):
-        assert determinant_coefficient(IJPair((1, 2), (1, 2))) == 1
-        assert determinant_coefficient(IJPair((1, 2), (2, 1))) == -1
-        assert determinant_coefficient(IJPair((1, 1), (1, 2))) == 0
-
-    def test_repeated_row_with_conflicting_columns(self):
-        assert determinant_coefficient(IJPair((1, 1, 2), (1, 2, 3))) == 0
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_random_pairs_match_determinant_poly(self, d):
-        rng = random.Random(d)
-        det = determinant_poly(d)
-        for _ in range(200):
-            pair = IJPair(tuple(rng.randint(1, d) for _ in range(d)),
-                          tuple(rng.randint(1, d) for _ in range(d)))
-            expected = det.coefficient(pair.as_monomial())
-            assert Cyc.from_int(1, determinant_coefficient(pair)) == expected
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IJPair((1, 2), (1, 2, 3))
-        with pytest.raises(ValueError):
-            IJPair((1, 3), (1, 2))
 
 
 class TestExpansionMode:
@@ -218,25 +189,22 @@ def conjugated_main3():
     return conjugate_decomposition(a, b, main_decomposition(3))
 
 
-class TestParallelExpansion:
-    def test_parallel_report_matches_sequential(self):
+class TestExpansionChecksTerms:
+    def test_jobs_is_accepted_and_ignored(self):
         dec = main_decomposition(4)
-        seq = verify_power_decomposition(dec, jobs=1)
-        par = verify_power_decomposition(dec, jobs=2)
-        assert dataclasses.replace(seq, elapsed=0.0) \
-            == dataclasses.replace(par, elapsed=0.0)
+        default = verify_power_decomposition(dec)
+        for jobs in (1, 2):
+            report = verify_power_decomposition(dec, jobs=jobs)
+            assert dataclasses.replace(report, elapsed=0.0) \
+                == dataclasses.replace(default, elapsed=0.0)
 
     @pytest.mark.parametrize("dec, equal", [
         (flip_one_sign(main_decomposition(3), 7), False),
         (conjugated_main3(), True),
         (flip_one_sign(conjugated_main3(), 7), False),
     ], ids=["flipped-main", "conjugated", "flipped-conjugated"])
-    def test_workers_check_the_given_terms(self, dec, equal):
-        seq = verify_power_decomposition(dec, jobs=1)
-        par = verify_power_decomposition(dec, jobs=2)
-        assert seq.equal is equal
-        assert dataclasses.replace(seq, elapsed=0.0) \
-            == dataclasses.replace(par, elapsed=0.0)
+    def test_verdict_reads_the_given_terms(self, dec, equal):
+        assert verify_power_decomposition(dec).equal is equal
 
 
 def cyc_path(terms):
@@ -338,19 +306,18 @@ class TestGroupRingExpansion:
     ] + [("main", 5)])
     def test_matches_cyc_path_key_for_key(self, scheme, d):
         dec = SCHEME_BUILDERS[scheme](d)
-        assert _expand_sum(dec, 1) == cyc_path(dec.terms)
+        assert _expand_sum(dec) == cyc_path(dec.terms)
 
     def test_keeps_keys_that_cancel_to_zero(self):
-        got = _expand_sum(main_decomposition(3), 1)
+        got = _expand_sum(main_decomposition(3))
         zeros = [mono for mono, c in got.items() if not c]
         assert len(got) == 51 and len(zeros) == 51 - 6
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_mixed_unit_and_general_terms(self, jobs):
+    def test_mixed_unit_and_general_terms(self):
         terms = main_decomposition(3).terms + conjugated_main3().terms
         dec = loose(3, 3, terms)
         assert _unit(conjugated_main3().terms[0].form.entry(1, 2)) is None
-        assert _expand_sum(dec, jobs) == cyc_path(terms)
+        assert _expand_sum(dec) == cyc_path(terms)
 
     def test_order_one_negative_units(self):
         assert _unit(Cyc.from_int(1, -1)) == (-1, 0)
@@ -358,7 +325,7 @@ class TestGroupRingExpansion:
                                            (2, 1): -1})
         terms = [PowerTerm((0,), Cyc.from_int(1, -1), form, 2),
                  PowerTerm((1,), Cyc.from_int(1, 1), form, 2)]
-        got = _expand_sum(loose(2, 1, terms), 1)
+        got = _expand_sum(loose(2, 1, terms))
         assert got == cyc_path(terms)
         assert len(got) == 6 and not any(got.values())
 
@@ -366,7 +333,7 @@ class TestGroupRingExpansion:
         assert _unit(Cyc.from_int(2, -1)) == (1, 1)
         form = LinForm.from_entries(2, 2, {(1, 2): -1, (2, 1): 1})
         terms = [PowerTerm((0,), Cyc.from_int(2, -1), form, 2)]
-        assert _expand_sum(loose(2, 2, terms), 1) == cyc_path(terms)
+        assert _expand_sum(loose(2, 2, terms)) == cyc_path(terms)
 
     def test_non_unit_coefficient_falls_back(self):
         two_w = omega(3, 1) * 2
@@ -375,7 +342,7 @@ class TestGroupRingExpansion:
                                            (2, 2): 1})
         terms = [PowerTerm((0,), two_w, form, 2),
                  PowerTerm((1,), omega(3, 1), form, 2)]
-        got = _expand_sum(loose(2, 3, terms), 1)
+        got = _expand_sum(loose(2, 3, terms))
         assert got == cyc_path(terms)
         # 2w * 2w^2 + w * 2w^2 = 4 + 2
         assert got[((1, 1, 1), (2, 2, 1))] == Cyc.from_int(3, 6)
@@ -383,11 +350,10 @@ class TestGroupRingExpansion:
     def test_gurvits_d1_zero_form(self):
         dec = gurvits_decomposition(1)
         assert dec.terms[1].form.is_zero
-        assert _expand_sum(dec, 1) == cyc_path(dec.terms) \
+        assert _expand_sum(dec) == cyc_path(dec.terms) \
             == {((1, 1, 1),): Cyc.from_int(1, 1)}
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_fractional_scalars_share_the_ring(self, jobs):
+    def test_fractional_scalars_share_the_ring(self):
         # main(3) conjugated by diag(2, 1/2, 1), one coefficient times 2/3
         order = 3
         zero, one = Cyc.zero(order), Cyc.one(order)
@@ -396,7 +362,7 @@ class TestGroupRingExpansion:
              (zero, zero, one))
         b = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
         conj = conjugate_decomposition(a, b, main_decomposition(3))
-        assert verify_power_decomposition(conj, jobs=jobs).equal
+        assert verify_power_decomposition(conj).equal
         term = conj.terms[4]
         scaled = dataclasses.replace(
             term, coeff=term.coeff * Cyc.from_fraction(order, Fraction(2, 3)))
@@ -405,10 +371,10 @@ class TestGroupRingExpansion:
         assert any(c.den == 2 for _, c in scaled.form.support())
         dec = dataclasses.replace(conj, terms=terms)
         assert _common_denominator(dec.terms) == 3 * 2 ** 3
-        got = _expand_sum(dec, jobs)
+        got = _expand_sum(dec)
         assert got == cyc_path(terms)
         assert any(c.den != 1 for c in got.values())
-        assert not verify_power_decomposition(dec, jobs=jobs).equal
+        assert not verify_power_decomposition(dec).equal
 
     @pytest.mark.parametrize("scheme", SCHEME_BUILDERS)
     def test_builder_terms_need_no_denominator(self, scheme):
@@ -425,8 +391,7 @@ class TestGroupRingExpansion:
             for dec, equal in ((conj, True),
                                (flip_one_sign(conj, position), False)):
                 oracle = cyc_path(dec.terms)
-                assert _expand_sum(dec, 1) == oracle
-                assert _expand_sum(dec, 2) == oracle
+                assert _expand_sum(dec) == oracle
                 assert verify_power_decomposition(dec).equal is equal
 
     def test_general_terms_take_no_cyc_products(self, monkeypatch):
@@ -447,7 +412,7 @@ class TestGroupRingExpansion:
         for module in (multipoly, verify):
             monkeypatch.setattr(module, "expand_power",
                                 counting("expand_power", expand_power))
-        got = _expand_sum(dec, 1)
+        got = _expand_sum(dec)
         assert calls == {"mul": 0, "expand_power": 0}
         monkeypatch.undo()
         assert got == cyc_path(dec.terms)
@@ -466,8 +431,7 @@ class TestPackedGroupRing:
         sizes = {len(t.form.support()) for t in dec.terms}
         assert 6 <= min(sizes) and max(sizes) <= 12
         oracle = circulant_path(dec)
-        assert _expand_sum(dec, 1) == oracle
-        assert _expand_sum(dec, 2) == oracle
+        assert _expand_sum(dec) == oracle
 
     @pytest.mark.parametrize("order", [1, 4, 6])
     @pytest.mark.parametrize("c", [10 ** 6, -10 ** 6])
@@ -477,7 +441,7 @@ class TestPackedGroupRing:
         # 6 the lift of c has phi = 2 < 6 digits, zero-padded
         form = LinForm.from_entries(order, d, {(1, 1): c})
         terms = [PowerTerm((0,), Cyc.one(order), form, d)]
-        got = _expand_sum(loose(d, order, terms), 1)
+        got = _expand_sum(loose(d, order, terms))
         assert got == cyc_path(terms) \
             == {((1, 1, d),): Cyc.from_int(order, c ** d)}
         assert verify._packed_width(terms, 1) \
@@ -500,7 +464,7 @@ class TestPackedGroupRing:
         ring = verify._expand_chunk(order, 1, terms)
         digits = [0, -2, 1] + [0] * (order - 3)
         assert ring == {((1, 1, 2),): [sign * big ** 2 * x for x in digits]}
-        assert _expand_sum(loose(2, order, terms), 1) == cyc_path(terms)
+        assert _expand_sum(loose(2, order, terms)) == cyc_path(terms)
 
     def test_general_coefficient_on_a_zero_form(self):
         dec = gurvits_decomposition(1)
@@ -510,7 +474,7 @@ class TestPackedGroupRing:
                  dataclasses.replace(term, coeff=Cyc.from_int(1, 7)))
         assert _unit_phases(terms[1].coeff, []) is None
         dec = dataclasses.replace(dec, terms=terms)
-        assert _expand_sum(dec, 1) == cyc_path(terms) \
+        assert _expand_sum(dec) == cyc_path(terms) \
             == {((1, 1, 1),): Cyc.from_int(1, 1)}
         assert verify_power_decomposition(dec).equal
 
@@ -524,10 +488,9 @@ class TestStreamingChecksTerms:
     ], ids=["main", "classical", "gurvits", "monomial"])
     def test_flipped_term_fails_with_expansion_witness(self, dec):
         stream = verify_power_decomposition(dec, mode="streaming")
-        exp1 = verify_power_decomposition(dec, jobs=1)
-        exp2 = verify_power_decomposition(dec, jobs=2)
-        assert not stream.equal and not exp1.equal
-        assert stream.witness == exp1.witness == exp2.witness
+        exp = verify_power_decomposition(dec)
+        assert not stream.equal and not exp.equal
+        assert stream.witness == exp.witness
 
     def test_replaced_registry_entry_is_not_the_reference(self, monkeypatch):
         # the registry is one mutable dict shared with the CLI; streaming's
