@@ -313,11 +313,15 @@ class TestGroupRingExpansion:
         zeros = [mono for mono, c in got.items() if not c]
         assert len(got) == 51 and len(zeros) == 51 - 6
 
-    def test_mixed_unit_and_general_terms(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_unit_and_general_terms(self, jobs):
         terms = main_decomposition(3).terms + conjugated_main3().terms
         dec = loose(3, 3, terms)
         assert _unit(conjugated_main3().terms[0].form.entry(1, 2)) is None
         assert _expand_sum(dec) == cyc_path(terms)
+        # both halves sum to det^3, so scale 1 leaves every diagonal off by one
+        report = verify_power_decomposition(dec, jobs=jobs, collect_all=True)
+        assert not report.equal and report.mismatch_count == 6
 
     def test_order_one_negative_units(self):
         assert _unit(Cyc.from_int(1, -1)) == (-1, 0)
@@ -353,7 +357,8 @@ class TestGroupRingExpansion:
         assert _expand_sum(dec) == cyc_path(dec.terms) \
             == {((1, 1, 1),): Cyc.from_int(1, 1)}
 
-    def test_fractional_scalars_share_the_ring(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fractional_scalars_share_the_ring(self, jobs):
         # main(3) conjugated by diag(2, 1/2, 1), one coefficient times 2/3
         order = 3
         zero, one = Cyc.zero(order), Cyc.one(order)
@@ -362,7 +367,7 @@ class TestGroupRingExpansion:
              (zero, zero, one))
         b = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
         conj = conjugate_decomposition(a, b, main_decomposition(3))
-        assert verify_power_decomposition(conj).equal
+        assert verify_power_decomposition(conj, jobs=jobs).equal
         term = conj.terms[4]
         scaled = dataclasses.replace(
             term, coeff=term.coeff * Cyc.from_fraction(order, Fraction(2, 3)))
@@ -374,7 +379,7 @@ class TestGroupRingExpansion:
         got = _expand_sum(dec)
         assert got == cyc_path(terms)
         assert any(c.den != 1 for c in got.values())
-        assert not verify_power_decomposition(dec).equal
+        assert not verify_power_decomposition(dec, jobs=jobs).equal
 
     @pytest.mark.parametrize("scheme", SCHEME_BUILDERS)
     def test_builder_terms_need_no_denominator(self, scheme):
