@@ -319,7 +319,8 @@ class TestGroupRingExpansion:
         dec = loose(3, 3, terms)
         assert _unit(conjugated_main3().terms[0].form.entry(1, 2)) is None
         assert _expand_sum(dec) == cyc_path(terms)
-        # both halves sum to det^3, so scale 1 leaves every diagonal off by one
+        # the halves sum to 36 det^3, so scale 1 misses all six permutation
+        # monomials
         report = verify_power_decomposition(dec, jobs=jobs, collect_all=True)
         assert not report.equal and report.mismatch_count == 6
 
