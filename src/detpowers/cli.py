@@ -142,8 +142,7 @@ def form_to_obj(form: LinForm) -> list:
 
 
 def obj_to_form(obj: list, order: int, d: int) -> LinForm:
-    return LinForm.from_entries(
-        order, d, {(i, j): obj_to_cyc(c) for i, j, c in obj})
+    return LinForm(order, d, {(i, j): obj_to_cyc(c) for i, j, c in obj})
 
 
 def _index_to_obj(index):

@@ -139,7 +139,7 @@ class PowerDecomposition:
         for t in self.terms:
             if t.exponent != self.d:
                 raise ValueError("every term must be a d-th power")
-            if t.form.is_zero and not (self.scheme == "gurvits" and self.d == 1):
+            if not t.form.support() and not (self.scheme == "gurvits" and self.d == 1):
                 raise ValueError("zero form inside a decomposition")
 
     def target_poly(self) -> SparsePoly:
@@ -173,28 +173,40 @@ def main_decomposition(d: int) -> PowerDecomposition:
     whose (i, sigma(i)) coefficient is w^(i*j)."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
+    rows = range(1, d + 1)
+    # row i of cells[j] maps s to the one shared ((i, s), w^(ij)) pair
+    cells = {j: [{s: ((i, s), omega(d, i * j)) for s in rows} for i in rows]
+             for j in rows}
     terms = []
     for sigma in Perm.all_perms(d):
-        for j in range(1, d + 1):
+        for j in rows:
             sign = sigma.sign * (-1) ** ((d + 1) * j)
-            form = LinForm.from_entries(
-                d, d, {(i, sigma(i)): omega(d, i * j) for i in range(1, d + 1)})
+            form = LinForm(d, d, [row[s] for row, s in
+                                  zip(cells[j], sigma.images)])
             terms.append(PowerTerm((sigma.images, j), Cyc.from_int(d, sign),
                                    form, d))
     return PowerDecomposition(d, "main", d * math.factorial(d),
                               TARGET_DETERMINANT, d, tuple(terms))
 
 
+def _unit_pairs(d: int) -> dict[tuple[int, int, int], tuple]:
+    """One ((i, s), +-1) pair per (i, s, sign), shared by the forms."""
+    rows = range(1, d + 1)
+    return {(i, s, e): ((i, s), Cyc.from_int(1, e))
+            for i in rows for s in rows for e in (1, -1)}
+
+
 def classical_decomposition(d: int) -> PowerDecomposition:
     """2^(d-1) * d! * det, one +-1 sign vector per permutation."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
+    pair = _unit_pairs(d)
     terms = []
     for sigma in Perm.all_perms(d):
         for eps in sign_vectors(d):
             coeff = sigma.sign * math.prod(eps)
-            form = LinForm.from_entries(
-                1, d, {(i, sigma(i)): eps[i - 1] for i in range(1, d + 1)})
+            form = LinForm(1, d, [pair[i, sigma(i), eps[i - 1]]
+                                  for i in range(1, d + 1)])
             terms.append(PowerTerm((sigma.images, eps),
                                    Cyc.from_int(1, coeff), form, d))
     return PowerDecomposition(d, "classical", 2 ** (d - 1) * math.factorial(d),
@@ -206,17 +218,18 @@ def gurvits_decomposition(d: int) -> PowerDecomposition:
     each omit one matrix entry of the permutation diagonal."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
+    pair = _unit_pairs(d)
     terms = []
     for sigma in Perm.all_perms(d):
-        full = {(i, sigma(i)): 1 for i in range(1, d + 1)}
+        full = [pair[i, sigma(i), 1] for i in range(1, d + 1)]
         terms.append(PowerTerm((sigma.images, None),
                                Cyc.from_int(1, sigma.sign),
-                               LinForm.from_entries(1, d, full), d))
+                               LinForm(1, d, full), d))
         for omit in range(1, d + 1):
-            partial = {(i, sigma(i)): 1 for i in range(1, d + 1) if i != omit}
+            partial = full[:omit - 1] + full[omit:]
             terms.append(PowerTerm((sigma.images, omit),
                                    Cyc.from_int(1, -sigma.sign),
-                                   LinForm.from_entries(1, d, partial), d))
+                                   LinForm(1, d, partial), d))
     return PowerDecomposition(d, "gurvits", math.factorial(d),
                               TARGET_DETERMINANT, 1, tuple(terms))
 
@@ -225,10 +238,10 @@ def monomial_power_decomposition(d: int) -> PowerDecomposition:
     """2^(d-1) * d! * x[1,1]...x[d,d] as a signed sum of 2^(d-1) powers."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
+    pair = _unit_pairs(d)
     terms = []
     for eps in sign_vectors(d):
-        form = LinForm.from_entries(
-            1, d, {(i, i): eps[i - 1] for i in range(1, d + 1)})
+        form = LinForm(1, d, [pair[i, i, eps[i - 1]] for i in range(1, d + 1)])
         terms.append(PowerTerm((eps,), Cyc.from_int(1, math.prod(eps)), form, d))
     return PowerDecomposition(d, "monomial", 2 ** (d - 1) * math.factorial(d),
                               TARGET_DIAGONAL, 1, tuple(terms))
@@ -266,7 +279,7 @@ class ProductDecomposition:
 def krishna_makam_det3() -> ProductDecomposition:
     """The five-term product formula for the 3x3 determinant."""
     def lf(coeffs):
-        return LinForm.from_entries(1, 3, coeffs)
+        return LinForm(1, 3, coeffs)
 
     terms = (
         (1, (lf({(1, 1): 1}),

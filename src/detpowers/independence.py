@@ -50,31 +50,16 @@ class TermPoint:
     d: int
     phases: dict[tuple[int, int], int] = dataclasses.field(hash=False)
 
-    @property
-    def coords(self) -> tuple[tuple[Cyc, ...], ...]:
-        d = self.d
-        zero = Cyc.zero(d)
-        return tuple(
-            tuple(omega(d, self.phases[i, k]) if (i, k) in self.phases
-                  else zero for k in range(1, d + 1))
-            for i in range(1, d + 1))
-
-    def sparse(self) -> dict[tuple[int, int], Cyc]:
-        return {var: omega(self.d, k) for var, k in self.phases.items()}
-
 
 @dataclasses.dataclass(frozen=True)
 class DualForm:
-    """A homogeneous form paired with points by plain evaluation."""
+    """A homogeneous form, paired with term points by ``covered_values``."""
     poly: SparsePoly
     degree: int
 
     def __post_init__(self):
         if self.poly.total_degree() != self.degree:
             raise ValueError("form degree does not match the declared degree")
-
-    def at(self, point: TermPoint) -> Cyc:
-        return self.poly.evaluate(point.sparse())
 
 
 def term_point(d: int, sigma: Perm, j: int) -> TermPoint:

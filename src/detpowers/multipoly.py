@@ -3,10 +3,12 @@
 Variables are 1-based (row, col) pairs. A monomial is a canonical sorted
 tuple of (row, col, exponent) triples with strictly positive exponents, so
 it is hashable and cheap to compare; polynomials are hash maps from
-monomials to nonzero cyclotomic coefficients. Powers of linear forms are
-expanded with the multinomial theorem over weak compositions, never by
-repeated multiplication (the repeated-multiplication route exists only as
-a test oracle). At points whose coordinates are roots of unity or zero, a
+monomials to nonzero cyclotomic coefficients. A linear form is stored as
+its sorted support, the ((row, col), scalar) pairs with nonzero scalars;
+no dense grid is kept. Powers of linear forms are expanded with the
+multinomial theorem over weak compositions, never by repeated
+multiplication (the repeated-multiplication route exists only as a test
+oracle). At points whose coordinates are roots of unity or zero, a
 polynomial is evaluated by counting phases in the group ring
 (``PhaseEvaluator``).
 """
@@ -15,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter
 
 from .cyclotomic import Cyc, from_root_coefficients
 
@@ -335,63 +338,52 @@ def _as_cyc(order: int, value) -> Cyc:
 
 
 class LinForm:
-    """A linear form sum c[i,j] * x[i,j], stored as a dense d x d grid."""
+    """A linear form sum c[i,j] * x[i,j], stored as its support: the
+    ((row, col), scalar) pairs with nonzero scalars, in row-major order.
+    ``coeffs`` is a {var: scalar} mapping or an iterable of (var, scalar)
+    pairs. A pair whose scalar is already a nonzero Cyc of the form's order
+    is kept as given, so many forms can share one pair; int and Fraction
+    scalars are coerced, and zeros dropped."""
 
-    __slots__ = ("order", "entries")
+    __slots__ = ("order", "d", "_support")
 
-    def __init__(self, order: int, entries: tuple[tuple[Cyc, ...], ...]):
-        d = len(entries)
-        for row in entries:
-            if len(row) != d:
-                raise ValueError("coefficient grid must be square")
-        self.order = order
-        self.entries = entries
-
-    @classmethod
-    def from_entries(cls, order: int, d: int,
-                     coeffs: Mapping[Var, Cyc | int | Fraction]) -> "LinForm":
-        zero = Cyc.zero(order)
-        grid = [[zero] * d for _ in range(d)]
-        for (i, j), c in coeffs.items():
+    def __init__(self, order: int, d: int, coeffs):
+        pairs = []
+        for pair in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
+            (i, j), c = pair
             if not (1 <= i <= d and 1 <= j <= d):
                 raise ValueError(f"variable index {(i, j)} out of range for d={d}")
-            grid[i - 1][j - 1] = _as_cyc(order, c)
-        return cls(order, tuple(tuple(row) for row in grid))
+            if not (type(c) is Cyc and c.order == order
+                    and type(pair) is tuple and type(pair[0]) is tuple):
+                pair = ((i, j), _as_cyc(order, c))
+            if any(pair[1].num):
+                pairs.append(pair)
+        pairs.sort(key=itemgetter(0))
+        if len({var for var, _ in pairs}) < len(pairs):
+            raise ValueError(f"repeated variable in {[v for v, _ in pairs]}")
+        self.order = order
+        self.d = d
+        self._support = tuple(pairs)
 
-    @property
-    def d(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Cyc:
-        return self.entries[i - 1][j - 1]
-
-    def support(self) -> list[tuple[Var, Cyc]]:
+    def support(self) -> tuple[tuple[Var, Cyc], ...]:
         """Nonzero coefficients in row-major variable order."""
-        out = []
-        for i, row in enumerate(self.entries, start=1):
-            for j, c in enumerate(row, start=1):
-                if c:
-                    out.append(((i, j), c))
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not c for row in self.entries for c in row)
+        return self._support
 
     def as_poly(self) -> SparsePoly:
         return SparsePoly(self.order, {
-            monomial({var: 1}): c for var, c in self.support()})
+            monomial({var: 1}): c for var, c in self._support})
 
     def __eq__(self, other):
         if not isinstance(other, LinForm):
             return NotImplemented
-        return self.order == other.order and self.entries == other.entries
+        return (self.order, self.d, self._support) == \
+            (other.order, other.d, other._support)
 
     def __hash__(self):
-        return hash((self.order, self.entries))
+        return hash((self.order, self.d, self._support))
 
     def __repr__(self):
-        body = " + ".join(f"({c!r})*x[{i},{j}]" for (i, j), c in self.support())
+        body = " + ".join(f"({c!r})*x[{i},{j}]" for (i, j), c in self._support)
         return f"LinForm({self.order}: {body or '0'})"
 
 

@@ -102,21 +102,6 @@ class MonoMatrix:
     def d(self) -> int:
         return self.sigma.d
 
-    def entry_exponents(self) -> tuple[int, ...]:
-        """Exponent of w in the row-i entry, for i = 1..d."""
-        d = self.d
-        return tuple((self.k + i * self.j) % d for i in range(1, d + 1))
-
-    def matrix(self) -> tuple[tuple[Cyc, ...], ...]:
-        d = self.d
-        zero = Cyc.zero(d)
-        rows = []
-        for i, t in zip(range(1, d + 1), self.entry_exponents()):
-            row = [zero] * d
-            row[self.sigma(i) - 1] = omega(d, t)
-            rows.append(tuple(row))
-        return tuple(rows)
-
 
 def _solve_row_exponents(d: int, exponents) -> tuple[int, int] | None:
     """The (k, j) with k + i*j = exponents[i-1] (mod d) for every row i, or
@@ -140,24 +125,18 @@ def mono_membership_sparse(d: int, images: tuple[int, ...],
     return MonoMatrix(solved[0], solved[1], Perm(images))
 
 
-def mono_membership(matrix) -> MonoMatrix | None:
-    """Normal form of an arbitrary square Cyc matrix if it lies in M.
-
-    Decision: the support must be a permutation pattern, every nonzero
-    entry must be a power of w, and the exponents must fit k + i*j.
-    """
-    d = len(matrix)
+def mono_membership(d: int, support) -> MonoMatrix | None:
+    """Normal form of the d x d matrix with the given support (a linear
+    form's ((row, col), scalar) pairs in row-major order) if it lies in M:
+    row r holds the r-th pair alone, the columns form a permutation, and
+    the entries are powers of w whose exponents fit k + i*j."""
     images = []
     exponents = []
-    for i in range(d):
-        row = matrix[i]
-        nonzero = [c for c in range(d) if row[c]]
-        if len(nonzero) != 1:
+    for r, ((i, col), c) in enumerate(support, start=1):
+        power = c.root_power()
+        if i != r or power is None:
             return None
-        power = row[nonzero[0]].root_power()
-        if power is None:
-            return None
-        images.append(nonzero[0] + 1)
+        images.append(col)
         exponents.append(power)
     if sorted(images) != list(range(1, d + 1)):
         return None
@@ -453,7 +432,7 @@ class _TermTable:
         # equal coefficients share one small int, so comparing is int ==
         ids: dict[Cyc, int] = {}
         for term in dec.terms:
-            member = mono_membership(term.form.entries)
+            member = mono_membership(dec.d, term.form.support())
             read = (None if member is None
                     else (member.sigma.images, member.j or dec.d))
             if read != term.index:
@@ -588,8 +567,7 @@ def transpose_closure(d: int) -> tuple[bool, list[tuple[int, tuple[int, ...]]]]:
 
 def matrix_product(a, b, order: int):
     """a * b for square matrices over Q(w), skipping every product with a
-    zero factor: a builder's coefficient matrix has d nonzeros of d^2, and
-    the pairs it is conjugated by are sparse too."""
+    zero factor."""
     zero = Cyc.zero(order)
     out = []
     for a_row in a:
@@ -625,16 +603,19 @@ def conjugate_decomposition(a, b, dec: PowerDecomposition) -> PowerDecomposition
     d = dec.d
     if matrix_determinant(matrix_product(a, b, order), order) != Cyc.one(order):
         raise ValueError("det(a*b) must be exactly 1")
+    # a*C*b is the sum over C's support of v * (column i of a) (row j of b)
+    columns = [[(r, row[i]) for r, row in enumerate(a, start=1) if row[i]]
+               for i in range(d)]
+    rows = [[(c, y) for c, y in enumerate(row, start=1) if y] for row in b]
     new_terms = []
     for term in dec.terms:
-        coeffs = tuple(tuple(term.form.entry(r, c) for c in range(1, d + 1))
-                       for r in range(1, d + 1))
-        image = matrix_product(matrix_product(a, coeffs, order), b, order)
-        entries = {(r, c): image[r - 1][c - 1]
-                   for r in range(1, d + 1) for c in range(1, d + 1)
-                   if not image[r - 1][c - 1].is_zero}
-        form = LinForm.from_entries(order, d, entries)
-        new_terms.append(PowerTerm(term.index, term.coeff, form,
-                                   term.exponent))
+        image = collections.defaultdict(lambda: Cyc.zero(order))
+        for (i, j), v in term.form.support():
+            for r, x in columns[i - 1]:
+                xv = x * v
+                for c, y in rows[j - 1]:
+                    image[r, c] += xv * y
+        new_terms.append(PowerTerm(term.index, term.coeff,
+                                   LinForm(order, d, image), term.exponent))
     return PowerDecomposition(d, "conjugated", dec.scale, dec.target, order,
                               tuple(new_terms))

@@ -110,8 +110,8 @@ def phase_polynomial(d: int) -> SparsePoly:
     the grid variable (i, 1)."""
     total = SparsePoly.zero(d)
     for j in range(1, d + 1):
-        form = LinForm.from_entries(
-            d, d, {(i, 1): omega(d, i * j) for i in range(1, d + 1)})
+        form = LinForm(d, d, {(i, 1): omega(d, i * j)
+                              for i in range(1, d + 1)})
         total = total + expand_power(form, d) * ((-1) ** ((d + 1) * j))
     return total
 
@@ -244,12 +244,12 @@ def _composition_table(exponent: int, size: int, scale: int):
 
 def _common_denominator(terms) -> int:
     """lcm over the terms of coeff.den * D^exponent, D the lcm of the
-    form's entry denominators: L times a term is an integer times the
+    form's scalar denominators: L times a term is an integer times the
     coefficient's numerator times the power of the form scaled by D, all
     integral. 1 when every scalar is integral, as for every builder."""
     common = 1
     for term in terms:
-        den = math.lcm(*(c.den for row in term.form.entries for c in row))
+        den = math.lcm(*(c.den for _, c in term.form.support()))
         common = math.lcm(common, term.coeff.den * den ** term.exponent)
     return common
 

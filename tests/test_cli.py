@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import detpowers
 from detpowers import cli
 from detpowers.cyclotomic import Cyc, omega
 from detpowers.decompositions import (
@@ -17,6 +20,15 @@ from detpowers.decompositions import (
 )
 from detpowers.symmetry import conjugate_decomposition
 from detpowers.verify import verify_power_decomposition
+
+
+def child_env():
+    """The environment for a child interpreter, with the package's ``src``
+    directory first on its PYTHONPATH, however this session found it."""
+    src = str(Path(detpowers.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
 
 
 def run_cli(capsys, *args):
@@ -373,7 +385,7 @@ class TestDeterminism:
             proc = subprocess.run(
                 [sys.executable, "-m", "detpowers.cli", "verify", "--d", "3",
                  "--scheme", "main", "--jobs", jobs],
-                capture_output=True, check=True)
+                capture_output=True, check=True, env=child_env())
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert b'"ok": true' in outputs[0]
@@ -410,7 +422,7 @@ class TestImportPath:
              "import sys, detpowers.cli; print(sorted(m for m in "
              "('numpy', 'concurrent.futures', 'multiprocessing') "
              "if m in sys.modules))"],
-            capture_output=True, text=True, check=True)
+            capture_output=True, text=True, check=True, env=child_env())
         assert proc.stdout.strip() == "[]"
 
 

@@ -122,9 +122,10 @@ class TestSchemes:
         dec = main_decomposition(3)
         sigma_id = next(t for t in dec.terms if t.index == ((1, 2, 3), 1))
         w = Cyc(3, (0, 1))
-        assert sigma_id.form.entry(1, 1) == w
-        assert sigma_id.form.entry(2, 2) == w * w
-        assert sigma_id.form.entry(3, 3) == Cyc.one(3)
+        entry = dict(sigma_id.form.support())
+        assert entry[1, 1] == w
+        assert entry[2, 2] == w * w
+        assert entry[3, 3] == Cyc.one(3)
 
     def test_gurvits_omitted_forms_have_one_less_entry(self):
         dec = gurvits_decomposition(3)
@@ -143,11 +144,23 @@ class TestSchemes:
         assert expand_decomposition(dec) == determinant_poly(1)
 
     def test_zero_form_rejected_elsewhere(self):
-        empty = LinForm.from_entries(1, 2, {})
+        empty = LinForm(1, 2, {})
         term = PowerTerm(((1, 2), (1, 1)), Cyc.one(1), empty, 2)
         with pytest.raises(ValueError, match="zero form"):
             PowerDecomposition(2, "classical", 4, "determinant", 1,
                                (term,) * 4)
+
+    @pytest.mark.parametrize("build, d, bound", [
+        (main_decomposition, 6, 6 ** 3),
+        (classical_decomposition, 5, 2 * 5 ** 2),
+        (gurvits_decomposition, 4, 4 ** 2),
+        (monomial_power_decomposition, 5, 2 * 5),
+    ])
+    def test_forms_share_their_pairs(self, build, d, bound):
+        # the list keeps every pair alive, so no id is reused
+        pairs = [pair for term in build(d).terms
+                 for pair in term.form.support()]
+        assert len({id(pair) for pair in pairs}) <= bound
 
     def test_expected_term_count_values(self):
         assert expected_term_count("main", 5) == 600

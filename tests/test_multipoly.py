@@ -68,7 +68,7 @@ def test_weak_compositions_count_and_sum():
 
 def test_expand_power_simple_square():
     # [xy] (x + y)^2 == 2
-    form = LinForm.from_entries(1, 2, {(1, 1): 1, (2, 2): 1})
+    form = LinForm(1, 2, {(1, 1): 1, (2, 2): 1})
     sq = expand_power(form, 2)
     xy = monomial({(1, 1): 1, (2, 2): 1})
     assert sq.coefficient(xy) == Cyc.from_int(1, 2)
@@ -88,7 +88,7 @@ def test_expand_power_monomial_count():
                 if var not in placed:
                     placed.add(var)
                     coeffs[var] = rng.randint(1, 5)
-            form = LinForm.from_entries(1, 4, coeffs)
+            form = LinForm(1, 4, coeffs)
             expanded = expand_power(form, e)
             assert len(expanded) == math.comb(e + s - 1, s - 1)
 
@@ -106,18 +106,18 @@ def test_expand_power_matches_repeated_multiplication():
                                      for _ in range(len(omega(order).num))),
                         rng.randint(1, 3))
                 coeffs[var] = c
-            form = LinForm.from_entries(order, 3, coeffs)
+            form = LinForm(order, 3, coeffs)
             assert expand_power(form, e) == slow_power(form.as_poly(), e)
 
 
 def test_expand_power_rejects_bad_exponent():
-    form = LinForm.from_entries(1, 2, {(1, 1): 1})
+    form = LinForm(1, 2, {(1, 1): 1})
     with pytest.raises(ValueError):
         expand_power(form, 0)
 
 
 def test_expand_power_of_zero_form_is_zero():
-    form = LinForm.from_entries(1, 2, {})
+    form = LinForm(1, 2, {})
     assert expand_power(form, 3).is_zero
 
 
@@ -262,15 +262,48 @@ def test_diagonal_product_poly():
 
 def test_linform_support_order_and_bounds():
     w = omega(4)
-    form = LinForm.from_entries(4, 2, {(2, 1): w, (1, 2): w * w})
-    assert form.support() == [((1, 2), w * w), ((2, 1), w)]
-    assert form.entry(1, 1).is_zero
+    form = LinForm(4, 2, {(2, 1): w, (1, 2): w * w})
+    assert form.support() == (((1, 2), w * w), ((2, 1), w))
+    assert (1, 1) not in dict(form.support())
     with pytest.raises(ValueError):
-        LinForm.from_entries(4, 2, {(3, 1): 1})
+        LinForm(4, 2, {(3, 1): 1})
+
+
+def test_linform_map_and_pairs_agree():
+    w = omega(4)
+    from_map = LinForm(4, 3, {(2, 1): w, (1, 3): Fraction(1, 2), (3, 3): -1})
+    from_pairs = LinForm(4, 3, [((3, 3), -1), ((2, 1), w),
+                                ((1, 3), Fraction(1, 2))])
+    assert from_map == from_pairs
+    assert hash(from_map) == hash(from_pairs)
+    assert [var for var, _ in from_pairs.support()] == [(1, 3), (2, 1), (3, 3)]
+
+
+def test_linform_drops_explicit_zeros():
+    form = LinForm(3, 2, {(1, 1): 0, (1, 2): Cyc.zero(3), (2, 2): 5})
+    assert form.support() == (((2, 2), Cyc.from_int(3, 5)),)
+    assert LinForm(3, 2, [((1, 1), 0)]).support() == ()
+
+
+def test_linform_keeps_a_canonical_pair_as_given():
+    pair = ((1, 2), omega(3))
+    assert LinForm(3, 2, [pair]).support()[0] is pair
+
+
+@pytest.mark.parametrize("coeffs", [
+    [((1, 1), 1), ((1, 1), 2)],                # a repeated variable
+    [((2, 1), 1), ((1, 2), 3), ((2, 1), -1)],  # repeated, out of order
+    {(0, 1): 1},                               # row out of range
+    {(1, 3): 1},                               # column out of range
+    {(1, 1): omega(4)},                        # a scalar of another order
+])
+def test_linform_rejects(coeffs):
+    with pytest.raises(ValueError):
+        LinForm(3, 2, coeffs)
 
 
 def test_expand_power_order_mismatch_guard():
-    form = LinForm.from_entries(4, 2, {(1, 1): 1})
+    form = LinForm(4, 2, {(1, 1): 1})
     p = expand_power(form, 2)
     q = determinant_poly(2, order=1)
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from detpowers.decompositions import (
     main_decomposition,
     monomial_power_decomposition,
 )
+from detpowers.multipoly import LinForm
 from detpowers.symmetry import (
     AffinePerm,
     MonoMatrix,
@@ -35,6 +36,14 @@ from detpowers.symmetry import (
 )
 from detpowers.symmetry import _TermTable
 from detpowers.verify import verify_power_decomposition
+
+
+def mono_support(m: MonoMatrix):
+    """Oracle: the support of w^k D^j P_sigma, entry w^(k+ij) at
+    (i, sigma i), as a linear form's ((row, col), scalar) pairs."""
+    d = m.d
+    return tuple(((i, m.sigma(i)), omega(d, m.k + i * m.j))
+                 for i in range(1, d + 1))
 
 
 class TestTotientAndJacobi:
@@ -73,17 +82,17 @@ class TestCycleSign:
 class TestMonoMatrix:
     def test_d_times_p_identity(self):
         m = MonoMatrix(0, 1, Perm.identity(3))
-        found = mono_membership(m.matrix())
+        found = mono_membership(3, mono_support(m))
         assert found == m
 
     def test_normal_form_uniqueness(self):
         for d in (2, 3, 4):
-            matrices = set()
+            supports = set()
             for k in range(d):
                 for j in range(d):
                     for sigma in Perm.all_perms(d):
-                        matrices.add(MonoMatrix(k, j, sigma).matrix())
-            assert len(matrices) == d * d * math.factorial(d)
+                        supports.add(mono_support(MonoMatrix(k, j, sigma)))
+            assert len(supports) == d * d * math.factorial(d)
 
     def test_membership_round_trip(self):
         for d in (2, 3, 4):
@@ -91,7 +100,7 @@ class TestMonoMatrix:
                 for j in range(d):
                     for sigma in Perm.all_perms(d):
                         m = MonoMatrix(k, j, sigma)
-                        assert mono_membership(m.matrix()) == m
+                        assert mono_membership(d, mono_support(m)) == m
 
     def test_p12_times_d_is_outside_for_d4(self):
         # P_(12) D has entry w^(sigma i) at (i, sigma i)
@@ -102,18 +111,23 @@ class TestMonoMatrix:
     def test_scaled_d_squared_cycle(self):
         sigma = Perm((2, 3, 1))
         m = MonoMatrix(1, 2, sigma)
-        assert mono_membership(m.matrix()) == m
-        assert m.matrix()[0][1] == omega(3, 1 + 2)
+        assert mono_membership(3, mono_support(m)) == m
+        assert mono_support(m)[0] == ((1, 2), omega(3, 1 + 2))
 
     def test_dense_matrix_is_rejected(self):
         one = Cyc.one(3)
-        dense = ((one, one, one),) * 3
-        assert mono_membership(dense) is None
+        dense = tuple(((i, j), one) for i in range(1, 4) for j in range(1, 4))
+        assert mono_membership(3, dense) is None
 
     def test_non_root_entry_is_rejected(self):
         two = Cyc.from_int(2, 2)
-        zero = Cyc.zero(2)
-        assert mono_membership(((two, zero), (zero, two))) is None
+        assert mono_membership(2, (((1, 1), two), ((2, 2), two))) is None
+
+    def test_missing_row_and_repeated_column_are_rejected(self):
+        one = Cyc.one(3)
+        assert mono_membership(3, (((1, 1), one), ((2, 2), one))) is None
+        assert mono_membership(
+            3, (((1, 1), one), ((2, 1), one), ((3, 3), one))) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -367,6 +381,19 @@ class TestAction:
         with pytest.raises(ValueError, match="form"):
             _TermTable(swapped).act(elem)
 
+    @pytest.mark.parametrize("coeffs", [
+        {(1, 1): 1, (1, 2): 1, (2, 3): 1, (3, 3): 1},  # two in row 1
+        {(1, 2): 1, (2, 3): 1},                        # row 3 missing
+        {(1, 2): 2, (2, 3): 1, (3, 1): 1},             # 2 is no root
+    ])
+    def test_form_outside_m_is_rejected(self, coeffs):
+        dec = main_decomposition(3)
+        terms = list(dec.terms)
+        terms[0] = dataclasses.replace(terms[0], form=LinForm(3, 3, coeffs))
+        bad = dataclasses.replace(dec, terms=tuple(terms))
+        with pytest.raises(ValueError, match="reads as None"):
+            _TermTable(bad)
+
     def test_sampled_actions_are_reproducible(self):
         a = sample_symmetry_actions(3, 25, seed=7)
         b = sample_symmetry_actions(3, 25, seed=7)
@@ -453,7 +480,9 @@ class TestConjugation:
 
     def test_matrix_determinant_of_d(self):
         for d in (2, 3, 4):
-            m = MonoMatrix(0, 1, Perm.identity(d)).matrix()
+            # D = diag(w, w^2, ..., w^d)
+            m = tuple(tuple(omega(d, i) if c == i else Cyc.zero(d)
+                            for c in range(1, d + 1)) for i in range(1, d + 1))
             assert matrix_determinant(m, d) == omega(d, math.comb(d + 1, 2))
 
     @pytest.mark.parametrize("order", [1, 3, 4])

@@ -7,7 +7,6 @@ import pytest
 from detpowers.cyclotomic import Cyc, omega
 from detpowers.decompositions import Perm
 from detpowers.multipoly import SparsePoly, monomial
-from detpowers.symmetry import MonoMatrix
 from detpowers.varieties import (
     LocusCount,
     _full_affine_count,
@@ -303,11 +302,11 @@ class TestLocusCounts:
                 assert deltas[(i + 1) % d] == deltas[i] * ratio % p
 
     def test_projective_count_matches_normal_form_classes(self):
-        matrices = {MonoMatrix(0, j, sigma).matrix()
+        supports = {tuple(point_assignment(3, j, sigma).items())
                     for j in range(3) for sigma in Perm.all_perms(3)}
-        assert len(matrices) == 18
+        assert len(supports) == 18
         count = finite_field_locus_count(3, 7, mode="staged")
-        assert count.projective_points == len(matrices)
+        assert count.projective_points == len(supports)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
