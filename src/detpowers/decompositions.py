@@ -139,7 +139,9 @@ class PowerDecomposition:
         for t in self.terms:
             if t.exponent != self.d:
                 raise ValueError("every term must be a d-th power")
-            if not t.form.support() and not (self.scheme == "gurvits" and self.d == 1):
+            # gurvits(1) omits its one entry; X -> aXb keeps that form zero
+            if not t.form.support() and not (
+                    self.scheme in ("gurvits", "conjugated") and self.d == 1):
                 raise ValueError("zero form inside a decomposition")
 
     def target_poly(self) -> SparsePoly:

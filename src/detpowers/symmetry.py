@@ -17,9 +17,11 @@ tallies, which equals the walk's count exactly (the tests keep the walk).
 
 The term action reads each term's (sigma, j) from its form once per
 decomposition. Membership in M is decided on integer exponent tuples: rows
-1 and 2 fix the only candidate (k, j). Under the full check, one image table
-per (pi, sigma) serves every phase (m, n), since the phase adds m + n*r to
-the row exponents and so only moves the image j by n.
+1 and 2 fix the only candidate (k, j). An image table solves the row
+exponents once per j and permutes once per source sigma. Under the full
+check, one table per (pi, sigma) serves every phase (m, n): the phase adds
+m + n*r to the row exponents, so n only moves the image j and m only moves
+k, which dies in the d-th power; one outcome per shift n is evaluated.
 """
 
 from __future__ import annotations
@@ -253,9 +255,11 @@ class SymElement:
         """Canonical description of the induced variable map: the image
         entry (r, c) equals w^(m + n r) X[pi r, sigma^-1 c]."""
         d = self.d
-        inv_sigma = self.sigma.inverse()
-        return tuple(((self.m + self.n * r) % d, self.pi(r), inv_sigma(c))
-                     for r in range(1, d + 1) for c in range(1, d + 1))
+        rows = [((self.m + self.n * r) % d, self.pi(r))
+                for r in range(1, d + 1)]
+        columns = self.sigma.inverse().images
+        return tuple((phase, pi_r, c) for phase, pi_r in rows
+                     for c in columns)
 
     def compose(self, other: "SymElement") -> "SymElement":
         """The element inducing ``self`` applied after ``other``.
@@ -318,12 +322,13 @@ def check_faithfulness(d: int) -> bool:
     if len(phases) != d * d:
         return False
     if d <= 4:
+        pis, sigmas = affine_group(d), list(Perm.all_perms(d))
         signatures = set()
         total = 0
         for m in range(d):
             for n in range(d):
-                for pi in affine_group(d):
-                    for sigma in Perm.all_perms(d):
+                for pi in pis:
+                    for sigma in sigmas:
                         signatures.add(SymElement(m, n, pi, sigma).signature())
                         total += 1
         return len(signatures) == total
@@ -442,6 +447,7 @@ class _TermTable:
                               ids.setdefault(term.coeff, len(ids))))
         self.coeff_ids = {(images, j): coeff_id
                           for images, j, coeff_id in self.rows}
+        self.sources = {images for images, _, _ in self.rows}
 
     def images(self, m: int, n: int, pi_images: tuple[int, ...],
                sigma_images: tuple[int, ...]) -> list:
@@ -451,18 +457,23 @@ class _TermTable:
 
         A term's matrix has entry w^(j * pi r) at (pi r, source(pi r)), so
         the image row r holds w^(m + nr + j*pi r) at column
-        sigma(source(pi r)); the w^k scalar dies in the d-th power.
+        sigma(source(pi r)); the w^k scalar dies in the d-th power. The
+        image j depends only on the term's j, so d row solves serve every
+        term, and the image permutation only on its source, so it is built
+        once per source; each term's row is then read from its own (sigma, j).
         """
         d = self.d
-        out = []
-        for source, j, coeff_id in self.rows:
-            image = tuple(sigma_images[source[p - 1] - 1] for p in pi_images)
+        image_j = {}
+        for j in range(1, d + 1):
             solved = _solve_row_exponents(
                 d, [(m + n * r + j * p) % d
                     for r, p in enumerate(pi_images, start=1)])
-            out.append((image, None if solved is None else solved[1],
-                        coeff_id))
-        return out
+            image_j[j] = None if solved is None else solved[1]
+        image_of = {source: tuple(sigma_images[source[p - 1] - 1]
+                                  for p in pi_images)
+                    for source in self.sources}
+        return [(image_of[source], image_j[j], coeff_id)
+                for source, j, coeff_id in self.rows]
 
     def outcome(self, image_rows: list, shift: int = 0) -> ActionOutcome:
         """Compare every image's coefficient with its source's; an image
@@ -500,23 +511,27 @@ class _TermTable:
 def check_symmetry_action(d: int) -> bool:
     """Every element of H acts as a sign-preserving term bijection.
 
-    Each (pi, sigma) image table is built once, at m = n = 0; the phases
-    (m, n) whose multiplier sign makes the element preserving then only
-    shift the image j by n and compare coefficients.
+    Each (pi, sigma) image table is built once, at m = n = 0. A phase
+    (m, n) only shifts the image j by n; m moves only k, which dies in the
+    d-th power, so the outcome does not depend on m. One outcome is
+    evaluated per shift n for which some (m, n) has the phase sign that
+    makes the element preserving.
     """
     if not 2 <= d <= 4:
         raise ValueError(f"d must be in [2, 4], got {d}")
     table = _TermTable(main_decomposition(d))
     phase, pis, sigmas = _multiplier_factors(d)
+    shifts = {sign: sorted({n for (_, n), s in phase.items() if s == sign})
+              for sign in (1, -1)}
     for pi, pi_sign in pis:
         pi_images = pi.perm().images
         for sigma, sigma_sign in sigmas:
-            image_rows = None
-            for (_, n), phase_sign in phase.items():
-                if phase_sign * pi_sign * sigma_sign != 1:
-                    continue
-                if image_rows is None:
-                    image_rows = table.images(0, 0, pi_images, sigma.images)
+            # the phase sign that makes the multiplier +1
+            matching = shifts[pi_sign * sigma_sign]
+            if not matching:
+                continue
+            image_rows = table.images(0, 0, pi_images, sigma.images)
+            for n in matching:
                 if not table.outcome(image_rows, shift=n).sign_preserving:
                     return False
     return True

@@ -21,6 +21,8 @@ from detpowers.decompositions import (
 from detpowers.symmetry import conjugate_decomposition
 from detpowers.verify import verify_power_decomposition
 
+DATA_DIR = Path(__file__).parent / "data"
+
 
 def child_env():
     """The environment for a child interpreter, with the package's ``src``
@@ -113,6 +115,16 @@ class TestRoundTrip:
         assert parsed == conj
         assert hash(parsed) == hash(conj)
         assert [t.index for t in parsed.terms] == [t.index for t in dec.terms]
+        assert verify_power_decomposition(parsed).equal
+
+    def test_conjugated_gurvits_d1_with_its_zero_form(self):
+        dec = SCHEME_BUILDERS["gurvits"](1)
+        a = ((Cyc.from_int(1, -1),),)
+        conj = conjugate_decomposition(a, a, dec)
+        text = json.dumps(cli.decomposition_to_obj(conj), sort_keys=True)
+        parsed = cli.parse_decomposition(text)
+        assert parsed == conj
+        assert parsed.terms[1].form.support() == ()
         assert verify_power_decomposition(parsed).equal
 
     def test_tampered_combination_rejected(self):
@@ -301,6 +313,17 @@ class TestCheckCommands:
         assert row["ok"] is True
         assert row["row_swap_witness"] == [1, [2, 1, 3, 4]]
         assert row["witness_count"] > 0
+
+    @pytest.mark.parametrize("args, golden", [
+        (("--d", "3", "--full"), "symmetries_d3_full.json"),
+        (("--d", "4", "--full"), "symmetries_d4_full.json"),
+        (("--d", "5", "--seed", "7"), "symmetries_d5_seed7.json"),
+    ])
+    def test_symmetries_stdout_is_pinned(self, capsys, args, golden):
+        # the full action at d=4 and the sampled d=5 counts, byte for byte
+        code, out = run_cli(capsys, "symmetries", *args)
+        assert code == 0
+        assert out.encode() == (DATA_DIR / golden).read_bytes()
 
     def test_equations_d2(self, capsys):
         code, obj = run_json(capsys, "equations", "--d", "2")

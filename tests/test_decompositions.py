@@ -150,6 +150,16 @@ class TestSchemes:
             PowerDecomposition(2, "classical", 4, "determinant", 1,
                                (term,) * 4)
 
+    @pytest.mark.parametrize("scheme", ["main", "conjugated"])
+    def test_zero_form_in_main_d2_still_raises(self, scheme):
+        dec = main_decomposition(2)
+        terms = list(dec.terms)
+        terms[1] = PowerTerm(terms[1].index, terms[1].coeff,
+                             LinForm(2, 2, {}), 2)
+        with pytest.raises(ValueError, match="zero form"):
+            PowerDecomposition(2, scheme, dec.scale, dec.target, 2,
+                               tuple(terms))
+
     @pytest.mark.parametrize("build, d, bound", [
         (main_decomposition, 6, 6 ** 3),
         (classical_decomposition, 5, 2 * 5 ** 2),

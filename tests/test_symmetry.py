@@ -9,6 +9,7 @@ from detpowers.cyclotomic import Cyc, omega
 from detpowers import symmetry
 from detpowers.decompositions import (
     Perm,
+    gurvits_decomposition,
     main_decomposition,
     monomial_power_decomposition,
 )
@@ -344,7 +345,7 @@ class TestAction:
         with pytest.raises(ValueError):
             _TermTable(classical_decomposition(3)).act(elem)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_shared_table_matches_apply_symmetry_on_every_element(self, d):
         # oracle: each element applied on its own, phases in the exponents
         dec = main_decomposition(d)
@@ -370,6 +371,30 @@ class TestAction:
 
         monkeypatch.setattr(symmetry, "main_decomposition", flipped)
         assert check_symmetry_action(3) is False
+        assert check_symmetry_action(4) is False
+
+    def test_full_check_work_counts_at_d4(self, monkeypatch):
+        # 8 affine pi x 24 sigma: one image table of d = 4 row solves each,
+        # and one outcome per shift n whose phase sign (-1)^n matches
+        solves = outcomes = 0
+        solve, outcome = symmetry._solve_row_exponents, _TermTable.outcome
+
+        def counted_solve(*args):
+            nonlocal solves
+            solves += 1
+            return solve(*args)
+
+        def counted_outcome(*args, **kwargs):
+            nonlocal outcomes
+            outcomes += 1
+            return outcome(*args, **kwargs)
+
+        monkeypatch.setattr(symmetry, "_solve_row_exponents", counted_solve)
+        monkeypatch.setattr(_TermTable, "outcome", counted_outcome)
+        assert check_symmetry_action(4)
+        table_build = 4 * 24  # one membership solve per term of main(4)
+        assert solves - table_build <= 4 * 8 * 24
+        assert outcomes == 8 * 24 * 2
 
     def test_form_swapped_term_is_rejected(self):
         dec = main_decomposition(3)
@@ -461,6 +486,17 @@ class TestConjugation:
         a, b = random_unimodular(), random_unimodular()
         assert matrix_determinant(matrix_product(a, b, 3), 3) == Cyc.one(3)
         conj = conjugate_decomposition(a, b, dec)
+        assert verify_power_decomposition(conj).equal
+
+    def test_gurvits_d1_conjugate_keeps_its_zero_form(self):
+        # X -> aXb with ab = 1 maps the omitted term's zero form to itself
+        dec = gurvits_decomposition(1)
+        a = ((Cyc.from_int(1, 2),),)
+        b = ((Cyc.from_fraction(1, Fraction(1, 2)),),)
+        conj = conjugate_decomposition(a, b, dec)
+        assert conj.scheme == "conjugated"
+        assert [t.form for t in conj.terms] == [t.form for t in dec.terms]
+        assert not conj.terms[1].form.support()
         assert verify_power_decomposition(conj).equal
 
     def test_determinant_condition_is_enforced(self):
