@@ -630,6 +630,9 @@ def _cmd_bench(config: RunConfig, timings: list):
         ("verify-main-6-streaming",
          lambda: verify_power_decomposition(
              SCHEME_BUILDERS["main"](6), mode="streaming").equal),
+        ("verify-main-7-streaming",
+         lambda: verify_power_decomposition(
+             SCHEME_BUILDERS["main"](7), mode="streaming").equal),
         ("verify-classical-3",
          lambda: verify_power_decomposition(
              SCHEME_BUILDERS["classical"](3)).equal),

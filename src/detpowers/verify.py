@@ -6,18 +6,22 @@ Two independent engines are provided:
   term adds integers to a vector per monomial, an element of the group
   ring Z[C_n] indexed by the phase, and each vector is projected to Q(w)
   once at the end. A term whose scalars are all units +-w^k adds
-  +-multinomial at a phase; any other term has its scalars lifted to the
-  ring and packed into one integer each, the ring element evaluated at
-  2^B, so one integer product mod 2^(nB) - 1 is one product in the ring.
+  +-multinomial at a phase, read for all its compositions at once from
+  the fields of one packed integer; any other term has its scalars
+  lifted to the ring and packed into one integer each, the ring element
+  evaluated at 2^B, so one integer product mod 2^(nB) - 1 is one product
+  in the ring.
   The width B comes from a proved bound on every digit, and denominators
   are cleared by one common denominator of the sum; nothing falls back
   to Cyc products;
 * streaming mode never expands a term: the scheme's combinatorial formula
   gives its total at a monomial as a factor of the exponents' composition
   times the signed extension sum of the pattern, so one comparison decides
-  a whole composition class. Only the monomials of a failing class, and
-  those a given term that differs from the scheme's own term reaches
-  (corrected by that difference), are evaluated one by one.
+  a whole composition class. Each given term's index is read from its
+  support and checked against that index's closed-form term, in any
+  order. Only the monomials of a failing class, and those a term whose
+  index is missing, repeated or differs reaches (corrected by that
+  term), are evaluated one by one.
 
 The engines share no code path, so they act as each other's oracle; both
 read the terms they are given, compare against the scaled target
@@ -33,9 +37,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import struct
+import sys
 import time
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import getitem, is_, itemgetter, mul
 
 from .cyclotomic import Cyc, from_root_coefficients, omega
 from .decompositions import (
@@ -43,10 +49,6 @@ from .decompositions import (
     TARGET_DIAGONAL,
     PowerDecomposition,
     ProductDecomposition,
-    classical_decomposition,
-    gurvits_decomposition,
-    main_decomposition,
-    monomial_power_decomposition,
 )
 from .multipoly import (
     LinForm,
@@ -162,7 +164,12 @@ class VerificationReport:
 #
 # * A term whose coefficient and nonzero entries are all units +-w^k adds
 #   +-multinomial(e) at the phase of its composition, the exponent-weighted
-#   sum of the entries' root powers.
+#   sum of the entries' root powers. Each entry is a power z^code of a root
+#   z of order 2 * order (z^2 = w, z^order = -1), so composition e's
+#   product is z^v, v = sum_k code_k * e_k. One int holds every
+#   composition's v in a field of its own: sum_k code_k * column_k, column
+#   k holding e_k of every composition, one field each; a table per
+#   coefficient phase turns v into the slot, and v's parity into the sign.
 # * Any other scalar is lifted to the ring: its numerator over 1, w, ...,
 #   w^(phi-1), padded with zeros to length order, is an element of
 #   Z[C_order] that projects back to itself, and the projection is a ring
@@ -195,30 +202,49 @@ def _unit(c: Cyc) -> tuple[int, int] | None:
 
 
 def _unit_phases(coeff: Cyc, support):
-    """(sign, k) of the coefficient, and the root powers and negation flags
-    (0/1) of the entries, when every scalar of the term is a unit; else
-    None."""
+    """(sign, k) of the coefficient, and the code of each entry, when every
+    scalar of the term is a unit; else None. The entry (-1)^neg * w^p has
+    code 2 * p + order * neg, the exponent of z in z^(2p) * (z^order)^neg
+    for a root z of order 2 * order, with z^2 = w and z^order = -1."""
     head = _unit(coeff)
     if head is None:
         return None
-    powers, negated = [], []
+    order = coeff.order
+    codes = []
     for _, c in support:
         unit = _unit(c)
         if unit is None:
             return None
-        powers.append(unit[1])
-        negated.append(int(unit[0] < 0))
-    return head, powers, negated
+        codes.append(2 * unit[1] + (order if unit[0] < 0 else 0))
+    return head, codes
 
 
-def _composition_table(exponent: int, size: int, scale: int):
+def _code_bound(exponent: int, order: int) -> int:
+    """The largest sum of ``exponent`` entry codes: each is at most
+    2 * (order - 1) + order."""
+    return exponent * (3 * order - 2)
+
+
+def _field_format(exponent: int, order: int) -> str:
+    """The struct format of the smallest unsigned native field that holds
+    every code sum of a unit term."""
+    bound = _code_bound(exponent, order)
+    return next(code for code in "BHIQ"
+                if bound < 1 << 8 * struct.calcsize(code))
+
+
+def _composition_table(exponent: int, size: int, scale: int, order: int):
     """The weak compositions of ``exponent`` >= 1 over ``size`` parts, their
-    multinomials (plain, and signed times ``scale`` for unit terms), and a
+    multinomials (plain, and signed times ``scale`` for unit terms), a
     tree of their nonzero prefixes, for products over the parts and for
-    the monomials' keys. Node n >= 1 of the tree is ``nodes[n - 1]`` =
-    (parent, k, e), its parent's prefix extended by part k = e; node 0 is
-    the empty prefix. ``steps[c]`` = (parent, k, e) is the step from an
-    inner node that completes composition c."""
+    the monomials' keys, and the packed columns with their field type.
+    Node n >= 1 of the tree is ``nodes[n - 1]`` = (parent, k, e), its
+    parent's prefix extended by part k = e; node 0 is the empty prefix.
+    ``steps[c]`` = (parent, k, e) is the step from an inner node that
+    completes composition c. Column k is the int whose field c holds part
+    k of composition c, so sum_k code_k * column_k holds composition c's
+    code sum in field c: the field, of struct format ``field``, holds every
+    code sum at the root ``order``."""
     nodes, steps, comps, mults = [], [], [], []
     fact = [math.factorial(e) for e in range(exponent + 1)]
     comp = [0] * size
@@ -239,7 +265,11 @@ def _composition_table(exponent: int, size: int, scale: int):
 
     grow(0, 0, exponent, 1)
     signed = {1: [scale * m for m in mults], -1: [-scale * m for m in mults]}
-    return comps, mults, signed, nodes, steps
+    field = _field_format(exponent, order)
+    columns = [int.from_bytes(struct.pack(f"{len(comps)}{field}", *column),
+                              sys.byteorder)
+               for column in zip(*comps)]
+    return comps, mults, signed, nodes, steps, columns, field
 
 
 def _common_denominator(terms) -> int:
@@ -282,6 +312,7 @@ def _expand_chunk(order: int, scale: int, terms) -> dict:
     sum of the non-unit terms, decoded into the vector at the end."""
     ring: dict = {}
     tables: dict[tuple[int, int], tuple] = {}
+    slots: dict[tuple[int, int], list] = {}
     last_vars = vecs = width = None
     blank = [0] * order
     for t, term in enumerate(terms):
@@ -289,8 +320,8 @@ def _expand_chunk(order: int, scale: int, terms) -> dict:
         variables = [var for var, _ in support]
         key = (term.exponent, len(variables))
         if key not in tables:
-            tables[key] = _composition_table(*key, scale)
-        comps, mults, signed, nodes, steps = tables[key]
+            tables[key] = _composition_table(*key, scale, order)
+        comps, mults, signed, nodes, steps, columns, field = tables[key]
         if variables != last_vars:
             # builders emit the terms of one support consecutively
             last_vars, vecs = variables, []
@@ -316,16 +347,24 @@ def _expand_chunk(order: int, scale: int, terms) -> dict:
             _add_general_term(term, support, order, scale, width, vecs,
                               mults, nodes, steps)
             continue
-        (sign, k0), powers, negated = unit
-        odd = negated if any(negated) else None
-        phased = powers if any(powers) else None
-        for vec, comp, m in zip(vecs, comps, signed[sign]):
-            if odd and sum(map(mul, comp, odd)) & 1:
-                m = -m
-            if phased:
-                vec[(k0 + sum(map(mul, comp, phased))) % order] += m
-            else:
+        (sign, k0), codes = unit
+        if not any(codes):
+            for vec, m in zip(vecs, signed[sign]):
                 vec[k0] += m
+            continue
+        # field c of the sum is the code sum v of composition c: the
+        # product of its entry powers is z^v, which is w^(v/2) for even v
+        # and -w^((v - order)/2) for odd v (odd v needs an odd order)
+        packed = sum(map(mul, codes, columns))
+        fields = memoryview(packed.to_bytes(
+            len(comps) * struct.calcsize(field), sys.byteorder)).cast(field)
+        slot = slots.get((term.exponent, k0))
+        if slot is None:
+            slot = slots[term.exponent, k0] = [
+                (k0 + ((v - (order if v & 1 else 0)) >> 1)) % order
+                for v in range(_code_bound(term.exponent, order) + 1)]
+        for vec, v, m in zip(vecs, fields, signed[sign]):
+            vec[slot[v]] += -m if v & 1 else m
     if width is not None:
         _unpack(ring, order, width)
     return ring
@@ -419,7 +458,7 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
 
     ``mode`` picks the engine: "expansion" works for any decomposition;
     "streaming" works for the four structured schemes, and raises
-    ValueError when a given term that differs from the scheme's own
+    ValueError when a term whose index is missing, repeated or differs
     reaches a monomial outside the scheme's walk.
     Both engines run in the calling process; ``jobs`` is accepted for
     compatibility and ignored.
@@ -491,52 +530,208 @@ def _signed_extension_sum(d: int, partial: dict[int, int]) -> int:
                            for r in range(1, d + 1)))
 
 
-# the builders whose terms the streaming formulas describe, bound by name
-# so that a replaced entry of the mutable SCHEME_BUILDERS registry cannot
-# become the reference a given decomposition is compared with
+# --- the schemes' own terms, by number --------------------------------------
+#
+# Streaming compares the given terms with the closed-form terms of the
+# scheme, which its formulas describe. Each scheme numbers its terms
+# n = 0, 1, ... in its builder's order and gives, per call, a ``decode``
+# that reads the number a given support would have from its columns and
+# scalars, and a ``closed_form`` that gives term n as its coefficient's
+# sign and its support's pairs: one table row per matrix row, listing the
+# shared pairs ((i, s), scalar) by column s, and the column of each row.
+# Decoding only proposes a number: the given term is term n when its
+# coefficient and its whole support equal term n's.
+
+
+def _permutations(d: int):
+    """The permutations of 1..d in lexicographic order, their ranks, and
+    their signs by rank. The Lehmer codes run through the mixed radix
+    (d, d-1, ..., 1) in the same order, and a code's digit sum counts the
+    permutation's inversions."""
+    perms = list(itertools.permutations(range(1, d + 1)))
+    codes = itertools.product(*(range(n) for n in range(d, 0, -1)))
+    signs = [-1 if sum(code) & 1 else 1 for code in codes]
+    return perms, {sigma: r for r, sigma in enumerate(perms)}, signs
+
+
+def _pair_row(d: int, i: int, c: Cyc) -> list:
+    """Row i's pairs ((i, s), c), listed by column s; slot 0 is unused."""
+    return [None] + [((i, s), c) for s in range(1, d + 1)]
+
+
+def _main_reference(d: int):
+    """main: term r * d + j - 1 is sgn sigma * (-1)^((d+1)j) times
+    (sum_i w^(ij) x[i, sigma i])^d, sigma of rank r. A support names sigma
+    by its columns and j by row 1's root power."""
+    perms, rank, signs = _permutations(d)
+    rows = range(1, d + 1)
+    roots = [omega(d, k) for k in range(d)]
+    phase = {w.num: k for k, w in enumerate(roots)}
+    tables = [None] + [[_pair_row(d, i, roots[i * j % d]) for i in rows]
+                       for j in rows]
+    parity = [None] + [(-1) ** ((d + 1) * j) for j in rows]
+
+    def decode(support):
+        if len(support) != d:
+            return None
+        r = rank.get(tuple([s for (_, s), _ in support]))
+        k = phase.get(support[0][1].num)
+        return None if r is None or k is None else r * d + (k or d) - 1
+
+    def closed_form(n):
+        r, j = divmod(n, d)
+        return signs[r] * parity[j + 1], tables[j + 1], perms[r]
+
+    return d, len(perms) * d, decode, closed_form
+
+
+def _signed_reference(d: int, perms, rank, signs):
+    """classical: term r * 2^(d-1) + t is sgn sigma * prod eps times
+    (sum_i eps_i x[i, sigma i])^d, sigma of rank r among ``perms`` and eps
+    the t-th sign vector with eps_1 = +1, in the builder's order. A form
+    with eps_1 = -1 names no term."""
+    units = {e: Cyc.from_int(1, e) for e in (1, -1)}
+    unit = {c.num: e for e, c in units.items()}
+    rows = {e: [_pair_row(d, i, c) for i in range(1, d + 1)]
+            for e, c in units.items()}
+    vectors = [(1,) + rest
+               for rest in itertools.product((1, -1), repeat=d - 1)]
+    eps_rank = {eps: t for t, eps in enumerate(vectors)}
+    eps_sign = [math.prod(eps) for eps in vectors]
+    eps_rows = [tuple(rows[e][i] for i, e in enumerate(eps))
+                for eps in vectors]
+    block = len(vectors)
+
+    def decode(support):
+        if len(support) != d:
+            return None
+        r = rank.get(tuple([s for (_, s), _ in support]))
+        t = eps_rank.get(tuple([unit.get(c.num) for _, c in support]))
+        return None if r is None or t is None else r * block + t
+
+    def closed_form(n):
+        r, t = divmod(n, block)
+        return signs[r] * eps_sign[t], eps_rows[t], perms[r]
+
+    return 1, len(perms) * block, decode, closed_form
+
+
+def _classical_reference(d: int):
+    return _signed_reference(d, *_permutations(d))
+
+
+def _monomial_reference(d: int):
+    """monomial: classical's terms of the identity permutation alone."""
+    diagonal = tuple(range(1, d + 1))
+    return _signed_reference(d, [diagonal], {diagonal: 0}, [1])
+
+
+def _gurvits_reference(d: int):
+    """gurvits: term r * (d + 1) is sgn sigma times (sum_i x[i, sigma i])^d,
+    sigma of rank r, and term r * (d + 1) + m, m = 1..d, is -sgn sigma
+    times the same power without row m. A support of d - 1 entries names
+    the missing row and column."""
+    perms, rank, signs = _permutations(d)
+    one = Cyc.from_int(1, 1)
+    full = tuple(_pair_row(d, i, one) for i in range(1, d + 1))
+    tables = [full] + [full[:m - 1] + full[m:] for m in range(1, d + 1)]
+    total = d * (d + 1) // 2
+
+    def decode(support):
+        cols = tuple([s for (_, s), _ in support])
+        if len(cols) == d:
+            omit = 0
+        elif len(cols) == d - 1:
+            omit = total - sum([i for (i, _), _ in support])
+            if not 1 <= omit <= d:
+                return None
+            cols = cols[:omit - 1] + (total - sum(cols),) + cols[omit - 1:]
+        else:
+            return None
+        r = rank.get(cols)
+        return None if r is None else r * (d + 1) + omit
+
+    def closed_form(n):
+        r, omit = divmod(n, d + 1)
+        sigma = perms[r]
+        if omit:
+            return -signs[r], tables[omit], sigma[:omit - 1] + sigma[omit:]
+        return signs[r], full, sigma
+
+    return 1, len(perms) * (d + 1), decode, closed_form
+
+
+# the closed forms the streaming formulas describe, bound by name so that a
+# replaced entry of the mutable SCHEME_BUILDERS registry cannot become the
+# reference a given decomposition is compared with
 _STREAM_REFERENCE = {
-    "main": main_decomposition,
-    "classical": classical_decomposition,
-    "gurvits": gurvits_decomposition,
-    "monomial": monomial_power_decomposition,
+    "main": _main_reference,
+    "classical": _classical_reference,
+    "gurvits": _gurvits_reference,
+    "monomial": _monomial_reference,
 }
 
 
 def _term_corrections(dec: PowerDecomposition, diagonal: bool) -> dict:
-    """The terms of ``dec`` that differ from the term its scheme's builder
-    puts in the same position, each paired with that builder term: the
-    given term with sign +1, the builder term with sign -1. Both are
-    indexed by every nonempty subset of their support, so a monomial finds
-    the terms whose power reaches it by its own support. Raises ValueError
-    when the root orders differ, or for a differing term whose support is
-    not a partial permutation pattern the walk covers (only the diagonal
-    when ``diagonal``)."""
+    """The given terms that are not the scheme's, with sign +1, and the
+    scheme's terms no given term is, with sign -1. A given term is the
+    scheme's term n when its coefficient and support are term n's closed
+    form and no earlier term was term n; so a term whose index is missing,
+    repeated or differs is corrected, and term order does not matter.
+    Each correction is indexed by every nonempty subset of its support, so
+    a monomial finds the terms whose power reaches it by its own support.
+    Raises ValueError when the root orders differ, or for a corrected term
+    whose support is not a partial permutation pattern the walk covers
+    (only the diagonal when ``diagonal``)."""
     d = dec.d
-    family = _STREAM_REFERENCE[dec.scheme](d)
-    if dec.order != family.order:
+    order, count, decode, closed_form = _STREAM_REFERENCE[dec.scheme](d)
+    if dec.order != order:
         raise ValueError(f"streaming {dec.scheme} needs root order "
-                         f"{family.order}, got {dec.order}")
+                         f"{order}, got {dec.order}")
+    # (order, numerator, denominator) of the coefficients +1 and -1
+    coeff_key = {sign: (order, Cyc.from_int(order, sign).num, 1)
+                 for sign in (1, -1)}
+    used = bytearray(count)
     out: dict[tuple[tuple[int, int], ...], list] = {}
-    for mine, theirs in zip(dec.terms, family.terms, strict=True):
-        if mine.coeff == theirs.coeff and mine.form == theirs.form:
-            continue
-        for sign, term in ((1, mine), (-1, theirs)):
-            support = term.form.support()
-            variables = [var for var, _ in support]
-            rows = {i for i, _ in variables}
-            cols = {j for _, j in variables}
-            if (len(rows) < len(variables) or len(cols) < len(variables)
-                    or (diagonal and any(i != j for i, j in variables))):
-                raise ValueError(
-                    f"term {term.index!r} differs from the scheme's term and "
-                    f"its support {variables} is not a pattern the streaming "
-                    f"walk covers")
-            powers = {var: [c ** e for e in range(d + 1)]
-                      for var, c in support}
-            for size in range(1, len(variables) + 1):
-                for sub in itertools.combinations(variables, size):
-                    out.setdefault(sub, []).append((sign, term.coeff, powers))
+    for term in dec.terms:
+        support = term.form.support()
+        n = decode(support)
+        if n is not None and not used[n]:
+            sign, table, cols = closed_form(n)
+            want = tuple(map(getitem, table, cols))
+            coeff = term.coeff
+            if support == want and \
+                    (coeff.order, coeff.num, coeff.den) == coeff_key[sign]:
+                used[n] = 1
+                # a builder's forms share their pairs; adopted, they match
+                # the next forms by identity
+                if not all(map(is_, support, want)):
+                    for row, pair in zip(table, support):
+                        row[pair[0][1]] = pair
+                continue
+        _index_correction(out, 1, term.coeff, support, d, diagonal,
+                          term.index)
+    for n in [n for n, hit in enumerate(used) if not hit]:
+        sign, table, cols = closed_form(n)
+        _index_correction(out, -1, Cyc.from_int(order, sign),
+                          tuple(map(getitem, table, cols)), d, diagonal, n)
     return out
+
+
+def _index_correction(out: dict, sign: int, coeff: Cyc, support, d: int,
+                      diagonal: bool, label) -> None:
+    variables = [var for var, _ in support]
+    rows = {i for i, _ in variables}
+    cols = {j for _, j in variables}
+    if (len(rows) < len(variables) or len(cols) < len(variables)
+            or (diagonal and any(i != j for i, j in variables))):
+        raise ValueError(
+            f"term {label!r} is not the scheme's term and its support "
+            f"{variables} is not a pattern the streaming walk covers")
+    powers = {var: [c ** e for e in range(d + 1)] for var, c in support}
+    for size in range(1, len(variables) + 1):
+        for sub in itertools.combinations(variables, size):
+            out.setdefault(sub, []).append((sign, coeff, powers))
 
 
 def _correction(entries, mono: Monomial, mult: int, order: int) -> Cyc:

@@ -261,8 +261,8 @@ class TestVerifyCommand:
         assert all(len(entry) == 3 for entry in witness["monomial"])
         assert cli.obj_to_cyc(witness["got"]) \
             != cli.obj_to_cyc(witness["want"])
-        # streaming checks the flipped object against the scheme's own
-        # builder, not the patched registry entry, so both engines reject it
+        # streaming checks the flipped object against the scheme's closed
+        # form, not the patched registry entry, so both engines reject it
         # with the same witness and the modes agree
         assert by_mode["streaming"]["equal"] is False
         assert by_mode["streaming"]["witness"] == witness
@@ -472,6 +472,7 @@ class TestBench:
         names = [r["benchmark"] for r in obj["results"]]
         assert "verify-main-4-streaming" in names
         assert "verify-main-6-streaming" in names
+        assert "verify-main-7-streaming" in names
         assert "verify-conjugated-main-4-expansion" in names
         assert "verify-conjugated-classical-4-expansion" in names
         assert "separation-5" in names

@@ -1,7 +1,10 @@
+import collections
 import dataclasses
 import itertools
+import json
 import math
 import random
+import time
 from fractions import Fraction
 from operator import mul
 
@@ -45,6 +48,16 @@ from detpowers.verify import (
     verify_power_decomposition,
     verify_product_identity,
 )
+
+
+# the builders by scheme, bound here so that no test's edit of the
+# SCHEME_BUILDERS registry reaches the oracles
+BUILDERS = {
+    "main": main_decomposition,
+    "classical": classical_decomposition,
+    "gurvits": gurvits_decomposition,
+    "monomial": monomial_power_decomposition,
+}
 
 
 def flip_one_sign(dec, position):
@@ -267,8 +280,8 @@ def circulant_path(dec):
     ring = {}
     for term in dec.terms:
         support = term.form.support()
-        comps, mults, _, nodes, steps = verify._composition_table(
-            term.exponent, len(support), scale)
+        comps, mults, _, nodes, steps, _, _ = verify._composition_table(
+            term.exponent, len(support), scale, order)
         vecs = [ring.setdefault(tuple((i, j, e) for ((i, j), _), e
                                       in zip(support, comp) if e),
                                 [0] * order)
@@ -484,6 +497,67 @@ class TestPackedGroupRing:
         assert verify_power_decomposition(dec).equal
 
 
+def unit_terms(rng, d, order, count, exponent):
+    """``count`` seeded terms whose coefficient and entries are all +-w^k,
+    each on a seeded support of 1 to 4 of the d^2 variables. Negated
+    entries are drawn at every order; at odd orders -1 is not a power of
+    w, so they set the parity bit of the packed code."""
+    def unit():
+        return omega(order, rng.randrange(order)) * rng.choice((1, -1))
+
+    variables = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
+    return [PowerTerm((n,), unit(),
+                      LinForm(order, d, {var: unit() for var in rng.sample(
+                          variables, rng.randint(1, 4))}), exponent)
+            for n in range(count)]
+
+
+class TestPackedPhases:
+    """A unit term's phases and signs, for every composition at once, are
+    the fields of one packed integer sum_k code_k * column_k."""
+
+    @pytest.mark.parametrize("order", range(1, 8))
+    def test_seeded_unit_terms_match_circulant_path(self, order):
+        rng = random.Random(1000 + order)
+        terms = unit_terms(rng, 3, order, 12, 3)
+        assert any(_unit(c)[0] < 0 for t in terms
+                   for _, c in t.form.support()) or order % 2 == 0
+        dec = loose(3, order, terms)
+        assert _expand_sum(dec) == circulant_path(dec)
+
+    @pytest.mark.parametrize("order, entry, exponent, wide", [
+        # 2 * 11 * 12 = 264: w^11 at order 12 (-w^11 is w^5 there)
+        (12, omega(12, 11), 12, 264),
+        # (2 * 6 + 7) * 20 = 380: -w^6 at order 7 is z^19, z^2 = w
+        (7, -omega(7, 6), 20, 380),
+    ])
+    def test_field_wider_than_a_byte(self, order, entry, exponent, wide):
+        _, (code,) = _unit_phases(Cyc.one(order), [((1, 1), entry)])
+        assert code * exponent == wide
+        assert verify._field_format(exponent, order) == "H"
+        form = LinForm(order, exponent, {(1, 1): entry, (2, 2): entry})
+        terms = [PowerTerm((0,), Cyc.one(order), form, exponent)]
+        dec = loose(exponent, order, terms)
+        got = _expand_sum(dec)
+        assert got == circulant_path(dec)
+        # the composition with all of the exponent on one variable
+        assert got[((1, 1, exponent),)] == entry ** exponent
+
+    def test_field_format_bounds(self):
+        # exponent * (3 * order - 2): 255 fits a byte, 256 does not
+        assert verify._field_format(255, 1) == "B"
+        assert verify._field_format(256, 1) == "H"
+        assert verify._field_format(1, 21845) == "H"
+        assert verify._field_format(1, 21846) == "I"
+
+    def test_columns_hold_the_parts(self):
+        comps, *_, columns, field = verify._composition_table(3, 2, 1, 4)
+        assert field == "B"
+        assert comps == [[3, 0], [2, 1], [1, 2], [0, 3]]
+        assert [list(c.to_bytes(4, "little")) for c in columns] \
+            == [[3, 2, 1, 0], [0, 1, 2, 3]]
+
+
 class TestStreamingChecksTerms:
     @pytest.mark.parametrize("dec", [
         flip_one_sign(main_decomposition(3), 7),
@@ -560,6 +634,151 @@ class TestStreamingChecksTerms:
                 dataclasses.replace(dec, terms=terms), mode="streaming")
 
 
+def shuffled(dec, seed):
+    terms = list(dec.terms)
+    random.Random(seed).shuffle(terms)
+    return dataclasses.replace(dec, terms=tuple(terms))
+
+
+def rotated(dec):
+    return dataclasses.replace(dec, terms=dec.terms[1:] + dec.terms[:1])
+
+
+def count_corrections(monkeypatch):
+    calls = []
+    correction = verify._correction
+
+    def counting(*args):
+        calls.append(args)
+        return correction(*args)
+
+    monkeypatch.setattr(verify, "_correction", counting)
+    return calls
+
+
+def correction_terms(dec):
+    """The distinct (sign, coeff, support) corrections streaming adds."""
+    diagonal = dec.scheme == "monomial" and dec.target == "diagonal-product"
+    found = set()
+    for entries in verify._term_corrections(dec, diagonal).values():
+        for sign, coeff, powers in entries:
+            found.add((sign, coeff,
+                       tuple((var, row[1]) for var, row in powers.items())))
+    return found
+
+
+class TestStreamingDecoders:
+    """Streaming reads each given term's index from its support and checks
+    it against that index's closed form, so no reference decomposition is
+    built and term order does not matter."""
+
+    @pytest.mark.parametrize("scheme", list(BUILDERS))
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_reordered_terms_need_no_correction(self, scheme, d,
+                                                monkeypatch):
+        calls = count_corrections(monkeypatch)
+        dec = BUILDERS[scheme](d)
+        for given in (dec, rotated(dec), shuffled(dec, d)):
+            assert correction_terms(given) == set()
+            report = verify_power_decomposition(given, mode="streaming")
+            assert report.equal
+        assert calls == []
+
+    def test_rotated_main_5_is_fast(self):
+        dec = rotated(main_decomposition(5))
+        started = time.process_time()
+        report = verify_power_decomposition(dec, mode="streaming")
+        # 2.7 s when every rotated term was a correction in Cyc
+        assert report.equal and time.process_time() - started < 1.0
+
+    @pytest.mark.parametrize("scheme", list(BUILDERS))
+    def test_duplicated_and_dropped_term_is_rejected(self, scheme):
+        dec = BUILDERS[scheme](3)
+        terms = list(dec.terms)
+        dropped = terms[1]
+        terms[1] = terms[2]
+        bad = dataclasses.replace(dec, terms=tuple(terms))
+        # one +1 for the repeat, one -1 for the missing index, built alone
+        assert correction_terms(bad) == {
+            (1, terms[2].coeff, terms[2].form.support()),
+            (-1, dropped.coeff, dropped.form.support())}
+        stream = verify_power_decomposition(bad, mode="streaming")
+        exp = verify_power_decomposition(bad)
+        assert not stream.equal and not exp.equal
+        assert stream.witness == exp.witness
+
+    @pytest.mark.parametrize("scheme", list(BUILDERS))
+    def test_negated_coefficient_is_rejected(self, scheme):
+        dec = BUILDERS[scheme](4)
+        position = len(dec.terms) // 2 + 1
+        bad = shuffled(flip_one_sign(dec, position), 4)
+        assert len(correction_terms(bad)) == 2
+        stream = verify_power_decomposition(bad, mode="streaming")
+        exp = verify_power_decomposition(bad)
+        assert not stream.equal and not exp.equal
+        assert stream.witness == exp.witness
+
+    @pytest.mark.parametrize("scheme", ["classical", "monomial"])
+    @pytest.mark.parametrize("d, equal", [(3, False), (4, True)])
+    def test_first_sign_minus_names_no_index(self, scheme, d, equal):
+        # (-f)^d is f^d only at even d; either way the negated form is a
+        # correction, and its index a missing one
+        dec = BUILDERS[scheme](d)
+        term = dec.terms[1]
+        negated = LinForm(1, d, [(var, -c) for var, c in term.form.support()])
+        # row 1 comes first in the sorted support
+        assert negated.support()[0][1] == Cyc.from_int(1, -1)
+        terms = dec.terms[:1] + (dataclasses.replace(term, form=negated),) \
+            + dec.terms[2:]
+        bad = dataclasses.replace(dec, terms=terms)
+        assert len(correction_terms(bad)) == 2
+        stream = verify_power_decomposition(bad, mode="streaming")
+        exp = verify_power_decomposition(bad)
+        assert stream.equal is exp.equal is equal
+        assert stream.witness == exp.witness
+
+    @pytest.mark.parametrize("scheme, d", [
+        ("gurvits", 1), ("gurvits", 3), ("main", 3), ("classical", 3),
+        ("monomial", 3)])
+    def test_json_round_trip_matches_by_value(self, scheme, d,
+                                              monkeypatch):
+        from detpowers import cli
+        dec = BUILDERS[scheme](d)
+        parsed = cli.parse_decomposition(
+            json.dumps(cli.decomposition_to_obj(dec)))
+        pairs = [pair for t in parsed.terms for pair in t.form.support()]
+        # no pair object is shared, so every support matches by value
+        assert len({id(pair) for pair in pairs}) == len(pairs)
+        calls = count_corrections(monkeypatch)
+        for given in (dec, parsed, shuffled(parsed, d)):
+            assert verify_power_decomposition(given, mode="streaming").equal
+        assert calls == []
+        if (scheme, d) == ("gurvits", 1):
+            assert parsed.terms[1].form.support() == ()
+
+    def test_builds_no_form(self, monkeypatch):
+        # the missing index's reference term is a support tuple alone; no
+        # LinForm, so no copy of the decomposition, is built
+        dec = flip_one_sign(gurvits_decomposition(4), 7)
+        built = []
+        init = LinForm.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(LinForm, "__init__", counting)
+        report = verify_power_decomposition(dec, mode="streaming")
+        assert not report.equal and built == []
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_permutation_signs_by_rank(self, d):
+        perms, rank, signs = verify._permutations(d)
+        assert perms == sorted(itertools.permutations(range(1, d + 1)))
+        assert all(rank[p] == r for r, p in enumerate(perms))
+        assert signs == [cycle_sign(Perm(p)) for p in perms]
+
+
 def enumerated_sign_vector_sum(powers):
     """sum over sign vectors eps (eps_1 = +1) of prod_i eps_i^powers[i],
     term by term."""
@@ -593,15 +812,41 @@ def walked_coefficient(scheme, d, order, mono, comp, mult):
     return Cyc.from_int(1, mult * ext * (1 - zero_rows))
 
 
+def differing_terms(dec):
+    """The multiset difference of (coeff, form) between the given terms and
+    a fresh builder copy: the given terms the builder does not make, with
+    sign +1, and the builder's terms not given, with sign -1."""
+    given = collections.Counter((t.coeff, t.form) for t in dec.terms)
+    built = collections.Counter((t.coeff, t.form)
+                                for t in BUILDERS[dec.scheme](dec.d).terms)
+    return ([(1, *term) for term in (given - built).elements()]
+            + [(-1, *term) for term in (built - given).elements()])
+
+
+def differing_total(differing, mono, mult, order):
+    """sum of sign * coeff * mult * prod c^e over the differing terms whose
+    support holds every variable of ``mono``."""
+    total = Cyc.zero(order)
+    for sign, coeff, form in differing:
+        scalars = dict(form.support())
+        if all((i, j) in scalars for i, j, _ in mono):
+            value = coeff * (sign * mult)
+            for i, j, e in mono:
+                value = value * scalars[i, j] ** e
+            total = total + value
+    return total
+
+
 def walk_check(dec, coefficient=walked_coefficient):
     """The per-monomial streaming walk: build every candidate monomial of
-    the scheme, sort them, and check each one, valued by ``coefficient``,
-    against the target. Returns the report fields the class-decided engine
-    must give, without and with ``collect_all``; the first counts the
-    monomials up to the witness."""
+    the scheme, sort them, and check each one, valued by ``coefficient``
+    plus the terms that differ from a builder copy, against the target.
+    Returns the report fields the class-decided engine must give, without
+    and with ``collect_all``; the first counts the monomials up to the
+    witness."""
     d, order, scheme = dec.d, dec.order, dec.scheme
     diagonal = scheme == "monomial" and dec.target == "diagonal-product"
-    corrections = verify._term_corrections(dec, diagonal)
+    differing = differing_terms(dec)
     candidates = []
     for comp in weak_compositions(d, d):
         rows = tuple(i for i, e in enumerate(comp, start=1) if e)
@@ -616,9 +861,8 @@ def walk_check(dec, coefficient=walked_coefficient):
     first_at = len(candidates)
     for checked, (mono, comp, mult) in enumerate(candidates, start=1):
         got = coefficient(scheme, d, order, mono, comp, mult)
-        entries = corrections.get(tuple((i, j) for i, j, _ in mono))
-        if entries:
-            got = got + verify._correction(entries, mono, mult, order)
+        if differing:
+            got = got + differing_total(differing, mono, mult, order)
         want = verify._target_coefficient(dec, mono, comp)
         if got != want:
             if not mismatches:
