@@ -306,10 +306,11 @@ class Cyc:
     # hashing / comparison ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
+        # the Cyc test comes first: Fraction's ABC instance check is slow
         if not isinstance(other, Cyc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self._coerce(other)
         return (self.order == other.order and self.num == other.num
                 and self.den == other.den)
 

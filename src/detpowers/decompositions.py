@@ -11,6 +11,10 @@ forms in the matrix entries:
                   full diagonal sum and d sums each omitting one entry.
 * ``monomial``  - 2^(d-1) forms decomposing the single diagonal monomial.
 
+Each scheme is written once, as a numbered table of its closed-form terms:
+the builders materialize it, and streaming verification decodes the terms
+it is given against it.
+
 The ``krishna-makam`` object is different in kind: five products of three
 linear forms summing to the 3x3 determinant exactly, over the integers.
 
@@ -24,6 +28,8 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import getitem
 from typing import Iterator
 
 from .cyclotomic import Cyc, omega
@@ -170,49 +176,191 @@ def sign_vectors(d: int) -> Iterator[tuple[int, ...]]:
         yield (1,) + rest
 
 
+# --- the schemes' own terms, by number --------------------------------------
+#
+# Each scheme is defined once, by a table (order, count, decode,
+# closed_form, index) of its terms n = 0, 1, ..., count - 1, whose scalars
+# have root order ``order``. ``closed_form(n)`` is term n's coefficient
+# sign, one row per matrix row listing the shared pairs ((i, s), scalar) by
+# column s, and the column of each row of its support; ``index(n)`` is its
+# ``PowerTerm.index``. ``decode(support)`` proposes the number a given
+# support would have, read from its columns and scalars, or None; streaming
+# verification takes a given term as term n only when its coefficient and
+# whole support equal term n's. The builders materialize every term in
+# order. Tables are cached per d, so the forms built at d and streaming's
+# checks of them share one pair object per (entry, scalar).
+
+
+@lru_cache(maxsize=None)
+def _permutations(d: int):
+    """The permutations of 1..d in lexicographic order and their signs by
+    rank. The Lehmer codes run through the mixed radix (d, d-1, ..., 1) in
+    the same order, and a code's digit sum counts the permutation's
+    inversions."""
+    perms = list(itertools.permutations(range(1, d + 1)))
+    codes = itertools.product(*(range(n) for n in range(d, 0, -1)))
+    return perms, [-1 if sum(code) & 1 else 1 for code in codes]
+
+
+@lru_cache(maxsize=None)
+def _ranks(d: int) -> dict:
+    """The rank of each permutation of 1..d; built on the first decode, as
+    the builders never need it."""
+    return {sigma: r for r, sigma in enumerate(_permutations(d)[0])}
+
+
+def _pair_row(d: int, i: int, c: Cyc) -> tuple:
+    """Row i's pairs ((i, s), c), listed by column s; slot 0 is unused."""
+    return (None,) + tuple(((i, s), c) for s in range(1, d + 1))
+
+
+@lru_cache(maxsize=None)
+def _main_table(d: int) -> tuple:
+    """main: term r * d + j - 1, index (sigma, j), is sgn sigma *
+    (-1)^((d+1)j) times (sum_i w^(ij) x[i, sigma i])^d, sigma of rank r.
+    A support names sigma by its columns and j by row 1's root power."""
+    perms, signs = _permutations(d)
+    rows = range(1, d + 1)
+    roots = [omega(d, k) for k in range(d)]
+    phase = {w.num: k for k, w in enumerate(roots)}
+    tables = [tuple(_pair_row(d, i, roots[i * j % d]) for i in rows)
+              for j in rows]
+    parity = [(-1) ** ((d + 1) * j) for j in rows]
+
+    def decode(support):
+        if len(support) != d:
+            return None
+        r = _ranks(d).get(tuple([s for (_, s), _ in support]))
+        k = phase.get(support[0][1].num)
+        return None if r is None or k is None else r * d + (k or d) - 1
+
+    def closed_form(n):
+        r, j = divmod(n, d)
+        return signs[r] * parity[j], tables[j], perms[r]
+
+    def index(n):
+        r, j = divmod(n, d)
+        return perms[r], j + 1
+
+    return d, len(perms) * d, decode, closed_form, index
+
+
+def _signed_table(d: int, perms, signs, rank) -> tuple:
+    """classical: term r * 2^(d-1) + t, index (sigma, eps), is sgn sigma *
+    prod eps times (sum_i eps_i x[i, sigma i])^d, sigma of rank r among
+    ``perms`` (``rank`` maps columns to r, or None) and eps the t-th of
+    ``sign_vectors(d)``. A form with eps_1 = -1 names no term."""
+    units = {e: Cyc.from_int(1, e) for e in (1, -1)}
+    unit = {c.num: e for e, c in units.items()}
+    rows = {e: [_pair_row(d, i, c) for i in range(1, d + 1)]
+            for e, c in units.items()}
+    vectors = list(sign_vectors(d))
+    eps_rank = {eps: t for t, eps in enumerate(vectors)}
+    eps_sign = [math.prod(eps) for eps in vectors]
+    eps_rows = [tuple(rows[e][i] for i, e in enumerate(eps))
+                for eps in vectors]
+    block = len(vectors)
+
+    def decode(support):
+        if len(support) != d:
+            return None
+        r = rank(tuple([s for (_, s), _ in support]))
+        t = eps_rank.get(tuple([unit.get(c.num) for _, c in support]))
+        return None if r is None or t is None else r * block + t
+
+    def closed_form(n):
+        r, t = divmod(n, block)
+        return signs[r] * eps_sign[t], eps_rows[t], perms[r]
+
+    def index(n):
+        r, t = divmod(n, block)
+        return perms[r], vectors[t]
+
+    return 1, len(perms) * block, decode, closed_form, index
+
+
+@lru_cache(maxsize=None)
+def _classical_table(d: int) -> tuple:
+    return _signed_table(d, *_permutations(d),
+                         lambda cols: _ranks(d).get(cols))
+
+
+@lru_cache(maxsize=None)
+def _monomial_table(d: int) -> tuple:
+    """monomial: classical's terms of the identity permutation alone, with
+    index (eps,)."""
+    diagonal = tuple(range(1, d + 1))
+    *table, index = _signed_table(d, [diagonal], [1], {diagonal: 0}.get)
+    return (*table, lambda n: index(n)[1:])
+
+
+@lru_cache(maxsize=None)
+def _gurvits_table(d: int) -> tuple:
+    """gurvits: term r * (d + 1), index (sigma, None), is sgn sigma times
+    (sum_i x[i, sigma i])^d, sigma of rank r, and term r * (d + 1) + m,
+    index (sigma, m), m = 1..d, is -sgn sigma times the same power without
+    row m. A support of d - 1 entries names the missing row and column."""
+    perms, signs = _permutations(d)
+    one = Cyc.from_int(1, 1)
+    full = tuple(_pair_row(d, i, one) for i in range(1, d + 1))
+    tables = [full] + [full[:m - 1] + full[m:] for m in range(1, d + 1)]
+    total = d * (d + 1) // 2
+
+    def decode(support):
+        cols = tuple([s for (_, s), _ in support])
+        if len(cols) == d:
+            omit = 0
+        elif len(cols) == d - 1:
+            omit = total - sum([i for (i, _), _ in support])
+            if not 1 <= omit <= d:
+                return None
+            cols = cols[:omit - 1] + (total - sum(cols),) + cols[omit - 1:]
+        else:
+            return None
+        r = _ranks(d).get(cols)
+        return None if r is None else r * (d + 1) + omit
+
+    def closed_form(n):
+        r, omit = divmod(n, d + 1)
+        sigma = perms[r]
+        if omit:
+            return -signs[r], tables[omit], sigma[:omit - 1] + sigma[omit:]
+        return signs[r], full, sigma
+
+    def index(n):
+        r, omit = divmod(n, d + 1)
+        return perms[r], omit or None
+
+    return 1, len(perms) * (d + 1), decode, closed_form, index
+
+
+def _materialize(d: int, scheme: str, scale: int, target: str,
+                 table: tuple) -> PowerDecomposition:
+    """Every term of ``table``, in its numbered order."""
+    order, count, _, closed_form, index = table
+    terms = []
+    for n in range(count):
+        sign, rows, cols = closed_form(n)
+        terms.append(PowerTerm(index(n), Cyc.from_int(order, sign),
+                               LinForm(order, d, map(getitem, rows, cols)), d))
+    return PowerDecomposition(d, scheme, scale, target, order, tuple(terms))
+
+
 def main_decomposition(d: int) -> PowerDecomposition:
     """d * d! * det = sum over (sigma, j) of signed d-th powers of forms
     whose (i, sigma(i)) coefficient is w^(i*j)."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    rows = range(1, d + 1)
-    # row i of cells[j] maps s to the one shared ((i, s), w^(ij)) pair
-    cells = {j: [{s: ((i, s), omega(d, i * j)) for s in rows} for i in rows]
-             for j in rows}
-    terms = []
-    for sigma in Perm.all_perms(d):
-        for j in rows:
-            sign = sigma.sign * (-1) ** ((d + 1) * j)
-            form = LinForm(d, d, [row[s] for row, s in
-                                  zip(cells[j], sigma.images)])
-            terms.append(PowerTerm((sigma.images, j), Cyc.from_int(d, sign),
-                                   form, d))
-    return PowerDecomposition(d, "main", d * math.factorial(d),
-                              TARGET_DETERMINANT, d, tuple(terms))
-
-
-def _unit_pairs(d: int) -> dict[tuple[int, int, int], tuple]:
-    """One ((i, s), +-1) pair per (i, s, sign), shared by the forms."""
-    rows = range(1, d + 1)
-    return {(i, s, e): ((i, s), Cyc.from_int(1, e))
-            for i in rows for s in rows for e in (1, -1)}
+    return _materialize(d, "main", d * math.factorial(d), TARGET_DETERMINANT,
+                        _main_table(d))
 
 
 def classical_decomposition(d: int) -> PowerDecomposition:
     """2^(d-1) * d! * det, one +-1 sign vector per permutation."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    pair = _unit_pairs(d)
-    terms = []
-    for sigma in Perm.all_perms(d):
-        for eps in sign_vectors(d):
-            coeff = sigma.sign * math.prod(eps)
-            form = LinForm(1, d, [pair[i, sigma(i), eps[i - 1]]
-                                  for i in range(1, d + 1)])
-            terms.append(PowerTerm((sigma.images, eps),
-                                   Cyc.from_int(1, coeff), form, d))
-    return PowerDecomposition(d, "classical", 2 ** (d - 1) * math.factorial(d),
-                              TARGET_DETERMINANT, 1, tuple(terms))
+    return _materialize(d, "classical", 2 ** (d - 1) * math.factorial(d),
+                        TARGET_DETERMINANT, _classical_table(d))
 
 
 def gurvits_decomposition(d: int) -> PowerDecomposition:
@@ -220,33 +368,16 @@ def gurvits_decomposition(d: int) -> PowerDecomposition:
     each omit one matrix entry of the permutation diagonal."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    pair = _unit_pairs(d)
-    terms = []
-    for sigma in Perm.all_perms(d):
-        full = [pair[i, sigma(i), 1] for i in range(1, d + 1)]
-        terms.append(PowerTerm((sigma.images, None),
-                               Cyc.from_int(1, sigma.sign),
-                               LinForm(1, d, full), d))
-        for omit in range(1, d + 1):
-            partial = full[:omit - 1] + full[omit:]
-            terms.append(PowerTerm((sigma.images, omit),
-                                   Cyc.from_int(1, -sigma.sign),
-                                   LinForm(1, d, partial), d))
-    return PowerDecomposition(d, "gurvits", math.factorial(d),
-                              TARGET_DETERMINANT, 1, tuple(terms))
+    return _materialize(d, "gurvits", math.factorial(d), TARGET_DETERMINANT,
+                        _gurvits_table(d))
 
 
 def monomial_power_decomposition(d: int) -> PowerDecomposition:
     """2^(d-1) * d! * x[1,1]...x[d,d] as a signed sum of 2^(d-1) powers."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    pair = _unit_pairs(d)
-    terms = []
-    for eps in sign_vectors(d):
-        form = LinForm(1, d, [pair[i, i, eps[i - 1]] for i in range(1, d + 1)])
-        terms.append(PowerTerm((eps,), Cyc.from_int(1, math.prod(eps)), form, d))
-    return PowerDecomposition(d, "monomial", 2 ** (d - 1) * math.factorial(d),
-                              TARGET_DIAGONAL, 1, tuple(terms))
+    return _materialize(d, "monomial", 2 ** (d - 1) * math.factorial(d),
+                        TARGET_DIAGONAL, _monomial_table(d))
 
 
 SCHEME_BUILDERS = {

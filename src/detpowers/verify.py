@@ -18,8 +18,8 @@ Two independent engines are provided:
   gives its total at a monomial as a factor of the exponents' composition
   times the signed extension sum of the pattern, so one comparison decides
   a whole composition class. Each given term's index is read from its
-  support and checked against that index's closed-form term, in any
-  order. Only the monomials of a failing class, and those a term whose
+  support and checked against that index's closed-form term in the
+  scheme's numbered table (``decompositions``), in any order. Only the monomials of a failing class, and those a term whose
   index is missing, repeated or differs reaches (corrected by that
   term), are evaluated one by one.
 
@@ -39,9 +39,8 @@ import itertools
 import math
 import struct
 import sys
-import time
 from functools import lru_cache
-from operator import getitem, is_, itemgetter, mul
+from operator import getitem, itemgetter, mul
 
 from .cyclotomic import Cyc, from_root_coefficients, omega
 from .decompositions import (
@@ -49,6 +48,10 @@ from .decompositions import (
     TARGET_DIAGONAL,
     PowerDecomposition,
     ProductDecomposition,
+    _classical_table,
+    _gurvits_table,
+    _main_table,
+    _monomial_table,
 )
 from .multipoly import (
     LinForm,
@@ -148,7 +151,6 @@ class VerificationReport:
     equal: bool
     term_count: int
     distinct_monomials: int
-    elapsed: float
     witness: tuple[Monomial, Cyc, Cyc] | None = None
     mismatch_count: int = 0
     mismatches: tuple[tuple[Monomial, Cyc, Cyc], ...] | None = None
@@ -264,6 +266,9 @@ def _composition_table(exponent: int, size: int, scale: int, order: int):
             comp[k] = 0
 
     grow(0, 0, exponent, 1)
+    # grow refers to itself through its closure cell; emptying the cell
+    # frees it, and the lists it holds, without the cyclic collector
+    del grow
     signed = {1: [scale * m for m in mults], -1: [-scale * m for m in mults]}
     field = _field_format(exponent, order)
     columns = [int.from_bytes(struct.pack(f"{len(comps)}{field}", *column),
@@ -463,7 +468,6 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
     Both engines run in the calling process; ``jobs`` is accepted for
     compatibility and ignored.
     """
-    start = time.perf_counter()
     if mode == "expansion":
         computed = _expand_sum(dec)
         mismatches, distinct = _compare_with_target(dec, computed, collect_all)
@@ -471,11 +475,9 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
         mismatches, distinct = _stream_check(dec, collect_all)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    elapsed = time.perf_counter() - start
     return VerificationReport(
         scheme=dec.scheme, d=dec.d, mode=mode, equal=not mismatches,
         term_count=len(dec.terms), distinct_monomials=distinct,
-        elapsed=elapsed,
         witness=mismatches[0] if mismatches else None,
         mismatch_count=len(mismatches),
         mismatches=tuple(mismatches) if collect_all else None)
@@ -530,145 +532,14 @@ def _signed_extension_sum(d: int, partial: dict[int, int]) -> int:
                            for r in range(1, d + 1)))
 
 
-# --- the schemes' own terms, by number --------------------------------------
-#
-# Streaming compares the given terms with the closed-form terms of the
-# scheme, which its formulas describe. Each scheme numbers its terms
-# n = 0, 1, ... in its builder's order and gives, per call, a ``decode``
-# that reads the number a given support would have from its columns and
-# scalars, and a ``closed_form`` that gives term n as its coefficient's
-# sign and its support's pairs: one table row per matrix row, listing the
-# shared pairs ((i, s), scalar) by column s, and the column of each row.
-# Decoding only proposes a number: the given term is term n when its
-# coefficient and its whole support equal term n's.
-
-
-def _permutations(d: int):
-    """The permutations of 1..d in lexicographic order, their ranks, and
-    their signs by rank. The Lehmer codes run through the mixed radix
-    (d, d-1, ..., 1) in the same order, and a code's digit sum counts the
-    permutation's inversions."""
-    perms = list(itertools.permutations(range(1, d + 1)))
-    codes = itertools.product(*(range(n) for n in range(d, 0, -1)))
-    signs = [-1 if sum(code) & 1 else 1 for code in codes]
-    return perms, {sigma: r for r, sigma in enumerate(perms)}, signs
-
-
-def _pair_row(d: int, i: int, c: Cyc) -> list:
-    """Row i's pairs ((i, s), c), listed by column s; slot 0 is unused."""
-    return [None] + [((i, s), c) for s in range(1, d + 1)]
-
-
-def _main_reference(d: int):
-    """main: term r * d + j - 1 is sgn sigma * (-1)^((d+1)j) times
-    (sum_i w^(ij) x[i, sigma i])^d, sigma of rank r. A support names sigma
-    by its columns and j by row 1's root power."""
-    perms, rank, signs = _permutations(d)
-    rows = range(1, d + 1)
-    roots = [omega(d, k) for k in range(d)]
-    phase = {w.num: k for k, w in enumerate(roots)}
-    tables = [None] + [[_pair_row(d, i, roots[i * j % d]) for i in rows]
-                       for j in rows]
-    parity = [None] + [(-1) ** ((d + 1) * j) for j in rows]
-
-    def decode(support):
-        if len(support) != d:
-            return None
-        r = rank.get(tuple([s for (_, s), _ in support]))
-        k = phase.get(support[0][1].num)
-        return None if r is None or k is None else r * d + (k or d) - 1
-
-    def closed_form(n):
-        r, j = divmod(n, d)
-        return signs[r] * parity[j + 1], tables[j + 1], perms[r]
-
-    return d, len(perms) * d, decode, closed_form
-
-
-def _signed_reference(d: int, perms, rank, signs):
-    """classical: term r * 2^(d-1) + t is sgn sigma * prod eps times
-    (sum_i eps_i x[i, sigma i])^d, sigma of rank r among ``perms`` and eps
-    the t-th sign vector with eps_1 = +1, in the builder's order. A form
-    with eps_1 = -1 names no term."""
-    units = {e: Cyc.from_int(1, e) for e in (1, -1)}
-    unit = {c.num: e for e, c in units.items()}
-    rows = {e: [_pair_row(d, i, c) for i in range(1, d + 1)]
-            for e, c in units.items()}
-    vectors = [(1,) + rest
-               for rest in itertools.product((1, -1), repeat=d - 1)]
-    eps_rank = {eps: t for t, eps in enumerate(vectors)}
-    eps_sign = [math.prod(eps) for eps in vectors]
-    eps_rows = [tuple(rows[e][i] for i, e in enumerate(eps))
-                for eps in vectors]
-    block = len(vectors)
-
-    def decode(support):
-        if len(support) != d:
-            return None
-        r = rank.get(tuple([s for (_, s), _ in support]))
-        t = eps_rank.get(tuple([unit.get(c.num) for _, c in support]))
-        return None if r is None or t is None else r * block + t
-
-    def closed_form(n):
-        r, t = divmod(n, block)
-        return signs[r] * eps_sign[t], eps_rows[t], perms[r]
-
-    return 1, len(perms) * block, decode, closed_form
-
-
-def _classical_reference(d: int):
-    return _signed_reference(d, *_permutations(d))
-
-
-def _monomial_reference(d: int):
-    """monomial: classical's terms of the identity permutation alone."""
-    diagonal = tuple(range(1, d + 1))
-    return _signed_reference(d, [diagonal], {diagonal: 0}, [1])
-
-
-def _gurvits_reference(d: int):
-    """gurvits: term r * (d + 1) is sgn sigma times (sum_i x[i, sigma i])^d,
-    sigma of rank r, and term r * (d + 1) + m, m = 1..d, is -sgn sigma
-    times the same power without row m. A support of d - 1 entries names
-    the missing row and column."""
-    perms, rank, signs = _permutations(d)
-    one = Cyc.from_int(1, 1)
-    full = tuple(_pair_row(d, i, one) for i in range(1, d + 1))
-    tables = [full] + [full[:m - 1] + full[m:] for m in range(1, d + 1)]
-    total = d * (d + 1) // 2
-
-    def decode(support):
-        cols = tuple([s for (_, s), _ in support])
-        if len(cols) == d:
-            omit = 0
-        elif len(cols) == d - 1:
-            omit = total - sum([i for (i, _), _ in support])
-            if not 1 <= omit <= d:
-                return None
-            cols = cols[:omit - 1] + (total - sum(cols),) + cols[omit - 1:]
-        else:
-            return None
-        r = rank.get(cols)
-        return None if r is None else r * (d + 1) + omit
-
-    def closed_form(n):
-        r, omit = divmod(n, d + 1)
-        sigma = perms[r]
-        if omit:
-            return -signs[r], tables[omit], sigma[:omit - 1] + sigma[omit:]
-        return signs[r], full, sigma
-
-    return 1, len(perms) * (d + 1), decode, closed_form
-
-
 # the closed forms the streaming formulas describe, bound by name so that a
 # replaced entry of the mutable SCHEME_BUILDERS registry cannot become the
 # reference a given decomposition is compared with
 _STREAM_REFERENCE = {
-    "main": _main_reference,
-    "classical": _classical_reference,
-    "gurvits": _gurvits_reference,
-    "monomial": _monomial_reference,
+    "main": _main_table,
+    "classical": _classical_table,
+    "gurvits": _gurvits_table,
+    "monomial": _monomial_table,
 }
 
 
@@ -684,37 +555,30 @@ def _term_corrections(dec: PowerDecomposition, diagonal: bool) -> dict:
     whose support is not a partial permutation pattern the walk covers
     (only the diagonal when ``diagonal``)."""
     d = dec.d
-    order, count, decode, closed_form = _STREAM_REFERENCE[dec.scheme](d)
+    order, count, decode, closed_form, _ = _STREAM_REFERENCE[dec.scheme](d)
     if dec.order != order:
         raise ValueError(f"streaming {dec.scheme} needs root order "
                          f"{order}, got {dec.order}")
-    # (order, numerator, denominator) of the coefficients +1 and -1
-    coeff_key = {sign: (order, Cyc.from_int(order, sign).num, 1)
-                 for sign in (1, -1)}
+    coeffs = {sign: Cyc.from_int(order, sign) for sign in (1, -1)}
     used = bytearray(count)
     out: dict[tuple[tuple[int, int], ...], list] = {}
     for term in dec.terms:
         support = term.form.support()
         n = decode(support)
         if n is not None and not used[n]:
-            sign, table, cols = closed_form(n)
-            want = tuple(map(getitem, table, cols))
-            coeff = term.coeff
-            if support == want and \
-                    (coeff.order, coeff.num, coeff.den) == coeff_key[sign]:
+            sign, rows, cols = closed_form(n)
+            # a builder's forms hold the table's own pairs, so they match
+            # by identity
+            if support == tuple(map(getitem, rows, cols)) and \
+                    term.coeff == coeffs[sign]:
                 used[n] = 1
-                # a builder's forms share their pairs; adopted, they match
-                # the next forms by identity
-                if not all(map(is_, support, want)):
-                    for row, pair in zip(table, support):
-                        row[pair[0][1]] = pair
                 continue
         _index_correction(out, 1, term.coeff, support, d, diagonal,
                           term.index)
     for n in [n for n, hit in enumerate(used) if not hit]:
-        sign, table, cols = closed_form(n)
-        _index_correction(out, -1, Cyc.from_int(order, sign),
-                          tuple(map(getitem, table, cols)), d, diagonal, n)
+        sign, rows, cols = closed_form(n)
+        _index_correction(out, -1, coeffs[sign],
+                          tuple(map(getitem, rows, cols)), d, diagonal, n)
     return out
 
 

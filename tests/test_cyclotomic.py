@@ -168,6 +168,19 @@ def test_canonical_form_and_hash():
     assert Cyc.from_int(4, 3) / 2 == Cyc.from_fraction(4, Fraction(3, 2))
 
 
+def test_equality_against_each_kind_of_value():
+    three = Cyc.from_int(4, 3)
+    assert three == 3 and 3 == three and three != 4
+    assert Cyc.from_fraction(4, Fraction(3, 2)) == Fraction(3, 2)
+    assert three != Fraction(3, 2) and Fraction(3, 2) != three
+    assert three == Cyc(4, (6, 0), 2) and three != omega(4)
+    # another root order is unequal, not an error
+    assert three != Cyc.from_int(2, 3) and Cyc.from_int(2, 3) != three
+    assert three != "3" and three != 3.0
+    assert three.__eq__("3") is NotImplemented
+    assert three.__eq__(None) is NotImplemented
+
+
 def test_pow_including_negative():
     w = omega(5)
     assert w ** 7 == omega(5, 7)

@@ -1,9 +1,13 @@
+import itertools
 import math
 
 import pytest
 
-from detpowers.cyclotomic import Cyc
+import detpowers
+from detpowers.cyclotomic import Cyc, omega
 from detpowers.decompositions import (
+    SCHEME_BUILDERS,
+    SCHEMES,
     BoundsRow,
     Perm,
     PowerDecomposition,
@@ -178,6 +182,60 @@ class TestSchemes:
         assert expected_term_count("gurvits", 5) == 720
         assert expected_term_count("monomial", 5) == 16
         assert expected_term_count("conjugated", 5) is None
+
+
+def inversion_sign(images):
+    return (-1) ** sum(a > b for a, b in itertools.combinations(images, 2))
+
+
+def paper_terms(scheme, d):
+    """Each scheme's (index, coefficient, support) list written straight
+    from the paper's formulas, in the builders' order: permutations in
+    lexicographic order, then the phase j, the sign vector or the omitted
+    row; sign vectors with first entry +1, +1 before -1."""
+    rows = range(1, d + 1)
+    perms = list(itertools.permutations(rows))
+    signs = [(1,) + rest for rest in itertools.product((1, -1), repeat=d - 1)]
+
+    def unit(value):
+        return Cyc.from_int(1, value)
+
+    if scheme == "main":
+        return [((p, j), Cyc.from_int(d, inversion_sign(p)
+                                      * (-1) ** ((d + 1) * j)),
+                 [((i, p[i - 1]), omega(d, i * j)) for i in rows])
+                for p in perms for j in rows]
+    if scheme == "classical":
+        return [((p, eps), unit(inversion_sign(p) * math.prod(eps)),
+                 [((i, p[i - 1]), unit(eps[i - 1])) for i in rows])
+                for p in perms for eps in signs]
+    if scheme == "gurvits":
+        return [((p, omit), unit(inversion_sign(p) * (1 if omit is None
+                                                      else -1)),
+                 [((i, p[i - 1]), unit(1)) for i in rows if i != omit])
+                for p in perms for omit in (None, *rows)]
+    return [((eps,), unit(math.prod(eps)),
+             [((i, i), unit(e)) for i, e in zip(rows, eps)])
+            for eps in signs]
+
+
+class TestBuildersMatchThePaper:
+    """An oracle apart from the numbered tables the builders and streaming
+    share: every term written out from the formulas."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_terms_match_the_formulas(self, scheme, d):
+        dec = SCHEME_BUILDERS[scheme](d)
+        assert [(t.index, t.coeff, list(t.form.support()))
+                for t in dec.terms] == paper_terms(scheme, d)
+        assert dec.order == (d if scheme == "main" else 1)
+        assert all(t.exponent == d for t in dec.terms)
+
+    def test_registry_names_the_package_builders(self):
+        # the benchmark harness resolves each builder by its __name__
+        for fn in SCHEME_BUILDERS.values():
+            assert getattr(detpowers, fn.__name__) is fn
 
 
 class TestKrishnaMakam:
