@@ -112,7 +112,7 @@ class Perm:
         return f"Perm{self.images}"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class PowerTerm:
     """One signed d-th power of a linear form.
 

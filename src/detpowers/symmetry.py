@@ -309,29 +309,35 @@ class SymmetryEnumeration:
         return self.preserving_order == self.printed_order
 
 
+def _signatures(d: int) -> list[tuple]:
+    """SymElement(m, n, pi, sigma).signature() for every tuple, in (m, n,
+    pi, sigma) order, built from one row part ((m + n*r) mod d, pi r) per
+    (m, n, pi) and one column part sigma^-1 per sigma."""
+    pis = affine_group(d)
+    rows = [[((m + n * r) % d, pi(r)) for r in range(1, d + 1)]
+            for m in range(d) for n in range(d) for pi in pis]
+    columns = [sigma.inverse().images for sigma in Perm.all_perms(d)]
+    return [tuple((phase, pi_r, c) for phase, pi_r in row for c in column)
+            for row in rows for column in columns]
+
+
 def check_faithfulness(d: int) -> bool:
     """No two tuples (m, n, pi, sigma) induce the same variable map.
 
     A signature carries pi and sigma^-1 verbatim, so two signatures can only
     collide when pi and sigma agree; it then suffices that distinct (m, n)
     give distinct phase sequences (m + n*r mod d). For d <= 4 the full
-    signature sets are also built directly, cross-checking that reduction.
+    signature tuples are also built, from row and column parts shared by
+    every tuple with the same (m, n, pi) or sigma, cross-checking that
+    reduction.
     """
     phases = {tuple((m + n * r) % d for r in range(1, d + 1))
               for m in range(d) for n in range(d)}
     if len(phases) != d * d:
         return False
     if d <= 4:
-        pis, sigmas = affine_group(d), list(Perm.all_perms(d))
-        signatures = set()
-        total = 0
-        for m in range(d):
-            for n in range(d):
-                for pi in pis:
-                    for sigma in sigmas:
-                        signatures.add(SymElement(m, n, pi, sigma).signature())
-                        total += 1
-        return len(signatures) == total
+        signatures = _signatures(d)
+        return len(set(signatures)) == len(signatures)
     return True
 
 

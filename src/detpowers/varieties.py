@@ -9,17 +9,20 @@ so a polynomial is evaluated from the points' phases, and only where a
 support index finds one of its monomials), constructs the extra generator
 families recorded for d = 3 and d = 4 together with vanishing and
 reduction reports, and counts the GF(p) solution locus to test the
-converse direction at desk scale, either row by row over all matrices or
-over the supports with one entry per row and column. The d = 4 square
-family is reproduced exactly as stated; it does not vanish on the point
-set, and its report keeps explicit failure witnesses rather than papering
-over the discrepancy.
+converse direction at desk scale. The full count searches every matrix
+row by row: the row and column products leave at most one nonzero per row,
+in a column no other row uses, and each row-sum quadric is tested as soon
+as its three rows are set. The staged count walks the supports with one
+entry per row and column, restricts each row-sum quadric once per support
+and decides the nonzero entries once per distinct restriction. The d = 4
+square family is reproduced exactly as stated; it does not vanish on the
+point set, and its report keeps explicit failure witnesses rather than
+papering over the discrepancy.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -368,22 +371,34 @@ class LocusCount:
 
 def _full_affine_count(d: int, p: int) -> int:
     """Nonzero d x d matrices over GF(p) on which every quadric vanishes,
-    counted row by row. A matrix satisfies every quadric only if each of its
-    rows satisfies that row's products, so only d-tuples of such rows are
-    tried, each against the column products and the row-sum quadrics."""
-    pairs = tuple(itertools.combinations(range(d), 2))
-    rows = [row for row in itertools.product(range(p), repeat=d)
-            if all(row[a] * row[b] % p == 0 for a, b in pairs)]
-    total = 0
-    for matrix in itertools.product(rows, repeat=d):
-        if any(matrix[a][j] * matrix[b][j] % p
-               for a, b in pairs for j in range(d)):
-            continue
-        rho = [sum(row) for row in matrix]
-        if all((rho[i] * rho[i] - rho[i - 1] * rho[(i + 1) % d]) % p == 0
-               for i in range(d)):
-            total += 1
-    return total - 1  # the zero matrix satisfies everything
+    counted by a depth-first search over the rows. GF(p) has no zero
+    divisors, so the row products leave at most one nonzero entry in a row
+    and the column products put it in a column no earlier row uses: a row is
+    zero or a value in one of the free columns, and its row sum is that
+    value. Later rows see only how many columns are free, so each value is
+    searched once and counted once per free column. Row-sum quadric i is
+    tested as soon as rows i-1, i and i+1 are set, and the two that wrap
+    around (i = 1 and i = d) once the last row is."""
+    rho = [0] * d
+
+    def fits(i: int) -> bool:
+        return (rho[i] * rho[i] - rho[i - 1] * rho[(i + 1) % d]) % p == 0
+
+    def search(r: int, free: int) -> int:
+        if r == d:
+            return int(fits(0) and fits(d - 1))
+        total = 0
+        for value in range(p):
+            rho[r] = value
+            if r >= 2 and not fits(r - 1):
+                continue
+            if not value:
+                total += search(r + 1, free)
+            elif free:
+                total += free * search(r + 1, free - 1)
+        return total
+
+    return search(0, d) - 1  # the zero matrix satisfies everything
 
 
 def _integer_terms(poly: SparsePoly) -> list[tuple[int, Monomial]]:
@@ -411,17 +426,42 @@ def _value_mod_p(terms, coords: dict, p: int) -> int:
     return total % p
 
 
-@functools.lru_cache(maxsize=None)
-def _staged_solutions(d: int, p: int):
+def _restrict(terms, images: tuple[int, ...]) -> tuple:
+    """The integer terms whose variables all lie on the support
+    {(i, images[i-1])}, each monomial rewritten as (row, exponent) pairs
+    with rows counted from 0, sorted so equal restrictions compare equal."""
+    return tuple(sorted(
+        (value, tuple((i - 1, e) for i, _, e in m))
+        for value, m in terms
+        if all(images[i - 1] == j for i, j, _ in m)))
+
+
+def _zeros_mod_p(restricted, d: int, p: int) -> list[tuple[int, ...]]:
+    """The tuples of d nonzero residues, in itertools.product order, on
+    which every restricted polynomial vanishes mod p."""
+    return [deltas for deltas in itertools.product(range(1, p), repeat=d)
+            if not any(sum(value * math.prod(deltas[r] ** e for r, e in m)
+                           for value, m in terms) % p
+                       for terms in restricted)]
+
+
+def _staged_solutions(d: int, p: int) -> tuple:
     """Support-restricted candidates Delta P_sigma over GF(p) surviving all
-    generators. The monomial quadrics are evaluated too, once per support,
-    as a consistency check: they must vanish identically on these supports.
-    Setting the entries to 1 decides that for every Delta, since GF(p) has
-    no zero divisors."""
+    generators, as (sigma images, deltas) in permutation order, then in
+    itertools.product order of the deltas.
+
+    Each row-sum quadric is restricted once per support {(i, sigma i)},
+    where x[i, sigma i] = delta_i, and the delta tuples are decided once per
+    distinct restriction (every support restricts rho_i^2 - rho_(i-1)
+    rho_(i+1) to delta_i^2 - delta_(i-1) delta_(i+1)). The monomial quadrics
+    are evaluated too, once per support, as a consistency check: they must
+    vanish identically on these supports. Setting the entries to 1 decides
+    that for every Delta, since GF(p) has no zero divisors."""
     qs = quadric_generators(d)
     monomial_gens = [_integer_terms(g)
                      for g in qs.row_monomials + qs.column_monomials]
     rho = [_integer_terms(g) for g in qs.rho_quadrics]
+    zeros = {}
     solutions = []
     for sigma in Perm.all_perms(d):
         ones = {(i, sigma(i)): 1 for i in range(1, d + 1)}
@@ -429,10 +469,11 @@ def _staged_solutions(d: int, p: int):
             raise ArithmeticError(
                 "a monomial quadric failed on a one-entry-per-row "
                 "support; the staged construction is wrong")
-        for deltas in itertools.product(range(1, p), repeat=d):
-            coords = {(i, sigma(i)): deltas[i - 1] for i in range(1, d + 1)}
-            if not any(_value_mod_p(gen, coords, p) for gen in rho):
-                solutions.append((sigma.images, deltas))
+        restricted = tuple(_restrict(gen, sigma.images) for gen in rho)
+        if restricted not in zeros:
+            zeros[restricted] = _zeros_mod_p(restricted, d, p)
+        solutions.extend((sigma.images, deltas)
+                         for deltas in zeros[restricted])
     return tuple(solutions)
 
 
@@ -440,11 +481,13 @@ def finite_field_locus_count(d: int, p: int,
                              mode: str = "auto") -> LocusCount:
     """Projective count of GF(p) solutions of all quadric generators.
 
-    Full mode counts over all p^(d^2) matrices (needs p^(d^2) <= 10^8),
-    row by row: it keeps the rows on which their row products vanish and
-    tries every d-tuple of them against the other quadrics. Staged mode
-    walks only the supports with one nonzero entry per row and column,
-    which the monomial quadrics force, and applies the row-sum quadrics.
+    Full mode counts over all p^(d^2) matrices (needs p^(d^2) <= 10^8)
+    by a depth-first row search: the row and column products leave each
+    row zero or one value in an unused column, and a row-sum quadric
+    prunes the search as soon as its three rows are set. Staged mode walks
+    only the supports with one nonzero entry per row and column, which the
+    monomial quadrics force, restricts the row-sum quadrics to each support
+    and decides the nonzero entries once per distinct restriction.
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")

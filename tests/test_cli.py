@@ -325,6 +325,23 @@ class TestCheckCommands:
         assert code == 0
         assert out.encode() == (DATA_DIR / golden).read_bytes()
 
+    @pytest.mark.parametrize("args, golden, expected_code", [
+        (("--d", "2"), "equations_d2.json", 0),
+        (("--d", "3"), "equations_d3.json", 0),
+        (("--d", "4"), "equations_d4.json", 1),
+        (("--d", "5"), "equations_d5.json", 0),
+        (("--d", "6"), "equations_d6.json", 0),
+        (("--d", "3", "--format", "text"), "equations_d3.txt", 0),
+        (("--d", "2", "--prime", "5"), "equations_d2_p5.json", 0),
+    ])
+    def test_equations_stdout_is_pinned(self, capsys, args, golden,
+                                        expected_code):
+        # every locus row (full at d=2, 3, staged at d=4, skipped at d=5, 6)
+        # and d=4's square-family failure, byte for byte
+        code, out = run_cli(capsys, "equations", *args)
+        assert code == expected_code
+        assert out.encode() == (DATA_DIR / golden).read_bytes()
+
     def test_equations_d2(self, capsys):
         code, obj = run_json(capsys, "equations", "--d", "2")
         assert code == 0

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -153,6 +155,19 @@ class TestSchemes:
         with pytest.raises(ValueError, match="zero form"):
             PowerDecomposition(2, "classical", 4, "determinant", 1,
                                (term,) * 4)
+
+    def test_terms_have_slots_and_round_trip(self):
+        # no per-term __dict__; pickling and dataclasses.replace keep a
+        # frozen term equal, with the same hash, and assignment still raises
+        term = main_decomposition(3).terms[5]
+        assert not hasattr(term, "__dict__")
+        assert pickle.loads(pickle.dumps(term)) == term
+        copy = dataclasses.replace(term)
+        assert copy == term and hash(copy) == hash(term)
+        flipped = dataclasses.replace(term, coeff=-term.coeff)
+        assert flipped.coeff == -term.coeff and flipped.form is term.form
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            term.exponent = 4
 
     @pytest.mark.parametrize("scheme", ["main", "conjugated"])
     def test_zero_form_in_main_d2_still_raises(self, scheme):

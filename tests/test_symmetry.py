@@ -35,7 +35,7 @@ from detpowers.symmetry import (
     sample_symmetry_actions,
     transpose_closure,
 )
-from detpowers.symmetry import _TermTable
+from detpowers.symmetry import _TermTable, _signatures
 from detpowers.verify import verify_power_decomposition
 
 
@@ -237,6 +237,15 @@ class TestEnumeration:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_faithful(self, d):
         assert check_faithfulness(d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_shared_signature_parts_match_every_element(self, d):
+        # oracle: each element's own signature, one SymElement at a time
+        walked = [SymElement(m, n, pi, sigma).signature()
+                  for m in range(d) for n in range(d)
+                  for pi in affine_group(d) for sigma in Perm.all_perms(d)]
+        assert _signatures(d) == walked
+        assert len(set(walked)) == len(walked)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_character_count_matches_element_walk(self, d):

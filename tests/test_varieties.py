@@ -10,6 +10,7 @@ from detpowers.multipoly import SparsePoly, monomial
 from detpowers.varieties import (
     LocusCount,
     _full_affine_count,
+    _restrict,
     _solve_exact,
     _staged_solutions,
     extra_generators,
@@ -23,6 +24,55 @@ from detpowers.varieties import (
 def point_assignment(d, j, sigma):
     """Sparse coordinates of D^j P_sigma: w^(ij) at (i, sigma i)."""
     return {(i, sigma(i)): omega(d, i * j) for i in range(1, d + 1)}
+
+
+def integer_terms(poly):
+    return [(int(c.rational()), m) for m, c in poly.terms.items()]
+
+
+def value_mod_p(terms, coords, p):
+    """Integer terms evaluated mod p; ``coords`` holds the nonzero entries."""
+    total = 0
+    for value, m in terms:
+        for i, j, e in m:
+            coord = coords.get((i, j))
+            if coord is None:
+                break
+            value *= coord ** e
+        else:
+            total += value
+    return total % p
+
+
+def brute_force_full_count(d, p):
+    """Oracle: every d-tuple of rows on which the row products vanish, each
+    tried against the column products and the row-sum quadrics."""
+    pairs = tuple(itertools.combinations(range(d), 2))
+    rows = [row for row in itertools.product(range(p), repeat=d)
+            if all(row[a] * row[b] % p == 0 for a, b in pairs)]
+    total = 0
+    for matrix in itertools.product(rows, repeat=d):
+        if any(matrix[a][j] * matrix[b][j] % p
+               for a, b in pairs for j in range(d)):
+            continue
+        rho = [sum(row) for row in matrix]
+        if all((rho[i] * rho[i] - rho[i - 1] * rho[(i + 1) % d]) % p == 0
+               for i in range(d)):
+            total += 1
+    return total - 1  # the zero matrix satisfies everything
+
+
+def per_point_staged_solutions(d, p):
+    """Oracle: every Delta P_sigma with nonzero Delta, each evaluated on the
+    row-sum quadrics themselves."""
+    rho = [integer_terms(g) for g in quadric_generators(d).rho_quadrics]
+    solutions = []
+    for sigma in Perm.all_perms(d):
+        for deltas in itertools.product(range(1, p), repeat=d):
+            coords = {(i, sigma(i)): deltas[i - 1] for i in range(1, d + 1)}
+            if not any(value_mod_p(gen, coords, p) for gen in rho):
+                solutions.append((sigma.images, deltas))
+    return tuple(solutions)
 
 
 def var_product(d, v1, v2):
@@ -273,8 +323,7 @@ class TestLocusCounts:
     def test_row_by_row_count_matches_brute_force(self, p):
         # every one of the p^4 matrices, against the generator polynomials
         # themselves evaluated mod p
-        gens = [[(int(c.rational()), m) for m, c in g.terms.items()]
-                for g in quadric_generators(2).generators]
+        gens = [integer_terms(g) for g in quadric_generators(2).generators]
         cells = [(i, j) for i in (1, 2) for j in (1, 2)]
         solutions = 0
         for values in itertools.product(range(p), repeat=4):
@@ -288,6 +337,35 @@ class TestLocusCounts:
         # every matrix, not only the one-entry-per-row-and-column supports
         # staged mode walks: an independent check of that restriction at d=4
         assert _full_affine_count(4, 5) == 384
+        assert len(_staged_solutions(4, 5)) == 384
+
+    def test_full_count_d3_p13_equals_staged(self):
+        # 18 points times the 12 nonzero scalars of GF(13)
+        assert _full_affine_count(3, 13) == 216
+        assert len(_staged_solutions(3, 13)) == 216
+
+    @pytest.mark.parametrize("d,p", [(2, 3), (2, 5), (3, 7)])
+    def test_row_search_matches_brute_force_rows(self, d, p):
+        assert _full_affine_count(d, p) == brute_force_full_count(d, p)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_restriction_is_the_delta_quadric(self, d):
+        # on every support, rho_i^2 - rho_(i-1) rho_(i+1) keeps exactly
+        # delta_i^2 - delta_(i-1) delta_(i+1), rows counted from 0
+        rho = quadric_generators(d).rho_quadrics
+        for sigma in Perm.all_perms(d):
+            for i, gen in enumerate(rho):
+                expected = tuple(sorted([
+                    (1, ((i, 2),)),
+                    (-1, tuple(sorted([((i - 1) % d, 1),
+                                       ((i + 1) % d, 1)])))]))
+                assert _restrict(integer_terms(gen), sigma.images) \
+                    == expected
+
+    @pytest.mark.parametrize("d,p", [(2, 3), (2, 5), (3, 7), (4, 5)])
+    def test_restricted_staged_matches_per_point(self, d, p):
+        # the same (sigma images, deltas) pairs, in the same order
+        assert _staged_solutions(d, p) == per_point_staged_solutions(d, p)
 
     @pytest.mark.parametrize("d,p", [(2, 5), (3, 7), (4, 5)])
     def test_geometric_ratios(self, d, p):
