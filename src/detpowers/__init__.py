@@ -39,9 +39,8 @@ from .verify import (
     verify_product_identity,
 )
 from .independence import (
-    certified_rank,
-    check_promotion,
     check_separation,
+    promotion_certificate,
     rank_oracle,
     separation_matrix,
     separation_violations,
@@ -92,10 +91,8 @@ __all__ = [
     "SymmetryEnumeration",
     "VerificationReport",
     "bounds_table",
-    "certified_rank",
     "check_affine_characterization",
     "check_closed_form_coefficients",
-    "check_promotion",
     "check_separation",
     "check_sign_formulas",
     "check_symmetry_action",
@@ -114,6 +111,7 @@ __all__ = [
     "monomial_power_decomposition",
     "omega",
     "permanent_poly",
+    "promotion_certificate",
     "quadric_generators",
     "rank_oracle",
     "root_power_sum",

@@ -31,11 +31,7 @@ from .decompositions import (
     bounds_table,
     krishna_makam_det3,
 )
-from .independence import (
-    certified_rank,
-    check_promotion,
-    separation_violations,
-)
+from .independence import promotion_certificate, separation_violations
 from .multipoly import LinForm
 from .symmetry import (
     check_affine_characterization,
@@ -441,27 +437,22 @@ def _cmd_independence(config: RunConfig, timings: list):
         raise UsageError(f"--d {d} exceeds the desk-scale cap "
                          f"{INDEPENDENCE_CAP} for independence; pass "
                          f"--force to override")
-    results = []
-    ok = True
     started = time.perf_counter()
     violations = separation_violations(d)
     timings.append(("separation", time.perf_counter() - started))
-    results.append({"check": "separation", "d": d,
-                    "ok": not violations, "violations": len(violations)})
-    ok = ok and not violations
     started = time.perf_counter()
-    promoted = check_promotion(d)
-    timings.append(("promotion", time.perf_counter() - started))
-    results.append({"check": "promotion", "d": d, "ok": promoted})
-    ok = ok and promoted
+    rank, violation = promotion_certificate(SCHEME_BUILDERS["main"](d))
+    timings.append(("certificate", time.perf_counter() - started))
     expected = d * math.factorial(d)
-    started = time.perf_counter()
-    rank = certified_rank(d)
-    timings.append(("rank", time.perf_counter() - started))
-    results.append({"check": "rank", "d": d, "rank": rank,
-                    "expected": expected, "ok": rank == expected})
-    ok = ok and rank == expected
-    report = Report(command="independence", ok=ok, results=tuple(results))
+    results = (
+        {"check": "separation", "d": d, "ok": not violations,
+         "violations": len(violations)},
+        {"check": "promotion", "d": d, "ok": violation is None},
+        {"check": "rank", "d": d, "rank": rank, "expected": expected,
+         "ok": rank == expected},
+    )
+    ok = all(row["ok"] for row in results)
+    report = Report(command="independence", ok=ok, results=results)
     return _format_report(report, config), ok
 
 
@@ -646,7 +637,8 @@ def _cmd_bench(config: RunConfig, timings: list):
          lambda: verify_power_decomposition(
              _conjugated("classical", 4), mode="expansion").equal),
         ("separation-5", lambda: not separation_violations(5)),
-        ("rank-5-certificate", lambda: certified_rank(5) == 600),
+        ("rank-5-certificate", lambda: promotion_certificate(
+            SCHEME_BUILDERS["main"](5)) == (600, None)),
         ("symmetries-6", lambda: enumerate_symmetries(
             6, with_elements=False).matches_formula),
         ("bounds-9", lambda: len(bounds_table(9)) == 8),

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: cyclotomic fields Q(w), roots of unity in GF(p).
+"""Exact scalar arithmetic: cyclotomic fields Q(w).
 
 A `Cyc` is an element of Q[x]/(Phi_n) where Phi_n is the n-th cyclotomic
 polynomial, stored as an integer numerator vector over the power basis
@@ -162,17 +162,6 @@ class Cyc:
     def root_power(self) -> int | None:
         """If this value equals w^k for some k in [0, order), return k."""
         return _root_power_table(self.order).get((self.num, self.den))
-
-    def mod_p(self, root: int, p: int) -> int:
-        """The image in GF(p) with w sent to ``root``. When ``root`` has
-        multiplicative order exactly ``order`` mod p, and p divides neither
-        the order nor the denominator, this is a ring map."""
-        if self.den % p == 0:
-            raise ZeroDivisionError(f"denominator {self.den} is 0 mod {p}")
-        value = 0
-        for c in reversed(self.num):
-            value = (value * root + c) % p
-        return value * pow(self.den, -1, p) % p
 
     # arithmetic --------------------------------------------------------------
 
@@ -450,45 +439,10 @@ def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# roots of unity in prime fields
+# prime fields
 
 
 @functools.cache
 def _check_prime(p: int) -> None:
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-@functools.cache
-def primitive_root_of_unity(order: int, p: int) -> int:
-    """The smallest element of GF(p) with multiplicative order exactly `order`.
-
-    Requires order | p - 1 (otherwise no such element exists). Found by
-    exhaustive ascending search, so the result is deterministic.
-    """
-    _check_prime(p)
-    if order < 1 or (p - 1) % order != 0:
-        raise ValueError(f"GF({p}) has no elements of multiplicative order {order}")
-    if order == 1:
-        return 1
-    factors = _prime_factors(order)
-    for g in range(2, p):
-        if pow(g, order, p) != 1:
-            continue
-        if all(pow(g, order // q, p) != 1 for q in factors):
-            return g
-    raise ArithmeticError("no primitive root found; p is not prime?")

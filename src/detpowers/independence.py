@@ -4,9 +4,8 @@ Each term T_{sigma,j} is a d-th power of a linear form; its coefficient
 matrix is a point in d^2-space. For every term there is a degree-(d-1)
 "dual" form, built from the products of all-but-one coordinate along sigma's
 diagonal, that evaluates to (-1)^((d+1)j) * d at the term's own point and to
-exactly zero at every other term point. That separation pattern proves the
-terms linearly independent; the rank of the expanded terms confirms it
-independently.
+exactly zero at every other term point. That separation pattern is the
+paper's proof that the terms are linearly independent.
 
 A pairing is decided by support before any arithmetic. A form's value at a
 point is a sum over its monomials, and a monomial with a variable outside the
@@ -17,18 +16,22 @@ are evaluated, exactly, from the point's phases (every coordinate is w^k or
 0) by counting phases in the group ring (``multipoly.covered_values``); for
 the dual forms that is d points per form.
 
-The rank is certified mod a prime: a full rank mod p proves a full rank over
-Q(w). When the rank mod p falls short, an exact elimination over Q(w)
-decides it; that elimination alone is ``rank_oracle``.
+The rank comes from apolarity: for a form f of degree d and a linear form l
+with coefficient vector a, f(D) l^d = d! f(a). Multiplied by one linear
+factor, each dual form has degree d and keeps the pattern, so applying it to
+a vanishing combination of the terms leaves only its own term's multiplier,
+which must be zero. ``promotion_certificate`` reads the points from the
+terms a decomposition actually holds; the rows keeping the pattern are a
+proven lower bound on the rank, equal to it at d * d!. ``rank_oracle``, an
+exact elimination over Q(w), is the independent reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 
-from .cyclotomic import Cyc, omega, primitive_root_of_unity
-from .decompositions import Perm, main_decomposition
+from .cyclotomic import Cyc, omega
+from .decompositions import Perm, PowerDecomposition, main_decomposition
 from .multipoly import (
     Monomial,
     SparsePoly,
@@ -36,8 +39,6 @@ from .multipoly import (
     expand_power,
     mono_mul,
     monomial,
-    multinomial,
-    weak_compositions,
 )
 
 
@@ -100,20 +101,16 @@ def term_index_list(d: int) -> list[tuple[tuple[int, ...], int]]:
             for sigma in Perm.all_perms(d) for j in range(1, d + 1)]
 
 
-def _pairings(d: int, make_form) -> list[dict[int, Cyc]]:
-    """Every form make_form(d, sigma, j) paired with the term points, in
-    ``term_index_list`` order, by ``covered_values``."""
-    indices = term_index_list(d)
-    return covered_values(
-        [make_form(d, Perm(images), j).poly for images, j in indices],
-        [term_point(d, Perm(images), j).phases for images, j in indices])
-
-
 def _separation_values(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
                                         list[dict[int, Cyc]]]:
+    """Every dual form paired with the term points, both in
+    ``term_index_list`` order, by ``covered_values``."""
     if not 2 <= d <= 5:
         raise ValueError(f"d must be in [2, 5], got {d}")
-    return term_index_list(d), _pairings(d, dual_form)
+    indices = term_index_list(d)
+    return indices, covered_values(
+        [dual_form(d, Perm(images), j).poly for images, j in indices],
+        [term_point(d, Perm(images), j).phases for images, j in indices])
 
 
 def separation_matrix(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
@@ -150,15 +147,51 @@ def check_separation(d: int) -> bool:
     return not separation_violations(d)
 
 
-def check_promotion(d: int) -> bool:
-    """The degree-d promoted functionals keep the separation pattern:
-    nonzero at their own point, zero at all the others."""
-    for r, row in enumerate(_pairings(d, promoted_dual_form)):
-        if row.get(r, Cyc.zero(d)).is_zero:
-            return False
-        if any(not value.is_zero for c, value in row.items() if c != r):
-            return False
-    return True
+def promotion_certificate(
+        dec: PowerDecomposition) -> tuple[int, tuple[int, int, Cyc] | None]:
+    """A proven lower bound on the rank of the given terms, and the first
+    entry breaking the promoted pairing's pattern.
+
+    Row r pairs the promoted dual form f_r of the r-th (sigma, j) of
+    ``term_index_list`` with the point a_c of every given term c: the
+    coefficients of its form, each of which must be a power of w. For a
+    degree-d form, f(D) l^d = d! f(a) (D the partial derivatives), so f_r(D)
+    sends a vanishing combination sum_c lambda_c coeff_c l_c^d to
+    lambda_r coeff_r d! f_r(a_r) when f_r is zero at every other point. A row
+    whose term coefficient and diagonal entry are nonzero and whose other
+    entries are zero therefore forces lambda_r = 0. The number of such rows
+    is returned: the terms are independent when it reaches d * d!. The
+    violation is the first (r, c, value), row by row, that is zero on the
+    diagonal or nonzero off it; None when the pattern holds.
+    """
+    d = dec.d
+    indices = term_index_list(d)
+    if len(dec.terms) != len(indices):
+        raise ValueError(f"the certificate pairs {len(indices)} terms at "
+                         f"d={d}, got {len(dec.terms)}")
+    points = []
+    for r, term in enumerate(dec.terms):
+        phases = {}
+        for var, c in term.form.support():
+            k = c.root_power() if c.order == d else None
+            if k is None:
+                raise ValueError(f"term {r} {term.index}: coefficient {c!r} "
+                                 f"of x{var} is not a power of w of order {d}")
+            phases[var] = k
+        points.append(phases)
+    forms = [promoted_dual_form(d, Perm(images), j).poly
+             for images, j in indices]
+    zero = Cyc.zero(d)
+    count, first = 0, None
+    for r, (term, row) in enumerate(
+            zip(dec.terms, covered_values(forms, points))):
+        row.setdefault(r, zero)
+        bad = [(r, c, row[c]) for c in sorted(row)
+               if (c == r) == row[c].is_zero]
+        if bad and first is None:
+            first = bad[0]
+        count += not bad and not term.coeff.is_zero
+    return count, first
 
 
 def rank_of_rows(rows: list[dict]) -> int:
@@ -207,117 +240,3 @@ def rank_oracle(d: int, allow_large: bool = False) -> int:
         limit = "in [2, 5] with allow_large" if d == 5 else "in [2, 4]"
         raise ValueError(f"d must be {limit}, got {d}")
     return _exact_rank(main_decomposition(d).terms)
-
-
-# ---------------------------------------------------------------------------
-# the rank certified mod p
-#
-# Reduction mod p, with w sent to a primitive order-th root of unity r in
-# GF(p), is a ring map from Z[w] (and from its elements over denominators
-# prime to p) onto GF(p): since p does not divide the order, r is a root of
-# the cyclotomic polynomial mod p. Every minor of the reduced rows is the
-# image of the same minor over Q(w), so a minor nonzero mod p is nonzero
-# over Q(w): full rank mod p proves full rank. A rank short of the row
-# count proves nothing, and the exact elimination decides it.
-
-CERTIFICATE_PRIME = 7681  # p - 1 = 2^9 * 3 * 5: d | p - 1 for d = 2..6
-
-
-def certificate_root(order: int) -> int:
-    """The image of w in GF(CERTIFICATE_PRIME)."""
-    return primitive_root_of_unity(order, CERTIFICATE_PRIME)
-
-
-def rows_mod_p(terms, order: int) -> list[dict[int, int]]:
-    """Each term's expansion coeff * form^exponent, reduced mod
-    CERTIFICATE_PRIME, as {column: value} with the zeros dropped. Every
-    composition e of the exponent over the form's support adds
-    multinomial(e) * coeff * prod_k entry_k^e_k at the monomial of e.
-    Columns are numbered with the monomials of more variables first: those
-    belong to fewer supports, so the elimination's pivots land there."""
-    p = CERTIFICATE_PRIME
-    root = certificate_root(order)
-    compositions: dict[tuple[int, int], list] = {}
-    monomials: dict[tuple, list] = {}
-    rows = []
-    for term in terms:
-        support = term.form.support()
-        variables = tuple(var for var, _ in support)
-        key = (term.exponent, len(variables))
-        if key not in compositions:
-            compositions[key] = [
-                (tuple((k, e) for k, e in enumerate(comp) if e),
-                 multinomial(term.exponent, comp))
-                for comp in weak_compositions(*key)]
-        table = compositions[key]
-        if (term.exponent, variables) not in monomials:
-            monomials[term.exponent, variables] = [
-                tuple((*variables[k], e) for k, e in parts)
-                for parts, _ in table]
-        powers = [[pow(c.mod_p(root, p), e, p)
-                   for e in range(term.exponent + 1)] for _, c in support]
-        coeff = term.coeff.mod_p(root, p)
-        row = {}
-        for mono, (parts, mult) in zip(monomials[term.exponent, variables],
-                                       table):
-            value = coeff * mult
-            for k, e in parts:
-                value *= powers[k][e]
-            value %= p
-            if value:
-                row[mono] = value
-        rows.append(row)
-    columns = sorted({mono for row in rows for mono in row},
-                     key=lambda mono: (-len(mono), mono))
-    number = {mono: c for c, mono in enumerate(columns)}
-    return [{number[mono]: v for mono, v in row.items()} for row in rows]
-
-
-def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
-    """Rank over GF(p) of sparse integer rows. Each new row is reduced by
-    the stored pivot rows in creation order, each pivot row being zero at
-    every earlier pivot column; a heap of the pivot positions the row
-    touches finds the pivots that apply, including those at columns the
-    reduction fills in. A row that survives pivots on its smallest column."""
-    pivots: list[tuple[int, dict[int, int]]] = []
-    position: dict[int, int] = {}
-    for row in rows:
-        work = {c: v % p for c, v in row.items() if v % p}
-        pending = [position[c] for c in work if c in position]
-        heapq.heapify(pending)
-        while pending:
-            col, pivot = pivots[heapq.heappop(pending)]
-            factor = work.get(col)
-            if not factor:
-                continue
-            for c, v in pivot.items():
-                prior = work.get(c)
-                if prior is None:
-                    work[c] = -factor * v % p
-                    if c in position:
-                        heapq.heappush(pending, position[c])
-                elif (updated := (prior - factor * v) % p):
-                    work[c] = updated
-                else:
-                    del work[c]
-        if work:
-            lead = min(work)
-            inv = pow(work[lead], -1, p)
-            position[lead] = len(pivots)
-            pivots.append((lead, {c: v * inv % p for c, v in work.items()}))
-    return len(pivots)
-
-
-def term_rank(terms, order: int) -> int:
-    """Rank of the expanded terms in the monomial basis over Q(w): the rank
-    mod CERTIFICATE_PRIME when it equals the row count, which certifies it;
-    otherwise the exact elimination."""
-    rank = rank_mod_p(rows_mod_p(terms, order), CERTIFICATE_PRIME)
-    return rank if rank == len(terms) else _exact_rank(terms)
-
-
-def certified_rank(d: int) -> int:
-    """Rank of the expanded terms T_{sigma,j}, by ``term_rank``."""
-    if not 2 <= d <= 6:
-        raise ValueError(f"d must be in [2, 6], got {d}")
-    return term_rank(main_decomposition(d).terms, d)

@@ -325,6 +325,19 @@ class TestCheckCommands:
         assert code == 0
         assert out.encode() == (DATA_DIR / golden).read_bytes()
 
+    @pytest.mark.parametrize("args, golden", [
+        (("--d", "2"), "independence_d2.json"),
+        (("--d", "3"), "independence_d3.json"),
+        (("--d", "4"), "independence_d4.json"),
+        (("--d", "5", "--force"), "independence_d5.json"),
+        (("--d", "3", "--format", "text"), "independence_d3.txt"),
+    ])
+    def test_independence_stdout_is_pinned(self, capsys, args, golden):
+        # the separation, promotion and rank rows, byte for byte
+        code, out = run_cli(capsys, "independence", *args)
+        assert code == 0
+        assert out.encode() == (DATA_DIR / golden).read_bytes()
+
     @pytest.mark.parametrize("args, golden, expected_code", [
         (("--d", "2"), "equations_d2.json", 0),
         (("--d", "3"), "equations_d3.json", 0),

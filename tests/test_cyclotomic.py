@@ -9,7 +9,6 @@ from detpowers.cyclotomic import (
     cyclotomic_polynomial,
     from_root_coefficients,
     omega,
-    primitive_root_of_unity,
     root_power_sum,
 )
 
@@ -188,23 +187,3 @@ def test_pow_including_negative():
     x = Cyc(6, (2, -3), 5)
     assert x ** 4 == x * x * x * x
     assert (x ** -2) * (x ** 2) == Cyc.one(6)
-
-
-# ---------------------------------------------------------------------------
-# roots of unity mod p
-
-
-def test_primitive_root_of_unity():
-    # d | p - 1 cases used by the variety checks
-    for d, p in ((2, 5), (3, 7), (4, 5), (6, 7), (5, 11)):
-        g = primitive_root_of_unity(d, p)
-        assert pow(g, d, p) == 1
-        for k in range(1, d):
-            assert pow(g, k, p) != 1
-        # smallest such element: exhaustive confirmation
-        for smaller in range(2, g):
-            if pow(smaller, d, p) == 1 and all(
-                    pow(smaller, k, p) != 1 for k in range(1, d)):
-                pytest.fail(f"{smaller} has order {d} and is below {g}")
-    with pytest.raises(ValueError):
-        primitive_root_of_unity(3, 5)

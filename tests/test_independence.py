@@ -1,35 +1,32 @@
 import dataclasses
 import json
 import math
-import random
 
 import pytest
 
 from detpowers import independence
 from detpowers.cli import main
 from detpowers.cyclotomic import Cyc, omega
-from detpowers.decompositions import Perm, main_decomposition
+from detpowers.decompositions import (
+    Perm,
+    classical_decomposition,
+    main_decomposition,
+)
 from detpowers.independence import (
-    CERTIFICATE_PRIME,
     DualForm,
-    certificate_root,
-    certified_rank,
-    check_promotion,
     check_separation,
     diagonal_cofactor_monomial,
     dual_form,
     promoted_dual_form,
-    rank_mod_p,
+    promotion_certificate,
     rank_of_rows,
     rank_oracle,
-    rows_mod_p,
     separation_matrix,
     separation_violations,
     term_index_list,
     term_point,
-    term_rank,
 )
-from detpowers.multipoly import SparsePoly, expand_power
+from detpowers.multipoly import LinForm, SparsePoly, expand_power
 
 
 def c1(n):
@@ -119,7 +116,7 @@ class TestSeparation:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_promotion_preserves_pattern(self, d):
-        assert check_promotion(d)
+        assert promotion_certificate(main_decomposition(d))[1] is None
 
     def test_promoted_form_degree(self):
         form = promoted_dual_form(3, Perm.identity(3), 1)
@@ -179,13 +176,15 @@ class TestSupportDecidedPairings:
         expected = pattern_violations(d, full_table(d, widened))
         promoted = full_table(d, lambda *args: DualForm(
             widened(*args).poly * SparsePoly.variable(d, (1, args[1](1))), d))
-        promotion_holds = all((r == c) != value.is_zero
-                              for r, row in enumerate(promoted)
-                              for c, value in enumerate(row))
+        first = next((r, c, value) for r, row in enumerate(promoted)
+                     for c, value in enumerate(row)
+                     if (r == c) == value.is_zero)
         monkeypatch.setattr(independence, "dual_form", widened)
         assert expected > 0
         assert len(separation_violations(d)) == expected
-        assert check_promotion(d) is promotion_holds is False
+        count, violation = promotion_certificate(main_decomposition(d))
+        assert violation == first
+        assert count < d * math.factorial(d)
 
 
 class TestRank:
@@ -226,75 +225,77 @@ class TestRank:
             rank_oracle(6, allow_large=True)
 
 
+def with_term(dec, r, term):
+    terms = list(dec.terms)
+    terms[r] = term
+    return dataclasses.replace(dec, terms=tuple(terms))
+
+
 class TestRankCertificate:
-    def test_rank_mod_p_of_simple_rows(self):
-        # the third row meets the second pivot only through the fill-in
-        # of the first
-        assert rank_mod_p([{0: 1, 2: 1}, {2: 1}, {0: 1}], 7) == 2
-        assert rank_mod_p([{0: 1, 1: 7}, {0: 1}], 7) == 1
-        assert rank_of_rows([{0: c1(1), 1: c1(7)}, {0: c1(1)}]) == 2
-        assert rank_mod_p([], 7) == 0 and rank_mod_p([{0: 14}], 7) == 0
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_rank_mod_p_itself_is_full(self, d):
-        rows = rows_mod_p(main_decomposition(d).terms, d)
-        assert rank_mod_p(rows, CERTIFICATE_PRIME) == d * math.factorial(d)
-
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_certified_rank_equals_exact_oracle(self, d):
-        assert certified_rank(d) == rank_oracle(d) == d * math.factorial(d)
+        count, violation = promotion_certificate(main_decomposition(d))
+        assert count == rank_oracle(d) == d * math.factorial(d)
+        assert violation is None
 
-    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-    def test_reduction_is_a_ring_map(self, order):
-        # w goes to an element of multiplicative order exactly `order`, and
-        # sums and products of seeded elements reduce to sums and products
-        p = CERTIFICATE_PRIME
-        root = certificate_root(order)
-        image = omega(order, 1).mod_p(root, p)
-        assert [k for k in range(1, order + 1)
-                if pow(image, k, p) == 1] == [order]
-        rng = random.Random(order)
-        phi = len(Cyc.zero(order).num)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rank_mod_p_itself_is_full(self, d):
+        # the promoted pairing table itself has full rank over Q(w), without
+        # the pattern: f_r(D) sends a vanishing combination of the terms to
+        # d! times the table applied to (lambda_c coeff_c), so an invertible
+        # table alone forces every lambda_c = 0
+        table = full_table(d, promoted_dual_form)
+        rows = [{c: v for c, v in enumerate(row) if not v.is_zero}
+                for row in table]
+        assert rank_of_rows(rows) == d * math.factorial(d)
 
-        def element():
-            num = tuple(rng.randint(-9, 9) for _ in range(phi))
-            return Cyc(order, num, rng.choice([1, 2, 5, 12]))
+    def test_certified_rank_at_d5_is_full(self):
+        assert promotion_certificate(main_decomposition(5)) == (600, None)
 
-        for _ in range(30):
-            a, b = element(), element()
-            assert (a * b).mod_p(root, p) == \
-                a.mod_p(root, p) * b.mod_p(root, p) % p
-            assert (a + b).mod_p(root, p) == \
-                (a.mod_p(root, p) + b.mod_p(root, p)) % p
-
-    def test_rank_lost_only_mod_p_falls_back_to_exact(self):
-        # one coefficient times p: the row vanishes mod p, not over Q(w)
-        terms = list(main_decomposition(3).terms)
-        terms[5] = dataclasses.replace(
-            terms[5], coeff=terms[5].coeff * CERTIFICATE_PRIME)
-        assert rank_mod_p(rows_mod_p(terms, 3), CERTIFICATE_PRIME) == 17
-        assert term_rank(terms, 3) == 18
-
-    def test_duplicated_term_reports_exact_deficient_rank(self):
-        terms = list(main_decomposition(3).terms)
-        terms[1] = terms[0]
+    def test_duplicated_term_breaks_the_pattern(self):
+        # two equal points: form 0 is nonzero at both and form 1 at neither,
+        # so rows 0 and 1 drop out of a count that stays a lower bound
+        dec = main_decomposition(3)
+        dec = with_term(dec, 1, dec.terms[0])
         exact = rank_of_rows([dict((expand_power(t.form, t.exponent)
-                                    * t.coeff).terms) for t in terms])
-        assert exact == 17
-        assert term_rank(terms, 3) == 17
+                                    * t.coeff).terms) for t in dec.terms])
+        count, violation = promotion_certificate(dec)
+        assert count == 16 <= exact == 17
+        assert violation == (0, 1, Cyc.from_int(3, 3) * omega(3))
+
+    def test_zero_coefficient_is_not_counted(self):
+        dec = main_decomposition(3)
+        dec = with_term(dec, 5, dataclasses.replace(dec.terms[5],
+                                                    coeff=Cyc.zero(3)))
+        assert promotion_certificate(dec) == (17, None)
+
+    def test_scalar_off_the_roots_of_unity_is_rejected(self):
+        # 2w, and the root i of order 4 where the points' w has order 2
+        dec = main_decomposition(3)
+        term = dec.terms[4]
+        (var, c), *rest = term.form.support()
+        form = LinForm(3, 3, [(var, c * 2), *rest])
+        with pytest.raises(ValueError, match=r"term 4 .*not a power of w"):
+            promotion_certificate(with_term(
+                dec, 4, dataclasses.replace(term, form=form)))
+        dec = main_decomposition(2)
+        form = LinForm(4, 2, [(var, omega(4, 1))
+                              for var, _ in dec.terms[0].form.support()])
+        with pytest.raises(ValueError, match=r"term 0 .*of order 2"):
+            promotion_certificate(with_term(
+                dec, 0, dataclasses.replace(dec.terms[0], form=form)))
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            certified_rank(1)
-        with pytest.raises(ValueError):
-            certified_rank(7)
+        # a decomposition with other than d * d! terms has no pairing
+        with pytest.raises(ValueError, match="pairs 18 terms"):
+            promotion_certificate(classical_decomposition(3))
 
     def test_cli_d5_is_certified_without_exact_elimination(
             self, capsys, monkeypatch):
-        def exact(terms):
+        def exact(rows):
             raise AssertionError("exact elimination at d=5")
 
-        monkeypatch.setattr(independence, "_exact_rank", exact)
+        monkeypatch.setattr(independence, "rank_of_rows", exact)
         assert main(["independence", "--d", "5", "--force"]) == 0
         report = json.loads(capsys.readouterr().out)
         rank_row = [r for r in report["results"] if r["check"] == "rank"][0]
