@@ -615,6 +615,9 @@ def _cmd_bench(config: RunConfig, timings: list):
         ("verify-main-3-expansion",
          lambda: verify_power_decomposition(
              SCHEME_BUILDERS["main"](3), mode="expansion").equal),
+        ("verify-main-6-expansion",
+         lambda: verify_power_decomposition(
+             SCHEME_BUILDERS["main"](6), mode="expansion").equal),
         ("verify-main-4-streaming",
          lambda: verify_power_decomposition(
              SCHEME_BUILDERS["main"](4), mode="streaming").equal),

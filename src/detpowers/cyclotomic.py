@@ -371,15 +371,20 @@ def _root_power_table(order: int) -> dict[tuple[tuple[int, ...], int], int]:
     return {(omega(order, k).num, 1): k for k in range(order)}
 
 
+@functools.cache
+def _omega_power_columns(order: int) -> tuple[tuple[int, ...], ...]:
+    """Column i holds coordinate i of w^0, w^1, ..., w^(order-1)."""
+    return tuple(zip(*_omega_power_vectors(order)))
+
+
 def from_root_coefficients(order: int, coeffs, den: int = 1) -> Cyc:
     """sum over k of coeffs[k] * w^k / den, for integer coeffs[0..order-1]:
     the image in Q(w) of an element of the group ring Z[C_order], divided
     by den."""
     if not any(coeffs):
         return _int_cyc(order, 0)
-    # coordinate i: coeffs dotted with coordinate i of w^0, ..., w^(order-1)
     num = [sum(map(operator.mul, coeffs, column))
-           for column in zip(*_omega_power_vectors(order))]
+           for column in _omega_power_columns(order)]
     if den != 1:
         return Cyc._make(order, num, den)
     out = Cyc.__new__(Cyc)
@@ -387,6 +392,25 @@ def from_root_coefficients(order: int, coeffs, den: int = 1) -> Cyc:
     out.num = tuple(num)
     out.den = 1
     return out
+
+
+def root_coefficients_vanish(order: int, coeffs: list[int]) -> bool:
+    """Whether sum over k of coeffs[k] * w^k is 0 in Q(w), for integer
+    coeffs[0..order-1]: whether that element of the group ring Z[C_order]
+    lies in the kernel of its projection to Q(w). The image is the
+    remainder of sum_k coeffs[k] x^k mod Phi_order, exact in the integers:
+    the coeffs dotted with the reduced powers x^k mod Phi_order, one
+    coordinate at a time. At a prime order Phi is 1 + x + ... +
+    x^(order-1), the ideal it spans in Z[C_order] is Z * (1, ..., 1), and
+    the kernel is the all-equal vectors."""
+    if not any(coeffs):
+        return True
+    if _field(order).phi == order - 1:
+        return coeffs.count(coeffs[0]) == order
+    for column in _omega_power_columns(order):
+        if sum(map(operator.mul, coeffs, column)):
+            return False
+    return True
 
 
 def root_power_sum(order: int, p: int) -> Cyc:

@@ -4,8 +4,11 @@ Two independent engines are provided:
 
 * expansion mode builds one coefficient table for the whole sum: every
   term adds integers to a vector per monomial, an element of the group
-  ring Z[C_n] indexed by the phase, and each vector is projected to Q(w)
-  once at the end. A term whose scalars are all units +-w^k adds
+  ring Z[C_n] indexed by the phase, under an integer key for the
+  monomial. Each vector is compared with the lifted target in the ring,
+  by an exact reduction mod the cyclotomic polynomial Phi_n, and only a
+  mismatching monomial is decoded and projected to Q(w). A term whose
+  scalars are all units +-w^k adds
   +-multinomial at a phase, read for all its compositions at once from
   the fields of one packed integer; any other term has its scalars
   lifted to the ring and packed into one integer each, the ring element
@@ -40,9 +43,14 @@ import math
 import struct
 import sys
 from functools import lru_cache
-from operator import getitem, itemgetter, mul
+from operator import getitem, mul, sub
 
-from .cyclotomic import Cyc, from_root_coefficients, omega
+from .cyclotomic import (
+    Cyc,
+    from_root_coefficients,
+    omega,
+    root_coefficients_vanish,
+)
 from .decompositions import (
     TARGET_DETERMINANT,
     TARGET_DIAGONAL,
@@ -161,8 +169,21 @@ class VerificationReport:
 # Every term adds coeff * multinomial(e) * prod_k entry_k^e_k to the monomial
 # of each weak composition e of the exponent over the form's support. Each
 # monomial accumulates these as an integer vector indexed by the phase mod
-# the root order, an element of the group ring Z[C_order], and is projected
-# to Q(w) once at the end; no Cyc product is taken.
+# the root order, an element of the group ring Z[C_order]; no Cyc product
+# is taken.
+#
+# * A monomial's key is the int sum of e * (d + 1)^((i - 1) * d + (j - 1))
+#   over its entries (i, j, e), its exponents read as base-(d + 1) digits
+#   of a d x d grid. Keys are built along the tree of a composition table's
+#   prefixes, one int addition per node and per completing step.
+# * The check compares in the ring. The target's coefficients are
+#   integers, lifted at phase 0 and times the common denominator, and a
+#   monomial matches iff its vector minus the lifted target lies in the
+#   kernel of Z[C_order] -> Q(w) (``root_coefficients_vanish``). Most
+#   vectors are zero at order 1 and at prime orders, and are decided at
+#   once; at an even order such as main's at d = 4 and 6 they cancel only
+#   in Q(w). Only the keys of mismatching monomials are decoded and
+#   projected to Q(w).
 #
 # * A term whose coefficient and nonzero entries are all units +-w^k adds
 #   +-multinomial(e) at the phase of its composition, the exponent-weighted
@@ -190,7 +211,7 @@ class VerificationReport:
 #   then split into order signed base-2^B digits, which are added into
 #   its vector.
 # * Denominators are cleared by one common denominator L of the whole sum,
-#   so every term adds integers; the projection divides by L once.
+#   so every term adds integers; a witness's projection divides by L once.
 
 
 def _unit(c: Cyc) -> tuple[int, int] | None:
@@ -290,17 +311,15 @@ def _common_denominator(terms) -> int:
 
 
 def _packed_width(terms, scale: int) -> int:
-    """Bits per digit of the packed group ring of the non-unit ``terms``.
-    Lifted with the common-denominator factors, a term adds at most
-    |coeff|_1 * (sum over its entries of |entry|_1)^exponent to the L1
-    norm of all its monomials' vectors together (the multinomial theorem,
-    with |a * b|_1 <= |a|_1 * |b|_1), so the sum over the terms bounds
-    every digit; two more bits hold the sign and a margin."""
+    """Bits per digit of the packed group ring of ``terms``, the non-unit
+    terms of the sum. Lifted with the common-denominator factors, a term
+    adds at most |coeff|_1 * (sum over its entries of |entry|_1)^exponent
+    to the L1 norm of all its monomials' vectors together (the multinomial
+    theorem, with |a * b|_1 <= |a|_1 * |b|_1), so the sum over the terms
+    bounds every digit; two more bits hold the sign and a margin."""
     bound = 0
     for term in terms:
         support = term.form.support()
-        if _unit_phases(term.coeff, support) is not None:
-            continue
         den = math.lcm(*(c.den for _, c in support))
         base = sum(den // c.den * sum(map(abs, c.num)) for _, c in support)
         factor = scale // (term.coeff.den * den ** term.exponent)
@@ -308,9 +327,27 @@ def _packed_width(terms, scale: int) -> int:
     return bound.bit_length() + 2
 
 
-def _expand_chunk(order: int, scale: int, terms) -> dict:
-    """``scale`` times the sum of the terms, as a table monomial ->
-    Z[C_order] vector; ``scale`` must clear every denominator (see
+def _encode(mono: Monomial, d: int) -> int:
+    """The key of a monomial of the d x d grid with exponents at most d."""
+    return sum(e * (d + 1) ** ((i - 1) * d + j - 1) for i, j, e in mono)
+
+
+def _decode(key: int, d: int) -> Monomial:
+    """The monomial whose key is ``key``, its entries in sorted order."""
+    mono = []
+    place = 0
+    while key:
+        key, e = divmod(key, d + 1)
+        if e:
+            mono.append((place // d + 1, place % d + 1, e))
+        place += 1
+    return tuple(mono)
+
+
+def _expand_chunk(order: int, scale: int, terms, d: int) -> dict:
+    """``scale`` times the sum of the terms, as a table key -> Z[C_order]
+    vector, keyed by ``_encode`` on the d x d grid; every exponent must be
+    at most d, and ``scale`` must clear every denominator (see
     ``_common_denominator``). Keys whose coefficients cancel to zero are
     kept, so the key set is the union of the terms' supports. From the
     first non-unit term on, each vector carries one more slot, the packed
@@ -320,32 +357,36 @@ def _expand_chunk(order: int, scale: int, terms) -> dict:
     slots: dict[tuple[int, int], list] = {}
     last_vars = vecs = width = None
     blank = [0] * order
-    for t, term in enumerate(terms):
+    places = [(d + 1) ** place for place in range(d * d)]
+    units = [_unit_phases(term.coeff, term.form.support()) for term in terms]
+    for t, (term, unit) in enumerate(zip(terms, units)):
         support = term.form.support()
         variables = [var for var, _ in support]
-        key = (term.exponent, len(variables))
-        if key not in tables:
-            tables[key] = _composition_table(*key, scale, order)
-        comps, mults, signed, nodes, steps, columns, field = tables[key]
+        shape = (term.exponent, len(variables))
+        if shape not in tables:
+            tables[shape] = _composition_table(*shape, scale, order)
+        comps, mults, signed, nodes, steps, columns, field = tables[shape]
         if variables != last_vars:
             # builders emit the terms of one support consecutively
             last_vars, vecs = variables, []
-            cells = [[(i, j, e) for e in range(term.exponent + 1)]
+            cells = [[e * places[(i - 1) * d + j - 1]
+                      for e in range(term.exponent + 1)]
                      for i, j in variables]
-            prefixes = [()]
+            prefixes = [0]
             for parent, k, e in nodes:
-                prefixes.append(prefixes[parent] + (cells[k][e],))
+                prefixes.append(prefixes[parent] + cells[k][e])
             for parent, k, e in steps:
-                mono = prefixes[parent] + (cells[k][e],)
-                vec = ring.get(mono)
+                key = prefixes[parent] + cells[k][e]
+                vec = ring.get(key)
                 if vec is None:
-                    vec = ring[mono] = blank.copy()
+                    vec = ring[key] = blank.copy()
                 vecs.append(vec)
-        unit = _unit_phases(term.coeff, support)
         if unit is None:
             if width is None:
                 # the terms before this one are all units
-                width = _packed_width(terms[t:], scale)
+                width = _packed_width(
+                    [rest for rest, phases in zip(terms[t:], units[t:])
+                     if phases is None], scale)
                 blank.append(0)
                 for vec in ring.values():
                     vec.append(0)
@@ -429,31 +470,38 @@ def _unpack(ring: dict, order: int, width: int) -> None:
             vec[i] += (packed >> i * width & base - 1) - half
 
 
-def _expand_sum(dec: PowerDecomposition) -> dict:
-    order = dec.order
+def _key_width(dec: PowerDecomposition) -> int:
+    """The grid width of the expansion's keys: every form's variables and
+    the target's lie in it, and every exponent is d <= the width."""
+    return max([dec.d, *(term.form.d for term in dec.terms)])
+
+
+def _expand_check(dec: PowerDecomposition, collect_all: bool):
+    """Returns (mismatch list, distinct monomial count): the monomials, in
+    sorted order, where scale * target differs from the expanded sum, and
+    the size of the expansion's table, zeros included."""
+    order, d = dec.order, _key_width(dec)
     scale = _common_denominator(dec.terms)
-    ring = _expand_chunk(order, scale, dec.terms)
-    return {mono: from_root_coefficients(order, vec, scale)
-            for mono, vec in ring.items()}
-
-
-def _compare_with_target(dec: PowerDecomposition, computed: dict,
-                         collect_all: bool):
-    """Returns (mismatch list, distinct monomial count). ``computed`` maps
-    monomials to total coefficients and may carry exact zeros."""
+    ring = _expand_chunk(order, scale, dec.terms, d)
     target = dec.target_poly() * dec.scale
-    zero = Cyc.zero(dec.order)
-    mismatches = [(mono, got, zero) for mono, got in computed.items()
-                  if got and mono not in target.terms]
-    for mono, want in target.terms.items():
-        got = computed.get(mono, zero)
-        if got != want:
-            mismatches.append((mono, got, want))
+    # the target's coefficients are integers, so each lifts to its
+    # numerator, padded with zeros, at phase 0
+    wants = {_encode(mono, d): [scale * x for x in c.num]
+             + [0] * (order - len(c.num))
+             for mono, c in target.terms.items()}
+    blank = [0] * order
+    bad = [key for key, vec in ring.items()
+           if key not in wants and not root_coefficients_vanish(order, vec)]
+    bad += [key for key, want in wants.items()
+            if not root_coefficients_vanish(
+                order, list(map(sub, ring.get(key, blank), want)))]
     # the witness is the first mismatch in sorted monomial order
-    mismatches.sort(key=itemgetter(0))
+    found = sorted((_decode(key, d), key) for key in bad)
     if not collect_all:
-        del mismatches[1:]
-    return mismatches, len(computed)
+        del found[1:]
+    zero = Cyc.zero(order)
+    return [(mono, from_root_coefficients(order, ring.get(key, blank), scale),
+             target.terms.get(mono, zero)) for mono, key in found], len(ring)
 
 
 def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
@@ -469,8 +517,7 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
     compatibility and ignored.
     """
     if mode == "expansion":
-        computed = _expand_sum(dec)
-        mismatches, distinct = _compare_with_target(dec, computed, collect_all)
+        mismatches, distinct = _expand_check(dec, collect_all)
     elif mode == "streaming":
         mismatches, distinct = _stream_check(dec, collect_all)
     else:

@@ -338,6 +338,20 @@ class TestCheckCommands:
         assert code == 0
         assert out.encode() == (DATA_DIR / golden).read_bytes()
 
+    @pytest.mark.parametrize("args, golden", [
+        (("--d", str(d), "--scheme", scheme), f"verify_{scheme}_d{d}.json")
+        for scheme in ("main", "classical", "gurvits") for d in range(1, 6)
+    ] + [
+        (("--d", "6", "--scheme", "monomial"), "verify_monomial_d6.json"),
+        (("--d", "3", "--scheme", "krishna-makam"),
+         "verify_krishna-makam_d3.json"),
+    ])
+    def test_verify_stdout_is_pinned(self, capsys, args, golden):
+        # both engines' verdicts, table sizes and witnesses, byte for byte
+        code, out = run_cli(capsys, "verify", *args)
+        assert code == 0
+        assert out.encode() == (DATA_DIR / golden).read_bytes()
+
     @pytest.mark.parametrize("args, golden, expected_code", [
         (("--d", "2"), "equations_d2.json", 0),
         (("--d", "3"), "equations_d3.json", 0),
@@ -503,6 +517,7 @@ class TestBench:
         assert "verify-main-4-streaming" in names
         assert "verify-main-6-streaming" in names
         assert "verify-main-7-streaming" in names
+        assert "verify-main-6-expansion" in names
         assert "verify-conjugated-main-4-expansion" in names
         assert "verify-conjugated-classical-4-expansion" in names
         assert "separation-5" in names

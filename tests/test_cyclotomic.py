@@ -9,6 +9,7 @@ from detpowers.cyclotomic import (
     cyclotomic_polynomial,
     from_root_coefficients,
     omega,
+    root_coefficients_vanish,
     root_power_sum,
 )
 
@@ -85,6 +86,57 @@ def test_from_root_coefficients_matches_summed_powers():
         # the sum of all roots of unity of order > 1 is zero
         assert from_root_coefficients(order, [1] * order) \
             == Cyc.from_int(order, 1 if order == 1 else 0)
+
+
+def phi_multiple(order, quotient):
+    """quotient(x) * Phi_order(x) reduced mod x^order - 1: an element of
+    Z[C_order] in the kernel of its projection to Q(w)."""
+    out = [0] * order
+    for i, a in enumerate(quotient):
+        for j, b in enumerate(cyclotomic_polynomial(order)):
+            out[(i + j) % order] += a * b
+    return out
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_root_coefficients_vanish_matches_projection(order):
+    rng = random.Random(900 + order)
+    vectors = [[rng.randint(-9, 9) for _ in range(order)] for _ in range(40)]
+    kernel = [phi_multiple(order, [rng.randint(-9, 9) for _ in range(order)])
+              for _ in range(40)]
+    # a kernel vector off by one in one slot is never in the kernel
+    nudged = [vec.copy() for vec in kernel]
+    for vec in nudged:
+        vec[rng.randrange(order)] += rng.choice((-1, 1))
+    for vec in vectors + kernel + nudged + [[0] * order, [1] * order]:
+        assert root_coefficients_vanish(order, vec) \
+            == (from_root_coefficients(order, vec) == 0), vec
+    assert all(root_coefficients_vanish(order, vec) for vec in kernel)
+    assert not any(root_coefficients_vanish(order, vec) for vec in nudged)
+    # multiples of Phi with a nonzero quotient are nonzero in the ring
+    # except at order 1, where Phi_1 = x - 1 spans the kernel {0}
+    assert order == 1 or any(any(vec) for vec in kernel)
+
+
+@pytest.mark.parametrize("order", [2, 3, 5, 7, 11])
+def test_all_equal_vectors_vanish_at_a_prime_order(order):
+    # Phi_p = 1 + x + ... + x^(p-1), so (c, ..., c) is c * Phi_p
+    for c in (1, -3, 10 ** 30):
+        assert root_coefficients_vanish(order, [c] * order)
+        assert not root_coefficients_vanish(order, [c] * (order - 1) + [c + 1])
+
+
+@pytest.mark.parametrize("order", [1, 4, 6, 8, 9, 12])
+def test_all_equal_vectors_at_other_orders(order):
+    # 1 + w + ... + w^(n-1) = 0 for every n > 1; at order 1 it is 1
+    assert root_coefficients_vanish(order, [2] * order) is (order > 1)
+    # w^(n/2) = -1 at even orders, so 1 + w^(n/2) vanishes there
+    if order % 2 == 0:
+        vec = [0] * order
+        vec[0] = vec[order // 2] = 5
+        assert root_coefficients_vanish(order, vec)
+        vec[0] = 4
+        assert not root_coefficients_vanish(order, vec)
 
 
 def test_root_power_sum_matches_closed_form():

@@ -7,7 +7,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 import pytest
 
@@ -39,7 +39,6 @@ from detpowers.verify import (
     check_closed_form_coefficients,
     closed_form_coefficient,
     _common_denominator,
-    _expand_sum,
     _phase_group_sum,
     _sign_vector_sum,
     _signed_extension_sum,
@@ -233,6 +232,16 @@ def cyc_path(terms):
     return acc
 
 
+def expand_sum(dec):
+    """The expansion's table as a view for the oracles: each key decoded to
+    its monomial and each vector projected to Q(w), zeros included."""
+    order, d = dec.order, verify._key_width(dec)
+    scale = _common_denominator(dec.terms)
+    ring = verify._expand_chunk(order, scale, dec.terms, d)
+    return {verify._decode(key, d): from_root_coefficients(order, vec, scale)
+            for key, vec in ring.items()}
+
+
 def circulant(b, order):
     """The rows of multiplication by b in Z[C_order], a circulant matrix:
     (a * b)[k] = sum_i a[i] * b[(k - i) % order] is a dotted with row k."""
@@ -275,7 +284,7 @@ def add_general_term(term, support, order, scale, vecs, mults, nodes,
 def circulant_path(dec):
     """The group ring's oracle in the ring itself: every term, unit or not,
     lifted to Z[C_order] and multiplied by circulant rows, one dot product
-    per digit, then projected to Q(w) like ``_expand_sum``."""
+    per digit, then projected to Q(w) like ``expand_sum``."""
     order, scale = dec.order, _common_denominator(dec.terms)
     ring = {}
     for term in dec.terms:
@@ -319,10 +328,10 @@ class TestGroupRingExpansion:
     ] + [("main", 5)])
     def test_matches_cyc_path_key_for_key(self, scheme, d):
         dec = SCHEME_BUILDERS[scheme](d)
-        assert _expand_sum(dec) == cyc_path(dec.terms)
+        assert expand_sum(dec) == cyc_path(dec.terms)
 
     def test_keeps_keys_that_cancel_to_zero(self):
-        got = _expand_sum(main_decomposition(3))
+        got = expand_sum(main_decomposition(3))
         zeros = [mono for mono, c in got.items() if not c]
         assert len(got) == 51 and len(zeros) == 51 - 6
 
@@ -332,7 +341,7 @@ class TestGroupRingExpansion:
         dec = loose(3, 3, terms)
         assert _unit(dict(conjugated_main3().terms[0].form.support())[1, 2]) \
             is None
-        assert _expand_sum(dec) == cyc_path(terms)
+        assert expand_sum(dec) == cyc_path(terms)
         # the halves sum to 36 det^3, so scale 1 misses all six permutation
         # monomials
         report = verify_power_decomposition(dec, jobs=jobs, collect_all=True)
@@ -343,7 +352,7 @@ class TestGroupRingExpansion:
         form = LinForm(1, 2, {(1, 1): -1, (1, 2): 1, (2, 1): -1})
         terms = [PowerTerm((0,), Cyc.from_int(1, -1), form, 2),
                  PowerTerm((1,), Cyc.from_int(1, 1), form, 2)]
-        got = _expand_sum(loose(2, 1, terms))
+        got = expand_sum(loose(2, 1, terms))
         assert got == cyc_path(terms)
         assert len(got) == 6 and not any(got.values())
 
@@ -351,7 +360,7 @@ class TestGroupRingExpansion:
         assert _unit(Cyc.from_int(2, -1)) == (1, 1)
         form = LinForm(2, 2, {(1, 2): -1, (2, 1): 1})
         terms = [PowerTerm((0,), Cyc.from_int(2, -1), form, 2)]
-        assert _expand_sum(loose(2, 2, terms)) == cyc_path(terms)
+        assert expand_sum(loose(2, 2, terms)) == cyc_path(terms)
 
     def test_non_unit_coefficient_falls_back(self):
         two_w = omega(3, 1) * 2
@@ -359,7 +368,7 @@ class TestGroupRingExpansion:
         form = LinForm(3, 2, {(1, 1): omega(3, 2), (2, 2): 1})
         terms = [PowerTerm((0,), two_w, form, 2),
                  PowerTerm((1,), omega(3, 1), form, 2)]
-        got = _expand_sum(loose(2, 3, terms))
+        got = expand_sum(loose(2, 3, terms))
         assert got == cyc_path(terms)
         # 2w * 2w^2 + w * 2w^2 = 4 + 2
         assert got[((1, 1, 1), (2, 2, 1))] == Cyc.from_int(3, 6)
@@ -367,7 +376,7 @@ class TestGroupRingExpansion:
     def test_gurvits_d1_zero_form(self):
         dec = gurvits_decomposition(1)
         assert not dec.terms[1].form.support()
-        assert _expand_sum(dec) == cyc_path(dec.terms) \
+        assert expand_sum(dec) == cyc_path(dec.terms) \
             == {((1, 1, 1),): Cyc.from_int(1, 1)}
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -389,7 +398,7 @@ class TestGroupRingExpansion:
         assert any(c.den == 2 for _, c in scaled.form.support())
         dec = dataclasses.replace(conj, terms=terms)
         assert _common_denominator(dec.terms) == 3 * 2 ** 3
-        got = _expand_sum(dec)
+        got = expand_sum(dec)
         assert got == cyc_path(terms)
         assert any(c.den != 1 for c in got.values())
         assert not verify_power_decomposition(dec, jobs=jobs).equal
@@ -409,7 +418,7 @@ class TestGroupRingExpansion:
             for dec, equal in ((conj, True),
                                (flip_one_sign(conj, position), False)):
                 oracle = cyc_path(dec.terms)
-                assert _expand_sum(dec) == oracle
+                assert expand_sum(dec) == oracle
                 assert verify_power_decomposition(dec).equal is equal
 
     def test_general_terms_take_no_cyc_products(self, monkeypatch):
@@ -430,7 +439,7 @@ class TestGroupRingExpansion:
         for module in (multipoly, verify):
             monkeypatch.setattr(module, "expand_power",
                                 counting("expand_power", expand_power))
-        got = _expand_sum(dec)
+        got = expand_sum(dec)
         assert calls == {"mul": 0, "expand_power": 0}
         monkeypatch.undo()
         assert got == cyc_path(dec.terms)
@@ -449,7 +458,7 @@ class TestPackedGroupRing:
         sizes = {len(t.form.support()) for t in dec.terms}
         assert 6 <= min(sizes) and max(sizes) <= 12
         oracle = circulant_path(dec)
-        assert _expand_sum(dec) == oracle
+        assert expand_sum(dec) == oracle
 
     @pytest.mark.parametrize("order", [1, 4, 6])
     @pytest.mark.parametrize("c", [10 ** 6, -10 ** 6])
@@ -459,7 +468,7 @@ class TestPackedGroupRing:
         # 6 the lift of c has phi = 2 < 6 digits, zero-padded
         form = LinForm(order, d, {(1, 1): c})
         terms = [PowerTerm((0,), Cyc.one(order), form, d)]
-        got = _expand_sum(loose(d, order, terms))
+        got = expand_sum(loose(d, order, terms))
         assert got == cyc_path(terms) \
             == {((1, 1, d),): Cyc.from_int(order, c ** d)}
         assert verify._packed_width(terms, 1) \
@@ -479,10 +488,11 @@ class TestPackedGroupRing:
             PowerTerm((1,), Cyc.from_int(order, -sign),
                       LinForm(order, 2, {(1, 1): big}), 2),
         ]
-        ring = verify._expand_chunk(order, 1, terms)
+        ring = verify._expand_chunk(order, 1, terms, 2)
         digits = [0, -2, 1] + [0] * (order - 3)
-        assert ring == {((1, 1, 2),): [sign * big ** 2 * x for x in digits]}
-        assert _expand_sum(loose(2, order, terms)) == cyc_path(terms)
+        # x11^2 has key 2, its exponent at place 0
+        assert ring == {2: [sign * big ** 2 * x for x in digits]}
+        assert expand_sum(loose(2, order, terms)) == cyc_path(terms)
 
     def test_general_coefficient_on_a_zero_form(self):
         dec = gurvits_decomposition(1)
@@ -492,7 +502,7 @@ class TestPackedGroupRing:
                  dataclasses.replace(term, coeff=Cyc.from_int(1, 7)))
         assert _unit_phases(terms[1].coeff, []) is None
         dec = dataclasses.replace(dec, terms=terms)
-        assert _expand_sum(dec) == cyc_path(terms) \
+        assert expand_sum(dec) == cyc_path(terms) \
             == {((1, 1, 1),): Cyc.from_int(1, 1)}
         assert verify_power_decomposition(dec).equal
 
@@ -523,7 +533,7 @@ class TestPackedPhases:
         assert any(_unit(c)[0] < 0 for t in terms
                    for _, c in t.form.support()) or order % 2 == 0
         dec = loose(3, order, terms)
-        assert _expand_sum(dec) == circulant_path(dec)
+        assert expand_sum(dec) == circulant_path(dec)
 
     @pytest.mark.parametrize("order, entry, exponent, wide", [
         # 2 * 11 * 12 = 264: w^11 at order 12 (-w^11 is w^5 there)
@@ -538,7 +548,7 @@ class TestPackedPhases:
         form = LinForm(order, exponent, {(1, 1): entry, (2, 2): entry})
         terms = [PowerTerm((0,), Cyc.one(order), form, exponent)]
         dec = loose(exponent, order, terms)
-        got = _expand_sum(dec)
+        got = expand_sum(dec)
         assert got == circulant_path(dec)
         # the composition with all of the exponent on one variable
         assert got[((1, 1, exponent),)] == entry ** exponent
@@ -566,6 +576,130 @@ class TestPackedPhases:
         assert comps == [[3, 0], [2, 1], [1, 2], [0, 3]]
         assert [list(c.to_bytes(4, "little")) for c in columns] \
             == [[3, 2, 1, 0], [0, 1, 2, 3]]
+
+
+def cyc_mismatches(dec):
+    """The Cyc oracle of the comparison: every monomial where the summed
+    terms (``cyc_path``) differ from scale * target in Q(w), as (monomial,
+    got, want) in sorted monomial order."""
+    computed = cyc_path(dec.terms)
+    target = dec.target_poly() * dec.scale
+    zero = Cyc.zero(dec.order)
+    found = [(mono, got, zero) for mono, got in computed.items()
+             if got and mono not in target.terms]
+    found += [(mono, computed.get(mono, zero), want)
+              for mono, want in target.terms.items()
+              if computed.get(mono, zero) != want]
+    return sorted(found, key=itemgetter(0))
+
+
+def times_w(dec, position):
+    """``dec`` with one term's coefficient multiplied by w."""
+    term = dec.terms[position]
+    changed = dataclasses.replace(term, coeff=term.coeff * omega(dec.order))
+    terms = dec.terms[:position] + (changed,) + dec.terms[position + 1:]
+    return dataclasses.replace(dec, terms=terms)
+
+
+TAMPERED = {
+    "main2-flip0": flip_one_sign(main_decomposition(2), 0),
+    "main3-flip7": flip_one_sign(main_decomposition(3), 7),
+    "main3-flip4": flip_one_sign(main_decomposition(3), 4),
+    "classical3-flip5": flip_one_sign(classical_decomposition(3), 5),
+    "gurvits3-flip2": flip_one_sign(gurvits_decomposition(3), 2),
+    "monomial3-flip1": flip_one_sign(monomial_power_decomposition(3), 1),
+    "main3-times-w": times_w(main_decomposition(3), 10),
+    "conjugated-flip7": flip_one_sign(conjugated_main3(), 7),
+    "main3-scale17": dataclasses.replace(main_decomposition(3), scale=17),
+    "main3-diagonal-target": dataclasses.replace(
+        main_decomposition(3), target="diagonal-product"),
+    "monomial3-determinant-target": dataclasses.replace(
+        monomial_power_decomposition(3), target="determinant"),
+    "mixed-unit-and-general": loose(
+        3, 3, main_decomposition(3).terms + conjugated_main3().terms),
+}
+
+
+class TestRingComparison:
+    """Expansion decides each monomial in Z[C_n] under an integer key and
+    projects to Q(w) only the monomials that mismatch."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_keys_round_trip(self, d):
+        rng = random.Random(700 + d)
+        variables = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
+        for _ in range(200):
+            mono = monomial(collections.Counter(
+                rng.choice(variables) for _ in range(d)))
+            assert verify._decode(verify._encode(mono, d), d) == mono
+        # the largest key, x_dd^d, passes 64 bits from d = 5 on
+        top = verify._encode(((d, d, d),), d)
+        assert top == d * (d + 1) ** (d * d - 1)
+        assert (top.bit_length() > 64) is (d >= 5)
+
+    @pytest.mark.parametrize("d", [5, 7])
+    def test_tree_keys_are_the_encoded_monomials(self, d):
+        # one unit term on the diagonal, so x_dd^d's key passes 64 bits
+        form = LinForm(d, d, {(i, i): omega(d, i) for i in range(1, d + 1)})
+        ring = verify._expand_chunk(d, 1, [PowerTerm((0,), Cyc.one(d), form,
+                                                     d)], d)
+        monos = sorted(expand_power(form, d).terms)
+        assert sorted(verify._decode(key, d) for key in ring) == monos
+        assert set(ring) == {verify._encode(mono, d) for mono in monos}
+        assert max(ring).bit_length() > 64
+
+    @pytest.mark.parametrize("name", TAMPERED)
+    def test_witness_and_mismatches_match_the_cyc_oracle(self, name):
+        dec = TAMPERED[name]
+        oracle = cyc_mismatches(dec)
+        assert oracle
+        full = verify_power_decomposition(dec, collect_all=True)
+        assert full.mismatches == tuple(oracle)
+        assert full.mismatch_count == len(oracle)
+        first = verify_power_decomposition(dec)
+        assert not first.equal and first.mismatch_count == 1
+        assert first.witness == oracle[0]
+        assert first.distinct_monomials == len(cyc_path(dec.terms))
+
+    def test_main5_term_times_w_keeps_its_witness(self):
+        dec = times_w(main_decomposition(5), 311)
+        report = verify_power_decomposition(dec)
+        assert not report.equal
+        # the witness the Cyc projection of every monomial named
+        assert report.witness == (
+            ((1, 3, 1), (2, 4, 1), (3, 2, 1), (4, 1, 1), (5, 5, 1)),
+            Cyc(5, (-480, -120, 0, 0)), Cyc.from_int(5, -600))
+        assert verify_power_decomposition(
+            dec, mode="streaming").witness == report.witness
+        # the sum moved by (w - 1) * coeff * form^5 from scale * det, so
+        # every monomial of that power mismatches, by that much
+        term = main_decomposition(5).terms[311]
+        power = expand_power(term.form, 5)
+        delta = term.coeff * (omega(5) - 1)
+        target = dec.target_poly() * dec.scale
+        full = verify_power_decomposition(dec, collect_all=True)
+        assert [mono for mono, _, _ in full.mismatches] == sorted(power.terms)
+        for mono, got, want in full.mismatches:
+            assert want == target.coefficient(mono)
+            assert got - want == delta * power.coefficient(mono)
+
+    def test_projects_only_the_mismatches(self, monkeypatch):
+        calls = []
+        real = verify.from_root_coefficients
+
+        def counting(order, coeffs, den=1):
+            calls.append(order)
+            return real(order, coeffs, den)
+
+        monkeypatch.setattr(verify, "from_root_coefficients", counting)
+        assert verify_power_decomposition(main_decomposition(4)).equal
+        assert calls == []
+        dec = TAMPERED["main3-flip4"]
+        assert verify_power_decomposition(dec, collect_all=True) \
+            .mismatch_count == len(calls) > 1
+        calls.clear()
+        verify_power_decomposition(dec)
+        assert len(calls) == 1
 
 
 class TestStreamingChecksTerms:
