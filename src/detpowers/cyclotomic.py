@@ -400,13 +400,9 @@ def root_coefficients_vanish(order: int, coeffs: list[int]) -> bool:
     lies in the kernel of its projection to Q(w). The image is the
     remainder of sum_k coeffs[k] x^k mod Phi_order, exact in the integers:
     the coeffs dotted with the reduced powers x^k mod Phi_order, one
-    coordinate at a time. At a prime order Phi is 1 + x + ... +
-    x^(order-1), the ideal it spans in Z[C_order] is Z * (1, ..., 1), and
-    the kernel is the all-equal vectors."""
+    coordinate at a time."""
     if not any(coeffs):
         return True
-    if _field(order).phi == order - 1:
-        return coeffs.count(coeffs[0]) == order
     for column in _omega_power_columns(order):
         if sum(map(operator.mul, coeffs, column)):
             return False

@@ -179,11 +179,11 @@ class VerificationReport:
 # * The check compares in the ring. The target's coefficients are
 #   integers, lifted at phase 0 and times the common denominator, and a
 #   monomial matches iff its vector minus the lifted target lies in the
-#   kernel of Z[C_order] -> Q(w) (``root_coefficients_vanish``). Most
-#   vectors are zero at order 1 and at prime orders, and are decided at
-#   once; at an even order such as main's at d = 4 and 6 they cancel only
-#   in Q(w). Only the keys of mismatching monomials are decoded and
-#   projected to Q(w).
+#   kernel of Z[C_order] -> Q(w) (``root_coefficients_vanish``). A zero
+#   vector is decided at once, as every matching vector is at order 1;
+#   others, such as a third of main(5)'s and half of a conjugated
+#   main(4)'s, are reduced mod Phi_order. Only the keys of mismatching
+#   monomials are decoded and projected to Q(w).
 #
 # * A term whose coefficient and nonzero entries are all units +-w^k adds
 #   +-multinomial(e) at the phase of its composition, the exponent-weighted
