@@ -61,7 +61,6 @@ ALL_SCHEMES = SCHEMES + ("krishna-makam",)
 SCHEME_CAPS = {"main": 6, "classical": 5, "gurvits": 5, "monomial": 6}
 LEMMA_CAP = 5
 INDEPENDENCE_CAP = 4
-SYMMETRY_FULL_CAP = 4
 
 # smallest odd prime p with d | p - 1, used by `equations` without --prime
 DEFAULT_PRIMES = {2: 3, 3: 7, 4: 5, 5: 11, 6: 7}
@@ -458,13 +457,10 @@ def _cmd_independence(config: RunConfig, timings: list):
 
 def _cmd_symmetries(config: RunConfig, timings: list):
     d = config.d
-    if config.full and d > SYMMETRY_FULL_CAP:
-        raise UsageError(f"--full checks every element and is capped at "
-                         f"--d {SYMMETRY_FULL_CAP}")
     results = []
     ok = True
     started = time.perf_counter()
-    enum = enumerate_symmetries(d, with_elements=False)
+    enum = enumerate_symmetries(d)
     timings.append(("enumerate", time.perf_counter() - started))
     exactly_half = enum.preserving_order == enum.reversing_order
     results.append({
@@ -481,7 +477,7 @@ def _cmd_symmetries(config: RunConfig, timings: list):
         "faithful": enum.faithful,
     })
     # a printed-table mismatch is reported and flagged, not failed
-    ok = ok and enum.matches_formula and exactly_half and bool(enum.faithful)
+    ok = ok and enum.matches_formula and exactly_half and enum.faithful
     started = time.perf_counter()
     if config.full:
         action_ok = check_symmetry_action(d)
@@ -642,8 +638,7 @@ def _cmd_bench(config: RunConfig, timings: list):
         ("separation-5", lambda: not separation_violations(5)),
         ("rank-5-certificate", lambda: promotion_certificate(
             SCHEME_BUILDERS["main"](5)) == (600, None)),
-        ("symmetries-6", lambda: enumerate_symmetries(
-            6, with_elements=False).matches_formula),
+        ("symmetries-6", lambda: enumerate_symmetries(6).matches_formula),
         ("bounds-9", lambda: len(bounds_table(9)) == 8),
     ]
     results = []

@@ -18,10 +18,13 @@ tallies, which equals the walk's count exactly (the tests keep the walk).
 The term action reads each term's (sigma, j) from its form once per
 decomposition. Membership in M is decided on integer exponent tuples: rows
 1 and 2 fix the only candidate (k, j). An image table solves the row
-exponents once per j and permutes once per source sigma. Under the full
-check, one table per (pi, sigma) serves every phase (m, n): the phase adds
-m + n*r to the row exponents, so n only moves the image j and m only moves
-k, which dies in the d-th power; one outcome per shift n is evaluated.
+exponents once per j and permutes once per source sigma.
+
+The full check is a proof from generators. The term action is a group
+action and the determinant multiplier chi is a character, so if every
+generator g maps the signed term multiset S to chi(g) S, every element
+does. One classifier decides each element acted on, for the generators
+of the full check and for the sampled elements alike.
 """
 
 from __future__ import annotations
@@ -295,8 +298,7 @@ class SymmetryEnumeration:
     reversing_order: int
     formula_order: int       # d^3 phi(d) d! / 2
     printed_order: int | None
-    faithful: bool | None    # None when the check was skipped (order-only)
-    elements: tuple[SymElement, ...] | None
+    faithful: bool
 
     @property
     def matches_formula(self) -> bool:
@@ -365,21 +367,17 @@ def _multiplier_factors(d: int) -> tuple[dict, list, list]:
     return phase, pis, sigmas
 
 
-def enumerate_symmetries(d: int, with_elements: bool = True,
-                         check_faithful: bool = True) -> SymmetryEnumeration:
+def enumerate_symmetries(d: int) -> SymmetryEnumeration:
     """Count all (m, n, pi, sigma) by determinant multiplier, and compare
     |H| against both the closed formula and the printed table.
 
     The counts come from tallies of the factor signs: a phase sign a and a
     pi sign b pair with every sigma of sign a*b to give multiplier +1, so
     |H| = sum over a, b of #phases(a) * #pi(b) * #sigma(a*b), and every
-    other tuple reverses. For d = 6 call with with_elements=False
-    (order-only mode); the element list is supported for d <= 5.
+    other tuple reverses.
     """
     if not 2 <= d <= 6:
         raise ValueError(f"d must be in [2, 6], got {d}")
-    if with_elements and d > 5:
-        raise ValueError("element lists are limited to d <= 5")
     phase, pis, sigmas = _multiplier_factors(d)
     phase_count = collections.Counter(phase.values())
     pi_count = collections.Counter(sign for _, sign in pis)
@@ -387,20 +385,12 @@ def enumerate_symmetries(d: int, with_elements: bool = True,
     preserving = sum(phase_count[a] * pi_count[b] * sigma_count[a * b]
                      for a in (1, -1) for b in (1, -1))
     total = len(phase) * len(pis) * len(sigmas)
-    elements = None
-    if with_elements:
-        elements = tuple(SymElement(m, n, pi, sigma)
-                         for m, n in phase
-                         for pi, _ in pis
-                         for sigma, _ in sigmas)
-    faithful = check_faithfulness(d) if check_faithful else None
     return SymmetryEnumeration(
         d=d, full_order=total, preserving_order=preserving,
         reversing_order=total - preserving,
         formula_order=d ** 3 * euler_totient(d) * math.factorial(d) // 2,
         printed_order=PRINTED_SUBGROUP_ORDERS.get(d),
-        faithful=faithful,
-        elements=elements)
+        faithful=check_faithfulness(d))
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +402,16 @@ class ActionOutcome:
     bijection: bool
     preserved: int
     flipped: int
-    structural_failures: int
+    failures: int    # image missing, or coefficient neither equal nor opposite
 
     @property
     def sign_preserving(self) -> bool:
-        return self.bijection and self.flipped == 0 \
-            and self.structural_failures == 0
+        return self.bijection and self.flipped == 0 and self.failures == 0
 
     @property
     def sign_reversing(self) -> bool:
         return self.bijection and self.preserved == 0 \
-            and self.structural_failures == 0 and self.flipped > 0
+            and self.failures == 0 and self.flipped > 0
 
 
 class _TermTable:
@@ -451,12 +440,13 @@ class _TermTable:
                                  f"as {read}")
             self.rows.append((read[0], read[1],
                               ids.setdefault(term.coeff, len(ids))))
+        self.negated_ids = {coeff_id: ids.get(-coeff)
+                            for coeff, coeff_id in ids.items()}
         self.coeff_ids = {(images, j): coeff_id
                           for images, j, coeff_id in self.rows}
         self.sources = {images for images, _, _ in self.rows}
 
-    def images(self, m: int, n: int, pi_images: tuple[int, ...],
-               sigma_images: tuple[int, ...]) -> list:
+    def images(self, h: SymElement) -> list:
         """Each term's image under X -> w^m D^n P_pi X P_sigma, as (image
         sigma images, image j mod d or None when outside M, the source's
         coefficient id).
@@ -469,10 +459,14 @@ class _TermTable:
         once per source; each term's row is then read from its own (sigma, j).
         """
         d = self.d
+        if h.d != d:
+            raise ValueError(
+                "element dimension does not match the decomposition")
+        pi_images, sigma_images = h.pi.perm().images, h.sigma.images
         image_j = {}
         for j in range(1, d + 1):
             solved = _solve_row_exponents(
-                d, [(m + n * r + j * p) % d
+                d, [(h.m + h.n * r + j * p) % d
                     for r, p in enumerate(pi_images, start=1)])
             image_j[j] = None if solved is None else solved[1]
         image_of = {source: tuple(sigma_images[source[p - 1] - 1]
@@ -481,17 +475,14 @@ class _TermTable:
         return [(image_of[source], image_j[j], coeff_id)
                 for source, j, coeff_id in self.rows]
 
-    def outcome(self, image_rows: list, shift: int = 0) -> ActionOutcome:
-        """Compare every image's coefficient with its source's; an image
-        outside M or outside the decomposition is a structural failure.
-        ``shift`` adds n to each image j: a phase D^n adds n*r to the row
-        exponents, which keeps them affine in r and moves j by n, so the
-        images at (m, n) are those at (0, 0) shifted by n."""
-        d = self.d
+    def outcome(self, image_rows: list) -> ActionOutcome:
+        """Compare every image's coefficient with its source's: equal is
+        preserved, the negation is flipped, anything else fails, and so
+        does an image outside M or outside the decomposition."""
         seen = set()
         preserved = flipped = failures = 0
         for image, j, coeff_id in image_rows:
-            index = None if j is None else (image, (j + shift - 1) % d + 1)
+            index = None if j is None else (image, j or self.d)
             image_coeff_id = self.coeff_ids.get(index)
             if image_coeff_id is None:
                 failures += 1
@@ -499,48 +490,54 @@ class _TermTable:
             seen.add(index)
             if image_coeff_id == coeff_id:
                 preserved += 1
-            else:
+            elif image_coeff_id == self.negated_ids[coeff_id]:
                 flipped += 1
-        return ActionOutcome(
-            bijection=len(seen) == len(image_rows) and failures == 0,
-            preserved=preserved, flipped=flipped,
-            structural_failures=failures)
+            else:
+                failures += 1
+        return ActionOutcome(bijection=len(seen) == len(image_rows),
+                             preserved=preserved, flipped=flipped,
+                             failures=failures)
 
     def act(self, h: SymElement) -> ActionOutcome:
-        if h.d != self.d:
-            raise ValueError(
-                "element dimension does not match the decomposition")
-        return self.outcome(self.images(h.m, h.n, h.pi.perm().images,
-                                        h.sigma.images))
+        return self.outcome(self.images(h))
+
+
+def symmetry_generators(d: int) -> list[SymElement]:
+    """Generators of every (m, n, pi, sigma): the m-shift and the n-shift,
+    pi: x -> x+1 and x -> ax for every unit a other than 1, and sigma =
+    (1 2) and (1 2 ... d)."""
+    one_pi, one_sigma = AffinePerm(1, 0, d), Perm.identity(d)
+    pis = [AffinePerm(1, 1, d)] + [AffinePerm(a, 0, d) for a in range(2, d)
+                                   if math.gcd(a, d) == 1]
+    sigmas = [Perm((2, 1) + tuple(range(3, d + 1))),
+              Perm(tuple(range(2, d + 1)) + (1,))]
+    return ([SymElement(1, 0, one_pi, one_sigma),
+             SymElement(0, 1, one_pi, one_sigma)]
+            + [SymElement(0, 0, pi, one_sigma) for pi in pis]
+            + [SymElement(0, 0, one_pi, sigma) for sigma in sigmas])
+
+
+def _classify(table: _TermTable, h: SymElement) -> str:
+    """The one decision on an element acted on: "preserving_ok" when its
+    determinant multiplier is 1 and it acts sign-preservingly,
+    "reversing_ok" when the multiplier is -1 and it acts sign-reversingly,
+    else "bad"."""
+    outcome = table.act(h)
+    if h.determinant_multiplier() == Cyc.one(h.d):
+        return "preserving_ok" if outcome.sign_preserving else "bad"
+    return "reversing_ok" if outcome.sign_reversing else "bad"
 
 
 def check_symmetry_action(d: int) -> bool:
     """Every element of H acts as a sign-preserving term bijection.
 
-    Each (pi, sigma) image table is built once, at m = n = 0. A phase
-    (m, n) only shifts the image j by n; m moves only k, which dies in the
-    d-th power, so the outcome does not depend on m. One outcome is
-    evaluated per shift n for which some (m, n) has the phase sign that
-    makes the element preserving.
+    Each generator g must map the signed term multiset S to chi(g) S, chi
+    the determinant multiplier. The action is a group action and chi a
+    character, so every element h then maps S to chi(h) S, which for h in
+    H (chi(h) = 1) is the claim.
     """
-    if not 2 <= d <= 4:
-        raise ValueError(f"d must be in [2, 4], got {d}")
     table = _TermTable(main_decomposition(d))
-    phase, pis, sigmas = _multiplier_factors(d)
-    shifts = {sign: sorted({n for (_, n), s in phase.items() if s == sign})
-              for sign in (1, -1)}
-    for pi, pi_sign in pis:
-        pi_images = pi.perm().images
-        for sigma, sigma_sign in sigmas:
-            # the phase sign that makes the multiplier +1
-            matching = shifts[pi_sign * sigma_sign]
-            if not matching:
-                continue
-            image_rows = table.images(0, 0, pi_images, sigma.images)
-            for n in matching:
-                if not table.outcome(image_rows, shift=n).sign_preserving:
-                    return False
-    return True
+    return all(_classify(table, g) != "bad" for g in symmetry_generators(d))
 
 
 def sample_symmetry_actions(d: int, count: int, seed: int = 0) -> dict:
@@ -550,18 +547,12 @@ def sample_symmetry_actions(d: int, count: int, seed: int = 0) -> dict:
     table = _TermTable(main_decomposition(d))
     aff = affine_group(d)
     perms = list(Perm.all_perms(d))
-    one = Cyc.one(d)
     stats = {"checked": 0, "preserving_ok": 0, "reversing_ok": 0, "bad": 0}
     for _ in range(count):
         elem = SymElement(rng.randrange(d), rng.randrange(d),
                           rng.choice(aff), rng.choice(perms))
-        outcome = table.act(elem)
         stats["checked"] += 1
-        if elem.determinant_multiplier() == one:
-            key = "preserving_ok" if outcome.sign_preserving else "bad"
-        else:
-            key = "reversing_ok" if outcome.sign_reversing else "bad"
-        stats[key] += 1
+        stats[_classify(table, elem)] += 1
     return stats
 
 

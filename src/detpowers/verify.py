@@ -74,48 +74,18 @@ from .multipoly import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class MultiIndex:
-    """A degree-d monomial in variables x_1..x_d, stored as the sorted
-    tuple of its d index entries (with repetition)."""
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        d = len(self.entries)
-        if tuple(sorted(self.entries)) != self.entries:
-            raise ValueError("entries must be sorted ascending")
-        if not all(1 <= v <= d for v in self.entries):
-            raise ValueError(f"entries must lie in [1, {d}]")
-
-    @classmethod
-    def of(cls, values) -> "MultiIndex":
-        return cls(tuple(sorted(values)))
-
-    @property
-    def d(self) -> int:
-        return len(self.entries)
-
-    def multiplicities(self) -> tuple[int, ...]:
-        """How many times each of 1..d occurs."""
-        counts = [0] * self.d
-        for v in self.entries:
-            counts[v - 1] += 1
-        return tuple(counts)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(self.entries)
-
-
-def closed_form_coefficient(index: MultiIndex, d: int) -> Cyc:
-    """Coefficient of the monomial named by ``index`` in the phase
-    polynomial P, by the closed-form rule: (d choose multiplicities) * d
-    when the entry sum is congruent to binom(d+1, 2) mod d, else 0."""
-    if index.d != d:
-        raise ValueError(f"index has {index.d} entries, expected {d}")
-    if sum(index.entries) % d != math.comb(d + 1, 2) % d:
+def closed_form_coefficient(multiplicities: tuple[int, ...], d: int) -> Cyc:
+    """Coefficient of x_1^e_1 ... x_d^e_d in the phase polynomial P, for
+    the multiplicities (e_1, ..., e_d), by the closed-form rule:
+    (d choose e) * d when sum(i * e_i) is congruent to binom(d+1, 2) mod d,
+    else 0."""
+    if len(multiplicities) != d or sum(multiplicities) != d:
+        raise ValueError(f"{multiplicities} are not the multiplicities of "
+                         f"a degree-{d} monomial in {d} variables")
+    entry_sum = sum(i * e for i, e in enumerate(multiplicities, start=1))
+    if entry_sum % d != math.comb(d + 1, 2) % d:
         return Cyc.zero(d)
-    value = multinomial(d, index.multiplicities()) * d
-    return Cyc.from_int(d, value)
+    return Cyc.from_int(d, multinomial(d, multiplicities) * d)
 
 
 def phase_polynomial(d: int) -> SparsePoly:
@@ -137,10 +107,8 @@ def check_closed_form_coefficients(d: int) -> bool:
     poly = phase_polynomial(d)
     seen = 0
     for comp in weak_compositions(d, d):
-        index = MultiIndex.of(
-            v for v, e in enumerate(comp, start=1) for _ in range(e))
         mono = monomial({(i, 1): e for i, e in enumerate(comp, start=1)})
-        if poly.coefficient(mono) != closed_form_coefficient(index, d):
+        if poly.coefficient(mono) != closed_form_coefficient(comp, d):
             return False
         seen += 1
     # every monomial of P has degree d, so the sweep above was exhaustive

@@ -195,12 +195,12 @@ def test_criterion_07_symmetry_groups():
         if not check_symmetry_action(d):
             bad.append(f"an element fails the term action at d={d}")
     for d in range(2, 6):
-        enum = enumerate_symmetries(d, with_elements=False)
+        enum = enumerate_symmetries(d)
         if enum.preserving_order != enum.reversing_order:
             bad.append(f"preserving/reversing split at d={d} is "
                        f"{enum.preserving_order}/{enum.reversing_order}")
     for d in (5, 6):
-        enum = enumerate_symmetries(d, with_elements=False)
+        enum = enumerate_symmetries(d)
         if not enum.matches_formula:
             bad.append(f"d={d} enumeration {enum.preserving_order} differs "
                        f"from the closed formula {enum.formula_order}")

@@ -318,12 +318,23 @@ class TestCheckCommands:
         (("--d", "3", "--full"), "symmetries_d3_full.json"),
         (("--d", "4", "--full"), "symmetries_d4_full.json"),
         (("--d", "5", "--seed", "7"), "symmetries_d5_seed7.json"),
+        (("--d", "5", "--full"), "symmetries_d5_full.json"),
+        (("--d", "6", "--full"), "symmetries_d6_full.json"),
     ])
     def test_symmetries_stdout_is_pinned(self, capsys, args, golden):
-        # the full action at d=4 and the sampled d=5 counts, byte for byte
+        # the full action at d=3..6 and the sampled d=5 counts, byte for byte
         code, out = run_cli(capsys, "symmetries", *args)
         assert code == 0
         assert out.encode() == (DATA_DIR / golden).read_bytes()
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_symmetries_full_differs_from_sampled_only_in_the_action(
+            self, capsys, d):
+        _, full = run_json(capsys, "symmetries", "--d", str(d), "--full")
+        _, sampled = run_json(capsys, "symmetries", "--d", str(d))
+        assert full["ok"] is True
+        assert [r for r in full["results"] if r["check"] != "action"] \
+            == [r for r in sampled["results"] if r["check"] != "action"]
 
     @pytest.mark.parametrize("args, golden", [
         (("--d", "2"), "independence_d2.json"),
@@ -421,7 +432,7 @@ class TestExitCodes:
         ("verify", "--d", "6", "--scheme", "classical"),
         ("lemma-check", "--d", "6"),
         ("independence", "--d", "5"),
-        ("symmetries", "--d", "5", "--full"),
+        ("symmetries", "--d", "7", "--full"),
         ("equations", "--d", "5", "--prime", "11"),
         ("equations", "--d", "3", "--prime", "6"),
         ("bounds", "--d", "25"),

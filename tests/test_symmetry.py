@@ -33,9 +33,10 @@ from detpowers.symmetry import (
     mono_membership,
     mono_membership_sparse,
     sample_symmetry_actions,
+    symmetry_generators,
     transpose_closure,
 )
-from detpowers.symmetry import _TermTable, _signatures
+from detpowers.symmetry import _TermTable, _multiplier_factors, _signatures
 from detpowers.verify import verify_power_decomposition
 
 
@@ -45,6 +46,55 @@ def mono_support(m: MonoMatrix):
     d = m.d
     return tuple(((i, m.sigma(i)), omega(d, m.k + i * m.j))
                  for i in range(1, d + 1))
+
+
+def all_elements(d: int) -> list[SymElement]:
+    """Every (m, n, pi, sigma), in that order."""
+    return [SymElement(m, n, pi, sigma)
+            for m in range(d) for n in range(d)
+            for pi in affine_group(d) for sigma in Perm.all_perms(d)]
+
+
+def random_element(rng: random.Random, d: int) -> SymElement:
+    return SymElement(rng.randrange(d), rng.randrange(d),
+                      rng.choice(affine_group(d)),
+                      rng.choice(list(Perm.all_perms(d))))
+
+
+def with_term(dec, position, **changes):
+    """``dec`` with one term's fields replaced."""
+    terms = list(dec.terms)
+    terms[position] = dataclasses.replace(terms[position], **changes)
+    return dataclasses.replace(dec, terms=tuple(terms))
+
+
+def shifted(image_rows, n: int, d: int) -> list:
+    """The image rows at phase (m, n) from those at (0, 0): D^n adds n*r to
+    the row exponents, which keeps them affine in r and moves j by n."""
+    return [(image, None if j is None else (j + n) % d, coeff_id)
+            for image, j, coeff_id in image_rows]
+
+
+def every_element_verdict(dec) -> bool:
+    """The oracle for the generator check: every element of H~, preserving
+    ones sign-preserving and reversing ones sign-reversing. One image table
+    per (pi, sigma) at m = n = 0 and one outcome per shift n: m moves only
+    k, which dies in the d-th power, and leaves the multiplier alone."""
+    table = _TermTable(dec)
+    d = table.d
+    phase, pis, sigmas = _multiplier_factors(d)
+    for pi, pi_sign in pis:
+        for sigma, sigma_sign in sigmas:
+            image_rows = table.images(SymElement(0, 0, pi, sigma))
+            for n in range(d):
+                outcome = table.outcome(shifted(image_rows, n, d))
+                if pi_sign * sigma_sign * phase[0, n] == 1:
+                    ok = outcome.sign_preserving
+                else:
+                    ok = outcome.sign_reversing
+                if not ok:
+                    return False
+    return True
 
 
 class TestTotientAndJacobi:
@@ -206,33 +256,32 @@ class TestSignFormulas:
 class TestEnumeration:
     @pytest.mark.parametrize("d,order", [(2, 8), (3, 162), (4, 1536)])
     def test_preserving_order_matches_printed_table(self, d, order):
-        enum = enumerate_symmetries(d, with_elements=(d <= 3))
+        enum = enumerate_symmetries(d)
         assert enum.preserving_order == order
         assert enum.matches_printed is True
         assert enum.matches_formula
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_exactly_half_preserve_the_multiplier(self, d):
-        enum = enumerate_symmetries(d, with_elements=False)
+        enum = enumerate_symmetries(d)
         assert enum.preserving_order == enum.reversing_order
         assert enum.full_order == 2 * enum.preserving_order
         assert enum.full_order == d ** 3 * euler_totient(d) * math.factorial(d)
 
     def test_d5_flags_printed_table_mismatch(self):
-        enum = enumerate_symmetries(5, with_elements=False)
+        enum = enumerate_symmetries(5)
         assert enum.formula_order == 30000
         assert enum.preserving_order == 30000
         assert enum.printed_order == 37500
         assert enum.matches_formula and enum.matches_printed is False
 
     def test_d6_order_only_mode(self):
-        enum = enumerate_symmetries(6, with_elements=False)
+        # orders are counted from factor tallies, never from an element list
+        enum = enumerate_symmetries(6)
         assert enum.preserving_order == 155520
         assert enum.printed_order == 15552
         assert enum.matches_printed is False
-        assert enum.elements is None
-        with pytest.raises(ValueError):
-            enumerate_symmetries(6, with_elements=True)
+        assert enum.faithful is True
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_faithful(self, d):
@@ -263,18 +312,17 @@ class TestEnumeration:
                         walked["preserving" if mult == one
                                else "reversing"] += 1
                         total += 1
-        enum = enumerate_symmetries(d, with_elements=False,
-                                    check_faithful=False)
+        enum = enumerate_symmetries(d)
         assert enum.preserving_order == walked["preserving"]
         assert enum.reversing_order == walked["reversing"]
         assert enum.full_order == total
 
     def test_element_list_order_and_size(self):
-        enum = enumerate_symmetries(3, check_faithful=False)
-        assert len(enum.elements) == enum.full_order
-        assert enum.elements[0] == SymElement(
+        elements = all_elements(3)
+        assert len(set(elements)) == enumerate_symmetries(3).full_order
+        assert elements[0] == SymElement(
             0, 0, AffinePerm(1, 0, 3), Perm.identity(3))
-        assert enum.elements[-1] == SymElement(
+        assert elements[-1] == SymElement(
             2, 2, affine_group(3)[-1], Perm((3, 2, 1)))
 
     def test_multiplier_values(self):
@@ -301,13 +349,12 @@ class TestAction:
 
     def test_reversing_element_flips_every_sign_at_d3(self):
         dec = main_decomposition(3)
-        enum = enumerate_symmetries(3)
-        reversing = next(e for e in enum.elements
+        reversing = next(e for e in all_elements(3)
                          if e.determinant_multiplier() == Cyc.from_int(3, -1))
         outcome = _TermTable(dec).act(reversing)
         assert outcome.sign_reversing
         assert outcome.flipped == 18 and outcome.preserved == 0
-        assert outcome.structural_failures == 0
+        assert outcome.failures == 0
 
     @staticmethod
     def signature_map(elem):
@@ -318,10 +365,10 @@ class TestAction:
     def test_group_law_on_random_pairs(self):
         rng = random.Random(11)
         for d in (2, 3, 4):
-            enum = enumerate_symmetries(d, check_faithful=False)
+            elements = all_elements(d)
             for _ in range(50):
-                outer = rng.choice(enum.elements)
-                inner = rng.choice(enum.elements)
+                outer = rng.choice(elements)
+                inner = rng.choice(elements)
                 outer_sig = self.signature_map(outer)
                 inner_sig = self.signature_map(inner)
                 composed_sig = {}
@@ -340,13 +387,14 @@ class TestAction:
 
     def test_multiplier_is_multiplicative(self):
         rng = random.Random(5)
-        enum = enumerate_symmetries(3, check_faithful=False)
-        for _ in range(30):
-            e1 = rng.choice(enum.elements)
-            e2 = rng.choice(enum.elements)
-            lhs = e2.compose(e1).determinant_multiplier()
-            rhs = e2.determinant_multiplier() * e1.determinant_multiplier()
-            assert lhs == rhs
+        for d in (2, 3, 4, 5):
+            for _ in range(30):
+                e1 = random_element(rng, d)
+                e2 = random_element(rng, d)
+                lhs = e2.compose(e1).determinant_multiplier()
+                rhs = e2.determinant_multiplier() \
+                    * e1.determinant_multiplier()
+                assert lhs == rhs
 
     def test_requires_main_scheme(self):
         from detpowers.decompositions import classical_decomposition
@@ -356,54 +404,127 @@ class TestAction:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_shared_table_matches_apply_symmetry_on_every_element(self, d):
-        # oracle: each element applied on its own, phases in the exponents
+        # the oracle's shortcut (one table per (pi, sigma), shifted by n)
+        # against each element applied on its own, phases in the exponents
+        table = _TermTable(main_decomposition(d))
+        for elem in all_elements(d):
+            at_origin = table.images(SymElement(0, 0, elem.pi, elem.sigma))
+            assert table.outcome(shifted(at_origin, elem.n, d)) \
+                == table.act(elem)
+        assert every_element_verdict(main_decomposition(d)) is True
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_generators_reach_every_element(self, d):
+        identity = SymElement(0, 0, AffinePerm(1, 0, d), Perm.identity(d))
+        generators = symmetry_generators(d)
+        reached, frontier = {identity}, {identity}
+        while frontier:
+            frontier = {g.compose(h) for h in frontier
+                        for g in generators} - reached
+            reached |= frontier
+        assert len(reached) == enumerate_symmetries(d).full_order
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_action_composes_on_seeded_pairs(self, d):
+        # the term map of g o h is the map of h followed by that of g
+        table = _TermTable(main_decomposition(d))
+
+        def term_map(h):
+            return {(source, j): (image, image_j or d)
+                    for (source, j, _), (image, image_j, _)
+                    in zip(table.rows, table.images(h))}
+
+        rng = random.Random(d)
+        for _ in range(20):
+            g, h = random_element(rng, d), random_element(rng, d)
+            g_map, h_map = term_map(g), term_map(h)
+            assert term_map(g.compose(h)) == {
+                term: g_map[image] for term, image in h_map.items()}
+
+    @staticmethod
+    def tampered(d: int, kind: str):
         dec = main_decomposition(d)
-        table = _TermTable(dec)
-        one = Cyc.one(d)
-        walk_verdict = True
-        for elem in enumerate_symmetries(d, check_faithful=False).elements:
-            alone = table.act(elem)
-            shared = table.outcome(
-                table.images(0, 0, elem.pi.perm().images,
-                             elem.sigma.images), shift=elem.n)
-            assert shared == alone
-            if elem.determinant_multiplier() == one:
-                walk_verdict = walk_verdict and alone.sign_preserving
-        assert check_symmetry_action(d) is walk_verdict is True
+        term = dec.terms[1]
+        if kind == "negated":
+            return with_term(dec, 1, coeff=-term.coeff)
+        if kind == "tripled":
+            return with_term(dec, 1, coeff=term.coeff * 3)
+        if kind == "form-swapped":
+            return with_term(dec, 0, form=term.form)
+        if kind == "exchanged":
+            # the first term and the first of the other sign trade places
+            first = dec.terms[0]
+            k, other = next((k, t) for k, t in enumerate(dec.terms)
+                            if t.coeff != first.coeff)
+            return with_term(with_term(dec, 0, form=other.form,
+                                       index=other.index),
+                             k, form=first.form, index=first.index)
+        return dec
+
+    @pytest.mark.parametrize("kind", ["main", "negated", "tripled",
+                                      "form-swapped", "exchanged"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_generator_verdict_matches_every_element_oracle(
+            self, monkeypatch, d, kind):
+        dec = self.tampered(d, kind)
+        monkeypatch.setattr(symmetry, "main_decomposition", lambda _: dec)
+        if kind == "form-swapped":
+            with pytest.raises(ValueError, match="form"):
+                every_element_verdict(dec)
+            with pytest.raises(ValueError, match="form"):
+                check_symmetry_action(d)
+            return
+        expected = kind == "main"
+        assert every_element_verdict(dec) is expected
+        assert check_symmetry_action(d) is expected
 
     def test_flipped_coefficient_fails_the_full_check(self, monkeypatch):
         def flipped(d):
             dec = main_decomposition(d)
-            terms = list(dec.terms)
-            terms[4] = dataclasses.replace(terms[4], coeff=-terms[4].coeff)
-            return dataclasses.replace(dec, terms=tuple(terms))
+            return with_term(dec, 4, coeff=-dec.terms[4].coeff)
 
         monkeypatch.setattr(symmetry, "main_decomposition", flipped)
         assert check_symmetry_action(3) is False
         assert check_symmetry_action(4) is False
 
+    def test_tripled_coefficient_is_not_flipped(self):
+        # every generator at d=4 but the m-shift reverses the multiplier,
+        # so a reversing image must carry exactly the negated coefficient
+        n_shift = SymElement(0, 1, AffinePerm(1, 0, 4), Perm.identity(4))
+        outcome = _TermTable(self.tampered(4, "tripled")).act(n_shift)
+        assert not outcome.sign_reversing
+        assert outcome.flipped == 94 and outcome.failures == 2
+
+    def test_tripled_coefficient_is_never_reversing_ok(self, monkeypatch):
+        # a reversing element moves every term, so it meets the tripled one
+        dec = self.tampered(3, "tripled")
+        monkeypatch.setattr(symmetry, "main_decomposition", lambda _: dec)
+        stats = sample_symmetry_actions(3, 200, seed=1)
+        assert stats["reversing_ok"] == 0
+        assert stats["bad"] >= stats["checked"] // 2
+
     def test_full_check_work_counts_at_d4(self, monkeypatch):
-        # 8 affine pi x 24 sigma: one image table of d = 4 row solves each,
-        # and one outcome per shift n whose phase sign (-1)^n matches
-        solves = outcomes = 0
-        solve, outcome = symmetry._solve_row_exponents, _TermTable.outcome
+        # six generators: the m- and n-shifts, x -> x+1, x -> 3x, (1 2)
+        # and (1 2 3 4); one act each, of d = 4 row solves
+        acts = solves = 0
+        solve, act = symmetry._solve_row_exponents, _TermTable.act
 
         def counted_solve(*args):
             nonlocal solves
             solves += 1
             return solve(*args)
 
-        def counted_outcome(*args, **kwargs):
-            nonlocal outcomes
-            outcomes += 1
-            return outcome(*args, **kwargs)
+        def counted_act(*args):
+            nonlocal acts
+            acts += 1
+            return act(*args)
 
         monkeypatch.setattr(symmetry, "_solve_row_exponents", counted_solve)
-        monkeypatch.setattr(_TermTable, "outcome", counted_outcome)
+        monkeypatch.setattr(_TermTable, "act", counted_act)
         assert check_symmetry_action(4)
         table_build = 4 * 24  # one membership solve per term of main(4)
-        assert solves - table_build <= 4 * 8 * 24
-        assert outcomes == 8 * 24 * 2
+        assert acts == len(symmetry_generators(4)) == 6
+        assert solves - table_build == 4 * 6
 
     def test_form_swapped_term_is_rejected(self):
         dec = main_decomposition(3)
