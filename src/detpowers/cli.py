@@ -639,6 +639,8 @@ def _cmd_bench(config: RunConfig, timings: list):
         ("rank-5-certificate", lambda: promotion_certificate(
             SCHEME_BUILDERS["main"](5)) == (600, None)),
         ("symmetries-6", lambda: enumerate_symmetries(6).matches_formula),
+        ("symmetries-4-full", lambda: enumerate_symmetries(4).faithful
+         and check_symmetry_action(4)),
         ("bounds-9", lambda: len(bounds_table(9)) == 8),
     ]
     results = []

@@ -336,13 +336,16 @@ def _gurvits_table(d: int) -> tuple:
 
 def _materialize(d: int, scheme: str, scale: int, target: str,
                  table: tuple) -> PowerDecomposition:
-    """Every term of ``table``, in its numbered order."""
+    """Every term of ``table``, in its numbered order. A table's rows hold
+    shared nonzero pairs of its order, one per row in row order, and a term
+    takes them at distinct columns, so its forms skip ``LinForm``'s checks."""
     order, count, _, closed_form, index = table
+    units = {e: Cyc.from_int(order, e) for e in (1, -1)}
     terms = []
     for n in range(count):
         sign, rows, cols = closed_form(n)
-        terms.append(PowerTerm(index(n), Cyc.from_int(order, sign),
-                               LinForm(order, d, map(getitem, rows, cols)), d))
+        form = LinForm._of_support(order, d, tuple(map(getitem, rows, cols)))
+        terms.append(PowerTerm(index(n), units[sign], form, d))
     return PowerDecomposition(d, scheme, scale, target, order, tuple(terms))
 
 

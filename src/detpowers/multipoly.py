@@ -365,6 +365,18 @@ class LinForm:
         self.d = d
         self._support = tuple(pairs)
 
+    @classmethod
+    def _of_support(cls, order: int, d: int, support: tuple) -> "LinForm":
+        """The form with ``support`` stored as given, unchecked. The caller
+        holds the invariants ``__init__`` checks: nonzero Cyc scalars of
+        ``order``, (var, scalar) tuple pairs in row-major order, distinct
+        variables in [1, d]."""
+        form = cls.__new__(cls)
+        form.order = order
+        form.d = d
+        form._support = support
+        return form
+
     def support(self) -> tuple[tuple[Var, Cyc], ...]:
         """Nonzero coefficients in row-major variable order."""
         return self._support

@@ -254,16 +254,6 @@ class SymElement:
     def d(self) -> int:
         return self.sigma.d
 
-    def signature(self) -> tuple:
-        """Canonical description of the induced variable map: the image
-        entry (r, c) equals w^(m + n r) X[pi r, sigma^-1 c]."""
-        d = self.d
-        rows = [((self.m + self.n * r) % d, self.pi(r))
-                for r in range(1, d + 1)]
-        columns = self.sigma.inverse().images
-        return tuple((phase, pi_r, c) for phase, pi_r in rows
-                     for c in columns)
-
     def compose(self, other: "SymElement") -> "SymElement":
         """The element inducing ``self`` applied after ``other``.
 
@@ -311,36 +301,18 @@ class SymmetryEnumeration:
         return self.preserving_order == self.printed_order
 
 
-def _signatures(d: int) -> list[tuple]:
-    """SymElement(m, n, pi, sigma).signature() for every tuple, in (m, n,
-    pi, sigma) order, built from one row part ((m + n*r) mod d, pi r) per
-    (m, n, pi) and one column part sigma^-1 per sigma."""
-    pis = affine_group(d)
-    rows = [[((m + n * r) % d, pi(r)) for r in range(1, d + 1)]
-            for m in range(d) for n in range(d) for pi in pis]
-    columns = [sigma.inverse().images for sigma in Perm.all_perms(d)]
-    return [tuple((phase, pi_r, c) for phase, pi_r in row for c in column)
-            for row in rows for column in columns]
-
-
 def check_faithfulness(d: int) -> bool:
     """No two tuples (m, n, pi, sigma) induce the same variable map.
 
-    A signature carries pi and sigma^-1 verbatim, so two signatures can only
-    collide when pi and sigma agree; it then suffices that distinct (m, n)
-    give distinct phase sequences (m + n*r mod d). For d <= 4 the full
-    signature tuples are also built, from row and column parts shared by
-    every tuple with the same (m, n, pi) or sigma, cross-checking that
-    reduction.
+    The image entry (r, c) is w^(m + n*r) X[pi r, sigma^-1 c]: the map
+    carries pi and sigma^-1 verbatim, so two tuples can only induce the
+    same map when their pi and sigma agree. It then suffices that distinct
+    (m, n) give distinct phase sequences (m + n*r mod d), r = 1..d, which
+    is what is checked; no permutation is enumerated.
     """
     phases = {tuple((m + n * r) % d for r in range(1, d + 1))
               for m in range(d) for n in range(d)}
-    if len(phases) != d * d:
-        return False
-    if d <= 4:
-        signatures = _signatures(d)
-        return len(set(signatures)) == len(signatures)
-    return True
+    return len(phases) == d * d
 
 
 def _multiplier_factors(d: int) -> tuple[dict, list, list]:

@@ -534,4 +534,5 @@ class TestBench:
         assert "separation-5" in names
         assert "rank-5-certificate" in names
         assert "symmetries-6" in names
+        assert "symmetries-4-full" in names
         assert all(r["ok"] for r in obj["results"])

@@ -247,6 +247,20 @@ class TestBuildersMatchThePaper:
         assert dec.order == (d if scheme == "main" else 1)
         assert all(t.exponent == d for t in dec.terms)
 
+    @pytest.mark.parametrize("scheme, d", [
+        *((scheme, d) for scheme in SCHEMES for d in range(1, 6)),
+        ("main", 6),
+    ])
+    def test_unchecked_forms_pass_the_checking_constructor(self, scheme, d):
+        # the builders store each form's support without LinForm's checks
+        dec = SCHEME_BUILDERS[scheme](d)
+        for term in dec.terms:
+            support = term.form.support()
+            assert term.form == LinForm(dec.order, d, support)
+        if support:
+            with pytest.raises(ValueError):
+                LinForm(dec.order, d, support + support[:1])
+
     def test_registry_names_the_package_builders(self):
         # the benchmark harness resolves each builder by its __name__
         for fn in SCHEME_BUILDERS.values():

@@ -36,7 +36,7 @@ from detpowers.symmetry import (
     symmetry_generators,
     transpose_closure,
 )
-from detpowers.symmetry import _TermTable, _multiplier_factors, _signatures
+from detpowers.symmetry import _TermTable, _multiplier_factors
 from detpowers.verify import verify_power_decomposition
 
 
@@ -46,6 +46,15 @@ def mono_support(m: MonoMatrix):
     d = m.d
     return tuple(((i, m.sigma(i)), omega(d, m.k + i * m.j))
                  for i in range(1, d + 1))
+
+
+def signature(elem: SymElement) -> tuple:
+    """Oracle: the induced variable map written out, entry (r, c) as
+    (phase, row, column) for w^(m + n r) X[pi r, sigma^-1 c]."""
+    d = elem.d
+    rows = [((elem.m + elem.n * r) % d, elem.pi(r)) for r in range(1, d + 1)]
+    columns = elem.sigma.inverse().images
+    return tuple((phase, pi_r, c) for phase, pi_r in rows for c in columns)
 
 
 def all_elements(d: int) -> list[SymElement]:
@@ -283,18 +292,25 @@ class TestEnumeration:
         assert enum.matches_printed is False
         assert enum.faithful is True
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_faithful(self, d):
         assert check_faithfulness(d)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_shared_signature_parts_match_every_element(self, d):
-        # oracle: each element's own signature, one SymElement at a time
-        walked = [SymElement(m, n, pi, sigma).signature()
-                  for m in range(d) for n in range(d)
-                  for pi in affine_group(d) for sigma in Perm.all_perms(d)]
-        assert _signatures(d) == walked
+        # oracle: each element's own variable map, one SymElement at a time
+        walked = [signature(elem) for elem in all_elements(d)]
+        assert check_faithfulness(d) is (len(set(walked)) == len(walked))
         assert len(set(walked)) == len(walked)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_faithfulness_enumerates_no_element(self, d, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("faithfulness enumerated a permutation")
+        monkeypatch.setattr(Perm, "all_perms", staticmethod(refuse))
+        monkeypatch.setattr(Perm, "inverse", refuse)
+        monkeypatch.setattr(symmetry, "affine_group", refuse)
+        assert check_faithfulness(d) is True
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_character_count_matches_element_walk(self, d):
@@ -360,7 +376,7 @@ class TestAction:
     def signature_map(elem):
         d = elem.d
         cells = [(r, c) for r in range(1, d + 1) for c in range(1, d + 1)]
-        return dict(zip(cells, elem.signature()))
+        return dict(zip(cells, signature(elem)))
 
     def test_group_law_on_random_pairs(self):
         rng = random.Random(11)
