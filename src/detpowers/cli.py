@@ -249,6 +249,8 @@ def cyc_latex(value: Cyc) -> str:
 
 
 def form_latex(form: LinForm) -> str:
+    """The form's signed sum of variables; the zero form, with no
+    support (gurvits at d=1), is "0"."""
     parts = []
     for (i, j), c in form.support():
         var = f"x_{{{i},{j}}}"
@@ -259,7 +261,7 @@ def form_latex(form: LinForm) -> str:
             parts.append(("-", f"{cyc_latex(-c)} {var}"))
         else:
             parts.append(("+", f"{cyc_latex(c)} {var}"))
-    return _join_signed(parts)
+    return _join_signed(parts) if parts else "0"
 
 
 def _target_latex(dec: PowerDecomposition) -> str:

@@ -394,21 +394,6 @@ def from_root_coefficients(order: int, coeffs, den: int = 1) -> Cyc:
     return out
 
 
-def root_coefficients_vanish(order: int, coeffs: list[int]) -> bool:
-    """Whether sum over k of coeffs[k] * w^k is 0 in Q(w), for integer
-    coeffs[0..order-1]: whether that element of the group ring Z[C_order]
-    lies in the kernel of its projection to Q(w). The image is the
-    remainder of sum_k coeffs[k] x^k mod Phi_order, exact in the integers:
-    the coeffs dotted with the reduced powers x^k mod Phi_order, one
-    coordinate at a time."""
-    if not any(coeffs):
-        return True
-    for column in _omega_power_columns(order):
-        if sum(map(operator.mul, coeffs, column)):
-            return False
-    return True
-
-
 def root_power_sum(order: int, p: int) -> Cyc:
     """Sum of w^(p*j) for j = 1..order, computed by actual summation."""
     total = Cyc.zero(order)

@@ -2,21 +2,21 @@
 
 Two independent engines are provided:
 
-* expansion mode builds one coefficient table for the whole sum: every
-  term adds integers to a vector per monomial, an element of the group
-  ring Z[C_n] indexed by the phase, under an integer key for the
-  monomial. Each vector is compared with the lifted target in the ring,
-  by an exact reduction mod the cyclotomic polynomial Phi_n, and only a
-  mismatching monomial is decoded and projected to Q(w). A term whose
-  scalars are all units +-w^k adds
-  +-multinomial at a phase, read for all its compositions at once from
-  the fields of one packed integer; any other term has its scalars
-  lifted to the ring and packed into one integer each, the ring element
-  evaluated at 2^B, so one integer product mod 2^(nB) - 1 is one product
-  in the ring.
-  The width B comes from a proved bound on every digit, and denominators
-  are cleared by one common denominator of the sum; nothing falls back
-  to Cyc products;
+* expansion mode builds one table for the whole sum, one integer per
+  monomial: the monomial's sum without its multinomial, an element f of
+  the group ring Z[C_n] indexed by the phase, evaluated at B = 2^W and
+  kept mod B^n - 1 (Kronecker substitution). Every term reaching a
+  monomial adds it with the same multinomial, which is applied only in
+  the comparison, and a monomial matches iff its integer, minus the
+  lifted target, leaves no remainder mod Phi_n(B). A term whose scalars
+  are all units +-w^k adds +-B^s at each composition's phase s, read for
+  all its compositions at once from the fields of one packed integer;
+  any other term has its scalars lifted to the ring and packed, so one
+  integer product mod B^n - 1 is one product in the ring. W comes from
+  a proved bound on every digit, the target and the reduction mod
+  Phi_n; denominators are cleared by one common denominator of the sum;
+  only a mismatching monomial is decoded and projected to Q(w), and
+  nothing falls back to Cyc products;
 * streaming mode never expands a term: the scheme's combinatorial formula
   gives its total at a monomial as a factor of the exponents' composition
   times the signed extension sum of the pattern, so one comparison decides
@@ -42,14 +42,15 @@ import itertools
 import math
 import struct
 import sys
+from bisect import bisect_right
 from functools import lru_cache
-from operator import getitem, mul, sub
+from operator import getitem, mul
 
 from .cyclotomic import (
     Cyc,
+    cyclotomic_polynomial,
     from_root_coefficients,
     omega,
-    root_coefficients_vanish,
 )
 from .decompositions import (
     TARGET_DETERMINANT,
@@ -135,61 +136,66 @@ class VerificationReport:
 # --- expansion engine -------------------------------------------------------
 #
 # Every term adds coeff * multinomial(e) * prod_k entry_k^e_k to the monomial
-# of each weak composition e of the exponent over the form's support. Each
-# monomial accumulates these as an integer vector indexed by the phase mod
-# the root order, an element of the group ring Z[C_order]; no Cyc product
-# is taken.
+# x^E of each weak composition e of the exponent over the form's support.
+# Every term that reaches x^E does so with the same multinomial m(E) =
+# deg(E)! / prod E!, so the table keeps f_E, the monomial's sum without it,
+# an element of the group ring Z[C_order] indexed by the phase, and m(E) is
+# applied only where f_E is compared or decoded. No Cyc product is taken.
 #
-# * A monomial's key is the int sum of e * (d + 1)^((i - 1) * d + (j - 1))
-#   over its entries (i, j, e), its exponents read as base-(d + 1) digits
-#   of a d x d grid. Keys are built along the tree of a composition table's
-#   prefixes, one int addition per node and per completing step.
-# * The check compares in the ring. The target's coefficients are
-#   integers, lifted at phase 0 and times the common denominator, and a
-#   monomial matches iff its vector minus the lifted target lies in the
-#   kernel of Z[C_order] -> Q(w) (``root_coefficients_vanish``). A zero
-#   vector is decided at once, as every matching vector is at order 1;
-#   others, such as a third of main(5)'s and half of a conjugated
-#   main(4)'s, are reduced mod Phi_order. Only the keys of mismatching
-#   monomials are decoded and projected to Q(w).
+# * One int per monomial: V, congruent to f_E(B) mod M = B^order - 1 at
+#   B = 2^W (Kronecker substitution). x^order - 1 at x = B is M, so one
+#   int product mod M is one product in the ring. W comes from one proved
+#   bound on every digit, the target and the reduction mod Phi_order (see
+#   ``_packed_width``).
+# * The ints sit in one flat list, in blocks: the monomials of one
+#   exponent on one set of cells, in a fixed order of their compositions.
+#   A support reaches the whole block of each nonempty subset of at most
+#   exponent of its cells, so a term finds its places by one dict lookup
+#   per subset, not one per monomial, and every place of a block is a
+#   monomial of the sum.
+# * The check compares in the ring, one remainder per monomial: Phi_order
+#   divides x^order - 1, so Phi_order(B) divides M, and V mod Phi_order(B)
+#   is 0 iff f_E vanishes in Q(w). A target monomial matches iff
+#   m(E) * V - t_E(B) is 0 mod Phi_order(B), t_E the target's coefficient
+#   times the common denominator, lifted at phase 0. Only mismatching
+#   monomials are decoded (centered mod M, then order signed base-B
+#   digits, times m(E)) and projected to Q(w).
 #
 # * A term whose coefficient and nonzero entries are all units +-w^k adds
-#   +-multinomial(e) at the phase of its composition, the exponent-weighted
-#   sum of the entries' root powers. Each entry is a power z^code of a root
-#   z of order 2 * order (z^2 = w, z^order = -1), so composition e's
-#   product is z^v, v = sum_k code_k * e_k. One int holds every
-#   composition's v in a field of its own: sum_k code_k * column_k, column
-#   k holding e_k of every composition, one field each; a table per
-#   coefficient phase turns v into the slot, and v's parity into the sign.
+#   +-B^slot at the phase of each composition, the exponent-weighted sum
+#   of the entries' root powers. Each entry is a power z^code of a root z
+#   of order 2 * order (z^2 = w, z^order = -1), so composition e's product
+#   is z^v, v = sum_k code_k * e_k. One int holds every composition's v in
+#   a field of its own: sum_k code_k * column_k, column k holding e_k of
+#   every composition, one field each; a table per exponent and
+#   coefficient turns v into the signed power of B it adds.
 # * Any other scalar is lifted to the ring: its numerator over 1, w, ...,
 #   w^(phi-1), padded with zeros to length order, is an element of
 #   Z[C_order] that projects back to itself, and the projection is a ring
 #   map, so products of lifts (cyclic convolutions) project to the products
-#   in Q(w). A lift is packed into one int, the vector evaluated at
-#   x = 2^B (Kronecker substitution), and kept mod M = 2^(order*B) - 1,
-#   which is x^order - 1 at x = 2^B: one int product mod M is one cyclic
-#   convolution. The products over a term's compositions walk a tree of
-#   nonzero prefixes, one product per node, shared by the compositions
-#   below it, and each composition adds multinomial * prefix * power into
-#   one packed int per monomial.
-# * The width B is the bit length of a bound on every digit, plus 2 (see
-#   ``_packed_width``), taken over the remaining non-unit terms when the
-#   first of them is met; a sum of unit terms packs nothing. Each
-#   monomial's packed sum is decoded once, at the end: centered mod M,
-#   then split into order signed base-2^B digits, which are added into
-#   its vector.
+#   in Q(w). A lift is packed into one int, evaluated at B and kept mod M.
+#   The products over a term's compositions walk a tree of nonzero
+#   prefixes, one product per node, shared by the compositions below it,
+#   and each composition adds prefix * power into its monomial's int.
 # * Denominators are cleared by one common denominator L of the whole sum,
 #   so every term adds integers; a witness's projection divides by L once.
 
 
+@lru_cache(maxsize=None)
+def _signed_roots(order: int) -> dict:
+    """(num, den) -> (sign, k) for every sign * w^k; where -w^j is itself a
+    power of w, at even orders, the unsigned (1, k) is kept."""
+    table = {}
+    for sign in (-1, 1):
+        for k in range(order):
+            table[tuple(sign * x for x in omega(order, k).num), 1] = (sign, k)
+    return table
+
+
 def _unit(c: Cyc) -> tuple[int, int] | None:
-    """(sign, k) with c == sign * w^k, or None. The sign is found apart
-    from the root table because -1 is not a power of w at order 1."""
-    k = c.root_power()
-    if k is not None:
-        return 1, k
-    k = (-c).root_power()
-    return None if k is None else (-1, k)
+    """(sign, k) with c == sign * w^k, or None. The sign is kept apart from
+    k because -1 is not a power of w at order 1."""
+    return _signed_roots(c.order).get((c.num, c.den))
 
 
 def _unit_phases(coeff: Cyc, support):
@@ -197,13 +203,14 @@ def _unit_phases(coeff: Cyc, support):
     scalar of the term is a unit; else None. The entry (-1)^neg * w^p has
     code 2 * p + order * neg, the exponent of z in z^(2p) * (z^order)^neg
     for a root z of order 2 * order, with z^2 = w and z^order = -1."""
-    head = _unit(coeff)
+    roots = _signed_roots(coeff.order)
+    head = roots.get((coeff.num, coeff.den))
     if head is None:
         return None
     order = coeff.order
     codes = []
     for _, c in support:
-        unit = _unit(c)
+        unit = roots.get((c.num, c.den))
         if unit is None:
             return None
         codes.append(2 * unit[1] + (order if unit[0] < 0 else 0))
@@ -224,23 +231,25 @@ def _field_format(exponent: int, order: int) -> str:
                 if bound < 1 << 8 * struct.calcsize(code))
 
 
-def _composition_table(exponent: int, size: int, scale: int, order: int):
-    """The weak compositions of ``exponent`` >= 1 over ``size`` parts, their
-    multinomials (plain, and signed times ``scale`` for unit terms), a
-    tree of their nonzero prefixes, for products over the parts and for
-    the monomials' keys, and the packed columns with their field type.
+def _composition_table(exponent: int, size: int, order: int):
+    """The weak compositions of ``exponent`` >= 1 over ``size`` parts, a
+    tree of their nonzero prefixes, for products over the parts, the
+    packed columns with their field type, and the sets of positive parts.
     Node n >= 1 of the tree is ``nodes[n - 1]`` = (parent, k, e), its
     parent's prefix extended by part k = e; node 0 is the empty prefix.
     ``steps[c]`` = (parent, k, e) is the step from an inner node that
     completes composition c. Column k is the int whose field c holds part
     k of composition c, so sum_k code_k * column_k holds composition c's
     code sum in field c: the field, of struct format ``field``, holds every
-    code sum at the root ``order``."""
-    nodes, steps, comps, mults = [], [], [], []
-    fact = [math.factorial(e) for e in range(exponent + 1)]
+    code sum at the root ``order``. The compositions come grouped by their
+    set of positive parts, ``masks`` listing each set with the size of its
+    group; within a group they are in lexicographically descending order
+    of those parts, the order of ``_positive_compositions``, whatever the
+    size."""
+    nodes, steps, comps = [], [], []
     comp = [0] * size
 
-    def grow(parent, start, rem, den):
+    def grow(parent, start, rem):
         for k in range(start, size):
             # the last part takes all that remains
             for e in range(rem, rem - 1 if k == size - 1 else 0, -1):
@@ -248,22 +257,36 @@ def _composition_table(exponent: int, size: int, scale: int, order: int):
                 if e == rem:
                     steps.append((parent, k, e))
                     comps.append(comp.copy())
-                    mults.append(fact[exponent] // (den * fact[e]))
                 else:
                     nodes.append((parent, k, e))
-                    grow(len(nodes), k + 1, rem - e, den * fact[e])
+                    grow(len(nodes), k + 1, rem - e)
             comp[k] = 0
 
-    grow(0, 0, exponent, 1)
+    grow(0, 0, exponent)
     # grow refers to itself through its closure cell; emptying the cell
     # frees it, and the lists it holds, without the cyclic collector
     del grow
-    signed = {1: [scale * m for m in mults], -1: [-scale * m for m in mults]}
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for c, parts in enumerate(comps):
+        groups.setdefault(tuple(k for k, e in enumerate(parts) if e),
+                          []).append(c)
+    grouped = [c for members in groups.values() for c in members]
+    comps = [comps[c] for c in grouped]
+    steps = [steps[c] for c in grouped]
+    masks = [(parts, len(members)) for parts, members in groups.items()]
     field = _field_format(exponent, order)
     columns = [int.from_bytes(struct.pack(f"{len(comps)}{field}", *column),
                               sys.byteorder)
                for column in zip(*comps)]
-    return comps, mults, signed, nodes, steps, columns, field
+    return comps, nodes, steps, columns, field, masks
+
+
+@lru_cache(maxsize=None)
+def _positive_compositions(exponent: int, size: int) -> tuple:
+    """The compositions of ``exponent`` into ``size`` positive parts, in the
+    order of a block's slots."""
+    return tuple(tuple(c) for c in _composition_table(exponent, size, 1)[0]
+                 if all(c))
 
 
 def _common_denominator(terms) -> int:
@@ -278,93 +301,162 @@ def _common_denominator(terms) -> int:
     return common
 
 
-def _packed_width(terms, scale: int) -> int:
-    """Bits per digit of the packed group ring of ``terms``, the non-unit
-    terms of the sum. Lifted with the common-denominator factors, a term
-    adds at most |coeff|_1 * (sum over its entries of |entry|_1)^exponent
-    to the L1 norm of all its monomials' vectors together (the multinomial
-    theorem, with |a * b|_1 <= |a|_1 * |b|_1), so the sum over the terms
-    bounds every digit; two more bits hold the sign and a margin."""
+def _digit_bound(terms, units, scale: int) -> int:
+    """A bound F on |f_E|_1, the L1 norm of every monomial's sum without
+    its multinomial, ``units`` being the terms' ``_unit_phases``. A term
+    reaches a monomial through one composition e at most. A unit term adds
+    +-scale at one phase there. Any other adds the lift of factor * coeff *
+    prod_k entry_k^e_k, entry_k scaled by D / entry_k.den and factor =
+    scale / (coeff.den * D^exponent); as |a * b|_1 <= |a|_1 * |b|_1 in
+    Z[C_n] and each nonzero lift has |entry_k|_1 >= 1, its norm is at most
+    factor * |coeff|_1 * (max_k |entry_k|_1)^exponent."""
     bound = 0
-    for term in terms:
+    for term, unit in zip(terms, units):
+        if unit is not None:
+            bound += scale
+            continue
         support = term.form.support()
         den = math.lcm(*(c.den for _, c in support))
-        base = sum(den // c.den * sum(map(abs, c.num)) for _, c in support)
+        top = max((den // c.den * sum(map(abs, c.num)) for _, c in support),
+                  default=0)
         factor = scale // (term.coeff.den * den ** term.exponent)
-        bound += factor * sum(map(abs, term.coeff.num)) * base ** term.exponent
-    return bound.bit_length() + 2
+        bound += factor * sum(map(abs, term.coeff.num)) * top ** term.exponent
+    return bound
 
 
-def _encode(mono: Monomial, d: int) -> int:
-    """The key of a monomial of the d x d grid with exponents at most d."""
-    return sum(e * (d + 1) ** ((i - 1) * d + j - 1) for i, j, e in mono)
+def _packed_width(order: int, spread: int) -> int:
+    """Bits per digit W of the packed group ring, B = 2^W, for every g in
+    Z[C_order] with |g|_1 <= ``spread``: each monomial's f_E, and each
+    m(E) * f_E - t_E it is compared with. Let G be the largest |coefficient|
+    of the reduced powers x^k mod Phi_order, k < order, H the largest
+    |coefficient| of Phi_order, and W one more than the bit length of
+    G * spread + H, so B > 2 * (G * spread + H). Then
+
+    (1) g(B) mod Phi_order(B) is 0 iff g vanishes in Q(w). Write g =
+        q * Phi_order + r, deg r < phi = deg Phi_order; g vanishes iff
+        r = 0. r = sum_k g_k * (x^k mod Phi_order), so every |r_i| <=
+        G * |g|_1 <= G * spread =: R. g(B) = r(B) mod Phi_order(B). As
+        Phi_order is monic, Phi_order(B) >= B^phi - H * (B^phi - 1)/(B - 1)
+        while |r(B)| <= R * (B^phi - 1)/(B - 1), and R + H <= B - 1 gives
+        |r(B)| < Phi_order(B): the remainder is 0 iff r(B) = 0. As R < B,
+        r's top nonzero digit outweighs all below it, so r(B) = 0 iff
+        r = 0. Phi_order divides x^order - 1, so the same holds for any V
+        congruent to g(B) mod M = B^order - 1.
+    (2) g is read back from any V congruent to g(B) mod M. Each |g_i| <=
+        spread < (B - 1) / 2, so |g(B)| <= spread * M / (B - 1) < M / 2 is
+        V mod M centered, and B / 2 added to each digit lands in [0, B):
+        the digits are read without a borrow."""
+    reduced = max(abs(x) for k in range(order) for x in omega(order, k).num)
+    height = max(map(abs, cyclotomic_polynomial(order)))
+    return (reduced * spread + height).bit_length() + 1
 
 
-def _decode(key: int, d: int) -> Monomial:
-    """The monomial whose key is ``key``, its entries in sorted order."""
-    mono = []
-    place = 0
-    while key:
-        key, e = divmod(key, d + 1)
-        if e:
-            mono.append((place // d + 1, place % d + 1, e))
-        place += 1
-    return tuple(mono)
+def _digits(value: int, order: int, width: int) -> list[int]:
+    """The ``order`` signed base-2^width digits of the g with g(2^width)
+    congruent to ``value`` mod 2^(order * width) - 1 (see ``_packed_width``,
+    part 2)."""
+    base = 1 << width
+    modulus = (1 << order * width) - 1
+    half = base >> 1
+    value %= modulus
+    if value > modulus >> 1:
+        value -= modulus
+    # modulus // (base - 1) = sum of base^i, i < order
+    value += half * (modulus // (base - 1))
+    return [(value >> i * width & base - 1) - half for i in range(order)]
 
 
-def _expand_chunk(order: int, scale: int, terms, d: int) -> dict:
-    """``scale`` times the sum of the terms, as a table key -> Z[C_order]
-    vector, keyed by ``_encode`` on the d x d grid; every exponent must be
-    at most d, and ``scale`` must clear every denominator (see
-    ``_common_denominator``). Keys whose coefficients cancel to zero are
-    kept, so the key set is the union of the terms' supports. From the
-    first non-unit term on, each vector carries one more slot, the packed
-    sum of the non-unit terms, decoded into the vector at the end."""
-    ring: dict = {}
-    tables: dict[tuple[int, int], tuple] = {}
-    slots: dict[tuple[int, int], list] = {}
-    last_vars = vecs = width = None
-    blank = [0] * order
-    places = [(d + 1) ** place for place in range(d * d)]
+def _pack(coeffs, factor: int, width: int) -> int:
+    """factor * the integer vector ``coeffs``, an element of Z[C_order],
+    evaluated at x = 2^width."""
+    return sum(factor * x << i * width for i, x in enumerate(coeffs))
+
+
+def _slot(blocks: dict, mono: Monomial, d: int) -> int | None:
+    """The place of ``mono`` in a table whose blocks are ``blocks`` (see
+    ``_expand_chunk``), or None when no term reaches it."""
+    exps = tuple(e for _, _, e in mono)
+    exponent = sum(exps)
+    start = blocks.get((exponent, sum(1 << (i - 1) * d + j - 1
+                                      for i, j, _ in mono)))
+    if start is None:
+        return None
+    return start + _positive_compositions(exponent, len(exps)).index(exps)
+
+
+def _monomials_at(blocks: dict, places, d: int) -> list[Monomial]:
+    """The monomials at ``places`` of a table whose blocks are ``blocks``,
+    each a tuple of sorted entries."""
+    keys, starts = list(blocks), list(blocks.values())
+    out = []
+    for place in places:
+        b = bisect_right(starts, place) - 1
+        exponent, mask = keys[b]
+        cells = [divmod(bit, d) for bit in range(mask.bit_length())
+                 if mask >> bit & 1]
+        exps = _positive_compositions(exponent, len(cells))[place - starts[b]]
+        out.append(tuple((i + 1, j + 1, e) for (i, j), e in zip(cells, exps)))
+    return out
+
+
+def _multinomial(mono: Monomial) -> int:
+    """m(E): the multinomial every term reaching ``mono`` adds it with."""
+    exps = [e for _, _, e in mono]
+    return multinomial(sum(exps), exps)
+
+
+def _expand_chunk(order: int, scale: int, terms, d: int, wants):
+    """``scale`` times the sum of the terms without the multinomials, as
+    (blocks, acc, width): acc[place] is congruent to f_E(2^width) mod
+    2^(order * width) - 1 for the monomial x^E at that place. The
+    monomials of one exponent e on one set of cells S of the d x d grid
+    take consecutive places, a block, in the order of
+    ``_positive_compositions(e, |S|)``; ``blocks`` maps (e, the bit mask
+    of S, bit (i - 1) * d + j - 1 for cell (i, j)) to the block's first
+    place, in increasing order. A term whose support holds S reaches the
+    whole block, so the table holds the union of the terms' monomials,
+    those that cancel to zero included. ``scale`` must clear every
+    denominator (see ``_common_denominator``). ``wants`` holds the target's
+    (m(E), lifted vector) pairs: the width holds each comparison with
+    them (see ``_packed_width``)."""
     units = [_unit_phases(term.coeff, term.form.support()) for term in terms]
-    for t, (term, unit) in enumerate(zip(terms, units)):
+    bound = _digit_bound(terms, units, scale)
+    width = _packed_width(order, max([bound, *(
+        m * bound + sum(map(abs, want)) for m, want in wants)]))
+    blocks: dict[tuple[int, int], int] = {}
+    acc: list[int] = []
+    tables: dict[tuple[int, int], tuple] = {}
+    phases: dict[tuple[int, int, int], list] = {}
+    lifts = [scale << i * width for i in range(order)]
+    last_vars = run = None
+    for term, unit in zip(terms, units):
         support = term.form.support()
         variables = [var for var, _ in support]
         shape = (term.exponent, len(variables))
         if shape not in tables:
-            tables[shape] = _composition_table(*shape, scale, order)
-        comps, mults, signed, nodes, steps, columns, field = tables[shape]
+            tables[shape] = _composition_table(*shape, order)
+        comps, nodes, steps, columns, field, masks = tables[shape]
         if variables != last_vars:
             # builders emit the terms of one support consecutively
-            last_vars, vecs = variables, []
-            cells = [[e * places[(i - 1) * d + j - 1]
-                      for e in range(term.exponent + 1)]
-                     for i, j in variables]
-            prefixes = [0]
-            for parent, k, e in nodes:
-                prefixes.append(prefixes[parent] + cells[k][e])
-            for parent, k, e in steps:
-                key = prefixes[parent] + cells[k][e]
-                vec = ring.get(key)
-                if vec is None:
-                    vec = ring[key] = blank.copy()
-                vecs.append(vec)
+            last_vars = variables
+            bits = [1 << (i - 1) * d + j - 1 for i, j in variables]
+            run = []
+            for parts, count in masks:
+                block = (term.exponent, sum(map(bits.__getitem__, parts)))
+                start = blocks.get(block)
+                if start is None:
+                    start = blocks[block] = len(acc)
+                    acc += [0] * count
+                run += range(start, start + count)
         if unit is None:
-            if width is None:
-                # the terms before this one are all units
-                width = _packed_width(
-                    [rest for rest, phases in zip(terms[t:], units[t:])
-                     if phases is None], scale)
-                blank.append(0)
-                for vec in ring.values():
-                    vec.append(0)
-            _add_general_term(term, support, order, scale, width, vecs,
-                              mults, nodes, steps)
+            _add_general_term(term, support, order, scale, width, acc, run,
+                              nodes, steps)
             continue
         (sign, k0), codes = unit
         if not any(codes):
-            for vec, m in zip(vecs, signed[sign]):
-                vec[k0] += m
+            lift = sign * lifts[k0]
+            for i in run:
+                acc[i] += lift
             continue
         # field c of the sum is the code sum v of composition c: the
         # product of its entry powers is z^v, which is w^(v/2) for even v
@@ -372,75 +464,45 @@ def _expand_chunk(order: int, scale: int, terms, d: int) -> dict:
         packed = sum(map(mul, codes, columns))
         fields = memoryview(packed.to_bytes(
             len(comps) * struct.calcsize(field), sys.byteorder)).cast(field)
-        slot = slots.get((term.exponent, k0))
-        if slot is None:
-            slot = slots[term.exponent, k0] = [
-                (k0 + ((v - (order if v & 1 else 0)) >> 1)) % order
+        table = phases.get((term.exponent, sign, k0))
+        if table is None:
+            table = phases[term.exponent, sign, k0] = [
+                (-sign if v & 1 else sign)
+                * lifts[(k0 + ((v - (order if v & 1 else 0)) >> 1)) % order]
                 for v in range(_code_bound(term.exponent, order) + 1)]
-        for vec, v, m in zip(vecs, fields, signed[sign]):
-            vec[slot[v]] += -m if v & 1 else m
-    if width is not None:
-        _unpack(ring, order, width)
-    return ring
-
-
-def _pack(c: Cyc, factor: int, width: int) -> int:
-    """factor * the numerator of c, an element of Z[C_order], evaluated at
-    x = 2^width."""
-    return sum(factor * x << i * width for i, x in enumerate(c.num))
+        for i, v in zip(run, fields):
+            acc[i] += table[v]
+    return blocks, acc, width
 
 
 def _add_general_term(term, support, order: int, scale: int, width: int,
-                      vecs, mults, nodes, steps) -> None:
-    """Add scale * coeff * multinomial(e) * prod_k entry_k^e_k, packed,
-    into the last slot of the vector of each composition e. Products are
-    taken mod 2^(order * width) - 1, which is x^order - 1 at x = 2^width,
-    so they are products in Z[C_order]."""
+                      acc, run, nodes, steps) -> None:
+    """Add scale * coeff * prod_k entry_k^e_k, packed, into the int of the
+    monomial of each composition e. Products are taken mod 2^(order *
+    width) - 1, which is x^order - 1 at x = 2^width, so they are products
+    in Z[C_order]."""
     modulus = (1 << order * width) - 1
     exponent = term.exponent
     den = math.lcm(*(c.den for _, c in support))
     powers = []
     for _, c in support:
-        power = _pack(c, den // c.den, width) % modulus
+        power = _pack(c.num, den // c.den, width) % modulus
         row = [None, power]
         for _ in range(exponent - 1):
             row.append(row[-1] * power % modulus)
         powers.append(row)
     coeff = term.coeff
-    products = [_pack(coeff, scale // (coeff.den * den ** exponent), width)
-                % modulus]
+    products = [_pack(coeff.num, scale // (coeff.den * den ** exponent),
+                      width) % modulus]
     for parent, k, e in nodes:
         products.append(products[parent] * powers[k][e] % modulus)
-    for vec, m, (parent, k, e) in zip(vecs, mults, steps):
-        vec[-1] += m * products[parent] * powers[k][e]
-
-
-def _unpack(ring: dict, order: int, width: int) -> None:
-    """Add the last slot of each vector, a packed element of Z[C_order],
-    into the vector's digits, and drop it. Every digit is below
-    2^(width - 2) in size (see ``_packed_width``), so the value centered
-    mod 2^(order * width) - 1 is the element evaluated at 2^width; adding
-    half a base to every digit makes them all nonnegative, so each is read
-    off without a borrow."""
-    base = 1 << width
-    modulus = (1 << order * width) - 1
-    half = base >> 1
-    # modulus // (base - 1) = sum of base^i, i < order
-    offset = half * (modulus // (base - 1))
-    for vec in ring.values():
-        packed = vec.pop() % modulus
-        if not packed:
-            continue
-        if packed > modulus >> 1:
-            packed -= modulus
-        packed += offset
-        for i in range(order):
-            vec[i] += (packed >> i * width & base - 1) - half
+    for i, (parent, k, e) in zip(run, steps):
+        acc[i] += products[parent] * powers[k][e]
 
 
 def _key_width(dec: PowerDecomposition) -> int:
-    """The grid width of the expansion's keys: every form's variables and
-    the target's lie in it, and every exponent is d <= the width."""
+    """The grid width of the expansion's cell masks: every form's variables
+    and the target's lie in it."""
     return max([dec.d, *(term.form.d for term in dec.terms)])
 
 
@@ -450,26 +512,38 @@ def _expand_check(dec: PowerDecomposition, collect_all: bool):
     the size of the expansion's table, zeros included."""
     order, d = dec.order, _key_width(dec)
     scale = _common_denominator(dec.terms)
-    ring = _expand_chunk(order, scale, dec.terms, d)
     target = dec.target_poly() * dec.scale
     # the target's coefficients are integers, so each lifts to its
-    # numerator, padded with zeros, at phase 0
-    wants = {_encode(mono, d): [scale * x for x in c.num]
-             + [0] * (order - len(c.num))
+    # numerator times the common denominator, at phase 0
+    wants = {mono: (_multinomial(mono), [scale * x for x in c.num])
              for mono, c in target.terms.items()}
-    blank = [0] * order
-    bad = [key for key, vec in ring.items()
-           if key not in wants and not root_coefficients_vanish(order, vec)]
-    bad += [key for key, want in wants.items()
-            if not root_coefficients_vanish(
-                order, list(map(sub, ring.get(key, blank), want)))]
+    blocks, acc, width = _expand_chunk(order, scale, dec.terms, d,
+                                       wants.values())
+    divisor = _pack(cyclotomic_polynomial(order), 1, width)
+    found, targets = [], set()
+    for mono, (m, want) in wants.items():
+        place = _slot(blocks, mono, d)
+        targets.add(place)
+        value = 0 if place is None else acc[place]
+        if (m * value - _pack(want, 1, width)) % divisor:
+            found.append((mono, place))
+    bad = [place for place, value in enumerate(acc)
+           if value % divisor and place not in targets]
+    found += zip(_monomials_at(blocks, bad, d), bad)
     # the witness is the first mismatch in sorted monomial order
-    found = sorted((_decode(key, d), key) for key in bad)
+    found.sort()
     if not collect_all:
         del found[1:]
     zero = Cyc.zero(order)
-    return [(mono, from_root_coefficients(order, ring.get(key, blank), scale),
-             target.terms.get(mono, zero)) for mono, key in found], len(ring)
+    out = []
+    for mono, place in found:
+        digits = [0] * order if place is None \
+            else _digits(acc[place], order, width)
+        m = _multinomial(mono)
+        out.append((mono, from_root_coefficients(
+            order, [m * x for x in digits], scale),
+            target.terms.get(mono, zero)))
+    return out, len(acc)
 
 
 def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",

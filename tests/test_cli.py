@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -170,6 +171,19 @@ class TestLatex:
     def test_pinned_output(self, capsys, scheme, d, expected):
         code, out = run_cli(capsys, "decompose", "--d", d,
                             "--scheme", scheme, "--format", "latex")
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("latex", r"\det X = \left(x_{1,1}\right)^{1} - "
+                  r"\left(0\right)^{1}" "\n"),
+        ("text", "scheme gurvits, d=1, scale=1, target=determinant, "
+                 "2 terms\n  1 * (x_{1,1})^1\n  -1 * (0)^1\n"),
+    ])
+    def test_gurvits_d1_zero_form_is_zero(self, capsys, fmt, expected):
+        # gurvits(1)'s second form is empty, and renders as 0
+        code, out = run_cli(capsys, "decompose", "--d", "1",
+                            "--scheme", "gurvits", "--format", fmt)
         assert code == 0
         assert out == expected
 
@@ -353,6 +367,7 @@ class TestCheckCommands:
         (("--d", str(d), "--scheme", scheme), f"verify_{scheme}_d{d}.json")
         for scheme in ("main", "classical", "gurvits") for d in range(1, 6)
     ] + [
+        (("--d", "6", "--scheme", "main"), "verify_main_d6.json"),
         (("--d", "6", "--scheme", "monomial"), "verify_monomial_d6.json"),
         (("--d", "3", "--scheme", "krishna-makam"),
          "verify_krishna-makam_d3.json"),
@@ -536,3 +551,23 @@ class TestBench:
         assert "symmetries-6" in names
         assert "symmetries-4-full" in names
         assert all(r["ok"] for r in obj["results"])
+
+
+def test_package_imports_only_the_standard_library():
+    # the README's promise of no runtime dependency outside the standard
+    # library, checked on every absolute import of the package's modules
+    allowed = set(sys.stdlib_module_names) | {"detpowers"}
+    paths = sorted(Path(detpowers.__file__).parent.glob("*.py"))
+    assert {"cli.py", "verify.py"} <= {path.name for path in paths}
+    outside = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []

@@ -1,15 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from detpowers import verify
 from detpowers.cyclotomic import (
     Cyc,
     cyclotomic_polynomial,
     from_root_coefficients,
     omega,
-    root_coefficients_vanish,
     root_power_sum,
 )
 
@@ -88,6 +89,16 @@ def test_from_root_coefficients_matches_summed_powers():
             == Cyc.from_int(order, 1 if order == 1 else 0)
 
 
+def root_coefficients_vanish(order, coeffs):
+    """The oracle for the group ring's kernel: whether sum over k of
+    coeffs[k] * w^k is 0 in Q(w), for integer coeffs[0..order-1]. The image
+    is the remainder of sum_k coeffs[k] x^k mod Phi_order, exact in the
+    integers: the coeffs dotted with the reduced powers x^k mod Phi_order,
+    one coordinate at a time."""
+    columns = zip(*(omega(order, k).num for k in range(order)))
+    return not any(sum(map(mul, coeffs, column)) for column in columns)
+
+
 def phi_multiple(order, quotient):
     """quotient(x) * Phi_order(x) reduced mod x^order - 1: an element of
     Z[C_order] in the kernel of its projection to Q(w)."""
@@ -137,6 +148,57 @@ def test_all_equal_vectors_at_other_orders(order):
         assert root_coefficients_vanish(order, vec)
         vec[0] = 4
         assert not root_coefficients_vanish(order, vec)
+
+
+def packed(vec, width):
+    return sum(x << i * width for i, x in enumerate(vec))
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_packed_remainder_decides_vanishing(order):
+    # the expansion's rule: at B = 2^W, W = _packed_width(order, spread),
+    # every g with |g|_1 <= spread vanishes in Q(w) iff g(B) mod Phi(B) is
+    # 0, read from any int congruent to g(B) mod B^order - 1, and the
+    # digits of g are read back from that int
+    rng = random.Random(1200 + order)
+    phi = cyclotomic_polynomial(order)
+    kernel = phi_multiple(order, [1])
+    c = 10 ** 6 + rng.randrange(1000)
+    spread = max(c * sum(map(abs, kernel)), c)
+    vectors = [[rng.randint(-9, 9) for _ in range(order)] for _ in range(40)]
+    vectors += [phi_multiple(order, [rng.randint(-9, 9)
+                                     for _ in range(order)])
+                for _ in range(40)]
+    for k in range(order):
+        # one digit at the bound, and kernel elements at and just off it
+        rotated = kernel[-k:] + kernel[:-k] if k else kernel
+        vectors += [[spread if i == k else 0 for i in range(order)],
+                    [-spread if i == k else 0 for i in range(order)],
+                    [c * x for x in rotated],
+                    [(c - 1) * x + (i == k) for i, x in enumerate(rotated)]]
+    assert max(sum(map(abs, vec)) for vec in vectors) == spread
+    width = verify._packed_width(order, spread)
+    divisor = packed(phi, width)
+    modulus = (1 << order * width) - 1
+    for vec in vectors:
+        value = packed(vec, width) + rng.randint(-3, 3) * modulus
+        assert (value % divisor == 0) == root_coefficients_vanish(order, vec)
+        assert verify._digits(value, order, width) == vec
+    assert any(root_coefficients_vanish(order, vec) for vec in vectors)
+    assert not all(root_coefficients_vanish(order, vec) for vec in vectors)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 6, 12])
+def test_packed_width_grows_with_the_bound(order):
+    # G = H = 1 at these orders, so W is one bit over spread + 1: the
+    # premise B > 2 (G * spread + H) of the proof, with no bit to spare
+    for bits in (4, 17, 40):
+        below, at = (1 << bits) - 2, (1 << bits) - 1
+        assert verify._packed_width(order, below) == bits + 1
+        assert verify._packed_width(order, at) == bits + 2
+        for spread in (below, at):
+            width = verify._packed_width(order, spread)
+            assert 1 << width > 2 * (spread + 1) >= 1 << width - 1
 
 
 def test_root_power_sum_matches_closed_form():

@@ -216,13 +216,20 @@ def cyc_path(terms):
 
 
 def expand_sum(dec):
-    """The expansion's table as a view for the oracles: each key decoded to
-    its monomial and each vector projected to Q(w), zeros included."""
+    """The expansion's table as a view for the oracles: each place named by
+    its monomial, and its packed int decoded to its vector, times the
+    monomial's multinomial and projected to Q(w), zeros included."""
     order, d = dec.order, verify._key_width(dec)
     scale = _common_denominator(dec.terms)
-    ring = verify._expand_chunk(order, scale, dec.terms, d)
-    return {verify._decode(key, d): from_root_coefficients(order, vec, scale)
-            for key, vec in ring.items()}
+    blocks, acc, width = verify._expand_chunk(order, scale, dec.terms, d, [])
+    out = {}
+    for mono, value in zip(verify._monomials_at(blocks, range(len(acc)), d),
+                           acc):
+        m = multinomial(sum(e for _, _, e in mono), [e for _, _, e in mono])
+        digits = verify._digits(value, order, width)
+        out[mono] = from_root_coefficients(order, [m * x for x in digits],
+                                           scale)
+    return out
 
 
 def circulant(b, order):
@@ -272,8 +279,9 @@ def circulant_path(dec):
     ring = {}
     for term in dec.terms:
         support = term.form.support()
-        comps, mults, _, nodes, steps, _, _ = verify._composition_table(
-            term.exponent, len(support), scale, order)
+        comps, nodes, steps, *_ = verify._composition_table(
+            term.exponent, len(support), order)
+        mults = [multinomial(term.exponent, comp) for comp in comps]
         vecs = [ring.setdefault(tuple((i, j, e) for ((i, j), _), e
                                       in zip(support, comp) if e),
                                 [0] * order)
@@ -451,11 +459,32 @@ class TestPackedGroupRing:
         # 6 the lift of c has phi = 2 < 6 digits, zero-padded
         form = LinForm(order, d, {(1, 1): c})
         terms = [PowerTerm((0,), Cyc.one(order), form, d)]
-        got = expand_sum(loose(d, order, terms))
+        dec = loose(d, order, terms)
+        got = expand_sum(dec)
         assert got == cyc_path(terms) \
             == {((1, 1, d),): Cyc.from_int(order, c ** d)}
-        assert verify._packed_width(terms, 1) \
-            == (abs(c) ** d).bit_length() + 2
+        assert verify._digit_bound(terms, [None], 1) == abs(c) ** d
+        # G = H = 1 at these orders: one bit over G * spread + H
+        assert verify._packed_width(order, abs(c) ** d) \
+            == (abs(c) ** d + 1).bit_length() + 1
+        # the target's monomials are compared at the same width
+        report = verify_power_decomposition(dec, collect_all=True)
+        assert report.mismatches == tuple(cyc_mismatches(dec))
+
+    def test_target_enters_the_width(self):
+        # c x11 = s x11 with s = c + 2^21 - 1: c alone needs 21 bits, and
+        # at that width c - s is 0 mod Phi_1(2^21) = 2^21 - 1; the target's
+        # own size widens B, so the mismatch is seen
+        c = 10 ** 6
+        width = verify._packed_width(1, c)
+        assert width == 21
+        s = c + (1 << width) - 1
+        terms = [PowerTerm((0,), Cyc.from_int(1, c),
+                           LinForm(1, 1, {(1, 1): 1}), 1)]
+        dec = dataclasses.replace(loose(1, 1, terms), scale=s)
+        report = verify_power_decomposition(dec, collect_all=True)
+        assert report.mismatches == (
+            (((1, 1, 1),), Cyc.from_int(1, c), Cyc.from_int(1, s)),)
 
     @pytest.mark.parametrize("order", [4, 6])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -471,10 +500,12 @@ class TestPackedGroupRing:
             PowerTerm((1,), Cyc.from_int(order, -sign),
                       LinForm(order, 2, {(1, 1): big}), 2),
         ]
-        ring = verify._expand_chunk(order, 1, terms, 2)
+        blocks, acc, width = verify._expand_chunk(order, 1, terms, 2, [])
         digits = [0, -2, 1] + [0] * (order - 3)
-        # x11^2 has key 2, its exponent at place 0
-        assert ring == {2: [sign * big ** 2 * x for x in digits]}
+        # x11^2, of multinomial 1, is the one block, of cell bit 0
+        assert blocks == {(2, 1): 0}
+        assert verify._digits(acc[0], order, width) \
+            == [sign * big ** 2 * x for x in digits]
         assert expand_sum(loose(2, order, terms)) == cyc_path(terms)
 
     def test_general_coefficient_on_a_zero_form(self):
@@ -548,13 +579,31 @@ class TestPackedPhases:
         gc.collect()
         gc.disable()
         try:
-            verify._composition_table(6, 6, 1, 6)
+            verify._composition_table(6, 6, 6)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("exponent, size", [(3, 2), (4, 6), (6, 6)])
+    def test_groups_follow_the_positive_compositions(self, exponent, size):
+        # every set of positive parts lists its compositions together, in
+        # the order of the block that its monomials fill, whatever the size
+        comps, *_, masks = verify._composition_table(exponent, size, 1)
+        start = 0
+        for parts, count in masks:
+            group = comps[start:start + count]
+            assert all(bool(e) is (k in parts)
+                       for comp in group for k, e in enumerate(comp))
+            assert tuple(tuple(comp[k] for k in parts) for comp in group) \
+                == verify._positive_compositions(exponent, len(parts))
+            start += count
+        assert start == len(comps) == math.comb(exponent + size - 1,
+                                                size - 1)
+        assert len(masks) == sum(math.comb(size, k)
+                                 for k in range(1, min(size, exponent) + 1))
+
     def test_columns_hold_the_parts(self):
-        comps, *_, columns, field = verify._composition_table(3, 2, 1, 4)
+        comps, _, _, columns, field, _ = verify._composition_table(3, 2, 4)
         assert field == "B"
         assert comps == [[3, 0], [2, 1], [1, 2], [0, 3]]
         assert [list(c.to_bytes(4, "little")) for c in columns] \
@@ -604,32 +653,43 @@ TAMPERED = {
 
 
 class TestRingComparison:
-    """Expansion decides each monomial in Z[C_n] under an integer key and
-    projects to Q(w) only the monomials that mismatch."""
+    """Expansion decides each monomial in Z[C_n], one packed int per
+    monomial, and projects to Q(w) only the monomials that mismatch."""
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_keys_round_trip(self, d):
+        # a monomial's place, from its block key (exponent, cell mask) and
+        # its rank, names it back
         rng = random.Random(700 + d)
         variables = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
         for _ in range(200):
             mono = monomial(collections.Counter(
                 rng.choice(variables) for _ in range(d)))
-            assert verify._decode(verify._encode(mono, d), d) == mono
-        # the largest key, x_dd^d, passes 64 bits from d = 5 on
-        top = verify._encode(((d, d, d),), d)
-        assert top == d * (d + 1) ** (d * d - 1)
-        assert (top.bit_length() > 64) is (d >= 5)
+            form = LinForm(1, d, {(i, j): 1 for i, j, _ in mono})
+            blocks, acc, _ = verify._expand_chunk(
+                1, 1, [PowerTerm((0,), Cyc.one(1), form, d)], d, [])
+            place = verify._slot(blocks, mono, d)
+            assert verify._monomials_at(blocks, [place], d) == [mono]
+        # x_dd^d is the one monomial of the block of cell (d, d)
+        blocks, acc, _ = verify._expand_chunk(
+            1, 1, [PowerTerm((0,), Cyc.one(1),
+                             LinForm(1, d, {(d, d): 1}), d)], d, [])
+        assert blocks == {(d, 1 << d * d - 1): 0} and len(acc) == 1
+        assert (verify._slot(blocks, ((1, 1, d),), d) is None) is (d > 1)
 
     @pytest.mark.parametrize("d", [5, 7])
-    def test_tree_keys_are_the_encoded_monomials(self, d):
-        # one unit term on the diagonal, so x_dd^d's key passes 64 bits
+    def test_blocks_hold_the_expanded_monomials(self, d):
+        # one unit term on the diagonal: its 2^d - 1 cell sets are its
+        # blocks, and their places are its monomials, each once
         form = LinForm(d, d, {(i, i): omega(d, i) for i in range(1, d + 1)})
-        ring = verify._expand_chunk(d, 1, [PowerTerm((0,), Cyc.one(d), form,
-                                                     d)], d)
-        monos = sorted(expand_power(form, d).terms)
-        assert sorted(verify._decode(key, d) for key in ring) == monos
-        assert set(ring) == {verify._encode(mono, d) for mono in monos}
-        assert max(ring).bit_length() > 64
+        blocks, acc, _ = verify._expand_chunk(
+            d, 1, [PowerTerm((0,), Cyc.one(d), form, d)], d, [])
+        monos = expand_power(form, d).terms
+        assert len(blocks) == 2 ** d - 1
+        got = verify._monomials_at(blocks, range(len(acc)), d)
+        assert sorted(got) == sorted(monos)
+        assert [verify._slot(blocks, mono, d) for mono in got] \
+            == list(range(len(acc)))
 
     @pytest.mark.parametrize("name", TAMPERED)
     def test_witness_and_mismatches_match_the_cyc_oracle(self, name):
