@@ -4,8 +4,8 @@ Commands: decompose, verify, lemma-check, independence, symmetries,
 equations, bounds, bench. Every command runs in one process; verify,
 equations and bench accept --jobs for compatibility and ignore it.
 Reports go to standard output as JSON with sorted keys (byte-stable
-across runs); wall-clock timings go to the error stream so reports stay
-deterministic.
+across runs); wall-clock timings go to the error stream, one line as each
+stage ends, so reports stay deterministic.
 Exit codes: 0 when everything checked holds, 1 when a mathematical check
 fails, 2 on usage errors.
 """
@@ -13,6 +13,7 @@ fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -47,6 +48,7 @@ from .varieties import (
     STAGED_LIMIT,
     extra_generators,
     finite_field_locus_count,
+    locus_mode,
     vanish_on_points,
 )
 from .verify import (
@@ -57,10 +59,12 @@ from .verify import (
 
 ALL_SCHEMES = SCHEMES + ("krishna-makam",)
 
-# desk-scale defaults; anything larger needs an explicit --force
+# desk-scale defaults; anything larger needs an explicit --force, and
+# decompose and verify build no scheme beyond D_CEILING even then
 SCHEME_CAPS = {"main": 6, "classical": 5, "gurvits": 5, "monomial": 6}
 LEMMA_CAP = 5
 INDEPENDENCE_CAP = 4
+D_CEILING = 12
 
 # smallest odd prime p with d | p - 1, used by `equations` without --prime
 DEFAULT_PRIMES = {2: 3, 3: 7, 4: 5, 5: 11, 6: 7}
@@ -68,21 +72,9 @@ DEFAULT_PRIMES = {2: 3, 3: 7, 4: 5, 5: 11, 6: 7}
 SAMPLED_ACTION_COUNT = 20
 
 
-class UsageError(Exception):
-    """Bad arguments or out-of-range requests: exit code 2."""
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    command: str
-    d: int | None = None
-    scheme: str = "main"
-    fmt: str = "json"
-    prime: int | None = None
-    full: bool = False
-    force: bool = False
-    seed: int = 0
-    out: str | None = None
+class UsageError(ValueError):
+    """Bad arguments or out-of-range requests: exit code 2, as for every
+    ValueError the library raises on its inputs."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,13 +86,8 @@ class Report:
 
 
 def report_json(report: Report) -> str:
-    payload = {
-        "command": report.command,
-        "ok": report.ok,
-        "results": list(report.results),
-        "version": report.version,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(dataclasses.asdict(report), sort_keys=True,
+                      indent=2) + "\n"
 
 
 def report_text(report: Report) -> str:
@@ -337,36 +324,48 @@ def decomposition_text(dec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each takes the parsed arguments and returns either rows
+# for ``main`` to report or finished text, with whether every check held
 
 
-def _build_decomposition(config: RunConfig):
-    scheme = config.scheme
-    d = config.d
-    if scheme == "krishna-makam":
-        if d != 3:
+@contextlib.contextmanager
+def _stage(label: str):
+    """Print ``[time] label: N.NNNs`` to standard error when the block ends
+    without raising."""
+    started = time.perf_counter()
+    yield
+    print(f"[time] {label}: {time.perf_counter() - started:.3f}s",
+          file=sys.stderr)
+
+
+def _check_cap(args: argparse.Namespace, cap: int, what: str) -> None:
+    if args.d > cap and not args.force:
+        raise UsageError(f"--d {args.d} exceeds the desk-scale cap {cap} for "
+                         f"{what}; pass --force to override")
+
+
+def _build_decomposition(args: argparse.Namespace):
+    if args.scheme == "krishna-makam":
+        if args.d != 3:
             raise UsageError("the 5-term product identity is specific to "
                              "--d 3")
         return krishna_makam_det3()
-    if scheme not in SCHEME_CAPS:
-        raise UsageError(f"unknown scheme {scheme!r}")
-    cap = SCHEME_CAPS[scheme]
-    if d > cap and not config.force:
-        raise UsageError(f"--d {d} exceeds the desk-scale cap {cap} for "
-                         f"scheme {scheme}; pass --force to override")
-    return SCHEME_BUILDERS[scheme](d)
+    _check_cap(args, SCHEME_CAPS[args.scheme], f"scheme {args.scheme}")
+    if args.d > D_CEILING:
+        raise UsageError(f"--d {args.d} exceeds {D_CEILING}, the largest d "
+                         f"even --force builds")
+    return SCHEME_BUILDERS[args.scheme](args.d)
 
 
-def _cmd_decompose(config: RunConfig, timings: list):
-    dec = _build_decomposition(config)
-    if config.fmt == "json":
-        obj = product_to_obj(dec) if isinstance(dec, ProductDecomposition) \
-            else decomposition_to_obj(dec)
+def _cmd_decompose(args: argparse.Namespace):
+    dec = _build_decomposition(args)
+    product = isinstance(dec, ProductDecomposition)
+    if args.fmt == "json":
+        obj = product_to_obj(dec) if product else decomposition_to_obj(dec)
         return json.dumps(obj, sort_keys=True, indent=2) + "\n", True
-    if config.fmt == "latex":
-        if isinstance(dec, ProductDecomposition):
-            return product_latex(dec), True
-        return power_decomposition_latex(dec), True
+    if args.fmt == "latex":
+        return (product_latex(dec) if product
+                else power_decomposition_latex(dec)), True
     return decomposition_text(dec), True
 
 
@@ -378,25 +377,19 @@ def _witness_obj(report) -> dict | None:
             "got": cyc_to_obj(got), "want": cyc_to_obj(want)}
 
 
-def _cmd_verify(config: RunConfig, timings: list):
-    dec = _build_decomposition(config)
+def _cmd_verify(args: argparse.Namespace):
+    dec = _build_decomposition(args)
     if isinstance(dec, ProductDecomposition):
-        started = time.perf_counter()
-        equal = verify_product_identity(dec)
-        timings.append(("verify-product", time.perf_counter() - started))
-        report = Report(command="verify", ok=equal, results=(
-            {"d": dec.d, "scheme": dec.scheme, "equal": equal},))
-        return _format_report(report, config), equal
-    results = []
-    ok = True
-    reports = {}
+        with _stage("verify-product"):
+            equal = verify_product_identity(dec)
+        return [{"d": dec.d, "scheme": dec.scheme, "equal": equal}], equal
+    rows = []
+    reports = []
     for mode in ("expansion", "streaming"):
-        started = time.perf_counter()
-        rep = verify_power_decomposition(dec, mode=mode)
-        timings.append((f"verify-{mode}", time.perf_counter() - started))
-        reports[mode] = rep
-        ok = ok and rep.equal
-        results.append({
+        with _stage(f"verify-{mode}"):
+            rep = verify_power_decomposition(dec, mode=mode)
+        reports.append(rep)
+        rows.append({
             "d": dec.d,
             "scheme": dec.scheme,
             "mode": mode,
@@ -408,64 +401,47 @@ def _cmd_verify(config: RunConfig, timings: list):
     # the verdicts must match; then the witness when both reject (streaming
     # stops counting monomials at its first mismatch), the table size when
     # both accept
-    expansion, streaming = reports["expansion"], reports["streaming"]
+    expansion, streaming = reports
     modes_agree = expansion.equal == streaming.equal and (
         expansion.distinct_monomials == streaming.distinct_monomials
         if expansion.equal else expansion.witness == streaming.witness)
-    results.append({"check": "modes_agree", "ok": modes_agree})
-    ok = ok and modes_agree
-    report = Report(command="verify", ok=ok, results=tuple(results))
-    return _format_report(report, config), ok
+    rows.append({"check": "modes_agree", "ok": modes_agree})
+    return rows, expansion.equal and streaming.equal and modes_agree
 
 
-def _cmd_lemma_check(config: RunConfig, timings: list):
-    d = config.d
-    if d > LEMMA_CAP and not config.force:
-        raise UsageError(f"--d {d} exceeds the desk-scale cap {LEMMA_CAP} "
-                         f"for lemma-check; pass --force to override")
-    started = time.perf_counter()
-    ok = check_closed_form_coefficients(d)
-    timings.append(("lemma-check", time.perf_counter() - started))
-    monomials = math.comb(d * d + d - 1, d)
-    report = Report(command="lemma-check", ok=ok, results=(
-        {"d": d, "matches": ok, "monomial_count": monomials},))
-    return _format_report(report, config), ok
+def _cmd_lemma_check(args: argparse.Namespace):
+    d = args.d
+    _check_cap(args, LEMMA_CAP, "lemma-check")
+    with _stage("lemma-check"):
+        ok = check_closed_form_coefficients(d)
+    return [{"d": d, "matches": ok,
+             "monomial_count": math.comb(d * d + d - 1, d)}], ok
 
 
-def _cmd_independence(config: RunConfig, timings: list):
-    d = config.d
-    if d > INDEPENDENCE_CAP and not config.force:
-        raise UsageError(f"--d {d} exceeds the desk-scale cap "
-                         f"{INDEPENDENCE_CAP} for independence; pass "
-                         f"--force to override")
-    started = time.perf_counter()
-    violations = separation_violations(d)
-    timings.append(("separation", time.perf_counter() - started))
-    started = time.perf_counter()
-    rank, violation = promotion_certificate(SCHEME_BUILDERS["main"](d))
-    timings.append(("certificate", time.perf_counter() - started))
+def _cmd_independence(args: argparse.Namespace):
+    d = args.d
+    _check_cap(args, INDEPENDENCE_CAP, "independence")
+    with _stage("separation"):
+        violations = separation_violations(d)
+    with _stage("certificate"):
+        rank, violation = promotion_certificate(SCHEME_BUILDERS["main"](d))
     expected = d * math.factorial(d)
-    results = (
+    rows = [
         {"check": "separation", "d": d, "ok": not violations,
          "violations": len(violations)},
         {"check": "promotion", "d": d, "ok": violation is None},
         {"check": "rank", "d": d, "rank": rank, "expected": expected,
          "ok": rank == expected},
-    )
-    ok = all(row["ok"] for row in results)
-    report = Report(command="independence", ok=ok, results=results)
-    return _format_report(report, config), ok
+    ]
+    return rows, all(row["ok"] for row in rows)
 
 
-def _cmd_symmetries(config: RunConfig, timings: list):
-    d = config.d
-    results = []
-    ok = True
-    started = time.perf_counter()
-    enum = enumerate_symmetries(d)
-    timings.append(("enumerate", time.perf_counter() - started))
+def _cmd_symmetries(args: argparse.Namespace):
+    d = args.d
+    with _stage("enumerate"):
+        enum = enumerate_symmetries(d)
     exactly_half = enum.preserving_order == enum.reversing_order
-    results.append({
+    rows = [{
         "check": "orders",
         "d": d,
         "full_order": enum.full_order,
@@ -477,33 +453,27 @@ def _cmd_symmetries(config: RunConfig, timings: list):
         "matches_printed": enum.matches_printed,
         "exactly_half": exactly_half,
         "faithful": enum.faithful,
-    })
+    }]
     # a printed-table mismatch is reported and flagged, not failed
-    ok = ok and enum.matches_formula and exactly_half and enum.faithful
-    started = time.perf_counter()
-    if config.full:
-        action_ok = check_symmetry_action(d)
-        results.append({"check": "action", "mode": "full", "d": d,
-                        "ok": action_ok})
-    else:
-        stats = sample_symmetry_actions(d, SAMPLED_ACTION_COUNT,
-                                        seed=config.seed)
-        action_ok = stats["bad"] == 0
-        results.append({"check": "action", "mode": "sampled", "d": d,
-                        "seed": config.seed, "ok": action_ok, **stats})
-    timings.append(("action", time.perf_counter() - started))
-    ok = ok and action_ok
-    affine_ok = check_affine_characterization(d)
-    results.append({"check": "affine_characterization", "d": d,
-                    "ok": affine_ok})
-    ok = ok and affine_ok
-    signs_ok = check_sign_formulas(d)
-    results.append({"check": "sign_formulas", "d": d, "ok": signs_ok})
-    ok = ok and signs_ok
+    orders_ok = enum.matches_formula and exactly_half and enum.faithful
+    with _stage("action"):
+        if args.full:
+            rows.append({"check": "action", "mode": "full", "d": d,
+                         "ok": check_symmetry_action(d)})
+        else:
+            stats = sample_symmetry_actions(d, SAMPLED_ACTION_COUNT,
+                                            seed=args.seed)
+            rows.append({"check": "action", "mode": "sampled", "d": d,
+                         "seed": args.seed, "ok": stats["bad"] == 0,
+                         **stats})
+    rows.append({"check": "affine_characterization", "d": d,
+                 "ok": check_affine_characterization(d)})
+    rows.append({"check": "sign_formulas", "d": d,
+                 "ok": check_sign_formulas(d)})
     closed, witnesses = transpose_closure(d)
     expected_closed = d <= 3
     swap = (2, 1) + tuple(range(3, d + 1))
-    results.append({
+    rows.append({
         "check": "transpose_closure",
         "d": d,
         "closed": closed,
@@ -514,44 +484,22 @@ def _cmd_symmetries(config: RunConfig, timings: list):
         "row_swap_witness": ([1, list(swap)] if (1, swap) in witnesses
                              else None),
     })
-    ok = ok and closed == expected_closed
-    report = Report(command="symmetries", ok=ok, results=tuple(results))
-    return _format_report(report, config), ok
+    return rows, orders_ok and all(row["ok"] for row in rows[1:])
 
 
-def _locus_mode(config: RunConfig, d: int, p: int) -> str | None:
-    full_ok = p ** (d * d) <= FULL_SPACE_LIMIT
-    staged_ok = math.factorial(d) * (p - 1) ** d <= STAGED_LIMIT
-    if config.full:
-        if not full_ok:
-            raise UsageError(f"--full needs p^(d^2) <= {FULL_SPACE_LIMIT}; "
-                             f"{p}^{d * d} is beyond that")
-        return "full"
-    if full_ok:
-        return "full"
-    if staged_ok:
-        return "staged"
-    return None
-
-
-def _cmd_equations(config: RunConfig, timings: list):
-    d = config.d
-    results = []
-    ok = True
-    started = time.perf_counter()
-    vanish = vanish_on_points(d)
-    timings.append(("vanishing", time.perf_counter() - started))
-    results.append({"check": "quadric_vanishing", "d": d, "ok": vanish})
-    ok = ok and vanish
+def _cmd_equations(args: argparse.Namespace):
+    d = args.d
+    with _stage("vanishing"):
+        vanish = vanish_on_points(d)
+    rows = [{"check": "quadric_vanishing", "d": d, "ok": vanish}]
     if d in (3, 4):
-        started = time.perf_counter()
-        extra = extra_generators(d)
-        timings.append(("extra-generators", time.perf_counter() - started))
+        with _stage("extra-generators"):
+            extra = extra_generators(d)
         reduction_ok = None
         if extra.reduction is not None:
             reduction_ok = (extra.reduction.solvable
                             and extra.reduction.residual_contained)
-        row = {
+        rows.append({
             "check": "extra_generators",
             "d": d,
             "squares_vanish": extra.squares_vanish,
@@ -561,104 +509,78 @@ def _cmd_equations(config: RunConfig, timings: list):
             "reduction_ok": reduction_ok,
             "ok": (extra.squares_vanish and extra.differences_vanish
                    and reduction_ok is not False),
-        }
-        results.append(row)
-        ok = ok and row["ok"]
-    prime = config.prime if config.prime is not None else DEFAULT_PRIMES.get(d)
-    if prime is None:
-        results.append({"check": "locus", "skipped": "no default prime"})
-    else:
-        mode = _locus_mode(config, d, prime)
-        if mode is None and config.prime is not None:
+        })
+    # vanish_on_points has rejected every d without a default prime
+    prime = args.prime if args.prime is not None else DEFAULT_PRIMES[d]
+    if locus_mode(d, prime) is None:
+        if args.prime is not None:
             raise UsageError(
                 f"no feasible counting mode for d={d}, p={prime}: "
                 f"p^(d^2) > {FULL_SPACE_LIMIT} and d!(p-1)^d > {STAGED_LIMIT}")
-        if mode is None:
-            results.append({
-                "check": "locus", "d": d, "p": prime,
-                "skipped": "beyond desk scale in both counting modes"})
-        else:
-            started = time.perf_counter()
-            count = finite_field_locus_count(d, prime, mode=mode)
-            timings.append(("locus", time.perf_counter() - started))
-            results.append({
-                "check": "locus",
-                "d": d,
-                "p": prime,
-                "mode": count.mode,
-                "affine_solutions": count.affine_solutions,
-                "projective_points": count.projective_points,
-                "expected": count.expected,
-                "ok": count.matches_expected,
-            })
-            ok = ok and count.matches_expected
-    report = Report(command="equations", ok=ok, results=tuple(results))
-    return _format_report(report, config), ok
+        rows.append({
+            "check": "locus", "d": d, "p": prime,
+            "skipped": "beyond desk scale in both counting modes"})
+    else:
+        with _stage("locus"):
+            count = finite_field_locus_count(d, prime)
+        rows.append({
+            "check": "locus",
+            "d": d,
+            "p": prime,
+            "mode": count.mode,
+            "affine_solutions": count.affine_solutions,
+            "projective_points": count.projective_points,
+            "expected": count.expected,
+            "ok": count.matches_expected,
+        })
+    return rows, all(row.get("ok", True) for row in rows)
 
 
-def _cmd_bounds(config: RunConfig, timings: list):
-    d_max = config.d if config.d is not None else 9
-    rows = bounds_table(d_max)
-    if config.fmt == "latex":
+def _cmd_bounds(args: argparse.Namespace):
+    rows = bounds_table(args.d)
+    if args.fmt == "latex":
         return bounds_latex(rows), True
-    results = tuple(dataclasses.asdict(row) for row in rows)
-    report = Report(command="bounds", ok=True, results=results)
-    return _format_report(report, config), True
+    return [dataclasses.asdict(row) for row in rows], True
 
 
-def _cmd_bench(config: RunConfig, timings: list):
+def _verifies(dec: PowerDecomposition, mode: str = "expansion") -> bool:
+    return verify_power_decomposition(dec, mode=mode).equal
+
+
+def _cmd_bench(args: argparse.Namespace):
+    build_main = SCHEME_BUILDERS["main"]
     suite = [
-        ("decompose-main-4",
-         lambda: _count_terms(SCHEME_BUILDERS["main"](4), 96)),
-        ("verify-main-3-expansion",
-         lambda: verify_power_decomposition(
-             SCHEME_BUILDERS["main"](3), mode="expansion").equal),
-        ("verify-main-6-expansion",
-         lambda: verify_power_decomposition(
-             SCHEME_BUILDERS["main"](6), mode="expansion").equal),
+        ("decompose-main-4", lambda: len(build_main(4).terms) == 96),
+        ("verify-main-3-expansion", lambda: _verifies(build_main(3))),
+        ("verify-main-6-expansion", lambda: _verifies(build_main(6))),
         ("verify-main-4-streaming",
-         lambda: verify_power_decomposition(
-             SCHEME_BUILDERS["main"](4), mode="streaming").equal),
+         lambda: _verifies(build_main(4), "streaming")),
         ("verify-main-6-streaming",
-         lambda: verify_power_decomposition(
-             SCHEME_BUILDERS["main"](6), mode="streaming").equal),
+         lambda: _verifies(build_main(6), "streaming")),
         ("verify-main-7-streaming",
-         lambda: verify_power_decomposition(
-             SCHEME_BUILDERS["main"](7), mode="streaming").equal),
+         lambda: _verifies(build_main(7), "streaming")),
         ("verify-classical-3",
-         lambda: verify_power_decomposition(
-             SCHEME_BUILDERS["classical"](3)).equal),
+         lambda: _verifies(SCHEME_BUILDERS["classical"](3))),
         ("verify-monomial-5",
-         lambda: verify_power_decomposition(
-             SCHEME_BUILDERS["monomial"](5)).equal),
+         lambda: _verifies(SCHEME_BUILDERS["monomial"](5))),
         ("verify-conjugated-main-4-expansion",
-         lambda: verify_power_decomposition(
-             _conjugated("main", 4), mode="expansion").equal),
+         lambda: _verifies(_conjugated("main", 4))),
         ("verify-conjugated-classical-4-expansion",
-         lambda: verify_power_decomposition(
-             _conjugated("classical", 4), mode="expansion").equal),
+         lambda: _verifies(_conjugated("classical", 4))),
         ("separation-5", lambda: not separation_violations(5)),
-        ("rank-5-certificate", lambda: promotion_certificate(
-            SCHEME_BUILDERS["main"](5)) == (600, None)),
+        ("rank-5-certificate",
+         lambda: promotion_certificate(build_main(5)) == (600, None)),
         ("symmetries-6", lambda: enumerate_symmetries(6).matches_formula),
         ("symmetries-4-full", lambda: enumerate_symmetries(4).faithful
          and check_symmetry_action(4)),
         ("bounds-9", lambda: len(bounds_table(9)) == 8),
     ]
-    results = []
-    ok = True
+    rows = []
     for name, thunk in suite:
-        started = time.perf_counter()
-        passed = bool(thunk())
-        timings.append((name, time.perf_counter() - started))
-        results.append({"benchmark": name, "ok": passed})
-        ok = ok and passed
-    report = Report(command="bench", ok=ok, results=tuple(results))
-    return _format_report(report, config), ok
-
-
-def _count_terms(dec: PowerDecomposition, expected: int) -> bool:
-    return len(dec.terms) == expected
+        with _stage(name):
+            passed = bool(thunk())
+        rows.append({"benchmark": name, "ok": passed})
+    return rows, all(row["ok"] for row in rows)
 
 
 def _conjugated(scheme: str, d: int) -> PowerDecomposition:
@@ -677,15 +599,6 @@ def _conjugated(scheme: str, d: int) -> PowerDecomposition:
                                    unitriangular(3, 2, -1), dec)
 
 
-def _format_report(report: Report, config: RunConfig) -> str:
-    if config.fmt == "latex":
-        raise UsageError(f"--format latex is not defined for "
-                         f"{report.command}; use decompose or bounds")
-    if config.fmt == "text":
-        return report_text(report)
-    return report_json(report)
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -701,16 +614,6 @@ _HANDLERS = {
     "bench": _cmd_bench,
 }
 
-_D_RANGES = {
-    "decompose": (1, 12),
-    "verify": (1, 12),
-    "lemma-check": (2, 6),
-    "independence": (2, 5),
-    "symmetries": (2, 6),
-    "equations": (2, 6),
-    "bounds": (2, 20),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -719,72 +622,49 @@ def _build_parser() -> argparse.ArgumentParser:
                     "construction, verification, and the surrounding checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, with_scheme=False, with_d=True,
-            d_required=True, formats=("json", "text"), with_prime=False,
-            with_full=False, with_seed=False, with_jobs=False):
+    def add(name, help_text, with_d=True, d_default=None, with_scheme=False,
+            formats=("json", "text"), with_force=False, with_jobs=False):
         cmd = sub.add_parser(name, help=help_text)
         if with_d:
-            cmd.add_argument("--d", type=int, required=d_required,
-                             help="matrix dimension")
+            cmd.add_argument("--d", type=int, required=d_default is None,
+                             default=d_default, help="matrix dimension")
         if with_scheme:
             cmd.add_argument("--scheme", choices=ALL_SCHEMES,
                              default="main")
         cmd.add_argument("--format", dest="fmt", choices=formats,
                          default="json")
-        if with_prime:
-            cmd.add_argument("--prime", type=int, default=None)
-        if with_full:
-            cmd.add_argument("--full", action="store_true")
-        cmd.add_argument("--force", action="store_true",
-                         help="override the desk-scale caps")
+        if with_force:
+            cmd.add_argument("--force", action="store_true",
+                             help="override the desk-scale caps")
         if with_jobs:
             cmd.add_argument("--jobs", type=int, default=1,
                              help="accepted for compatibility and ignored; "
                                   "every command runs in one process")
-        if with_seed:
-            cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--out", type=str, default=None,
                          help="also write the output to this file")
         return cmd
 
-    add("decompose", "build a decomposition and print it",
-        with_scheme=True, formats=("json", "latex", "text"))
+    add("decompose", "build a decomposition and print it", with_scheme=True,
+        formats=("json", "latex", "text"), with_force=True)
     add("verify", "expand a decomposition and compare with its target",
-        with_scheme=True, with_jobs=True)
-    add("lemma-check", "closed-form power-sum coefficients vs expansion")
-    add("independence", "separation pairings and the certified rank")
-    add("symmetries", "group orders, the term action, and closure checks",
-        with_full=True, with_seed=True)
-    add("equations", "quadric vanishing and finite-field locus counts",
-        with_prime=True, with_full=True, with_jobs=True)
-    add("bounds", "decomposition-size table", d_required=False,
+        with_scheme=True, with_force=True, with_jobs=True)
+    add("lemma-check", "closed-form power-sum coefficients vs expansion",
+        with_force=True)
+    add("independence", "separation pairings and the certified rank",
+        with_force=True)
+    symmetries = add("symmetries",
+                     "group orders, the term action, and closure checks")
+    symmetries.add_argument("--full", action="store_true")
+    symmetries.add_argument("--seed", type=int, default=0)
+    equations = add("equations",
+                    "quadric vanishing and finite-field locus counts",
+                    with_jobs=True)
+    equations.add_argument("--prime", type=int, default=None)
+    add("bounds", "decomposition-size table", d_default=9,
         formats=("json", "latex", "text"))
     add("bench", "timings for a fixed small suite", with_d=False,
-        with_seed=True, with_jobs=True)
+        with_jobs=True)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        d=getattr(args, "d", None),
-        scheme=getattr(args, "scheme", "main"),
-        fmt=getattr(args, "fmt", "json"),
-        prime=getattr(args, "prime", None),
-        full=getattr(args, "full", False),
-        force=getattr(args, "force", False),
-        seed=getattr(args, "seed", 0),
-        out=getattr(args, "out", None),
-    )
-
-
-def _check_d_range(config: RunConfig) -> None:
-    if config.command not in _D_RANGES or config.d is None:
-        return
-    low, high = _D_RANGES[config.command]
-    if not low <= config.d <= high:
-        raise UsageError(f"--d {config.d} is outside [{low}, {high}] for "
-                         f"{config.command}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -793,26 +673,26 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    config = _config_from_args(args)
-    timings: list = []
     try:
-        _check_d_range(config)
-        payload, ok = _HANDLERS[config.command](config, timings)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload, ok = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 1
-    for label, seconds in timings:
-        print(f"[time] {label}: {seconds:.3f}s", file=sys.stderr)
+    if not isinstance(payload, str):
+        report = Report(command=args.command, ok=ok, results=tuple(payload))
+        payload = (report_text(report) if args.fmt == "text"
+                   else report_json(report))
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     sys.stdout.write(payload)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
     return 0 if ok else 1
 
 

@@ -477,6 +477,17 @@ def _staged_solutions(d: int, p: int) -> tuple:
     return tuple(solutions)
 
 
+def locus_mode(d: int, p: int) -> str | None:
+    """The counting mode that fits (d, p) at desk scale: "full" when
+    p^(d^2) <= FULL_SPACE_LIMIT, else "staged" when d! (p-1)^d <=
+    STAGED_LIMIT, else None."""
+    if p ** (d * d) <= FULL_SPACE_LIMIT:
+        return "full"
+    if math.factorial(d) * (p - 1) ** d <= STAGED_LIMIT:
+        return "staged"
+    return None
+
+
 def finite_field_locus_count(d: int, p: int,
                              mode: str = "auto") -> LocusCount:
     """Projective count of GF(p) solutions of all quadric generators.
@@ -487,7 +498,9 @@ def finite_field_locus_count(d: int, p: int,
     prunes the search as soon as its three rows are set. Staged mode walks
     only the supports with one nonzero entry per row and column, which the
     monomial quadrics force, restricts the row-sum quadrics to each support
-    and decides the nonzero entries once per distinct restriction.
+    and decides the nonzero entries once per distinct restriction. Auto
+    mode takes ``locus_mode(d, p)``, and staged mode's error when neither
+    fits.
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
@@ -496,7 +509,7 @@ def finite_field_locus_count(d: int, p: int,
         raise ValueError(f"d = {d} must divide p - 1 = {p - 1} so that "
                          f"GF({p}) has the needed roots of unity")
     if mode == "auto":
-        mode = "full" if p ** (d * d) <= FULL_SPACE_LIMIT else "staged"
+        mode = locus_mode(d, p) or "staged"
     if mode == "full":
         if p ** (d * d) > FULL_SPACE_LIMIT:
             raise ValueError(f"full mode needs p^(d^2) <= {FULL_SPACE_LIMIT}")

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -454,6 +455,19 @@ class TestExitCodes:
         ("decompose", "--d", "3", "--scheme", "bogus"),
         ("verify", "--d", "3", "--format", "latex"),
         ("no-such-command",),
+        # d ranges the library checks
+        ("independence", "--d", "6", "--force"),
+        ("lemma-check", "--d", "7", "--force"),
+        ("equations", "--d", "7"),
+        ("symmetries", "--d", "1"),
+        ("bounds", "--d", "1"),
+        ("verify", "--d", "13", "--force"),
+        ("decompose", "--d", "0"),
+        # flags that changed nothing and are gone
+        ("equations", "--d", "3", "--full"),
+        ("bench", "--seed", "1"),
+        ("symmetries", "--d", "3", "--force"),
+        ("bounds", "--force"),
     ])
     def test_usage_errors_exit_2(self, capsys, args):
         code = cli.main(list(args))
@@ -499,11 +513,38 @@ class TestDeterminism:
         assert code == 0
         assert target.read_text(encoding="utf-8") == out
 
-    def test_timings_stay_off_stdout(self, capsys):
-        code, out = run_cli(capsys, "verify", "--d", "2")
+    def test_out_to_a_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code = cli.main(["bounds", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("args, labels", [
+        (("decompose", "--d", "2"), []),
+        (("verify", "--d", "2"), ["verify-expansion", "verify-streaming"]),
+        (("verify", "--d", "3", "--scheme", "krishna-makam"),
+         ["verify-product"]),
+        (("lemma-check", "--d", "2"), ["lemma-check"]),
+        (("independence", "--d", "2"), ["separation", "certificate"]),
+        (("symmetries", "--d", "3"), ["enumerate", "action"]),
+        (("equations", "--d", "3"),
+         ["vanishing", "extra-generators", "locus"]),
+        (("bounds",), []),
+        (("bench",), None),  # every case name in the report
+    ])
+    def test_timings_stay_off_stdout(self, capsys, args, labels):
+        code = cli.main(list(args))
+        captured = capsys.readouterr()
         assert code == 0
-        assert "[time]" not in out
-        json.loads(out)
+        assert "[time]" not in captured.out
+        obj = json.loads(captured.out)
+        if labels is None:
+            labels = [row["benchmark"] for row in obj["results"]]
+        timed = re.findall(r"^\[time\] (.+): \d+\.\d{3}s$", captured.err,
+                           re.MULTILINE)
+        assert timed == labels
 
 
 class TestImportPath:

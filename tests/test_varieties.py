@@ -15,6 +15,7 @@ from detpowers.varieties import (
     _staged_solutions,
     extra_generators,
     finite_field_locus_count,
+    locus_mode,
     point_set,
     quadric_generators,
     vanish_on_points,
@@ -315,9 +316,14 @@ class TestLocusCounts:
         assert count.expected == 96
         assert count.matches_expected
 
-    def test_auto_mode_selection(self):
-        assert finite_field_locus_count(2, 5).mode == "full"
-        assert finite_field_locus_count(4, 5).mode == "staged"
+    @pytest.mark.parametrize("d, p, mode", [
+        (2, 5, "full"), (3, 7, "full"), (4, 5, "staged"), (2, 101, "staged"),
+        (5, 11, None), (6, 7, None)])
+    def test_auto_mode_selection(self, d, p, mode):
+        # the CLI asks locus_mode whether to count; auto mode counts with it
+        assert locus_mode(d, p) == mode
+        if mode is not None:
+            assert finite_field_locus_count(d, p).mode == mode
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_row_by_row_count_matches_brute_force(self, p):
