@@ -8,7 +8,6 @@ from .cyclotomic import (
     Cyc,
     cyclotomic_polynomial,
     omega,
-    root_power_sum,
 )
 from .multipoly import (
     LinForm,
@@ -39,10 +38,7 @@ from .verify import (
     verify_product_identity,
 )
 from .independence import (
-    check_separation,
     promotion_certificate,
-    rank_oracle,
-    separation_matrix,
     separation_violations,
 )
 from .symmetry import (
@@ -93,7 +89,6 @@ __all__ = [
     "bounds_table",
     "check_affine_characterization",
     "check_closed_form_coefficients",
-    "check_separation",
     "check_sign_formulas",
     "check_symmetry_action",
     "classical_decomposition",
@@ -113,10 +108,7 @@ __all__ = [
     "permanent_poly",
     "promotion_certificate",
     "quadric_generators",
-    "rank_oracle",
-    "root_power_sum",
     "sample_symmetry_actions",
-    "separation_matrix",
     "separation_violations",
     "transpose_closure",
     "vanish_on_points",

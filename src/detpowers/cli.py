@@ -1,8 +1,8 @@
 """Command-line front end: build, verify, and inspect the decompositions.
 
 Commands: decompose, verify, lemma-check, independence, symmetries,
-equations, bounds, bench. Every command runs in one process; verify,
-equations and bench accept --jobs for compatibility and ignore it.
+equations, bounds, bench. Every command runs in one process; verify and
+equations accept --jobs for compatibility and ignore it.
 Reports go to standard output as JSON with sorted keys (byte-stable
 across runs); wall-clock timings go to the error stream, one line as each
 stage ends, so reports stay deterministic.
@@ -44,11 +44,8 @@ from .symmetry import (
     transpose_closure,
 )
 from .varieties import (
-    FULL_SPACE_LIMIT,
-    STAGED_LIMIT,
     extra_generators,
     finite_field_locus_count,
-    locus_mode,
     vanish_on_points,
 )
 from .verify import (
@@ -512,28 +509,19 @@ def _cmd_equations(args: argparse.Namespace):
         })
     # vanish_on_points has rejected every d without a default prime
     prime = args.prime if args.prime is not None else DEFAULT_PRIMES[d]
-    if locus_mode(d, prime) is None:
-        if args.prime is not None:
-            raise UsageError(
-                f"no feasible counting mode for d={d}, p={prime}: "
-                f"p^(d^2) > {FULL_SPACE_LIMIT} and d!(p-1)^d > {STAGED_LIMIT}")
-        rows.append({
-            "check": "locus", "d": d, "p": prime,
-            "skipped": "beyond desk scale in both counting modes"})
-    else:
-        with _stage("locus"):
-            count = finite_field_locus_count(d, prime)
-        rows.append({
-            "check": "locus",
-            "d": d,
-            "p": prime,
-            "mode": count.mode,
-            "affine_solutions": count.affine_solutions,
-            "projective_points": count.projective_points,
-            "expected": count.expected,
-            "ok": count.matches_expected,
-        })
-    return rows, all(row.get("ok", True) for row in rows)
+    with _stage("locus"):
+        count = finite_field_locus_count(d, prime)
+    rows.append({
+        "check": "locus",
+        "d": d,
+        "p": prime,
+        "mode": count.mode,
+        "affine_solutions": count.affine_solutions,
+        "projective_points": count.projective_points,
+        "expected": count.expected,
+        "ok": count.matches_expected,
+    })
+    return rows, all(row["ok"] for row in rows)
 
 
 def _cmd_bounds(args: argparse.Namespace):
@@ -662,8 +650,7 @@ def _build_parser() -> argparse.ArgumentParser:
     equations.add_argument("--prime", type=int, default=None)
     add("bounds", "decomposition-size table", d_default=9,
         formats=("json", "latex", "text"))
-    add("bench", "timings for a fixed small suite", with_d=False,
-        with_jobs=True)
+    add("bench", "timings for a fixed small suite", with_d=False)
     return parser
 
 

@@ -394,14 +394,6 @@ def from_root_coefficients(order: int, coeffs, den: int = 1) -> Cyc:
     return out
 
 
-def root_power_sum(order: int, p: int) -> Cyc:
-    """Sum of w^(p*j) for j = 1..order, computed by actual summation."""
-    total = Cyc.zero(order)
-    for j in range(1, order + 1):
-        total = total + omega(order, p * j)
-    return total
-
-
 # fraction-polynomial helpers for the inverse ---------------------------------
 
 

@@ -22,8 +22,7 @@ factor, each dual form has degree d and keeps the pattern, so applying it to
 a vanishing combination of the terms leaves only its own term's multiplier,
 which must be zero. ``promotion_certificate`` reads the points from the
 terms a decomposition actually holds; the rows keeping the pattern are a
-proven lower bound on the rank, equal to it at d * d!. ``rank_oracle``, an
-exact elimination over Q(w), is the independent reference.
+proven lower bound on the rank, equal to it at d * d!.
 """
 
 from __future__ import annotations
@@ -31,12 +30,11 @@ from __future__ import annotations
 import dataclasses
 
 from .cyclotomic import Cyc, omega
-from .decompositions import Perm, PowerDecomposition, main_decomposition
+from .decompositions import Perm, PowerDecomposition
 from .multipoly import (
     Monomial,
     SparsePoly,
     covered_values,
-    expand_power,
     mono_mul,
     monomial,
 )
@@ -113,21 +111,6 @@ def _separation_values(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
         [term_point(d, Perm(images), j).phases for images, j in indices])
 
 
-def separation_matrix(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
-                                       list[list[Cyc]]]:
-    """The full pairing table: entry [r][c] is the r-th dual form evaluated
-    at the c-th term point, zero wherever no monomial is covered."""
-    indices, values = _separation_values(d)
-    zero = Cyc.zero(d)
-    matrix = []
-    for row in values:
-        entries = [zero] * len(indices)
-        for c, value in row.items():
-            entries[c] = value
-        matrix.append(entries)
-    return indices, matrix
-
-
 def separation_violations(d: int) -> list[tuple[int, int, Cyc]]:
     """Entries breaking the expected pattern: diagonal (-1)^((d+1)j) * d,
     zero off the diagonal. Empty means the pattern holds exactly."""
@@ -141,10 +124,6 @@ def separation_violations(d: int) -> list[tuple[int, int, Cyc]]:
             if value != (expected_diag if r == c else zero):
                 bad.append((r, c, value))
     return bad
-
-
-def check_separation(d: int) -> bool:
-    return not separation_violations(d)
 
 
 def promotion_certificate(
@@ -192,51 +171,3 @@ def promotion_certificate(
             first = bad[0]
         count += not bad and not term.coeff.is_zero
     return count, first
-
-
-def rank_of_rows(rows: list[dict]) -> int:
-    """Exact rank of sparse vectors over the cyclotomic field. Row reduction
-    pivots on each row's first nonzero position in sorted column order;
-    exact arithmetic needs no pivot-size policy.
-
-    Pivots are applied in creation order: each stored pivot row is already
-    zero at every earlier pivot column, so a fully reduced row is zero at
-    all of them and its leading column is guaranteed fresh.
-    """
-    pivots: list[tuple[object, dict]] = []
-    for row in rows:
-        work = dict(row)
-        for col, pivot in pivots:
-            factor = work.get(col)
-            if factor is None or factor.is_zero:
-                continue
-            for c, v in pivot.items():
-                delta = v * factor
-                prior = work.get(c)
-                updated = -delta if prior is None else prior - delta
-                if updated.is_zero:
-                    work.pop(c, None)
-                else:
-                    work[c] = updated
-        work = {c: v for c, v in work.items() if not v.is_zero}
-        if not work:
-            continue
-        lead = min(work)
-        inv = work[lead].inverse()
-        pivots.append((lead, {c: v * inv for c, v in work.items()}))
-    return len(pivots)
-
-
-def _exact_rank(terms) -> int:
-    return rank_of_rows([dict((expand_power(term.form, term.exponent)
-                               * term.coeff).terms) for term in terms])
-
-
-def rank_oracle(d: int, allow_large: bool = False) -> int:
-    """Rank of the expanded terms T_{sigma,j} in the degree-d monomial
-    basis, by exact elimination over Q(w). d = 5 means a 600-row system;
-    it is gated behind allow_large."""
-    if d < 2 or d > 5 or (d == 5 and not allow_large):
-        limit = "in [2, 5] with allow_large" if d == 5 else "in [2, 4]"
-        raise ValueError(f"d must be {limit}, got {d}")
-    return _exact_rank(main_decomposition(d).terms)

@@ -9,15 +9,12 @@ so a polynomial is evaluated from the points' phases, and only where a
 support index finds one of its monomials), constructs the extra generator
 families recorded for d = 3 and d = 4 together with vanishing and
 reduction reports, and counts the GF(p) solution locus to test the
-converse direction at desk scale. The full count searches every matrix
-row by row: the row and column products leave at most one nonzero per row,
-in a column no other row uses, and each row-sum quadric is tested as soon
-as its three rows are set. The staged count walks the supports with one
-entry per row and column, restricts each row-sum quadric once per support
-and decides the nonzero entries once per distinct restriction. The d = 4
-square family is reproduced exactly as stated; it does not vanish on the
-point set, and its report keeps explicit failure witnesses rather than
-papering over the discrepancy.
+converse direction at desk scale. The count searches every matrix row by
+row: the row and column products leave at most one nonzero per row, in a
+column no other row uses, and each row-sum quadric is tested as soon as its
+three rows are set. The d = 4 square family is reproduced exactly as
+stated; it does not vanish on the point set, and its report keeps explicit
+failure witnesses rather than papering over the discrepancy.
 """
 
 from __future__ import annotations
@@ -38,8 +35,7 @@ from .multipoly import (
     permanent_poly,
 )
 
-FULL_SPACE_LIMIT = 10 ** 8      # largest p^(d^2) allowed in full mode
-STAGED_LIMIT = 10 ** 6          # largest d! (p-1)^d allowed in staged mode
+SEARCH_LIMIT = 10 ** 6          # largest bound on the locus search's steps
 
 
 def _wrap(i: int, d: int) -> int:
@@ -359,10 +355,10 @@ def extra_generators(d: int) -> ExtraGeneratorReport:
 class LocusCount:
     d: int
     p: int
-    mode: str
     affine_solutions: int
     projective_points: int
     expected: int
+    mode = "full"  # the count always searches every matrix
 
     @property
     def matches_expected(self) -> bool:
@@ -378,7 +374,17 @@ def _full_affine_count(d: int, p: int) -> int:
     value. Later rows see only how many columns are free, so each value is
     searched once and counted once per free column. Row-sum quadric i is
     tested as soon as rows i-1, i and i+1 are set, and the two that wrap
-    around (i = 1 and i = d) once the last row is."""
+    around (i = 1 and i = d) once the last row is.
+
+    The search takes at most p + p^2 + 2(d-2) p^3 loop steps. The loop at
+    row r runs p times for each prefix rho_0 .. rho_(r-1) of row sums that
+    reaches it, and there are 1 and p of those at r = 0 and r = 1. A prefix
+    that reaches row r >= 2 satisfies rho_i^2 = rho_(i-1) rho_(i+1) at every
+    0 < i < r-1, so a nonzero interior rho_i makes both its neighbours
+    nonzero. Either every rho is then nonzero, a geometric progression
+    fixed by rho_0 and rho_1, (p-1)^2 prefixes, or every interior rho is
+    zero and only the two ends are free, at most p^2. So each of rows 2 ..
+    d-1 takes fewer than 2p^3 steps."""
     rho = [0] * d
 
     def fits(i: int) -> bool:
@@ -401,129 +407,34 @@ def _full_affine_count(d: int, p: int) -> int:
     return search(0, d) - 1  # the zero matrix satisfies everything
 
 
-def _integer_terms(poly: SparsePoly) -> list[tuple[int, Monomial]]:
-    """The (coefficient, monomial) pairs of an integer polynomial."""
-    terms = []
-    for m, c in poly.terms.items():
-        rat = _rational_coefficient(c)
-        if rat.denominator != 1:
-            raise ArithmeticError(f"non-integral coefficient {rat}")
-        terms.append((int(rat), m))
-    return terms
-
-
-def _value_mod_p(terms, coords: dict, p: int) -> int:
-    """Evaluate integer terms mod p; ``coords`` holds the nonzero entries."""
-    total = 0
-    for value, m in terms:
-        for i, j, e in m:
-            coord = coords.get((i, j))
-            if coord is None:
-                break
-            value *= coord ** e
-        else:
-            total += value
-    return total % p
-
-
-def _restrict(terms, images: tuple[int, ...]) -> tuple:
-    """The integer terms whose variables all lie on the support
-    {(i, images[i-1])}, each monomial rewritten as (row, exponent) pairs
-    with rows counted from 0, sorted so equal restrictions compare equal."""
-    return tuple(sorted(
-        (value, tuple((i - 1, e) for i, _, e in m))
-        for value, m in terms
-        if all(images[i - 1] == j for i, j, _ in m)))
-
-
-def _zeros_mod_p(restricted, d: int, p: int) -> list[tuple[int, ...]]:
-    """The tuples of d nonzero residues, in itertools.product order, on
-    which every restricted polynomial vanishes mod p."""
-    return [deltas for deltas in itertools.product(range(1, p), repeat=d)
-            if not any(sum(value * math.prod(deltas[r] ** e for r, e in m)
-                           for value, m in terms) % p
-                       for terms in restricted)]
-
-
-def _staged_solutions(d: int, p: int) -> tuple:
-    """Support-restricted candidates Delta P_sigma over GF(p) surviving all
-    generators, as (sigma images, deltas) in permutation order, then in
-    itertools.product order of the deltas.
-
-    Each row-sum quadric is restricted once per support {(i, sigma i)},
-    where x[i, sigma i] = delta_i, and the delta tuples are decided once per
-    distinct restriction (every support restricts rho_i^2 - rho_(i-1)
-    rho_(i+1) to delta_i^2 - delta_(i-1) delta_(i+1)). The monomial quadrics
-    are evaluated too, once per support, as a consistency check: they must
-    vanish identically on these supports. Setting the entries to 1 decides
-    that for every Delta, since GF(p) has no zero divisors."""
-    qs = quadric_generators(d)
-    monomial_gens = [_integer_terms(g)
-                     for g in qs.row_monomials + qs.column_monomials]
-    rho = [_integer_terms(g) for g in qs.rho_quadrics]
-    zeros = {}
-    solutions = []
-    for sigma in Perm.all_perms(d):
-        ones = {(i, sigma(i)): 1 for i in range(1, d + 1)}
-        if any(_value_mod_p(gen, ones, p) for gen in monomial_gens):
-            raise ArithmeticError(
-                "a monomial quadric failed on a one-entry-per-row "
-                "support; the staged construction is wrong")
-        restricted = tuple(_restrict(gen, sigma.images) for gen in rho)
-        if restricted not in zeros:
-            zeros[restricted] = _zeros_mod_p(restricted, d, p)
-        solutions.extend((sigma.images, deltas)
-                         for deltas in zeros[restricted])
-    return tuple(solutions)
-
-
-def locus_mode(d: int, p: int) -> str | None:
-    """The counting mode that fits (d, p) at desk scale: "full" when
-    p^(d^2) <= FULL_SPACE_LIMIT, else "staged" when d! (p-1)^d <=
-    STAGED_LIMIT, else None."""
-    if p ** (d * d) <= FULL_SPACE_LIMIT:
-        return "full"
-    if math.factorial(d) * (p - 1) ** d <= STAGED_LIMIT:
-        return "staged"
-    return None
-
-
-def finite_field_locus_count(d: int, p: int,
-                             mode: str = "auto") -> LocusCount:
+def finite_field_locus_count(d: int, p: int) -> LocusCount:
     """Projective count of GF(p) solutions of all quadric generators.
 
-    Full mode counts over all p^(d^2) matrices (needs p^(d^2) <= 10^8)
-    by a depth-first row search: the row and column products leave each
-    row zero or one value in an unused column, and a row-sum quadric
-    prunes the search as soon as its three rows are set. Staged mode walks
-    only the supports with one nonzero entry per row and column, which the
-    monomial quadrics force, restricts the row-sum quadrics to each support
-    and decides the nonzero entries once per distinct restriction. Auto
-    mode takes ``locus_mode(d, p)``, and staged mode's error when neither
-    fits.
+    Every one of the p^(d^2) matrices is counted by the depth-first row
+    search of ``_full_affine_count``: the row and column products leave
+    each row zero or one value in an unused column, and a row-sum quadric
+    prunes the search as soon as its three rows are set. The search's
+    proven bound on its loop steps must be at most SEARCH_LIMIT; a larger
+    (d, p) is refused before any search or primality test. A count over
+    one GF(p) that equals d * d! supports the claim that the quadrics cut
+    out the points set-theoretically; it does not prove it over the
+    complex numbers.
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
+    steps = p + p * p + 2 * (d - 2) * p ** 3
+    if steps > SEARCH_LIMIT:  # before the primality test, slow for a large p
+        raise ValueError(f"the locus search at d={d}, p={p} may take {steps} "
+                         f"steps, more than {SEARCH_LIMIT}")
     _check_prime(p)
     if (p - 1) % d != 0:
         raise ValueError(f"d = {d} must divide p - 1 = {p - 1} so that "
                          f"GF({p}) has the needed roots of unity")
-    if mode == "auto":
-        mode = locus_mode(d, p) or "staged"
-    if mode == "full":
-        if p ** (d * d) > FULL_SPACE_LIMIT:
-            raise ValueError(f"full mode needs p^(d^2) <= {FULL_SPACE_LIMIT}")
-        affine = _full_affine_count(d, p)
-    elif mode == "staged":
-        if math.factorial(d) * (p - 1) ** d > STAGED_LIMIT:
-            raise ValueError(f"staged mode needs d! (p-1)^d <= {STAGED_LIMIT}")
-        affine = len(_staged_solutions(d, p))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    affine = _full_affine_count(d, p)
     if affine % (p - 1) != 0:
         raise ArithmeticError(
             f"affine count {affine} is not divisible by p - 1 = {p - 1}; "
             f"the locus is not scalar-invariant")
-    return LocusCount(d=d, p=p, mode=mode, affine_solutions=affine,
+    return LocusCount(d=d, p=p, affine_solutions=affine,
                       projective_points=affine // (p - 1),
                       expected=d * math.factorial(d))

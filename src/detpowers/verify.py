@@ -192,12 +192,6 @@ def _signed_roots(order: int) -> dict:
     return table
 
 
-def _unit(c: Cyc) -> tuple[int, int] | None:
-    """(sign, k) with c == sign * w^k, or None. The sign is kept apart from
-    k because -1 is not a power of w at order 1."""
-    return _signed_roots(c.order).get((c.num, c.den))
-
-
 def _unit_phases(coeff: Cyc, support):
     """(sign, k) of the coefficient, and the code of each entry, when every
     scalar of the term is a unit; else None. The entry (-1)^neg * w^p has

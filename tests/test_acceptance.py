@@ -18,7 +18,6 @@ from detpowers.decompositions import (
     bounds_table,
     krishna_makam_det3,
 )
-from detpowers.independence import rank_oracle, separation_matrix
 from detpowers.symmetry import (
     check_affine_characterization,
     check_sign_formulas,
@@ -36,6 +35,8 @@ from detpowers.verify import (
     verify_power_decomposition,
     verify_product_identity,
 )
+
+from test_independence import rank_oracle, separation_matrix
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -350,11 +351,10 @@ def test_criterion_10_defining_equations():
                    f"{extra4.raw_difference_count}/{len(extra4.differences)},"
                    f" expected 24/12")
     bad.extend(_d4_square_family_problems(extra4))
-    expected_loci = [(2, 5, "full", 16, 4), (3, 7, "full", 108, 18),
-                     (4, 5, "staged", 384, 96)]
-    for d, p, mode, affine, projective in expected_loci:
+    expected_loci = [(2, 5, 16, 4), (3, 7, 108, 18), (4, 5, 384, 96)]
+    for d, p, affine, projective in expected_loci:
         started = time.perf_counter()
-        count = finite_field_locus_count(d, p, mode=mode)
+        count = finite_field_locus_count(d, p)
         elapsed = time.perf_counter() - started
         if (count.affine_solutions, count.projective_points) != (affine,
                                                                  projective):
@@ -363,7 +363,7 @@ def test_criterion_10_defining_equations():
                        f" expected {affine}/{projective}")
         if not count.matches_expected:
             bad.append(f"locus at d={d}, p={p} does not match d*d!")
-        if d == 3 and mode == "full" and elapsed > 120.0:
+        if d == 3 and elapsed > 120.0:
             bad.append(f"full count at d=3, p=7 took {elapsed:.1f}s, "
                        f"budget 120s")
     ok = not bad

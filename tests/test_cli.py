@@ -390,8 +390,8 @@ class TestCheckCommands:
     ])
     def test_equations_stdout_is_pinned(self, capsys, args, golden,
                                         expected_code):
-        # every locus row (full at d=2, 3, staged at d=4, skipped at d=5, 6)
-        # and d=4's square-family failure, byte for byte
+        # every locus row, each counted by the row search, and d=4's
+        # square-family failure, byte for byte
         code, out = run_cli(capsys, "equations", *args)
         assert code == expected_code
         assert out.encode() == (DATA_DIR / golden).read_bytes()
@@ -426,11 +426,14 @@ class TestCheckCommands:
         assert extra["ok"] is False
         assert rows["locus"]["ok"] is True
 
-    def test_equations_d5_skips_locus(self, capsys):
+    def test_equations_d5_counts_locus(self, capsys):
         code, obj = run_json(capsys, "equations", "--d", "5")
         assert code == 0
         locus = [r for r in obj["results"] if r["check"] == "locus"][0]
-        assert "skipped" in locus
+        assert locus["p"] == 11
+        assert locus["projective_points"] == locus["expected"] == 600
+        assert locus["affine_solutions"] == 6000
+        assert locus["ok"] is True
 
     def test_bounds_json(self, capsys):
         code, obj = run_json(capsys, "bounds")
@@ -449,7 +452,7 @@ class TestExitCodes:
         ("lemma-check", "--d", "6"),
         ("independence", "--d", "5"),
         ("symmetries", "--d", "7", "--full"),
-        ("equations", "--d", "5", "--prime", "11"),
+        ("equations", "--d", "2", "--prime", "1000003"),  # over the cap
         ("equations", "--d", "3", "--prime", "6"),
         ("bounds", "--d", "25"),
         ("decompose", "--d", "3", "--scheme", "bogus"),
@@ -466,6 +469,7 @@ class TestExitCodes:
         # flags that changed nothing and are gone
         ("equations", "--d", "3", "--full"),
         ("bench", "--seed", "1"),
+        ("bench", "--jobs", "1"),
         ("symmetries", "--d", "3", "--force"),
         ("bounds", "--force"),
     ])
@@ -577,7 +581,7 @@ class TestReportSerialization:
 
 class TestBench:
     def test_bench_runs_green(self, capsys):
-        code, obj = run_json(capsys, "bench", "--jobs", "1")
+        code, obj = run_json(capsys, "bench")
         assert code == 0
         assert obj["ok"] is True
         names = [r["benchmark"] for r in obj["results"]]

@@ -11,8 +11,15 @@ from detpowers.cyclotomic import (
     cyclotomic_polynomial,
     from_root_coefficients,
     omega,
-    root_power_sum,
 )
+
+
+def root_power_sum(order, p):
+    """Sum of w^(p*j) for j = 1..order, computed by actual summation."""
+    total = Cyc.zero(order)
+    for j in range(1, order + 1):
+        total = total + omega(order, p * j)
+    return total
 
 
 def test_cyclotomic_polynomial_small_values():

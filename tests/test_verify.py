@@ -41,7 +41,7 @@ from detpowers.verify import (
     _phase_group_sum,
     _sign_vector_sum,
     _signed_extension_sum,
-    _unit,
+    _signed_roots,
     _unit_phases,
     phase_polynomial,
     verify_power_decomposition,
@@ -307,6 +307,12 @@ def bidiagonal_pair(rng, d, order):
     return matrix(-1, 2), matrix(1, 3)
 
 
+def unit_of(c):
+    """(sign, k) with c == sign * w^k, or None. The sign is kept apart from
+    k because -1 is not a power of w at order 1."""
+    return _signed_roots(c.order).get((c.num, c.den))
+
+
 def loose(d, order, terms):
     """A decomposition with no term-count rule, for hand-made term lists."""
     return PowerDecomposition(d, "mixed", 1, "determinant", order,
@@ -330,8 +336,8 @@ class TestGroupRingExpansion:
     def test_mixed_unit_and_general_terms(self, jobs):
         terms = main_decomposition(3).terms + conjugated_main3().terms
         dec = loose(3, 3, terms)
-        assert _unit(dict(conjugated_main3().terms[0].form.support())[1, 2]) \
-            is None
+        entry = dict(conjugated_main3().terms[0].form.support())[1, 2]
+        assert unit_of(entry) is None
         assert expand_sum(dec) == cyc_path(terms)
         # the halves sum to 36 det^3, so scale 1 misses all six permutation
         # monomials
@@ -339,7 +345,7 @@ class TestGroupRingExpansion:
         assert not report.equal and report.mismatch_count == 6
 
     def test_order_one_negative_units(self):
-        assert _unit(Cyc.from_int(1, -1)) == (-1, 0)
+        assert unit_of(Cyc.from_int(1, -1)) == (-1, 0)
         form = LinForm(1, 2, {(1, 1): -1, (1, 2): 1, (2, 1): -1})
         terms = [PowerTerm((0,), Cyc.from_int(1, -1), form, 2),
                  PowerTerm((1,), Cyc.from_int(1, 1), form, 2)]
@@ -348,14 +354,14 @@ class TestGroupRingExpansion:
         assert len(got) == 6 and not any(got.values())
 
     def test_order_two_minus_one_is_w(self):
-        assert _unit(Cyc.from_int(2, -1)) == (1, 1)
+        assert unit_of(Cyc.from_int(2, -1)) == (1, 1)
         form = LinForm(2, 2, {(1, 2): -1, (2, 1): 1})
         terms = [PowerTerm((0,), Cyc.from_int(2, -1), form, 2)]
         assert expand_sum(loose(2, 2, terms)) == cyc_path(terms)
 
     def test_non_unit_coefficient_falls_back(self):
         two_w = omega(3, 1) * 2
-        assert _unit(two_w) is None
+        assert unit_of(two_w) is None
         form = LinForm(3, 2, {(1, 1): omega(3, 2), (2, 2): 1})
         terms = [PowerTerm((0,), two_w, form, 2),
                  PowerTerm((1,), omega(3, 1), form, 2)]
@@ -544,7 +550,7 @@ class TestPackedPhases:
     def test_seeded_unit_terms_match_circulant_path(self, order):
         rng = random.Random(1000 + order)
         terms = unit_terms(rng, 3, order, 12, 3)
-        assert any(_unit(c)[0] < 0 for t in terms
+        assert any(unit_of(c)[0] < 0 for t in terms
                    for _, c in t.form.support()) or order % 2 == 0
         dec = loose(3, order, terms)
         assert expand_sum(dec) == circulant_path(dec)
