@@ -52,7 +52,6 @@ from .symmetry import (
     conjugate_decomposition,
     enumerate_symmetries,
     mono_membership,
-    sample_symmetry_actions,
     transpose_closure,
 )
 from .varieties import (
@@ -108,7 +107,6 @@ __all__ = [
     "permanent_poly",
     "promotion_certificate",
     "quadric_generators",
-    "sample_symmetry_actions",
     "separation_violations",
     "transpose_closure",
     "vanish_on_points",

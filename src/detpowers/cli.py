@@ -2,7 +2,9 @@
 
 Commands: decompose, verify, lemma-check, independence, symmetries,
 equations, bounds, bench. Every command runs in one process; verify and
-equations accept --jobs for compatibility and ignore it.
+equations accept --jobs for compatibility and ignore it. symmetries always
+proves the term action from generators; it accepts --full and --seed for
+compatibility and ignores them.
 Reports go to standard output as JSON with sorted keys (byte-stable
 across runs); wall-clock timings go to the error stream, one line as each
 stage ends, so reports stay deterministic.
@@ -40,10 +42,10 @@ from .symmetry import (
     check_symmetry_action,
     conjugate_decomposition,
     enumerate_symmetries,
-    sample_symmetry_actions,
     transpose_closure,
 )
 from .varieties import (
+    check_locus_input,
     extra_generators,
     finite_field_locus_count,
     vanish_on_points,
@@ -65,8 +67,6 @@ D_CEILING = 12
 
 # smallest odd prime p with d | p - 1, used by `equations` without --prime
 DEFAULT_PRIMES = {2: 3, 3: 7, 4: 5, 5: 11, 6: 7}
-
-SAMPLED_ACTION_COUNT = 20
 
 
 class UsageError(ValueError):
@@ -395,9 +395,9 @@ def _cmd_verify(args: argparse.Namespace):
             "distinct_monomials": rep.distinct_monomials,
             "witness": _witness_obj(rep),
         })
-    # the verdicts must match; then the witness when both reject (streaming
-    # stops counting monomials at its first mismatch), the table size when
-    # both accept
+    # the verdicts must match; then the witness when both reject (expansion
+    # counts the monomials the given terms reach, streaming the scheme's
+    # whole walk), the table size when both accept
     expansion, streaming = reports
     modes_agree = expansion.equal == streaming.equal and (
         expansion.distinct_monomials == streaming.distinct_monomials
@@ -454,15 +454,8 @@ def _cmd_symmetries(args: argparse.Namespace):
     # a printed-table mismatch is reported and flagged, not failed
     orders_ok = enum.matches_formula and exactly_half and enum.faithful
     with _stage("action"):
-        if args.full:
-            rows.append({"check": "action", "mode": "full", "d": d,
-                         "ok": check_symmetry_action(d)})
-        else:
-            stats = sample_symmetry_actions(d, SAMPLED_ACTION_COUNT,
-                                            seed=args.seed)
-            rows.append({"check": "action", "mode": "sampled", "d": d,
-                         "seed": args.seed, "ok": stats["bad"] == 0,
-                         **stats})
+        rows.append({"check": "action", "mode": "full", "d": d,
+                     "ok": check_symmetry_action(d)})
     rows.append({"check": "affine_characterization", "d": d,
                  "ok": check_affine_characterization(d)})
     rows.append({"check": "sign_formulas", "d": d,
@@ -486,6 +479,8 @@ def _cmd_symmetries(args: argparse.Namespace):
 
 def _cmd_equations(args: argparse.Namespace):
     d = args.d
+    if args.prime is not None:  # refused before any stage runs
+        check_locus_input(d, args.prime)
     with _stage("vanishing"):
         vanish = vanish_on_points(d)
     rows = [{"check": "quadric_vanishing", "d": d, "ok": vanish}]
@@ -642,8 +637,11 @@ def _build_parser() -> argparse.ArgumentParser:
         with_force=True)
     symmetries = add("symmetries",
                      "group orders, the term action, and closure checks")
-    symmetries.add_argument("--full", action="store_true")
-    symmetries.add_argument("--seed", type=int, default=0)
+    # the action is always proved from generators, so these change nothing
+    symmetries.add_argument("--full", action="store_true",
+                            help="accepted for compatibility and ignored")
+    symmetries.add_argument("--seed", type=int, default=0,
+                            help="accepted for compatibility and ignored")
     equations = add("equations",
                     "quadric vanishing and finite-field locus counts",
                     with_jobs=True)

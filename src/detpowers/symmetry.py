@@ -20,11 +20,11 @@ decomposition. Membership in M is decided on integer exponent tuples: rows
 1 and 2 fix the only candidate (k, j). An image table solves the row
 exponents once per j and permutes once per source sigma.
 
-The full check is a proof from generators. The term action is a group
+The action check is a proof from generators. The term action is a group
 action and the determinant multiplier chi is a character, so if every
 generator g maps the signed term multiset S to chi(g) S, every element
-does. One classifier decides each element acted on, for the generators
-of the full check and for the sampled elements alike.
+does. chi(g) is read as an integer: the phase sign of (m, n) times the
+cycle signs of pi and sigma.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
-import random
 
 from .cyclotomic import Cyc, omega
 from .decompositions import (
@@ -271,14 +270,6 @@ class SymElement:
             other.pi.compose(self.pi),
             other.sigma.then(self.sigma))
 
-    def determinant_multiplier(self) -> Cyc:
-        """det of the image over det of the source: w^(dm) det(D)^n times
-        the two permutation signs, computed honestly from det(D) = w^(1+2+...+d)."""
-        d = self.d
-        det_d_power = omega(d, self.n * math.comb(d + 1, 2))
-        value = omega(d, d * self.m) * det_d_power
-        return value * (cycle_sign(self.pi.perm()) * cycle_sign(self.sigma))
-
 
 @dataclasses.dataclass(frozen=True)
 class SymmetryEnumeration:
@@ -315,12 +306,12 @@ def check_faithfulness(d: int) -> bool:
     return len(phases) == d * d
 
 
-def _multiplier_factors(d: int) -> tuple[dict, list, list]:
-    """The determinant multiplier's factors, each evaluated once: the phase
-    factor w^(dm) det(D)^n as an integer sign per (m, n), and the cycle
-    sign of every affine pi and of every sigma. The multiplier of
-    (m, n, pi, sigma) is the product of the three, so it is +-1 exactly
-    when the phase factor is; any other phase factor raises."""
+def _phase_signs(d: int) -> dict:
+    """The phase factor w^(dm) det(D)^n of the determinant multiplier as an
+    integer sign per (m, n), computed honestly from det(D) = w^(1+2+...+d).
+    The multiplier of (m, n, pi, sigma) is this sign times the cycle signs
+    of pi and sigma, so it is +-1 exactly when the phase factor is; any
+    other phase factor raises."""
     det_d = math.comb(d + 1, 2)
     one = Cyc.one(d)
     minus_one = Cyc.from_int(d, -1)
@@ -334,9 +325,13 @@ def _multiplier_factors(d: int) -> tuple[dict, list, list]:
                 phase[(m, n)] = -1
             else:
                 raise ArithmeticError(f"multiplier {value!r} is not a sign")
-    pis = [(pi, cycle_sign(pi.perm())) for pi in affine_group(d)]
-    sigmas = [(sigma, cycle_sign(sigma)) for sigma in Perm.all_perms(d)]
-    return phase, pis, sigmas
+    return phase
+
+
+def _multiplier_sign(h: SymElement, phase: dict) -> int:
+    """chi(h), det of the image over det of the source, as an int: the
+    phase sign of (m, n) times the cycle signs of pi and sigma."""
+    return phase[h.m, h.n] * cycle_sign(h.pi.perm()) * cycle_sign(h.sigma)
 
 
 def enumerate_symmetries(d: int) -> SymmetryEnumeration:
@@ -350,13 +345,13 @@ def enumerate_symmetries(d: int) -> SymmetryEnumeration:
     """
     if not 2 <= d <= 6:
         raise ValueError(f"d must be in [2, 6], got {d}")
-    phase, pis, sigmas = _multiplier_factors(d)
-    phase_count = collections.Counter(phase.values())
-    pi_count = collections.Counter(sign for _, sign in pis)
-    sigma_count = collections.Counter(sign for _, sign in sigmas)
+    phase_count = collections.Counter(_phase_signs(d).values())
+    pi_count = collections.Counter(cycle_sign(pi.perm())
+                                   for pi in affine_group(d))
+    sigma_count = collections.Counter(map(cycle_sign, Perm.all_perms(d)))
     preserving = sum(phase_count[a] * pi_count[b] * sigma_count[a * b]
                      for a in (1, -1) for b in (1, -1))
-    total = len(phase) * len(pis) * len(sigmas)
+    total = d * d * pi_count.total() * sigma_count.total()
     return SymmetryEnumeration(
         d=d, full_order=total, preserving_order=preserving,
         reversing_order=total - preserving,
@@ -384,6 +379,10 @@ class ActionOutcome:
     def sign_reversing(self) -> bool:
         return self.bijection and self.preserved == 0 \
             and self.failures == 0 and self.flipped > 0
+
+    def scales_terms_by(self, sign: int) -> bool:
+        """Does the action map the signed terms to ``sign`` times themselves?"""
+        return self.sign_preserving if sign == 1 else self.sign_reversing
 
 
 class _TermTable:
@@ -489,17 +488,6 @@ def symmetry_generators(d: int) -> list[SymElement]:
             + [SymElement(0, 0, one_pi, sigma) for sigma in sigmas])
 
 
-def _classify(table: _TermTable, h: SymElement) -> str:
-    """The one decision on an element acted on: "preserving_ok" when its
-    determinant multiplier is 1 and it acts sign-preservingly,
-    "reversing_ok" when the multiplier is -1 and it acts sign-reversingly,
-    else "bad"."""
-    outcome = table.act(h)
-    if h.determinant_multiplier() == Cyc.one(h.d):
-        return "preserving_ok" if outcome.sign_preserving else "bad"
-    return "reversing_ok" if outcome.sign_reversing else "bad"
-
-
 def check_symmetry_action(d: int) -> bool:
     """Every element of H acts as a sign-preserving term bijection.
 
@@ -509,23 +497,9 @@ def check_symmetry_action(d: int) -> bool:
     H (chi(h) = 1) is the claim.
     """
     table = _TermTable(main_decomposition(d))
-    return all(_classify(table, g) != "bad" for g in symmetry_generators(d))
-
-
-def sample_symmetry_actions(d: int, count: int, seed: int = 0) -> dict:
-    """Random elements of H~ acted on the decomposition: preserving
-    elements must be sign-preserving, reversing ones sign-reversing."""
-    rng = random.Random(seed)
-    table = _TermTable(main_decomposition(d))
-    aff = affine_group(d)
-    perms = list(Perm.all_perms(d))
-    stats = {"checked": 0, "preserving_ok": 0, "reversing_ok": 0, "bad": 0}
-    for _ in range(count):
-        elem = SymElement(rng.randrange(d), rng.randrange(d),
-                          rng.choice(aff), rng.choice(perms))
-        stats["checked"] += 1
-        stats[_classify(table, elem)] += 1
-    return stats
+    phase = _phase_signs(d)
+    return all(table.act(g).scales_terms_by(_multiplier_sign(g, phase))
+               for g in symmetry_generators(d))
 
 
 # ---------------------------------------------------------------------------

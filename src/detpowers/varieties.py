@@ -407,29 +407,36 @@ def _full_affine_count(d: int, p: int) -> int:
     return search(0, d) - 1  # the zero matrix satisfies everything
 
 
-def finite_field_locus_count(d: int, p: int) -> LocusCount:
-    """Projective count of GF(p) solutions of all quadric generators.
-
-    Every one of the p^(d^2) matrices is counted by the depth-first row
-    search of ``_full_affine_count``: the row and column products leave
-    each row zero or one value in an unused column, and a row-sum quadric
-    prunes the search as soon as its three rows are set. The search's
-    proven bound on its loop steps must be at most SEARCH_LIMIT; a larger
-    (d, p) is refused before any search or primality test. A count over
-    one GF(p) that equals d * d! supports the claim that the quadrics cut
-    out the points set-theoretically; it does not prove it over the
-    complex numbers.
-    """
+def check_locus_input(d: int, p: int) -> None:
+    """Refuse a (d, p) the locus count cannot take: d below 2, a search
+    whose proven bound on its loop steps exceeds SEARCH_LIMIT (tested
+    first, since the primality test is slow for a large p), a p that is
+    not prime, or a p - 1 that d does not divide."""
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     steps = p + p * p + 2 * (d - 2) * p ** 3
-    if steps > SEARCH_LIMIT:  # before the primality test, slow for a large p
+    if steps > SEARCH_LIMIT:
         raise ValueError(f"the locus search at d={d}, p={p} may take {steps} "
                          f"steps, more than {SEARCH_LIMIT}")
     _check_prime(p)
     if (p - 1) % d != 0:
         raise ValueError(f"d = {d} must divide p - 1 = {p - 1} so that "
                          f"GF({p}) has the needed roots of unity")
+
+
+def finite_field_locus_count(d: int, p: int) -> LocusCount:
+    """Projective count of GF(p) solutions of all quadric generators.
+
+    Every one of the p^(d^2) matrices is counted by the depth-first row
+    search of ``_full_affine_count``: the row and column products leave
+    each row zero or one value in an unused column, and a row-sum quadric
+    prunes the search as soon as its three rows are set. A (d, p) that
+    ``check_locus_input`` refuses is refused before any search. A count over
+    one GF(p) that equals d * d! supports the claim that the quadrics cut
+    out the points set-theoretically; it does not prove it over the
+    complex numbers.
+    """
+    check_locus_input(d, p)
     affine = _full_affine_count(d, p)
     if affine % (p - 1) != 0:
         raise ArithmeticError(

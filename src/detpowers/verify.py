@@ -692,40 +692,21 @@ def _correction(entries, mono: Monomial, mult: int, order: int) -> Cyc:
     return total
 
 
-def _walk_count(diagonal: bool, rows: int, budget: int, cols: int) -> int:
-    """How many walk monomials put exponent sum ``budget`` on ``rows`` free
-    rows with ``cols`` free columns: k of the rows, a composition of the
-    budget into k positive parts, and an injective choice of k columns (on
-    the diagonal, none)."""
-    if budget == 0:
-        return 1
-    return sum(math.comb(rows, k) * math.comb(budget - 1, k - 1)
-               * (1 if diagonal else math.perm(cols, k))
-               for k in range(1, min(rows, budget) + 1))
-
-
-def _walk_rank(d: int, diagonal: bool, mono: Monomial) -> int:
-    """How many walk monomials sort before ``mono``: for each position t,
-    those that share its first t entries and have a smaller entry at t (no
-    walk monomial is a prefix of another, all having degree d)."""
-    below, used, budget = 0, set(), d
-    for t, entry in enumerate(mono):
-        for i in range(mono[t - 1][0] + 1 if t else 1, d + 1):
-            for j in [i] if diagonal else set(range(1, d + 1)) - used:
-                for e in range(1, budget + 1):
-                    if (i, j, e) < entry:
-                        below += _walk_count(diagonal, d - i, budget - e,
-                                             d - t - 1)
-        used.add(entry[1])
-        budget -= entry[2]
-    return below
+def _walk_count(d: int, diagonal: bool) -> int:
+    """How many monomials the walk holds: k of the d rows, a composition of
+    d into k positive parts, and an injective choice of k columns (on the
+    diagonal, none)."""
+    return sum(math.comb(d, k) * math.comb(d - 1, k - 1)
+               * (1 if diagonal else math.perm(d, k))
+               for k in range(1, d + 1))
 
 
 def _stream_check(dec: PowerDecomposition, collect_all: bool):
     """Decide each composition class by the rule above, then compare the
     total coefficient of every monomial that can mismatch with the target,
-    in sorted order. The count is of the whole walk, or, on a stop at the
-    first mismatch, of the walk's monomials up to it."""
+    in sorted order. The count is of the whole walk, whether or not the
+    check stops at the first mismatch, as expansion counts its whole
+    table."""
     d, scheme = dec.d, dec.scheme
     if scheme not in _STREAM_REFERENCE:
         raise ValueError(f"streaming mode not available for scheme {scheme!r}")
@@ -770,8 +751,8 @@ def _stream_check(dec: PowerDecomposition, collect_all: bool):
         if got != want:
             mismatches.append((mono, got, want))
             if not collect_all:
-                return mismatches, 1 + _walk_rank(d, diagonal, mono)
-    return mismatches, _walk_count(diagonal, d, d, d)
+                break
+    return mismatches, _walk_count(d, diagonal)
 
 
 def _class_factor(scheme: str, d: int, comp: tuple[int, ...]) -> Cyc:

@@ -399,18 +399,19 @@ def test_criterion_11_mode_agreement_and_determinism(capsys):
         outputs.append(captured.out)
     if outputs[0] != outputs[1]:
         bad.append("sequential and parallel verify reports differ")
-    seeded = []
-    for _ in range(2):
-        code = cli.main(["symmetries", "--d", "4", "--seed", "11"])
+    symmetry_reports = []
+    for flags in ((), ("--seed", "11"), ("--full",)):
+        code = cli.main(["symmetries", "--d", "4", *flags])
         captured = capsys.readouterr()
         if code != 0:
-            bad.append(f"seeded symmetry report exited {code}")
-        seeded.append(captured.out)
-    if seeded[0] != seeded[1]:
-        bad.append("fixed-seed symmetry reports differ between runs")
+            bad.append(f"symmetry report with {list(flags)} exited {code}")
+        symmetry_reports.append(captured.out)
+    if len(set(symmetry_reports)) != 1:
+        bad.append("symmetry reports differ across --seed and --full")
     ok = not bad
     detail = ("expansion and streaming verification agree for every scheme "
               "up to its cap, and reports are byte-identical across --jobs "
-              "and across runs at a fixed seed" if ok else "; ".join(bad))
+              "and, for symmetries, across the ignored --seed and --full"
+              if ok else "; ".join(bad))
     _report(11, ok, detail)
     assert ok, detail

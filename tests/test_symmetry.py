@@ -32,11 +32,10 @@ from detpowers.symmetry import (
     matrix_product,
     mono_membership,
     mono_membership_sparse,
-    sample_symmetry_actions,
     symmetry_generators,
     transpose_closure,
 )
-from detpowers.symmetry import _TermTable, _multiplier_factors
+from detpowers.symmetry import _multiplier_sign, _phase_signs, _TermTable
 from detpowers.verify import verify_power_decomposition
 
 
@@ -55,6 +54,15 @@ def signature(elem: SymElement) -> tuple:
     rows = [((elem.m + elem.n * r) % d, elem.pi(r)) for r in range(1, d + 1)]
     columns = elem.sigma.inverse().images
     return tuple((phase, pi_r, c) for phase, pi_r in rows for c in columns)
+
+
+def determinant_multiplier(elem: SymElement) -> Cyc:
+    """Oracle: det of the image over det of the source, w^(dm) det(D)^n
+    times the two permutation signs, one Cyc product at a time from
+    det(D) = w^(1+2+...+d)."""
+    d = elem.d
+    value = omega(d, d * elem.m) * omega(d, elem.n * math.comb(d + 1, 2))
+    return value * (cycle_sign(elem.pi.perm()) * cycle_sign(elem.sigma))
 
 
 def all_elements(d: int) -> list[SymElement]:
@@ -91,13 +99,15 @@ def every_element_verdict(dec) -> bool:
     k, which dies in the d-th power, and leaves the multiplier alone."""
     table = _TermTable(dec)
     d = table.d
-    phase, pis, sigmas = _multiplier_factors(d)
-    for pi, pi_sign in pis:
-        for sigma, sigma_sign in sigmas:
+    one = Cyc.one(d)
+    for pi in affine_group(d):
+        for sigma in Perm.all_perms(d):
             image_rows = table.images(SymElement(0, 0, pi, sigma))
             for n in range(d):
                 outcome = table.outcome(shifted(image_rows, n, d))
-                if pi_sign * sigma_sign * phase[0, n] == 1:
+                multiplier = determinant_multiplier(
+                    SymElement(0, n, pi, sigma))
+                if multiplier == one:
                     ok = outcome.sign_preserving
                 else:
                     ok = outcome.sign_reversing
@@ -322,8 +332,8 @@ class TestEnumeration:
             for n in range(d):
                 for pi in affine_group(d):
                     for sigma in Perm.all_perms(d):
-                        mult = SymElement(m, n, pi, sigma) \
-                            .determinant_multiplier()
+                        mult = determinant_multiplier(
+                            SymElement(m, n, pi, sigma))
                         assert mult in (one, minus_one)
                         walked["preserving" if mult == one
                                else "reversing"] += 1
@@ -345,10 +355,19 @@ class TestEnumeration:
         # n = 0 and trivial permutations leave the determinant alone
         for m in range(3):
             elem = SymElement(m, 0, AffinePerm(1, 0, 3), Perm.identity(3))
-            assert elem.determinant_multiplier() == Cyc.one(3)
+            assert determinant_multiplier(elem) == Cyc.one(3)
         # a single inversion flips it
         elem = SymElement(0, 0, AffinePerm(1, 0, 3), Perm((2, 1, 3)))
-        assert elem.determinant_multiplier() == Cyc.from_int(3, -1)
+        assert determinant_multiplier(elem) == Cyc.from_int(3, -1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_generator_signs_match_the_cyc_multiplier(self, d):
+        # the int the action check reads for chi(g), against the Cyc product
+        phase = _phase_signs(d)
+        for g in symmetry_generators(d):
+            sign = _multiplier_sign(g, phase)
+            assert sign in (1, -1)
+            assert Cyc.from_int(d, sign) == determinant_multiplier(g)
 
 
 class TestAction:
@@ -366,7 +385,7 @@ class TestAction:
     def test_reversing_element_flips_every_sign_at_d3(self):
         dec = main_decomposition(3)
         reversing = next(e for e in all_elements(3)
-                         if e.determinant_multiplier() == Cyc.from_int(3, -1))
+                         if determinant_multiplier(e) == Cyc.from_int(3, -1))
         outcome = _TermTable(dec).act(reversing)
         assert outcome.sign_reversing
         assert outcome.flipped == 18 and outcome.preserved == 0
@@ -407,9 +426,8 @@ class TestAction:
             for _ in range(30):
                 e1 = random_element(rng, d)
                 e2 = random_element(rng, d)
-                lhs = e2.compose(e1).determinant_multiplier()
-                rhs = e2.determinant_multiplier() \
-                    * e1.determinant_multiplier()
+                lhs = determinant_multiplier(e2.compose(e1))
+                rhs = determinant_multiplier(e2) * determinant_multiplier(e1)
                 assert lhs == rhs
 
     def test_requires_main_scheme(self):
@@ -511,13 +529,18 @@ class TestAction:
         assert not outcome.sign_reversing
         assert outcome.flipped == 94 and outcome.failures == 2
 
-    def test_tripled_coefficient_is_never_reversing_ok(self, monkeypatch):
-        # a reversing element moves every term, so it meets the tripled one
-        dec = self.tampered(3, "tripled")
-        monkeypatch.setattr(symmetry, "main_decomposition", lambda _: dec)
-        stats = sample_symmetry_actions(3, 200, seed=1)
-        assert stats["reversing_ok"] == 0
-        assert stats["bad"] >= stats["checked"] // 2
+    def test_tripled_coefficient_is_never_sign_reversing(self):
+        # a reversing element moves every term, so it meets the tripled one;
+        # untampered, every one of them reverses every sign
+        minus_one = Cyc.from_int(3, -1)
+        reversing = [e for e in all_elements(3)
+                     if determinant_multiplier(e) == minus_one]
+        assert len(reversing) == enumerate_symmetries(3).reversing_order
+        tripled = _TermTable(self.tampered(3, "tripled"))
+        untampered = _TermTable(main_decomposition(3))
+        for elem in reversing:
+            assert not tripled.act(elem).sign_reversing
+            assert untampered.act(elem).sign_reversing
 
     def test_full_check_work_counts_at_d4(self, monkeypatch):
         # six generators: the m- and n-shifts, x -> x+1, x -> 3x, (1 2)
@@ -564,13 +587,6 @@ class TestAction:
         bad = dataclasses.replace(dec, terms=tuple(terms))
         with pytest.raises(ValueError, match="reads as None"):
             _TermTable(bad)
-
-    def test_sampled_actions_are_reproducible(self):
-        a = sample_symmetry_actions(3, 25, seed=7)
-        b = sample_symmetry_actions(3, 25, seed=7)
-        assert a == b
-        assert a["bad"] == 0
-        assert a["checked"] == 25
 
 
 class TestTransposeClosure:

@@ -1036,8 +1036,7 @@ def walk_check(dec, coefficient=walked_coefficient):
     the scheme, sort them, and check each one, valued by ``coefficient``
     plus the terms that differ from a builder copy, against the target.
     Returns the report fields the class-decided engine must give, without
-    and with ``collect_all``; the first counts the monomials up to the
-    witness."""
+    and with ``collect_all``; both count the whole walk."""
     d, order, scheme = dec.d, dec.order, dec.scheme
     diagonal = scheme == "monomial" and dec.target == "diagonal-product"
     differing = differing_terms(dec)
@@ -1052,19 +1051,16 @@ def walk_check(dec, coefficient=walked_coefficient):
             candidates.append((tuple(zip(rows, cols, exps)), comp, mult))
     candidates.sort(key=lambda c: c[0])
     mismatches = []
-    first_at = len(candidates)
-    for checked, (mono, comp, mult) in enumerate(candidates, start=1):
+    for mono, comp, mult in candidates:
         got = coefficient(scheme, d, order, mono, comp, mult)
         if differing:
             got = got + differing_total(differing, mono, mult, order)
         want = verify._target_coefficient(dec, mono, comp)
         if got != want:
-            if not mismatches:
-                first_at = checked
             mismatches.append((mono, got, want))
     witness = mismatches[0] if mismatches else None
-    return ((not mismatches, first_at, witness, min(len(mismatches), 1),
-             None),
+    return ((not mismatches, len(candidates), witness,
+             min(len(mismatches), 1), None),
             (not mismatches, len(candidates), witness, len(mismatches),
              tuple(mismatches)))
 
