@@ -561,18 +561,19 @@ def conjugate_decomposition(a, b, dec: PowerDecomposition) -> PowerDecomposition
     d = dec.d
     if matrix_determinant(matrix_product(a, b, order), order) != Cyc.one(order):
         raise ValueError("det(a*b) must be exactly 1")
-    # a*C*b is the sum over C's support of v * (column i of a) (row j of b)
-    columns = [[(r, row[i]) for r, row in enumerate(a, start=1) if row[i]]
-               for i in range(d)]
-    rows = [[(c, y) for c, y in enumerate(row, start=1) if y] for row in b]
+    # a*C*b is the sum over C's support of v times the outer product of
+    # column i of a and row j of b, built once per cell (i, j)
+    outer = {(i, j): [((r, c), row[i - 1] * y)
+                      for r, row in enumerate(a, start=1) if row[i - 1]
+                      for c, y in enumerate(b[j - 1], start=1) if y]
+             for i in range(1, d + 1) for j in range(1, d + 1)}
     new_terms = []
     for term in dec.terms:
-        image = collections.defaultdict(lambda: Cyc.zero(order))
-        for (i, j), v in term.form.support():
-            for r, x in columns[i - 1]:
-                xv = x * v
-                for c, y in rows[j - 1]:
-                    image[r, c] += xv * y
+        image = {}
+        for cell, v in term.form.support():
+            for key, xy in outer[cell]:
+                prior = image.get(key)
+                image[key] = v * xy if prior is None else prior + v * xy
         new_terms.append(PowerTerm(term.index, term.coeff,
                                    LinForm(order, d, image), term.exponent))
     return PowerDecomposition(d, "conjugated", dec.scale, dec.target, order,

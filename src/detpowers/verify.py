@@ -44,7 +44,9 @@ import struct
 import sys
 from bisect import bisect_right
 from functools import lru_cache
-from operator import getitem, mul
+from itertools import compress, repeat
+from operator import add, getitem, is_, mul
+from typing import NamedTuple
 
 from .cyclotomic import (
     Cyc,
@@ -147,12 +149,13 @@ class VerificationReport:
 #   int product mod M is one product in the ring. W comes from one proved
 #   bound on every digit, the target and the reduction mod Phi_order (see
 #   ``_packed_width``).
-# * The ints sit in one flat list, in blocks: the monomials of one
-#   exponent on one set of cells, in a fixed order of their compositions.
-#   A support reaches the whole block of each nonempty subset of at most
-#   exponent of its cells, so a term finds its places by one dict lookup
-#   per subset, not one per monomial, and every place of a block is a
-#   monomial of the sum.
+# * The ints sit in one flat list, in blocks: the monomials on one set of
+#   cells, in a fixed order of their compositions. A support reaches the
+#   whole block of each nonempty subset of at most exponent of its cells.
+#   One composition table, for the largest support, serves every term
+#   (all share the exponent d): a smaller support takes its prefix. A new
+#   support looks up the blocks of all its subsets at once, makes the
+#   missing ones, and places each composition at start plus rank.
 # * The check compares in the ring, one remainder per monomial: Phi_order
 #   divides x^order - 1, so Phi_order(B) divides M, and V mod Phi_order(B)
 #   is 0 iff f_E vanishes in Q(w). A target monomial matches iff
@@ -225,62 +228,83 @@ def _field_format(exponent: int, order: int) -> str:
                 if bound < 1 << 8 * struct.calcsize(code))
 
 
-def _composition_table(exponent: int, size: int, order: int):
-    """The weak compositions of ``exponent`` >= 1 over ``size`` parts, a
-    tree of their nonzero prefixes, for products over the parts, the
-    packed columns with their field type, and the sets of positive parts.
-    Node n >= 1 of the tree is ``nodes[n - 1]`` = (parent, k, e), its
-    parent's prefix extended by part k = e; node 0 is the empty prefix.
-    ``steps[c]`` = (parent, k, e) is the step from an inner node that
-    completes composition c. Column k is the int whose field c holds part
-    k of composition c, so sum_k code_k * column_k holds composition c's
-    code sum in field c: the field, of struct format ``field``, holds every
-    code sum at the root ``order``. The compositions come grouped by their
-    set of positive parts, ``masks`` listing each set with the size of its
-    group; within a group they are in lexicographically descending order
-    of those parts, the order of ``_positive_compositions``, whatever the
-    size."""
-    nodes, steps, comps = [], [], []
-    comp = [0] * size
+class _Table(NamedTuple):
+    """The weak compositions of an exponent over ``size`` parts (``comps``)
+    by their last positive part: those over s parts are the first
+    ``ends[s][1]``. Node n >= 1 of a tree of their nonzero prefixes is
+    ``nodes[n - 1]`` = (parent, k, e), its parent extended by part k = e;
+    the first ``ends[s][0]`` are over s parts. ``steps[c]`` = (parent, k,
+    e) completes composition c, at place ``ranks[c]`` of block b =
+    ``blocks[c]``, its positive parts ``masks[b]``, ordered by last part:
+    part k extends the earlier blocks ``grows[k]``, of < exponent parts."""
+    comps: list
+    nodes: list
+    steps: list
+    blocks: list
+    ranks: list
+    masks: list
+    grows: list
+    ends: list
 
-    def grow(parent, start, rem):
-        for k in range(start, size):
-            # the last part takes all that remains
-            for e in range(rem, rem - 1 if k == size - 1 else 0, -1):
-                comp[k] = e
-                if e == rem:
-                    steps.append((parent, k, e))
-                    comps.append(comp.copy())
-                else:
-                    nodes.append((parent, k, e))
-                    grow(len(nodes), k + 1, rem - e)
-            comp[k] = 0
 
-    grow(0, 0, exponent)
-    # grow refers to itself through its closure cell; emptying the cell
-    # frees it, and the lists it holds, without the cyclic collector
-    del grow
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for c, parts in enumerate(comps):
-        groups.setdefault(tuple(k for k, e in enumerate(parts) if e),
-                          []).append(c)
-    grouped = [c for members in groups.values() for c in members]
-    comps = [comps[c] for c in grouped]
-    steps = [steps[c] for c in grouped]
-    masks = [(parts, len(members)) for parts, members in groups.items()]
-    field = _field_format(exponent, order)
-    columns = [int.from_bytes(struct.pack(f"{len(comps)}{field}", *column),
-                              sys.byteorder)
-               for column in zip(*comps)]
-    return comps, nodes, steps, columns, field, masks
+def _cell_masks(bits, grows) -> list[int]:
+    """The cell mask of each block of a ``_Table`` on a support whose cells
+    have ``bits``, built as the table's ``masks``: two maps per part."""
+    cells = []
+    for bit, grow in zip(bits, grows):
+        cells.append(bit)
+        cells += map(bit.__or__, map(cells.__getitem__, grow))
+    return cells
+
+
+def _composition_table(exponent: int, size: int) -> _Table:
+    """The ``_Table`` of ``exponent`` >= 1 over ``size`` parts. Level k
+    completes each earlier prefix by all that remains at part k and, but
+    at the last part, extends it by each smaller part k. Prefixes of one
+    set of parts come in lexicographically descending order, so each
+    block's compositions do, in the order of ``_positive_compositions``,
+    and a composition's rank is its block's count so far."""
+    masks, grows = [], []
+    for k in range(size):
+        grows.append([b for b, mask in enumerate(masks)
+                      if mask.bit_count() < exponent])
+        masks += [1 << k, *(masks[b] | 1 << k for b in grows[-1])]
+    ids = {mask: b for b, mask in enumerate(masks)}
+    comps, nodes, steps, blocks, ranks = [], [], [], [], []
+    counts = [0] * len(ids)
+    # prefix n: (what remains, its parts, its set of parts); 0 is empty
+    prefixes = [(exponent, [0] * size, 0)]
+    ends = [(0, 0)]
+    for k in range(size):
+        node_end = len(nodes)
+        for parent in range(len(prefixes)):
+            rem, parts, mask = prefixes[parent]
+            b = ids[mask | 1 << k]
+            steps.append((parent, k, rem))
+            comps.append(parts[:k] + [rem] + parts[k + 1:])
+            blocks.append(b)
+            ranks.append(counts[b])
+            counts[b] += 1
+            for e in range(rem - 1 if k < size - 1 else 0, 0, -1):
+                nodes.append((parent, k, e))
+                prefixes.append((rem - e, parts[:k] + [e] + parts[k + 1:],
+                                 mask | 1 << k))
+        ends.append((node_end, len(steps)))
+    return _Table(comps, nodes, steps, blocks, ranks, masks, grows, ends)
 
 
 @lru_cache(maxsize=None)
 def _positive_compositions(exponent: int, size: int) -> tuple:
     """The compositions of ``exponent`` into ``size`` positive parts, in the
     order of a block's slots."""
-    return tuple(tuple(c) for c in _composition_table(exponent, size, 1)[0]
+    return tuple(tuple(c) for c in _composition_table(exponent, size).comps
                  if all(c))
+
+
+def _packed_columns(comps, field: str) -> list[int]:
+    """Column k holds part k of composition c in its field c."""
+    return [int.from_bytes(struct.pack(f"{len(comps)}{field}", *column),
+                           sys.byteorder) for column in zip(*comps)]
 
 
 def _common_denominator(terms) -> int:
@@ -367,27 +391,25 @@ def _pack(coeffs, factor: int, width: int) -> int:
 
 
 def _slot(blocks: dict, mono: Monomial, d: int) -> int | None:
-    """The place of ``mono`` in a table whose blocks are ``blocks`` (see
-    ``_expand_chunk``), or None when no term reaches it."""
+    """The place of ``mono``, of the terms' degree, in a table whose blocks
+    are ``blocks`` (see ``_expand_chunk``), or None if no term reaches it."""
     exps = tuple(e for _, _, e in mono)
-    exponent = sum(exps)
-    start = blocks.get((exponent, sum(1 << (i - 1) * d + j - 1
-                                      for i, j, _ in mono)))
+    start = blocks.get(sum(1 << (i - 1) * d + j - 1 for i, j, _ in mono))
     if start is None:
         return None
-    return start + _positive_compositions(exponent, len(exps)).index(exps)
+    return start + _positive_compositions(sum(exps), len(exps)).index(exps)
 
 
-def _monomials_at(blocks: dict, places, d: int) -> list[Monomial]:
-    """The monomials at ``places`` of a table whose blocks are ``blocks``,
-    each a tuple of sorted entries."""
-    keys, starts = list(blocks), list(blocks.values())
+def _monomials_at(blocks: dict, places, d: int, exponent: int) \
+        -> list[Monomial]:
+    """The monomials at ``places`` of a table of terms of ``exponent`` whose
+    blocks are ``blocks``, each a tuple of sorted entries."""
+    masks, starts = list(blocks), list(blocks.values())
     out = []
     for place in places:
         b = bisect_right(starts, place) - 1
-        exponent, mask = keys[b]
-        cells = [divmod(bit, d) for bit in range(mask.bit_length())
-                 if mask >> bit & 1]
+        cells = [divmod(bit, d) for bit in range(masks[b].bit_length())
+                 if masks[b] >> bit & 1]
         exps = _positive_compositions(exponent, len(cells))[place - starts[b]]
         out.append(tuple((i + 1, j + 1, e) for (i, j), e in zip(cells, exps)))
     return out
@@ -402,13 +424,13 @@ def _multinomial(mono: Monomial) -> int:
 def _expand_chunk(order: int, scale: int, terms, d: int, wants):
     """``scale`` times the sum of the terms without the multinomials, as
     (blocks, acc, width): acc[place] is congruent to f_E(2^width) mod
-    2^(order * width) - 1 for the monomial x^E at that place. The
-    monomials of one exponent e on one set of cells S of the d x d grid
-    take consecutive places, a block, in the order of
-    ``_positive_compositions(e, |S|)``; ``blocks`` maps (e, the bit mask
-    of S, bit (i - 1) * d + j - 1 for cell (i, j)) to the block's first
-    place, in increasing order. A term whose support holds S reaches the
-    whole block, so the table holds the union of the terms' monomials,
+    2^(order * width) - 1 for the monomial x^E at that place. Every term
+    has one exponent e, as in a ``PowerDecomposition``. The monomials on
+    one set of cells S of the d x d grid take consecutive places, a block,
+    in the order of ``_positive_compositions(e, |S|)``; ``blocks`` maps the
+    bit mask of S (bit (i - 1) * d + j - 1 for cell (i, j)) to the block's
+    first place, in increasing order. A term whose support holds S reaches
+    the whole block, so the table holds the union of the terms' monomials,
     those that cancel to zero included. ``scale`` must clear every
     denominator (see ``_common_denominator``). ``wants`` holds the target's
     (m(E), lifted vector) pairs: the width holds each comparison with
@@ -417,34 +439,37 @@ def _expand_chunk(order: int, scale: int, terms, d: int, wants):
     bound = _digit_bound(terms, units, scale)
     width = _packed_width(order, max([bound, *(
         m * bound + sum(map(abs, want)) for m, want in wants)]))
-    blocks: dict[tuple[int, int], int] = {}
+    exponent, = {term.exponent for term in terms} or {1}
+    table = _composition_table(exponent, max(
+        (len(term.form.support()) for term in terms), default=0))
+    blocks: dict[int, int] = {}
     acc: list[int] = []
-    tables: dict[tuple[int, int], tuple] = {}
-    phases: dict[tuple[int, int, int], list] = {}
+    columns = field = None
+    phases: dict[tuple[int, int], list] = {}
     lifts = [scale << i * width for i in range(order)]
     last_vars = run = None
     for term, unit in zip(terms, units):
         support = term.form.support()
         variables = [var for var, _ in support]
-        shape = (term.exponent, len(variables))
-        if shape not in tables:
-            tables[shape] = _composition_table(*shape, order)
-        comps, nodes, steps, columns, field, masks = tables[shape]
         if variables != last_vars:
-            # builders emit the terms of one support consecutively
+            # find or make the blocks of all its subsets at once
             last_vars = variables
-            bits = [1 << (i - 1) * d + j - 1 for i, j in variables]
-            run = []
-            for parts, count in masks:
-                block = (term.exponent, sum(map(bits.__getitem__, parts)))
-                start = blocks.get(block)
-                if start is None:
-                    start = blocks[block] = len(acc)
-                    acc += [0] * count
-                run += range(start, start + count)
+            node_end, step_end = table.ends[len(variables)]
+            nodes = table.nodes[:node_end]
+            cells = _cell_masks([1 << (i - 1) * d + j - 1
+                                 for i, j in variables], table.grows)
+            starts = list(map(blocks.get, cells))
+            for b in compress(range(len(cells)),
+                              map(is_, starts, repeat(None))):
+                starts[b] = blocks[cells[b]] = len(acc)
+                acc += repeat(0, math.comb(exponent - 1,
+                                           table.masks[b].bit_count() - 1))
+            run = list(map(add, map(starts.__getitem__,
+                                    table.blocks[:step_end]),
+                           table.ranks[:step_end]))
         if unit is None:
             _add_general_term(term, support, order, scale, width, acc, run,
-                              nodes, steps)
+                              nodes, table.steps)
             continue
         (sign, k0), codes = unit
         if not any(codes):
@@ -452,20 +477,23 @@ def _expand_chunk(order: int, scale: int, terms, d: int, wants):
             for i in run:
                 acc[i] += lift
             continue
+        if columns is None:
+            field = _field_format(exponent, order)
+            columns = _packed_columns(table.comps, field)
         # field c of the sum is the code sum v of composition c: the
         # product of its entry powers is z^v, which is w^(v/2) for even v
         # and -w^((v - order)/2) for odd v (odd v needs an odd order)
         packed = sum(map(mul, codes, columns))
-        fields = memoryview(packed.to_bytes(
-            len(comps) * struct.calcsize(field), sys.byteorder)).cast(field)
-        table = phases.get((term.exponent, sign, k0))
-        if table is None:
-            table = phases[term.exponent, sign, k0] = [
+        fields = memoryview(packed.to_bytes(len(table.comps) * struct.calcsize(
+            field), sys.byteorder)).cast(field)
+        phase_of = phases.get((sign, k0))
+        if phase_of is None:
+            phase_of = phases[sign, k0] = [
                 (-sign if v & 1 else sign)
                 * lifts[(k0 + ((v - (order if v & 1 else 0)) >> 1)) % order]
-                for v in range(_code_bound(term.exponent, order) + 1)]
+                for v in range(_code_bound(exponent, order) + 1)]
         for i, v in zip(run, fields):
-            acc[i] += table[v]
+            acc[i] += phase_of[v]
     return blocks, acc, width
 
 
@@ -523,7 +551,7 @@ def _expand_check(dec: PowerDecomposition, collect_all: bool):
             found.append((mono, place))
     bad = [place for place, value in enumerate(acc)
            if value % divisor and place not in targets]
-    found += zip(_monomials_at(blocks, bad, d), bad)
+    found += zip(_monomials_at(blocks, bad, d, dec.d), bad)
     # the witness is the first mismatch in sorted monomial order
     found.sort()
     if not collect_all:

@@ -661,6 +661,39 @@ class TestConjugation:
         assert not conj.terms[1].form.support()
         assert verify_power_decomposition(conj).equal
 
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_outer_products_match_the_triple_product(self, order):
+        """Each image entry, a sum of v times a precomputed outer product,
+        equals the dense sum of x * v * y over the form's support, on
+        seeded unitriangular pairs with general entries of Q(w)."""
+        rng = random.Random(40 + order)
+        d, phi = order, len(Cyc.zero(order).num)
+        dec = main_decomposition(d)
+
+        def unitriangular(below):
+            return tuple(
+                tuple(Cyc.one(order) if r == c
+                      else Cyc(order, tuple(rng.randint(-2, 2)
+                                            for _ in range(phi)),
+                               rng.choice([1, 2]))
+                      if (c < r) is below else Cyc.zero(order)
+                      for c in range(d))
+                for r in range(d))
+
+        for _ in range(3):
+            a, b = unitriangular(True), unitriangular(False)
+            assert any(x.den != 1 or any(x.num[1:]) for row in a + b
+                       for x in row)
+            conj = conjugate_decomposition(a, b, dec)
+            for term, image in zip(dec.terms, conj.terms):
+                want = {(r, c): Cyc.zero(order) for r in range(1, d + 1)
+                        for c in range(1, d + 1)}
+                for (i, j), v in term.form.support():
+                    for r, c in want:
+                        want[r, c] += a[r - 1][i - 1] * v * b[j - 1][c - 1]
+                assert image == dataclasses.replace(
+                    term, form=LinForm(order, d, want))
+
     def test_determinant_condition_is_enforced(self):
         dec = main_decomposition(2)
         zero = Cyc.zero(2)

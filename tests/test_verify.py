@@ -223,8 +223,8 @@ def expand_sum(dec):
     scale = _common_denominator(dec.terms)
     blocks, acc, width = verify._expand_chunk(order, scale, dec.terms, d, [])
     out = {}
-    for mono, value in zip(verify._monomials_at(blocks, range(len(acc)), d),
-                           acc):
+    for mono, value in zip(
+            verify._monomials_at(blocks, range(len(acc)), d, dec.d), acc):
         m = multinomial(sum(e for _, _, e in mono), [e for _, _, e in mono])
         digits = verify._digits(value, order, width)
         out[mono] = from_root_coefficients(order, [m * x for x in digits],
@@ -274,20 +274,21 @@ def add_general_term(term, support, order, scale, vecs, mults, nodes,
 def circulant_path(dec):
     """The group ring's oracle in the ring itself: every term, unit or not,
     lifted to Z[C_order] and multiplied by circulant rows, one dot product
-    per digit, then projected to Q(w) like ``expand_sum``."""
+    per digit, then projected to Q(w) like ``expand_sum``. Each term takes
+    the table of its own support's size, where expansion takes a prefix of
+    one table for the largest."""
     order, scale = dec.order, _common_denominator(dec.terms)
     ring = {}
     for term in dec.terms:
         support = term.form.support()
-        comps, nodes, steps, *_ = verify._composition_table(
-            term.exponent, len(support), order)
-        mults = [multinomial(term.exponent, comp) for comp in comps]
+        table = verify._composition_table(term.exponent, len(support))
+        mults = [multinomial(term.exponent, comp) for comp in table.comps]
         vecs = [ring.setdefault(tuple((i, j, e) for ((i, j), _), e
                                       in zip(support, comp) if e),
                                 [0] * order)
-                for comp in comps]
-        add_general_term(term, support, order, scale, vecs, mults, nodes,
-                         steps)
+                for comp in table.comps]
+        add_general_term(term, support, order, scale, vecs, mults,
+                         table.nodes, table.steps)
     return {mono: from_root_coefficients(order, vec, scale)
             for mono, vec in ring.items()}
 
@@ -509,7 +510,7 @@ class TestPackedGroupRing:
         blocks, acc, width = verify._expand_chunk(order, 1, terms, 2, [])
         digits = [0, -2, 1] + [0] * (order - 3)
         # x11^2, of multinomial 1, is the one block, of cell bit 0
-        assert blocks == {(2, 1): 0}
+        assert blocks == {1: 0}
         assert verify._digits(acc[0], order, width) \
             == [sign * big ** 2 * x for x in digits]
         assert expand_sum(loose(2, order, terms)) == cyc_path(terms)
@@ -585,35 +586,92 @@ class TestPackedPhases:
         gc.collect()
         gc.disable()
         try:
-            verify._composition_table(6, 6, 6)
+            verify._composition_table(6, 6)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     @pytest.mark.parametrize("exponent, size", [(3, 2), (4, 6), (6, 6)])
     def test_groups_follow_the_positive_compositions(self, exponent, size):
-        # every set of positive parts lists its compositions together, in
-        # the order of the block that its monomials fill, whatever the size
-        comps, *_, masks = verify._composition_table(exponent, size, 1)
-        start = 0
-        for parts, count in masks:
-            group = comps[start:start + count]
+        # every set of positive parts ranks its compositions in the order
+        # of the block that its monomials fill, whatever the size
+        table = verify._composition_table(exponent, size)
+        masks = table.masks
+        groups = {}
+        for comp, b, rank in zip(table.comps, table.blocks, table.ranks):
+            groups.setdefault(b, {})[rank] = comp
+        for b, group in groups.items():
+            parts = [k for k in range(size) if masks[b] >> k & 1]
+            assert sorted(group) \
+                == list(range(math.comb(exponent - 1, len(parts) - 1)))
             assert all(bool(e) is (k in parts)
-                       for comp in group for k, e in enumerate(comp))
-            assert tuple(tuple(comp[k] for k in parts) for comp in group) \
+                       for comp in group.values() for k, e in enumerate(comp))
+            assert tuple(tuple(group[r][k] for k in parts)
+                         for r in range(len(group))) \
                 == verify._positive_compositions(exponent, len(parts))
-            start += count
-        assert start == len(comps) == math.comb(exponent + size - 1,
-                                                size - 1)
-        assert len(masks) == sum(math.comb(size, k)
-                                 for k in range(1, min(size, exponent) + 1))
+        assert len(table.comps) == math.comb(exponent + size - 1, size - 1)
+        assert len(groups) == len(masks) == sum(
+            math.comb(size, k) for k in range(1, min(size, exponent) + 1))
+
+    @pytest.mark.parametrize("exponent, size",
+                             [(3, 2), (4, 12), (5, 5), (6, 6), (7, 7)])
+    def test_prefixes_list_each_composition_once(self, exponent, size):
+        # the table over s parts is a prefix of the one over ``size``, and
+        # the tree of a prefix only reaches nodes of that prefix
+        table = verify._composition_table(exponent, size)
+        for s in range(size + 1):
+            node_end, step_end = table.ends[s]
+            assert sorted(tuple(c[:s]) for c in table.comps[:step_end]) \
+                == sorted(weak_compositions(exponent, s))
+            assert all(not any(c[s:]) for c in table.comps[:step_end])
+            assert all(k < s - 1 for _, k, _ in table.nodes[:node_end])
+            assert all(parent <= node_end and k < s
+                       for parent, k, _ in table.steps[:step_end])
+        for n, (parent, _, _) in enumerate(table.nodes, start=1):
+            assert parent < n
+        # each composition's block and rank name it back; the blocks over
+        # s parts come first, each set once
+        masks = table.masks
+        assert sorted(masks) == sorted(
+            sum(1 << k for k in parts) for t in range(1, exponent + 1)
+            for parts in itertools.combinations(range(size), t))
+        for s in range(size + 1):
+            used = set(table.blocks[:table.ends[s][1]])
+            assert used == set(range(len(used)))
+        assert verify._cell_masks([1 << k for k in range(size)],
+                                  table.grows) == masks
+        for comp, b, rank in zip(table.comps, table.blocks, table.ranks):
+            parts = [k for k in range(size) if masks[b] >> k & 1]
+            assert [k for k, e in enumerate(comp) if e] == parts
+            assert verify._positive_compositions(exponent, len(parts))[rank] \
+                == tuple(comp[k] for k in parts)
+        # a node's prefix and each step's composition
+        prefixes = [[0] * size]
+        for parent, k, e in table.nodes:
+            prefixes.append(prefixes[parent].copy())
+            prefixes[-1][k] = e
+        for comp, (parent, k, e) in zip(table.comps, table.steps):
+            grown = prefixes[parent].copy()
+            grown[k] = e
+            assert grown == comp and not any(comp[k + 1:])
 
     def test_columns_hold_the_parts(self):
-        comps, _, _, columns, field, _ = verify._composition_table(3, 2, 4)
+        table = verify._composition_table(3, 2)
+        field = verify._field_format(3, 4)
         assert field == "B"
-        assert comps == [[3, 0], [2, 1], [1, 2], [0, 3]]
+        assert table.comps == [[3, 0], [0, 3], [2, 1], [1, 2]]
+        columns = verify._packed_columns(table.comps, field)
         assert [list(c.to_bytes(4, "little")) for c in columns] \
-            == [[3, 2, 1, 0], [0, 1, 2, 3]]
+            == [[3, 0, 2, 1], [0, 3, 1, 2]]
+
+    def test_cell_masks_follow_the_table(self):
+        # a cell's bit is (i - 1) * d + j - 1; at d = 9 the 81 bits pass 64
+        table = verify._composition_table(2, 3)
+        assert table.masks == [0b1, 0b10, 0b11, 0b100, 0b101, 0b110]
+        a, b, c = 1 << 80, 1 << 64, 1 << 3
+        assert verify._cell_masks([a, b, c], table.grows) \
+            == [a, b, a | b, c, a | c, b | c]
+        assert verify._cell_masks([a, b], table.grows) == [a, b, a | b]
 
 
 def cyc_mismatches(dec):
@@ -658,6 +716,16 @@ TAMPERED = {
 }
 
 
+def shuffled_gurvits4():
+    """Conjugated gurvits(4), and the same terms in a seeded order."""
+    rng = random.Random(20261019)
+    base = gurvits_decomposition(4)
+    dec = conjugate_decomposition(*bidiagonal_pair(rng, 4, base.order), base)
+    terms = list(dec.terms)
+    rng.shuffle(terms)
+    return dec, dataclasses.replace(dec, terms=tuple(terms))
+
+
 class TestRingComparison:
     """Expansion decides each monomial in Z[C_n], one packed int per
     monomial, and projects to Q(w) only the monomials that mismatch."""
@@ -675,12 +743,12 @@ class TestRingComparison:
             blocks, acc, _ = verify._expand_chunk(
                 1, 1, [PowerTerm((0,), Cyc.one(1), form, d)], d, [])
             place = verify._slot(blocks, mono, d)
-            assert verify._monomials_at(blocks, [place], d) == [mono]
+            assert verify._monomials_at(blocks, [place], d, d) == [mono]
         # x_dd^d is the one monomial of the block of cell (d, d)
         blocks, acc, _ = verify._expand_chunk(
             1, 1, [PowerTerm((0,), Cyc.one(1),
                              LinForm(1, d, {(d, d): 1}), d)], d, [])
-        assert blocks == {(d, 1 << d * d - 1): 0} and len(acc) == 1
+        assert blocks == {1 << d * d - 1: 0} and len(acc) == 1
         assert (verify._slot(blocks, ((1, 1, d),), d) is None) is (d > 1)
 
     @pytest.mark.parametrize("d", [5, 7])
@@ -692,10 +760,62 @@ class TestRingComparison:
             d, 1, [PowerTerm((0,), Cyc.one(d), form, d)], d, [])
         monos = expand_power(form, d).terms
         assert len(blocks) == 2 ** d - 1
-        got = verify._monomials_at(blocks, range(len(acc)), d)
+        got = verify._monomials_at(blocks, range(len(acc)), d, d)
         assert sorted(got) == sorted(monos)
         assert [verify._slot(blocks, mono, d) for mono in got] \
             == list(range(len(acc)))
+
+    def test_wide_grid_round_trips(self):
+        # d = 9: the 81 cell bits pass 64, so block masks are long ints
+        d = 9
+        rng = random.Random(909)
+        variables = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
+        terms = [PowerTerm((n,), Cyc.one(1), LinForm(1, d, {
+            var: 1 for var in [(d, d), *rng.sample(variables[:-1], 3)]}), d)
+            for n in range(6)]
+        blocks, acc, _ = verify._expand_chunk(1, 1, terms, d, [])
+        assert max(blocks).bit_length() == d * d
+        got = verify._monomials_at(blocks, range(len(acc)), d, d)
+        assert sorted(got) == sorted(set().union(
+            *(expand_power(term.form, d).terms for term in terms)))
+        assert [verify._slot(blocks, mono, d) for mono in got] \
+            == list(range(len(acc)))
+
+    def test_shuffled_supports_match_cyc_path(self):
+        # conjugated gurvits(4) in a seeded order: supports of 6 to 12
+        # cells return after others, so blocks are found, not just made
+        dec, shuffled = shuffled_gurvits4()
+        sizes = [len(term.form.support()) for term in shuffled.terms]
+        assert set(sizes) == set(range(6, 13))
+        assert any(a > b for a, b in zip(sizes, sizes[1:]))
+        assert expand_sum(shuffled) == cyc_path(dec.terms)
+        assert verify_power_decomposition(shuffled) \
+            == verify_power_decomposition(dec)
+
+    def test_shuffled_negated_term_keeps_its_witness(self):
+        dec, shuffled = shuffled_gurvits4()
+        position = 37
+        report = verify_power_decomposition(flip_one_sign(dec, position))
+        moved = verify_power_decomposition(flip_one_sign(
+            shuffled, shuffled.terms.index(dec.terms[position])))
+        assert not report.equal and report.witness is not None
+        assert moved == report
+
+    def test_one_table_per_expansion(self, monkeypatch):
+        # seven support sizes, one table: each smaller one is its prefix
+        dec, _ = shuffled_gurvits4()
+        for size in range(1, 5):
+            verify._positive_compositions(4, size)
+        calls = []
+        real = verify._composition_table
+
+        def counting(exponent, size):
+            calls.append((exponent, size))
+            return real(exponent, size)
+
+        monkeypatch.setattr(verify, "_composition_table", counting)
+        assert verify_power_decomposition(dec).equal
+        assert calls == [(4, 12)]
 
     @pytest.mark.parametrize("name", TAMPERED)
     def test_witness_and_mismatches_match_the_cyc_oracle(self, name):
