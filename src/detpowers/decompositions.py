@@ -63,12 +63,6 @@ class Perm:
     def identity(cls, d: int) -> "Perm":
         return cls(tuple(range(1, d + 1)))
 
-    @classmethod
-    def transposition(cls, d: int, a: int, b: int) -> "Perm":
-        images = list(range(1, d + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls(tuple(images))
-
     @staticmethod
     def all_perms(d: int) -> Iterator["Perm"]:
         """All permutations in lexicographic one-line order."""
@@ -87,12 +81,6 @@ class Perm:
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def then(self, other: "Perm") -> "Perm":
-        """Composition: apply self first, then other."""
-        if other.d != self.d:
-            raise ValueError("mixed permutation sizes")
-        return Perm(tuple(other.images[v - 1] for v in self.images))
 
     def inverse(self) -> "Perm":
         out = [0] * self.d
@@ -145,6 +133,13 @@ class PowerDecomposition:
         for t in self.terms:
             if t.exponent != self.d:
                 raise ValueError("every term must be a d-th power")
+            if not t.coeff.order == t.form.order == self.order:
+                raise ValueError(
+                    f"term {t.index} mixes root orders {t.coeff.order} "
+                    f"and {t.form.order} into order {self.order}")
+            if t.form.d != self.d:
+                raise ValueError(f"term {t.index} has a form in "
+                                 f"{t.form.d}x{t.form.d} variables")
             # gurvits(1) omits its one entry; X -> aXb keeps that form zero
             if not t.form.support() and not (
                     self.scheme in ("gurvits", "conjugated") and self.d == 1):

@@ -215,22 +215,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, coords: Mapping[Var, Cyc]) -> Cyc:
-        """Value at a point given as a sparse {(row, col): value} mapping;
-        missing coordinates are zero."""
-        total = Cyc.zero(self.order)
-        for m, c in self.terms.items():
-            val = c
-            for i, j, e in m:
-                coord = coords.get((i, j))
-                if coord is None or not coord:
-                    val = None
-                    break
-                val = val * coord ** e
-            if val is not None:
-                total = total + val
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented

@@ -15,16 +15,18 @@ evaluated once: per (m, n), per affine pi and per sigma. Because each factor
 is +-1, the number of preserving tuples is a sum of products of the factor
 tallies, which equals the walk's count exactly (the tests keep the walk).
 
-The term action reads each term's (sigma, j) from its form once per
-decomposition. Membership in M is decided on integer exponent tuples: rows
-1 and 2 fix the only candidate (k, j). An image table solves the row
-exponents once per j and permutes once per source sigma.
+The signed term set S is a dict {(sigma images, j): coefficient}, with
+(sigma, j) read from each term's form once per decomposition. Membership in
+M is decided on integer exponent tuples: rows 1 and 2 fix the only
+candidate (k, j). An element's image of S is the same values re-keyed: d
+row solves give the image j of every term, and the image permutation is
+built once per source sigma.
 
-The action check is a proof from generators. The term action is a group
-action and the determinant multiplier chi is a character, so if every
-generator g maps the signed term multiset S to chi(g) S, every element
-does. chi(g) is read as an integer: the phase sign of (m, n) times the
-cycle signs of pi and sigma.
+The action check is a proof from generators, one dict comparison each:
+the image of S under generator g must equal chi(g) S. The term action is a
+group action and the determinant multiplier chi is a character, so every
+element then maps S to chi(h) S. chi(g) is read as an integer: the phase
+sign of (m, n) times the cycle signs of pi and sigma.
 """
 
 from __future__ import annotations
@@ -170,17 +172,6 @@ class AffinePerm:
     def perm(self) -> Perm:
         return Perm(tuple(self(i) for i in range(1, self.d + 1)))
 
-    def compose(self, other: "AffinePerm") -> "AffinePerm":
-        """(a,b) o (a',b') = (aa', ab'+b): apply ``other`` first."""
-        if other.d != self.d:
-            raise ValueError("mixed moduli")
-        return AffinePerm((self.a * other.a) % self.d,
-                          (self.a * other.b + self.b) % self.d, self.d)
-
-    def inverse(self) -> "AffinePerm":
-        a_inv = pow(self.a, -1, self.d)
-        return AffinePerm(a_inv, (-a_inv * self.b) % self.d, self.d)
-
 
 def affine_group(d: int) -> list[AffinePerm]:
     """All d*phi(d) affine permutations, ordered by (a, b)."""
@@ -252,23 +243,6 @@ class SymElement:
     @property
     def d(self) -> int:
         return self.sigma.d
-
-    def compose(self, other: "SymElement") -> "SymElement":
-        """The element inducing ``self`` applied after ``other``.
-
-        Pulling other's phase through self's row permutation (an affine
-        map r -> ar + b) gives the semidirect-product law
-        m'' = m2 + m1 + n1*b, n'' = n2 + n1*a, pi'' = pi1 o pi2,
-        sigma''^-1 = sigma1^-1 o sigma2^-1 (subscript 2 = self, 1 = other).
-        """
-        d = self.d
-        if other.d != d:
-            raise ValueError("mixed dimensions")
-        return SymElement(
-            (self.m + other.m + other.n * self.pi.b) % d,
-            (self.n + other.n * self.pi.a) % d,
-            other.pi.compose(self.pi),
-            other.sigma.then(self.sigma))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -364,113 +338,56 @@ def enumerate_symmetries(d: int) -> SymmetryEnumeration:
 # action on the decomposition
 
 
-@dataclasses.dataclass(frozen=True)
-class ActionOutcome:
-    bijection: bool
-    preserved: int
-    flipped: int
-    failures: int    # image missing, or coefficient neither equal nor opposite
-
-    @property
-    def sign_preserving(self) -> bool:
-        return self.bijection and self.flipped == 0 and self.failures == 0
-
-    @property
-    def sign_reversing(self) -> bool:
-        return self.bijection and self.preserved == 0 \
-            and self.failures == 0 and self.flipped > 0
-
-    def scales_terms_by(self, sign: int) -> bool:
-        """Does the action map the signed terms to ``sign`` times themselves?"""
-        return self.sign_preserving if sign == 1 else self.sign_reversing
-
-
-class _TermTable:
-    """The terms of a main decomposition keyed by the (sigma, j) read from
-    their forms, built once and shared by every element acted on it.
+def _signed_terms(dec: PowerDecomposition) -> dict:
+    """The signed term set S of a main decomposition, as {(sigma images, j):
+    coefficient} with (sigma, j) read from each term's form.
 
     A term's form must be w^k D^j P_sigma for the (sigma images, j) of its
     index (k is free: w^k dies in the d-th power); any other form raises
-    ValueError, so the action never trusts an index its form contradicts.
+    ValueError, so the action never trusts an index its form contradicts,
+    and so does an index met twice.
     """
+    if dec.scheme != "main":
+        raise ValueError(
+            "the symmetry action is defined for the main scheme")
+    terms = {}
+    for term in dec.terms:
+        member = mono_membership(dec.d, term.form.support())
+        read = (None if member is None
+                else (member.sigma.images, member.j or dec.d))
+        if read != term.index:
+            raise ValueError(f"term {term.index} has a form that reads "
+                             f"as {read}")
+        if read in terms:
+            raise ValueError(f"term {read} is met twice")
+        terms[read] = term.coeff
+    return terms
 
-    def __init__(self, dec: PowerDecomposition):
-        if dec.scheme != "main":
-            raise ValueError(
-                "the symmetry action is defined for the main scheme")
-        self.d = dec.d
-        self.rows = []
-        # equal coefficients share one small int, so comparing is int ==
-        ids: dict[Cyc, int] = {}
-        for term in dec.terms:
-            member = mono_membership(dec.d, term.form.support())
-            read = (None if member is None
-                    else (member.sigma.images, member.j or dec.d))
-            if read != term.index:
-                raise ValueError(f"term {term.index} has a form that reads "
-                                 f"as {read}")
-            self.rows.append((read[0], read[1],
-                              ids.setdefault(term.coeff, len(ids))))
-        self.negated_ids = {coeff_id: ids.get(-coeff)
-                            for coeff, coeff_id in ids.items()}
-        self.coeff_ids = {(images, j): coeff_id
-                          for images, j, coeff_id in self.rows}
-        self.sources = {images for images, _, _ in self.rows}
 
-    def images(self, h: SymElement) -> list:
-        """Each term's image under X -> w^m D^n P_pi X P_sigma, as (image
-        sigma images, image j mod d or None when outside M, the source's
-        coefficient id).
+def _image(h: SymElement, terms: dict) -> dict:
+    """The image of ``terms`` under X -> w^m D^n P_pi X P_sigma: each value
+    moved to its term's image index, j = None when the image leaves M.
 
-        A term's matrix has entry w^(j * pi r) at (pi r, source(pi r)), so
-        the image row r holds w^(m + nr + j*pi r) at column
-        sigma(source(pi r)); the w^k scalar dies in the d-th power. The
-        image j depends only on the term's j, so d row solves serve every
-        term, and the image permutation only on its source, so it is built
-        once per source; each term's row is then read from its own (sigma, j).
-        """
-        d = self.d
-        if h.d != d:
-            raise ValueError(
-                "element dimension does not match the decomposition")
-        pi_images, sigma_images = h.pi.perm().images, h.sigma.images
-        image_j = {}
-        for j in range(1, d + 1):
-            solved = _solve_row_exponents(
-                d, [(h.m + h.n * r + j * p) % d
-                    for r, p in enumerate(pi_images, start=1)])
-            image_j[j] = None if solved is None else solved[1]
-        image_of = {source: tuple(sigma_images[source[p - 1] - 1]
-                                  for p in pi_images)
-                    for source in self.sources}
-        return [(image_of[source], image_j[j], coeff_id)
-                for source, j, coeff_id in self.rows]
-
-    def outcome(self, image_rows: list) -> ActionOutcome:
-        """Compare every image's coefficient with its source's: equal is
-        preserved, the negation is flipped, anything else fails, and so
-        does an image outside M or outside the decomposition."""
-        seen = set()
-        preserved = flipped = failures = 0
-        for image, j, coeff_id in image_rows:
-            index = None if j is None else (image, j or self.d)
-            image_coeff_id = self.coeff_ids.get(index)
-            if image_coeff_id is None:
-                failures += 1
-                continue
-            seen.add(index)
-            if image_coeff_id == coeff_id:
-                preserved += 1
-            elif image_coeff_id == self.negated_ids[coeff_id]:
-                flipped += 1
-            else:
-                failures += 1
-        return ActionOutcome(bijection=len(seen) == len(image_rows),
-                             preserved=preserved, flipped=flipped,
-                             failures=failures)
-
-    def act(self, h: SymElement) -> ActionOutcome:
-        return self.outcome(self.images(h))
+    A term's matrix has entry w^(j * pi r) at (pi r, source(pi r)), so the
+    image row r holds w^(m + nr + j*pi r) at column sigma(source(pi r)); the
+    w^k scalar dies in the d-th power. The image j depends only on the
+    term's j, so d row solves serve every term, and the image permutation
+    only on its source, so it is built once per source. Two terms with one
+    image leave the dict shorter than ``terms``.
+    """
+    d = h.d
+    pi_images, sigma_images = h.pi.perm().images, h.sigma.images
+    image_j = {}
+    for j in range(1, d + 1):
+        solved = _solve_row_exponents(
+            d, [(h.m + h.n * r + j * p) % d
+                for r, p in enumerate(pi_images, start=1)])
+        image_j[j] = None if solved is None else solved[1] or d
+    image_of = {source: tuple(sigma_images[source[p - 1] - 1]
+                              for p in pi_images)
+                for source in {source for source, _ in terms}}
+    return {(image_of[source], image_j[j]): value
+            for (source, j), value in terms.items()}
 
 
 def symmetry_generators(d: int) -> list[SymElement]:
@@ -491,14 +408,15 @@ def symmetry_generators(d: int) -> list[SymElement]:
 def check_symmetry_action(d: int) -> bool:
     """Every element of H acts as a sign-preserving term bijection.
 
-    Each generator g must map the signed term multiset S to chi(g) S, chi
-    the determinant multiplier. The action is a group action and chi a
-    character, so every element h then maps S to chi(h) S, which for h in
-    H (chi(h) = 1) is the claim.
+    Each generator g must map the signed term set S to chi(g) S, chi the
+    determinant multiplier: its image dict must equal S or -S. The action
+    is a group action and chi a character, so every element h then maps S
+    to chi(h) S, which for h in H (chi(h) = 1) is the claim.
     """
-    table = _TermTable(main_decomposition(d))
+    terms = _signed_terms(main_decomposition(d))
+    scaled = {1: terms, -1: {index: -c for index, c in terms.items()}}
     phase = _phase_signs(d)
-    return all(table.act(g).scales_terms_by(_multiplier_sign(g, phase))
+    return all(_image(g, terms) == scaled[_multiplier_sign(g, phase)]
                for g in symmetry_generators(d))
 
 

@@ -522,17 +522,11 @@ def _add_general_term(term, support, order: int, scale: int, width: int,
         acc[i] += products[parent] * powers[k][e]
 
 
-def _key_width(dec: PowerDecomposition) -> int:
-    """The grid width of the expansion's cell masks: every form's variables
-    and the target's lie in it."""
-    return max([dec.d, *(term.form.d for term in dec.terms)])
-
-
 def _expand_check(dec: PowerDecomposition, collect_all: bool):
     """Returns (mismatch list, distinct monomial count): the monomials, in
     sorted order, where scale * target differs from the expanded sum, and
     the size of the expansion's table, zeros included."""
-    order, d = dec.order, _key_width(dec)
+    order, d = dec.order, dec.d
     scale = _common_denominator(dec.terms)
     target = dec.target_poly() * dec.scale
     # the target's coefficients are integers, so each lifts to its

@@ -129,6 +129,18 @@ class TestRoundTrip:
         assert parsed.terms[1].form.support() == ()
         assert verify_power_decomposition(parsed).equal
 
+    @pytest.mark.parametrize("mode", ["expansion", "streaming"])
+    def test_mixed_root_orders_are_refused(self, mode):
+        # main(2) with every coefficient read at order 1: the same +-1
+        # values, so the identity holds, but summed at two orders expansion
+        # reported 0 at x11*x22, where the value is 4
+        obj = cli.decomposition_to_obj(main_decomposition(2))
+        for term in obj["terms"]:
+            term["coeff"]["order"] = 1
+        with pytest.raises(ValueError, match="mixes root orders 1 and 2"):
+            verify_power_decomposition(
+                cli.parse_decomposition(json.dumps(obj)), mode=mode)
+
     def test_tampered_combination_rejected(self):
         dec = SCHEME_BUILDERS["main"](2)
         obj = cli.decomposition_to_obj(dec)
@@ -330,6 +342,7 @@ class TestCheckCommands:
         assert row["witness_count"] > 0
 
     @pytest.mark.parametrize("args, golden", [
+        (("--d", "2"), "symmetries_d2.json"),
         (("--d", "3", "--full"), "symmetries_d3_full.json"),
         (("--d", "4", "--full"), "symmetries_d4_full.json"),
         (("--d", "5", "--seed", "7"), "symmetries_d5_seed7.json"),
@@ -337,7 +350,7 @@ class TestCheckCommands:
         (("--d", "6", "--full"), "symmetries_d6_full.json"),
     ])
     def test_symmetries_stdout_is_pinned(self, capsys, args, golden):
-        # the action proved from generators at d=3..6, byte for byte; a
+        # the action proved from generators at d=2..6, byte for byte; a
         # --seed run prints the same report as a --full one
         code, out = run_cli(capsys, "symmetries", *args)
         assert code == 0
@@ -615,10 +628,14 @@ class TestBench:
 
 
 def test_every_exported_name_resolves():
-    # a stale entry in __all__ would break ``from detpowers import *``
+    # a stale entry in __all__ would break ``from detpowers import *``:
+    # run that import, and check it binds every name, once
     missing = [name for name in detpowers.__all__
                if not hasattr(detpowers, name)]
     assert missing == []
+    namespace = {}
+    exec("from detpowers import *", namespace)
+    assert set(detpowers.__all__) <= namespace.keys()
     assert len(set(detpowers.__all__)) == len(detpowers.__all__)
 
 

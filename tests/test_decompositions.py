@@ -34,6 +34,18 @@ def expand_decomposition(dec):
     return total
 
 
+def then(a, b):
+    """Oracle: the permutation applying ``a`` first, then ``b``."""
+    return Perm(tuple(b(v) for v in a.images))
+
+
+def transposition(d, a, b):
+    """Oracle: the permutation of 1..d swapping a and b."""
+    images = list(range(1, d + 1))
+    images[a - 1], images[b - 1] = b, a
+    return Perm(tuple(images))
+
+
 class TestPerm:
     def test_sign_matches_parity_of_transposition_count(self):
         assert Perm((1, 2, 3)).sign == 1
@@ -45,19 +57,19 @@ class TestPerm:
         perms = list(Perm.all_perms(4))
         for a in perms:
             for b in perms[:6]:
-                assert a.then(b).sign == a.sign * b.sign
+                assert then(a, b).sign == a.sign * b.sign
 
     def test_then_applies_left_first(self):
         a = Perm((2, 1, 3))
         b = Perm((1, 3, 2))
-        c = a.then(b)
+        c = then(a, b)
         for i in (1, 2, 3):
             assert c(i) == b(a(i))
 
     def test_inverse(self):
         p = Perm((3, 1, 4, 2))
-        assert p.then(p.inverse()) == Perm.identity(4)
-        assert p.inverse().then(p) == Perm.identity(4)
+        assert then(p, p.inverse()) == Perm.identity(4)
+        assert then(p.inverse(), p) == Perm.identity(4)
 
     def test_all_perms_is_lexicographic_and_complete(self):
         perms = [p.images for p in Perm.all_perms(3)]
@@ -65,7 +77,7 @@ class TestPerm:
         assert len(perms) == 6
 
     def test_transposition(self):
-        t = Perm.transposition(4, 2, 4)
+        t = transposition(4, 2, 4)
         assert t.images == (1, 4, 3, 2)
         assert t.sign == -1
 
@@ -148,6 +160,25 @@ class TestSchemes:
     def test_gurvits_d1_allows_its_single_empty_form(self):
         dec = gurvits_decomposition(1)
         assert expand_decomposition(dec) == determinant_poly(1)
+
+    def test_terms_share_the_decompositions_order_and_grid(self):
+        dec = main_decomposition(2)
+        term = dec.terms[0]
+        (var, c), *rest = term.form.support()
+        order4 = LinForm(4, 2, [(var, Cyc.from_int(4, -1)),
+                                *((v, Cyc.from_int(4, 1)) for v, _ in rest)])
+        for bad, message in (
+                (dataclasses.replace(term, coeff=Cyc.from_int(1, -1)),
+                 "mixes root orders 1 and 2 into order 2"),
+                (dataclasses.replace(term, form=order4),
+                 "mixes root orders 2 and 4 into order 2"),
+                (dataclasses.replace(term, form=LinForm(2, 3, [(var, c),
+                                                               *rest])),
+                 "has a form in 3x3 variables")):
+            with pytest.raises(ValueError, match=r"term \(\(1, 2\), 1\) "
+                                                 + message):
+                PowerDecomposition(2, "main", dec.scale, dec.target, 2,
+                                   (bad,) + dec.terms[1:])
 
     def test_zero_form_rejected_elsewhere(self):
         empty = LinForm(1, 2, {})

@@ -24,6 +24,8 @@ from detpowers.independence import (
     term_point,
 )
 from detpowers.multipoly import LinForm, SparsePoly, expand_power
+from test_decompositions import transposition
+from test_multipoly import evaluate
 
 
 def separation_matrix(d):
@@ -194,7 +196,7 @@ def full_table(d, make_form=dual_form):
     """Oracle: every dual form evaluated at every term point."""
     indices = term_index_list(d)
     points = [term_point(d, Perm(images), j) for images, j in indices]
-    return [[make_form(d, Perm(images), j).poly.evaluate(coords(p))
+    return [[evaluate(make_form(d, Perm(images), j).poly, coords(p))
              for p in points]
             for images, j in indices]
 
@@ -220,7 +222,7 @@ class TestSupportDecidedPairings:
         # the first form gains a cofactor monomial of tau = (2 3), so it no
         # longer vanishes at tau's points, nor does its promotion by x[1,1]
         original = dual_form
-        tau = Perm.transposition(d, 2, 3)
+        tau = transposition(d, 2, 3)
 
         def widened(d_, sigma, j):
             form = original(d_, sigma, j)
@@ -335,12 +337,24 @@ class TestRankCertificate:
         with pytest.raises(ValueError, match=r"term 4 .*not a power of w"):
             promotion_certificate(with_term(
                 dec, 4, dataclasses.replace(term, form=form)))
+        # main(2) read at root order 4, its first form's entries i: a
+        # decomposition refuses a form whose order is not its own
         dec = main_decomposition(2)
+
+        def lift(c):
+            return Cyc.from_fraction(4, c.rational())
+
+        terms = [dataclasses.replace(
+                    t, coeff=lift(t.coeff),
+                    form=LinForm(4, 2, [(var, lift(c))
+                                        for var, c in t.form.support()]))
+                 for t in dec.terms]
         form = LinForm(4, 2, [(var, omega(4, 1))
                               for var, _ in dec.terms[0].form.support()])
+        terms[0] = dataclasses.replace(terms[0], form=form)
         with pytest.raises(ValueError, match=r"term 0 .*of order 2"):
-            promotion_certificate(with_term(
-                dec, 0, dataclasses.replace(dec.terms[0], form=form)))
+            promotion_certificate(dataclasses.replace(
+                dec, order=4, terms=tuple(terms)))
 
     def test_range_check(self):
         # a decomposition with other than d * d! terms has no pairing

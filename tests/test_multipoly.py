@@ -159,6 +159,22 @@ def test_sparsepoly_drops_zeros():
     assert q.is_zero and len(q) == 0
 
 
+def evaluate(poly, coords):
+    """Oracle: the value of ``poly`` at a point given as a sparse
+    {(row, col): value} mapping; missing coordinates are zero."""
+    total = Cyc.zero(poly.order)
+    for m, c in poly.terms.items():
+        val = c
+        for i, j, e in m:
+            coord = coords.get((i, j))
+            if coord is None or not coord:
+                break
+            val = val * coord ** e
+        else:
+            total = total + val
+    return total
+
+
 def test_evaluate_sparse_point():
     # 2*x[1,1]*x[2,2] - x[1,2] at x[1,1]=3, x[2,2]=1/2, x[1,2] missing (=0)
     p = SparsePoly(1, {
@@ -167,11 +183,11 @@ def test_evaluate_sparse_point():
     })
     coords = {(1, 1): Cyc.from_int(1, 3),
               (2, 2): Cyc.from_fraction(1, Fraction(1, 2))}
-    assert p.evaluate(coords) == Cyc.from_int(1, 3)
+    assert evaluate(p, coords) == Cyc.from_int(1, 3)
 
 
 class TestPhaseEvaluator:
-    """The phase evaluator against ``SparsePoly.evaluate`` at root-of-unity
+    """The phase evaluator against the ``evaluate`` oracle at root-of-unity
     points with missing coordinates."""
 
     @staticmethod
@@ -202,7 +218,7 @@ class TestPhaseEvaluator:
                 present = rng.sample(variables, rng.randint(0, 9))
                 phases = {v: rng.randrange(2 * order) for v in present}
                 coords = {v: omega(order, k) for v, k in phases.items()}
-                assert at(phases) == poly.evaluate(coords)
+                assert at(phases) == evaluate(poly, coords)
 
     def test_cancellation_projects_to_zero(self):
         # 1 + w + w^2 is a nonzero vector in Z[C_3] that projects to 0

@@ -35,8 +35,14 @@ from detpowers.symmetry import (
     symmetry_generators,
     transpose_closure,
 )
-from detpowers.symmetry import _multiplier_sign, _phase_signs, _TermTable
+from detpowers.symmetry import (
+    _image,
+    _multiplier_sign,
+    _phase_signs,
+    _signed_terms,
+)
 from detpowers.verify import verify_power_decomposition
+from test_decompositions import then
 
 
 def mono_support(m: MonoMatrix):
@@ -45,6 +51,32 @@ def mono_support(m: MonoMatrix):
     d = m.d
     return tuple(((i, m.sigma(i)), omega(d, m.k + i * m.j))
                  for i in range(1, d + 1))
+
+
+def compose_affine(f: AffinePerm, g: AffinePerm) -> AffinePerm:
+    """Oracle: (a,b) o (a',b') = (aa', ab'+b), applying ``g`` first."""
+    d = f.d
+    return AffinePerm((f.a * g.a) % d, (f.a * g.b + f.b) % d, d)
+
+
+def inverse_affine(f: AffinePerm) -> AffinePerm:
+    a_inv = pow(f.a, -1, f.d)
+    return AffinePerm(a_inv, (-a_inv * f.b) % f.d, f.d)
+
+
+def compose(outer: SymElement, inner: SymElement) -> SymElement:
+    """Oracle: the element inducing ``outer`` applied after ``inner``.
+
+    Pulling inner's phase through outer's row permutation (an affine map
+    r -> ar + b) gives the semidirect-product law
+    m'' = m2 + m1 + n1*b, n'' = n2 + n1*a, pi'' = pi1 o pi2,
+    sigma''^-1 = sigma1^-1 o sigma2^-1 (subscript 2 = outer, 1 = inner).
+    """
+    d = outer.d
+    return SymElement((outer.m + inner.m + inner.n * outer.pi.b) % d,
+                      (outer.n + inner.n * outer.pi.a) % d,
+                      compose_affine(inner.pi, outer.pi),
+                      then(inner.sigma, outer.sigma))
 
 
 def signature(elem: SymElement) -> tuple:
@@ -85,34 +117,35 @@ def with_term(dec, position, **changes):
     return dataclasses.replace(dec, terms=tuple(terms))
 
 
-def shifted(image_rows, n: int, d: int) -> list:
-    """The image rows at phase (m, n) from those at (0, 0): D^n adds n*r to
+def negated(terms: dict) -> dict:
+    return {index: -c for index, c in terms.items()}
+
+
+def shifted(image: dict, n: int, d: int) -> dict:
+    """The image at phase (m, n) from the one at (0, 0): D^n adds n*r to
     the row exponents, which keeps them affine in r and moves j by n."""
-    return [(image, None if j is None else (j + n) % d, coeff_id)
-            for image, j, coeff_id in image_rows]
+    return {(sigma, None if j is None else (j + n - 1) % d + 1): c
+            for (sigma, j), c in image.items()}
 
 
 def every_element_verdict(dec) -> bool:
-    """The oracle for the generator check: every element of H~, preserving
-    ones sign-preserving and reversing ones sign-reversing. One image table
-    per (pi, sigma) at m = n = 0 and one outcome per shift n: m moves only
-    k, which dies in the d-th power, and leaves the multiplier alone."""
-    table = _TermTable(dec)
-    d = table.d
-    one = Cyc.one(d)
+    """The oracle for the generator check: every element of H~ maps the
+    signed terms S to its determinant multiplier times S. One image per
+    (pi, sigma) at m = n = 0, shifted per n; m moves only k, which dies in
+    the d-th power, so each (m, n, pi, sigma) reads the image of its n."""
+    terms = _signed_terms(dec)
+    d = dec.d
+    one, minus = Cyc.one(d), negated(terms)
     for pi in affine_group(d):
         for sigma in Perm.all_perms(d):
-            image_rows = table.images(SymElement(0, 0, pi, sigma))
+            at_origin = _image(SymElement(0, 0, pi, sigma), terms)
             for n in range(d):
-                outcome = table.outcome(shifted(image_rows, n, d))
-                multiplier = determinant_multiplier(
-                    SymElement(0, n, pi, sigma))
-                if multiplier == one:
-                    ok = outcome.sign_preserving
-                else:
-                    ok = outcome.sign_reversing
-                if not ok:
-                    return False
+                image = shifted(at_origin, n, d)
+                for m in range(d):
+                    multiplier = determinant_multiplier(
+                        SymElement(m, n, pi, sigma))
+                    if image != (terms if multiplier == one else minus):
+                        return False
     return True
 
 
@@ -215,13 +248,15 @@ class TestAffinePerm:
             group = affine_group(d)
             for f in group:
                 for g in group[:5]:
-                    # compose applies g first, Perm.then applies left first
-                    assert f.compose(g).perm() == g.perm().then(f.perm())
+                    # compose_affine(f, g) applies g first, then(p, q) applies p
+                    assert compose_affine(f, g).perm() \
+                        == then(g.perm(), f.perm())
 
     def test_inverse(self):
         for aff in affine_group(5):
-            assert aff.compose(aff.inverse()).perm() == Perm.identity(5)
-            assert aff.inverse().compose(aff).perm() == Perm.identity(5)
+            inv = inverse_affine(aff)
+            assert compose_affine(aff, inv).perm() == Perm.identity(5)
+            assert compose_affine(inv, aff).perm() == Perm.identity(5)
 
     def test_group_orders(self):
         assert len(affine_group(3)) == 6
@@ -372,24 +407,22 @@ class TestEnumeration:
 
 class TestAction:
     def test_identity_element_is_the_identity_bijection(self):
-        dec = main_decomposition(3)
+        terms = _signed_terms(main_decomposition(3))
         elem = SymElement(0, 0, AffinePerm(1, 0, 3), Perm.identity(3))
-        outcome = _TermTable(dec).act(elem)
-        assert outcome.sign_preserving
-        assert outcome.preserved == len(dec.terms)
+        assert _image(elem, terms) == terms
+        assert len(terms) == 18
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_every_preserving_element_acts_sign_preservingly(self, d):
         assert check_symmetry_action(d)
 
     def test_reversing_element_flips_every_sign_at_d3(self):
-        dec = main_decomposition(3)
+        terms = _signed_terms(main_decomposition(3))
         reversing = next(e for e in all_elements(3)
                          if determinant_multiplier(e) == Cyc.from_int(3, -1))
-        outcome = _TermTable(dec).act(reversing)
-        assert outcome.sign_reversing
-        assert outcome.flipped == 18 and outcome.preserved == 0
-        assert outcome.failures == 0
+        image = _image(reversing, terms)
+        assert image == negated(terms) != terms
+        assert all(image[index] != c for index, c in terms.items())
 
     @staticmethod
     def signature_map(elem):
@@ -411,14 +444,14 @@ class TestAction:
                     phase_out, r1, c1 = outer_sig[cell]
                     phase_in, r2, c2 = inner_sig[(r1, c1)]
                     composed_sig[cell] = ((phase_out + phase_in) % d, r2, c2)
-                composed = outer.compose(inner)
-                assert self.signature_map(composed) == composed_sig
+                assert self.signature_map(compose(outer, inner)) \
+                    == composed_sig
 
     def test_compose_with_identity(self):
         ident = SymElement(0, 0, AffinePerm(1, 0, 3), Perm.identity(3))
         elem = SymElement(2, 1, AffinePerm(2, 1, 3), Perm((3, 1, 2)))
-        assert elem.compose(ident) == elem
-        assert ident.compose(elem) == elem
+        assert compose(elem, ident) == elem
+        assert compose(ident, elem) == elem
 
     def test_multiplier_is_multiplicative(self):
         rng = random.Random(5)
@@ -426,25 +459,23 @@ class TestAction:
             for _ in range(30):
                 e1 = random_element(rng, d)
                 e2 = random_element(rng, d)
-                lhs = determinant_multiplier(e2.compose(e1))
+                lhs = determinant_multiplier(compose(e2, e1))
                 rhs = determinant_multiplier(e2) * determinant_multiplier(e1)
                 assert lhs == rhs
 
     def test_requires_main_scheme(self):
         from detpowers.decompositions import classical_decomposition
-        elem = SymElement(0, 0, AffinePerm(1, 0, 3), Perm.identity(3))
-        with pytest.raises(ValueError):
-            _TermTable(classical_decomposition(3)).act(elem)
+        with pytest.raises(ValueError, match="main scheme"):
+            _signed_terms(classical_decomposition(3))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_shared_table_matches_apply_symmetry_on_every_element(self, d):
-        # the oracle's shortcut (one table per (pi, sigma), shifted by n)
+    def test_shifted_image_matches_every_element(self, d):
+        # the oracle's shortcut (one image per (pi, sigma), shifted by n)
         # against each element applied on its own, phases in the exponents
-        table = _TermTable(main_decomposition(d))
+        terms = _signed_terms(main_decomposition(d))
         for elem in all_elements(d):
-            at_origin = table.images(SymElement(0, 0, elem.pi, elem.sigma))
-            assert table.outcome(shifted(at_origin, elem.n, d)) \
-                == table.act(elem)
+            at_origin = _image(SymElement(0, 0, elem.pi, elem.sigma), terms)
+            assert shifted(at_origin, elem.n, d) == _image(elem, terms)
         assert every_element_verdict(main_decomposition(d)) is True
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -453,7 +484,7 @@ class TestAction:
         generators = symmetry_generators(d)
         reached, frontier = {identity}, {identity}
         while frontier:
-            frontier = {g.compose(h) for h in frontier
+            frontier = {compose(g, h) for h in frontier
                         for g in generators} - reached
             reached |= frontier
         assert len(reached) == enumerate_symmetries(d).full_order
@@ -461,18 +492,19 @@ class TestAction:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_action_composes_on_seeded_pairs(self, d):
         # the term map of g o h is the map of h followed by that of g
-        table = _TermTable(main_decomposition(d))
+        terms = _signed_terms(main_decomposition(d))
 
         def term_map(h):
-            return {(source, j): (image, image_j or d)
-                    for (source, j, _), (image, image_j, _)
-                    in zip(table.rows, table.images(h))}
+            # each index carried as its own value to its image
+            moved = _image(h, {index: index for index in terms})
+            assert len(moved) == len(terms)
+            return {source: image for image, source in moved.items()}
 
         rng = random.Random(d)
         for _ in range(20):
             g, h = random_element(rng, d), random_element(rng, d)
             g_map, h_map = term_map(g), term_map(h)
-            assert term_map(g.compose(h)) == {
+            assert term_map(compose(g, h)) == {
                 term: g_map[image] for term, image in h_map.items()}
 
     @staticmethod
@@ -525,9 +557,13 @@ class TestAction:
         # every generator at d=4 but the m-shift reverses the multiplier,
         # so a reversing image must carry exactly the negated coefficient
         n_shift = SymElement(0, 1, AffinePerm(1, 0, 4), Perm.identity(4))
-        outcome = _TermTable(self.tampered(4, "tripled")).act(n_shift)
-        assert not outcome.sign_reversing
-        assert outcome.flipped == 94 and outcome.failures == 2
+        tripled = _signed_terms(self.tampered(4, "tripled"))
+        image = _image(n_shift, tripled)
+        assert image.keys() == tripled.keys()
+        assert image != negated(tripled)
+        flips = [image[index] == -c for index, c in tripled.items()]
+        assert flips.count(True) == 94 and flips.count(False) == 2
+        assert all(image[index] != c for index, c in tripled.items())
 
     def test_tripled_coefficient_is_never_sign_reversing(self):
         # a reversing element moves every term, so it meets the tripled one;
@@ -536,34 +572,34 @@ class TestAction:
         reversing = [e for e in all_elements(3)
                      if determinant_multiplier(e) == minus_one]
         assert len(reversing) == enumerate_symmetries(3).reversing_order
-        tripled = _TermTable(self.tampered(3, "tripled"))
-        untampered = _TermTable(main_decomposition(3))
+        tripled = _signed_terms(self.tampered(3, "tripled"))
+        untampered = _signed_terms(main_decomposition(3))
         for elem in reversing:
-            assert not tripled.act(elem).sign_reversing
-            assert untampered.act(elem).sign_reversing
+            assert _image(elem, tripled) != negated(tripled)
+            assert _image(elem, untampered) == negated(untampered)
 
     def test_full_check_work_counts_at_d4(self, monkeypatch):
         # six generators: the m- and n-shifts, x -> x+1, x -> 3x, (1 2)
-        # and (1 2 3 4); one act each, of d = 4 row solves
-        acts = solves = 0
-        solve, act = symmetry._solve_row_exponents, _TermTable.act
+        # and (1 2 3 4); one image each, of d = 4 row solves
+        images = solves = 0
+        solve, image = symmetry._solve_row_exponents, symmetry._image
 
         def counted_solve(*args):
             nonlocal solves
             solves += 1
             return solve(*args)
 
-        def counted_act(*args):
-            nonlocal acts
-            acts += 1
-            return act(*args)
+        def counted_image(*args):
+            nonlocal images
+            images += 1
+            return image(*args)
 
         monkeypatch.setattr(symmetry, "_solve_row_exponents", counted_solve)
-        monkeypatch.setattr(_TermTable, "act", counted_act)
+        monkeypatch.setattr(symmetry, "_image", counted_image)
         assert check_symmetry_action(4)
-        table_build = 4 * 24  # one membership solve per term of main(4)
-        assert acts == len(symmetry_generators(4)) == 6
-        assert solves - table_build == 4 * 6
+        term_read = 4 * 24  # one membership solve per term of main(4)
+        assert images == len(symmetry_generators(4)) == 6
+        assert solves - term_read == 4 * 6
 
     def test_form_swapped_term_is_rejected(self):
         dec = main_decomposition(3)
@@ -571,9 +607,20 @@ class TestAction:
         terms[0] = dataclasses.replace(terms[0], form=terms[5].form)
         swapped = dataclasses.replace(dec, terms=tuple(terms))
         assert not verify_power_decomposition(swapped).equal
-        elem = SymElement(1, 2, AffinePerm(2, 1, 3), Perm((2, 3, 1)))
         with pytest.raises(ValueError, match="form"):
-            _TermTable(swapped).act(elem)
+            _signed_terms(swapped)
+
+    def test_repeated_index_is_rejected(self, monkeypatch):
+        # the second term becomes a copy of the first, form and index, so
+        # both read true and S would silently lose a term
+        dec = main_decomposition(3)
+        first = dec.terms[0]
+        twice = with_term(dec, 1, index=first.index, form=first.form)
+        with pytest.raises(ValueError, match="met twice"):
+            _signed_terms(twice)
+        monkeypatch.setattr(symmetry, "main_decomposition", lambda _: twice)
+        with pytest.raises(ValueError, match="met twice"):
+            check_symmetry_action(3)
 
     @pytest.mark.parametrize("coeffs", [
         {(1, 1): 1, (1, 2): 1, (2, 3): 1, (3, 3): 1},  # two in row 1
@@ -586,7 +633,7 @@ class TestAction:
         terms[0] = dataclasses.replace(terms[0], form=LinForm(3, 3, coeffs))
         bad = dataclasses.replace(dec, terms=tuple(terms))
         with pytest.raises(ValueError, match="reads as None"):
-            _TermTable(bad)
+            _signed_terms(bad)
 
 
 class TestTransposeClosure:

@@ -19,6 +19,7 @@ from detpowers.varieties import (
     quadric_generators,
     vanish_on_points,
 )
+from test_multipoly import evaluate
 
 
 def point_assignment(d, j, sigma):
@@ -143,9 +144,9 @@ class TestVanishing:
         coords = {(1, 1): omega(3, 1), (2, 2): omega(3, 1),
                   (3, 3): omega(3, 3)}
         qs = quadric_generators(3)
-        assert all(poly.evaluate(coords).is_zero
+        assert all(evaluate(poly, coords).is_zero
                    for poly in qs.row_monomials + qs.column_monomials)
-        assert any(not poly.evaluate(coords).is_zero
+        assert any(not evaluate(poly, coords).is_zero
                    for poly in qs.rho_quadrics)
 
     def test_range_check(self):
@@ -219,12 +220,12 @@ class TestExtraGeneratorsD4:
         assert report4.square_failures
 
     def test_failures_match_plain_evaluation(self, report4):
-        # the phase evaluator against SparsePoly.evaluate in Q(w), in the
+        # the phase evaluator against the evaluate oracle in Q(w), in the
         # report's order: points first, then the family's positions
         failures = [(pos, j, sigma.images)
                     for j, sigma in point_set(4)
                     for pos, poly in enumerate(report4.squares)
-                    if poly.evaluate(point_assignment(4, j, sigma))]
+                    if evaluate(poly, point_assignment(4, j, sigma))]
         assert len(failures) == report4.square_failure_count == 768
         assert report4.square_failures == tuple(failures[:12])
 
@@ -232,7 +233,7 @@ class TestExtraGeneratorsD4:
         # x[1,1]^2 + x[1,2]^2 - (x[4,3]x[2,4] + x[4,4]x[2,3]) at D^1 P_id:
         # the squares give w^2, the permanent gives 0
         coords = point_assignment(4, 1, Perm.identity(4))
-        assert report4.squares[0].evaluate(coords) == omega(4, 2)
+        assert evaluate(report4.squares[0], coords) == omega(4, 2)
 
     def test_difference_family_counts(self, report4):
         assert report4.raw_difference_count == 24

@@ -219,7 +219,7 @@ def expand_sum(dec):
     """The expansion's table as a view for the oracles: each place named by
     its monomial, and its packed int decoded to its vector, times the
     monomial's multinomial and projected to Q(w), zeros included."""
-    order, d = dec.order, verify._key_width(dec)
+    order, d = dec.order, dec.d
     scale = _common_denominator(dec.terms)
     blocks, acc, width = verify._expand_chunk(order, scale, dec.terms, d, [])
     out = {}
