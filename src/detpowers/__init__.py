@@ -56,10 +56,10 @@ from .symmetry import (
 )
 from .varieties import (
     ExtraGeneratorReport,
-    LocusCount,
+    LocusProof,
     QuadricSet,
     extra_generators,
-    finite_field_locus_count,
+    locus_proof,
     quadric_generators,
     vanish_on_points,
 )
@@ -72,7 +72,7 @@ __all__ = [
     "Cyc",
     "ExtraGeneratorReport",
     "LinForm",
-    "LocusCount",
+    "LocusProof",
     "MonoMatrix",
     "PhaseEvaluator",
     "PowerDecomposition",
@@ -97,9 +97,9 @@ __all__ = [
     "diagonal_product_poly",
     "enumerate_symmetries",
     "extra_generators",
-    "finite_field_locus_count",
     "gurvits_decomposition",
     "krishna_makam_det3",
+    "locus_proof",
     "main_decomposition",
     "mono_membership",
     "monomial_power_decomposition",

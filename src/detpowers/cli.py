@@ -45,9 +45,9 @@ from .symmetry import (
     transpose_closure,
 )
 from .varieties import (
-    check_locus_input,
     extra_generators,
-    finite_field_locus_count,
+    locus_proof,
+    quadric_generators,
     vanish_on_points,
 )
 from .verify import (
@@ -64,9 +64,6 @@ SCHEME_CAPS = {"main": 6, "classical": 5, "gurvits": 5, "monomial": 6}
 LEMMA_CAP = 5
 INDEPENDENCE_CAP = 4
 D_CEILING = 12
-
-# smallest odd prime p with d | p - 1, used by `equations` without --prime
-DEFAULT_PRIMES = {2: 3, 3: 7, 4: 5, 5: 11, 6: 7}
 
 
 class UsageError(ValueError):
@@ -479,8 +476,6 @@ def _cmd_symmetries(args: argparse.Namespace):
 
 def _cmd_equations(args: argparse.Namespace):
     d = args.d
-    if args.prime is not None:  # refused before any stage runs
-        check_locus_input(d, args.prime)
     with _stage("vanishing"):
         vanish = vanish_on_points(d)
     rows = [{"check": "quadric_vanishing", "d": d, "ok": vanish}]
@@ -502,19 +497,17 @@ def _cmd_equations(args: argparse.Namespace):
             "ok": (extra.squares_vanish and extra.differences_vanish
                    and reduction_ok is not False),
         })
-    # vanish_on_points has rejected every d without a default prime
-    prime = args.prime if args.prime is not None else DEFAULT_PRIMES[d]
     with _stage("locus"):
-        count = finite_field_locus_count(d, prime)
+        proof = locus_proof(quadric_generators(d))
     rows.append({
         "check": "locus",
         "d": d,
-        "p": prime,
-        "mode": count.mode,
-        "affine_solutions": count.affine_solutions,
-        "projective_points": count.projective_points,
-        "expected": count.expected,
-        "ok": count.matches_expected,
+        "p": proof.p,
+        "mode": "proof",
+        "affine_solutions": proof.affine_solutions,
+        "projective_points": proof.projective_points,
+        "expected": proof.expected,
+        "ok": proof.ok,
     })
     return rows, all(row["ok"] for row in rows)
 
@@ -642,10 +635,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="accepted for compatibility and ignored")
     symmetries.add_argument("--seed", type=int, default=0,
                             help="accepted for compatibility and ignored")
-    equations = add("equations",
-                    "quadric vanishing and finite-field locus counts",
-                    with_jobs=True)
-    equations.add_argument("--prime", type=int, default=None)
+    add("equations", "quadric vanishing and the proved locus",
+        with_jobs=True)
     add("bounds", "decomposition-size table", d_default=9,
         formats=("json", "latex", "text"))
     add("bench", "timings for a fixed small suite", with_d=False)

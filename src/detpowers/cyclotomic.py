@@ -434,12 +434,3 @@ def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     b = b + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
 
-
-# ---------------------------------------------------------------------------
-# prime fields
-
-
-@functools.cache
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"{p} is not prime")

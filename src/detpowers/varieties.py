@@ -8,13 +8,36 @@ checks vanishing on the point set (each point's coordinates are w^k or 0,
 so a polynomial is evaluated from the points' phases, and only where a
 support index finds one of its monomials), constructs the extra generator
 families recorded for d = 3 and d = 4 together with vanishing and
-reduction reports, and counts the GF(p) solution locus to test the
-converse direction at desk scale. The count searches every matrix row by
-row: the row and column products leave at most one nonzero per row, in a
-column no other row uses, and each row-sum quadric is tested as soon as its
-three rows are set. The d = 4 square family is reproduced exactly as
-stated; it does not vanish on the point set, and its report keeps explicit
-failure witnesses rather than papering over the discrepancy.
+reduction reports, and proves the converse: the families have no other
+zeros.
+
+The proof holds over any field K in which x^d - 1 has d distinct roots,
+so over C, and over GF(p) when d | p - 1. Take a matrix on which every
+quadric vanishes.
+1. The row and column products leave at most one nonzero entry in each
+   row and in each column, so the row sum rho_i is that entry, or 0.
+2. If some rho_i is 0, then rho_{i-1} rho_{i+1} = rho_i^2 = 0 makes a
+   neighbour 0, and two adjacent zeros rho_k = rho_{k+1} = 0 force
+   rho_{k+2}^2 = rho_{k+1} rho_{k+3} = 0. So every rho is 0, and so is
+   the matrix.
+3. In a nonzero solution every rho_i is nonzero, so the matrix is a
+   permutation pattern P_sigma, and rho_{i+1} / rho_i = rho_i / rho_{i-1}
+   is a constant r. Wrapping around gives r^d = 1, so r = w^j and the
+   matrix is rho_d * D^j P_sigma.
+4. Conversely every D^j P_sigma has one nonzero entry per row and per
+   column, and w^(2ij) = w^((i-1)j) w^((i+1)j): ``vanish_on_points``
+   checks this on the built polynomials.
+Only the row-sum quadrics' values on the zeros of the products enter, so
+step 2 needs each of them to equal rho_i^2 - rho_{i-1} rho_{i+1} on the
+monomials outside the ideal the products generate. ``locus_proof`` checks
+exactly that premise on the built families, and counts the distinct
+points. Over GF(p) with d | p - 1 the affine solutions are then the
+(p - 1) d d! nonzero multiples of the points, a corollary the tests
+compare with a search of every matrix.
+
+The d = 4 square family is reproduced exactly as stated; it does not
+vanish on the point set, and its report keeps explicit failure witnesses
+rather than papering over the discrepancy.
 """
 
 from __future__ import annotations
@@ -23,19 +46,21 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .cyclotomic import Cyc, _check_prime
+from .cyclotomic import Cyc
 from .decompositions import Perm
 from .multipoly import (
     Monomial,
     SparsePoly,
     covered_values,
-    mono_degree,
+    mono_mul,
     monomial,
     permanent_poly,
 )
 
-SEARCH_LIMIT = 10 ** 6          # largest bound on the locus search's steps
+# smallest odd prime p with d | p - 1, the field of the GF(p) corollary
+DEFAULT_PRIMES = {2: 3, 3: 7, 4: 5, 5: 11, 6: 7}
 
 
 def _wrap(i: int, d: int) -> int:
@@ -57,28 +82,16 @@ class QuadricSet:
     column_monomials: tuple[SparsePoly, ...]
     rho_quadrics: tuple[SparsePoly, ...]
 
-    def __post_init__(self):
-        d = self.d
-        pairs = math.comb(d, 2)
-        if len(self.row_monomials) != d * pairs:
-            raise ValueError("wrong number of row monomial generators")
-        if len(self.column_monomials) != d * pairs:
-            raise ValueError("wrong number of column monomial generators")
-        if len(self.rho_quadrics) != d:
-            raise ValueError("wrong number of row-sum quadrics")
-        for poly in self.generators:
-            if poly.is_zero or any(mono_degree(m) != 2
-                                   for m in poly.monomials()):
-                raise ValueError("generators must be homogeneous of degree 2")
-
     @property
     def generators(self) -> tuple[SparsePoly, ...]:
         return self.row_monomials + self.column_monomials + self.rho_quadrics
 
 
+@lru_cache(maxsize=None)
 def quadric_generators(d: int) -> QuadricSet:
     """Row products x[i,j1]x[i,j2], column products x[i1,j]x[i2,j], and the
-    cyclic row-sum quadrics rho_i^2 - rho_{i-1} rho_{i+1}."""
+    cyclic row-sum quadrics rho_i^2 - rho_{i-1} rho_{i+1}, built once per
+    d."""
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     one = Cyc.one(d)
@@ -105,14 +118,19 @@ def point_set(d: int):
     return ((j, sigma) for j in range(d) for sigma in Perm.all_perms(d))
 
 
+def _point_phases(d: int):
+    """The points (j, sigma) and, for each, D^j P_sigma as the phase map
+    {(i, sigma i): ij mod d}."""
+    points = list(point_set(d))
+    return points, [{(i, sigma(i)): i * j % d for i in range(1, d + 1)}
+                    for j, sigma in points]
+
+
 def _family_violations(polys, d: int, cap: int = 12):
     """Count evaluation failures of the given polynomials over the point
     set, keeping at most ``cap`` witnesses (poly position, j, sigma), the
-    first in point order, then in position order. The point D^j P_sigma is
-    the phase map {(i, sigma i): ij mod d}."""
-    points = list(point_set(d))
-    phases = [{(i, sigma(i)): i * j % d for i in range(1, d + 1)}
-              for j, sigma in points]
+    first in point order, then in position order."""
+    points, phases = _point_phases(d)
     failures = sorted((c, pos) for pos, values in
                       enumerate(covered_values(polys, phases))
                       for c, value in values.items() if value)
@@ -163,12 +181,10 @@ def _square_poly(d: int, i: int, j: int) -> SparsePoly:
 
 
 def _monomial_in_quadric_ideal(m: Monomial) -> bool:
-    """Is the degree-2 monomial divisible by a row or column product of two
+    """Is the monomial divisible by a row or column product of two
     distinct entries?"""
-    if len(m) != 2:
-        return False
-    (i1, j1, _), (i2, j2, _) = m
-    return i1 == i2 or j1 == j2
+    return (len({i for i, _, _ in m}) < len(m)
+            or len({j for _, j, _ in m}) < len(m))
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
@@ -348,100 +364,83 @@ def extra_generators(d: int) -> ExtraGeneratorReport:
 
 
 # ---------------------------------------------------------------------------
-# finite-field locus counting
+# the locus, proved
 
 
 @dataclasses.dataclass(frozen=True)
-class LocusCount:
+class LocusProof:
+    """What ``locus_proof`` read from one ``QuadricSet``: whether it holds
+    the families the module docstring's proof needs, and how many distinct
+    points D^j P_sigma there are. p is the smallest prime with d | p - 1."""
     d: int
     p: int
-    affine_solutions: int
+    premise_holds: bool
     projective_points: int
-    expected: int
-    mode = "full"  # the count always searches every matrix
 
     @property
-    def matches_expected(self) -> bool:
-        return self.projective_points == self.expected
+    def expected(self) -> int:
+        return self.d * math.factorial(self.d)
+
+    @property
+    def affine_solutions(self) -> int:
+        """The GF(p) corollary: (p - 1) nonzero multiples of each point."""
+        return (self.p - 1) * self.projective_points
+
+    @property
+    def ok(self) -> bool:
+        return self.premise_holds and self.projective_points == self.expected
 
 
-def _full_affine_count(d: int, p: int) -> int:
-    """Nonzero d x d matrices over GF(p) on which every quadric vanishes,
-    counted by a depth-first search over the rows. GF(p) has no zero
-    divisors, so the row products leave at most one nonzero entry in a row
-    and the column products put it in a column no earlier row uses: a row is
-    zero or a value in one of the free columns, and its row sum is that
-    value. Later rows see only how many columns are free, so each value is
-    searched once and counted once per free column. Row-sum quadric i is
-    tested as soon as rows i-1, i and i+1 are set, and the two that wrap
-    around (i = 1 and i = d) once the last row is.
-
-    The search takes at most p + p^2 + 2(d-2) p^3 loop steps. The loop at
-    row r runs p times for each prefix rho_0 .. rho_(r-1) of row sums that
-    reaches it, and there are 1 and p of those at r = 0 and r = 1. A prefix
-    that reaches row r >= 2 satisfies rho_i^2 = rho_(i-1) rho_(i+1) at every
-    0 < i < r-1, so a nonzero interior rho_i makes both its neighbours
-    nonzero. Either every rho is then nonzero, a geometric progression
-    fixed by rho_0 and rho_1, (p-1)^2 prefixes, or every interior rho is
-    zero and only the two ends are free, at most p^2. So each of rows 2 ..
-    d-1 takes fewer than 2p^3 steps."""
-    rho = [0] * d
-
-    def fits(i: int) -> bool:
-        return (rho[i] * rho[i] - rho[i - 1] * rho[(i + 1) % d]) % p == 0
-
-    def search(r: int, free: int) -> int:
-        if r == d:
-            return int(fits(0) and fits(d - 1))
-        total = 0
-        for value in range(p):
-            rho[r] = value
-            if r >= 2 and not fits(r - 1):
-                continue
-            if not value:
-                total += search(r + 1, free)
-            elif free:
-                total += free * search(r + 1, free - 1)
-        return total
-
-    return search(0, d) - 1  # the zero matrix satisfies everything
+def _product(a, b) -> Monomial:
+    """The monomial x_a x_b of the cells a and b."""
+    return mono_mul(((*a, 1),), ((*b, 1),))
 
 
-def check_locus_input(d: int, p: int) -> None:
-    """Refuse a (d, p) the locus count cannot take: d below 2, a search
-    whose proven bound on its loop steps exceeds SEARCH_LIMIT (tested
-    first, since the primality test is slow for a large p), a p that is
-    not prime, or a p - 1 that d does not divide."""
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    steps = p + p * p + 2 * (d - 2) * p ** 3
-    if steps > SEARCH_LIMIT:
-        raise ValueError(f"the locus search at d={d}, p={p} may take {steps} "
-                         f"steps, more than {SEARCH_LIMIT}")
-    _check_prime(p)
-    if (p - 1) % d != 0:
-        raise ValueError(f"d = {d} must divide p - 1 = {p - 1} so that "
-                         f"GF({p}) has the needed roots of unity")
+def _is_product_family(polys, pairs) -> bool:
+    """Is each polynomial one product x_a x_b, and are the products the
+    cell pairs (a, b) of ``pairs``, each once?"""
+    return (all(len(poly) == 1 for poly in polys)
+            and sorted(m for poly in polys for m in poly.terms)
+            == sorted(_product(a, b) for a, b in pairs))
 
 
-def finite_field_locus_count(d: int, p: int) -> LocusCount:
-    """Projective count of GF(p) solutions of all quadric generators.
+def _is_rho_quadric(poly: SparsePoly, d: int, i: int) -> bool:
+    """Does ``poly`` equal rho_i^2 - rho_(i-1) rho_(i+1) on every monomial
+    outside the row and column product ideal? At d = 2 the neighbours
+    i - 1 and i + 1 are one row, and the product is a square."""
+    want: dict[Monomial, int] = {}
+    for r, s, sign in ((i, i, 1), (i - 1, i + 1, -1)):
+        for j, k in itertools.product(range(1, d + 1), repeat=2):
+            m = _product((_wrap(r, d), j), (_wrap(s, d), k))
+            want[m] = want.get(m, 0) + sign
+    got = {m: c for m, c in poly.terms.items()
+           if not _monomial_in_quadric_ideal(m)}
+    return got == {m: Cyc.from_int(poly.order, n) for m, n in want.items()
+                   if n and not _monomial_in_quadric_ideal(m)}
 
-    Every one of the p^(d^2) matrices is counted by the depth-first row
-    search of ``_full_affine_count``: the row and column products leave
-    each row zero or one value in an unused column, and a row-sum quadric
-    prunes the search as soon as its three rows are set. A (d, p) that
-    ``check_locus_input`` refuses is refused before any search. A count over
-    one GF(p) that equals d * d! supports the claim that the quadrics cut
-    out the points set-theoretically; it does not prove it over the
-    complex numbers.
-    """
-    check_locus_input(d, p)
-    affine = _full_affine_count(d, p)
-    if affine % (p - 1) != 0:
-        raise ArithmeticError(
-            f"affine count {affine} is not divisible by p - 1 = {p - 1}; "
-            f"the locus is not scalar-invariant")
-    return LocusCount(d=d, p=p, affine_solutions=affine,
-                      projective_points=affine // (p - 1),
-                      expected=d * math.factorial(d))
+
+def locus_proof(qs: QuadricSet) -> LocusProof:
+    """Prove that the quadrics of ``qs`` cut out exactly the points
+    [D^j P_sigma]: check that ``qs`` holds every row pair and every column
+    pair, each as one product, and for each i the quadric rho_i^2 -
+    rho_(i-1) rho_(i+1) on the monomials outside their ideal (the premise of
+    the proof in the module docstring), then count the distinct points.
+    Each phase map puts w^0 = 1 in row d, so distinct maps are distinct
+    projective points."""
+    d = qs.d
+    if d not in DEFAULT_PRIMES:
+        raise ValueError(f"d must be in [2, 6], got {d}")
+    cells = range(1, d + 1)
+    row_pairs = [((i, j), (i, k)) for i in cells
+                 for j, k in itertools.combinations(cells, 2)]
+    premise = (_is_product_family(qs.row_monomials, row_pairs)
+               and _is_product_family(
+                   qs.column_monomials,
+                   [((j, i), (k, i)) for (i, j), (_, k) in row_pairs])
+               and len(qs.rho_quadrics) == d
+               and all(_is_rho_quadric(poly, d, i)
+                       for i, poly in enumerate(qs.rho_quadrics, start=1)))
+    _, phases = _point_phases(d)
+    return LocusProof(d=d, p=DEFAULT_PRIMES[d], premise_holds=premise,
+                      projective_points=len({tuple(phase.items())
+                                             for phase in phases}))

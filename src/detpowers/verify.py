@@ -472,11 +472,6 @@ def _expand_chunk(order: int, scale: int, terms, d: int, wants):
                               nodes, table.steps)
             continue
         (sign, k0), codes = unit
-        if not any(codes):
-            lift = sign * lifts[k0]
-            for i in run:
-                acc[i] += lift
-            continue
         if columns is None:
             field = _field_format(exponent, order)
             columns = _packed_columns(table.comps, field)

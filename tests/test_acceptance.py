@@ -27,7 +27,8 @@ from detpowers.symmetry import (
 )
 from detpowers.varieties import (
     extra_generators,
-    finite_field_locus_count,
+    locus_proof,
+    quadric_generators,
     vanish_on_points,
 )
 from detpowers.verify import (
@@ -37,6 +38,7 @@ from detpowers.verify import (
 )
 
 from test_independence import rank_oracle, separation_matrix
+from test_varieties import full_affine_count
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -351,18 +353,19 @@ def test_criterion_10_defining_equations():
                    f"{extra4.raw_difference_count}/{len(extra4.differences)},"
                    f" expected 24/12")
     bad.extend(_d4_square_family_problems(extra4))
+    proofs = {d: locus_proof(quadric_generators(d)) for d in range(2, 7)}
+    bad.extend(f"the locus proof's premise or point count fails at d={d}"
+               for d, proof in proofs.items() if not proof.ok)
     expected_loci = [(2, 5, 16, 4), (3, 7, 108, 18), (4, 5, 384, 96)]
     for d, p, affine, projective in expected_loci:
         started = time.perf_counter()
-        count = finite_field_locus_count(d, p)
+        searched = full_affine_count(d, p)
         elapsed = time.perf_counter() - started
-        if (count.affine_solutions, count.projective_points) != (affine,
-                                                                 projective):
-            bad.append(f"locus over p={p} at d={d} counted "
-                       f"{count.affine_solutions}/{count.projective_points},"
-                       f" expected {affine}/{projective}")
-        if not count.matches_expected:
-            bad.append(f"locus at d={d}, p={p} does not match d*d!")
+        points = proofs[d].projective_points
+        if (searched, points) != (affine, projective):
+            bad.append(f"locus over p={p} at d={d}: the search counted "
+                       f"{searched} and the proof {points} points, expected "
+                       f"{affine}/{projective}")
         if d == 3 and elapsed > 120.0:
             bad.append(f"full count at d=3, p=7 took {elapsed:.1f}s, "
                        f"budget 120s")
@@ -370,7 +373,8 @@ def test_criterion_10_defining_equations():
     detail = (f"all quadric families vanish on the d*d! points for d=2..6, "
               f"the d=3 reduction is exact, the d=4 square family as stated "
               f"fails at exactly {_D4_SQUARE_FAILURES} evaluations with a "
-              f"genuine witness, and the finite-field locus counts match"
+              f"genuine witness, the locus proof holds for d=2..6, and the "
+              f"GF(p) row search counts its points"
               if ok else "; ".join(bad))
     _report(10, ok, detail)
     assert ok, detail

@@ -23,6 +23,8 @@ from detpowers.decompositions import (
 from detpowers.symmetry import conjugate_decomposition
 from detpowers.verify import verify_power_decomposition
 
+from test_varieties import PREMISE_MUTATIONS
+
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -405,11 +407,10 @@ class TestCheckCommands:
         (("--d", "5"), "equations_d5.json", 0),
         (("--d", "6"), "equations_d6.json", 0),
         (("--d", "3", "--format", "text"), "equations_d3.txt", 0),
-        (("--d", "2", "--prime", "5"), "equations_d2_p5.json", 0),
     ])
     def test_equations_stdout_is_pinned(self, capsys, args, golden,
                                         expected_code):
-        # every locus row, each counted by the row search, and d=4's
+        # every locus row, each read from the proof, and d=4's
         # square-family failure, byte for byte
         code, out = run_cli(capsys, "equations", *args)
         assert code == expected_code
@@ -422,15 +423,6 @@ class TestCheckCommands:
         assert locus["p"] == 3
         assert locus["projective_points"] == 4
         assert locus["affine_solutions"] == 8
-
-    def test_equations_explicit_prime(self, capsys):
-        code, obj = run_json(capsys, "equations", "--d", "2",
-                             "--prime", "5")
-        assert code == 0
-        locus = [r for r in obj["results"] if r["check"] == "locus"][0]
-        assert locus["p"] == 5
-        assert locus["projective_points"] == 4
-        assert locus["affine_solutions"] == 16
 
     def test_equations_d4_fails_honestly(self, capsys):
         code, obj = run_json(capsys, "equations", "--d", "4")
@@ -454,6 +446,19 @@ class TestCheckCommands:
         assert locus["affine_solutions"] == 6000
         assert locus["ok"] is True
 
+    @pytest.mark.parametrize("name", sorted(PREMISE_MUTATIONS))
+    def test_a_broken_family_fails_the_locus_row(self, capsys, monkeypatch,
+                                                 name):
+        d, mutate = PREMISE_MUTATIONS[name]
+        built = cli.quadric_generators
+        monkeypatch.setattr(cli, "quadric_generators",
+                            lambda d: mutate(built(d)))
+        code, obj = run_json(capsys, "equations", "--d", str(d))
+        assert code == 1
+        rows = {r["check"]: r for r in obj["results"]}
+        assert rows["quadric_vanishing"]["ok"] is True
+        assert rows["locus"]["ok"] is False
+
     def test_bounds_json(self, capsys):
         code, obj = run_json(capsys, "bounds")
         assert code == 0
@@ -471,8 +476,6 @@ class TestExitCodes:
         ("lemma-check", "--d", "6"),
         ("independence", "--d", "5"),
         ("symmetries", "--d", "7", "--full"),
-        ("equations", "--d", "2", "--prime", "1000003"),  # over the cap
-        ("equations", "--d", "3", "--prime", "6"),
         ("bounds", "--d", "25"),
         ("decompose", "--d", "3", "--scheme", "bogus"),
         ("verify", "--d", "3", "--format", "latex"),
@@ -487,6 +490,7 @@ class TestExitCodes:
         ("decompose", "--d", "0"),
         # flags that changed nothing and are gone
         ("equations", "--d", "3", "--full"),
+        ("equations", "--d", "2", "--prime", "5"),
         ("bench", "--seed", "1"),
         ("bench", "--jobs", "1"),
         ("symmetries", "--d", "3", "--force"),
@@ -496,25 +500,6 @@ class TestExitCodes:
         code = cli.main(list(args))
         capsys.readouterr()
         assert code == 2
-
-    @pytest.mark.parametrize("d, prime", [
-        ("6", "1000003"),  # over the search limit
-        ("4", "9"),        # not prime
-        ("3", "5"),        # 3 does not divide 4
-    ])
-    def test_bad_prime_is_refused_before_any_stage(self, capsys, monkeypatch,
-                                                   d, prime):
-        def refuse(*args):
-            raise AssertionError("a stage ran before the prime was checked")
-
-        monkeypatch.setattr(cli, "vanish_on_points", refuse)
-        monkeypatch.setattr(cli, "extra_generators", refuse)
-        code = cli.main(["equations", "--d", d, "--prime", prime])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert "[time]" not in captured.err
 
     def test_force_lifts_caps(self, capsys):
         code, obj = run_json(capsys, "independence", "--d", "4", "--force")

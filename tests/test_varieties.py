@@ -1,5 +1,8 @@
+import builtins
+import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,14 +10,12 @@ import pytest
 from detpowers.cyclotomic import Cyc, omega
 from detpowers.decompositions import Perm
 from detpowers.multipoly import SparsePoly, monomial
-from detpowers import varieties
 from detpowers.varieties import (
-    SEARCH_LIMIT,
-    LocusCount,
-    _full_affine_count,
+    DEFAULT_PRIMES,
+    QuadricSet,
     _solve_exact,
     extra_generators,
-    finite_field_locus_count,
+    locus_proof,
     point_set,
     quadric_generators,
     vanish_on_points,
@@ -43,6 +44,48 @@ def value_mod_p(terms, coords, p):
         else:
             total += value
     return total % p
+
+
+def full_affine_count(d: int, p: int) -> int:
+    """Oracle for the locus proof: nonzero d x d matrices over GF(p) on
+    which every quadric vanishes, counted by a depth-first search over the
+    rows. GF(p) has no zero divisors, so the row products leave at most one
+    nonzero entry in a row and the column products put it in a column no
+    earlier row uses: a row is zero or a value in one of the free columns,
+    and its row sum is that value. Later rows see only how many columns are
+    free, so each value is searched once and counted once per free column.
+    Row-sum quadric i is tested as soon as rows i-1, i and i+1 are set, and
+    the two that wrap around (i = 1 and i = d) once the last row is.
+
+    The search takes at most p + p^2 + 2(d-2) p^3 loop steps. The loop at
+    row r runs p times for each prefix rho_0 .. rho_(r-1) of row sums that
+    reaches it, and there are 1 and p of those at r = 0 and r = 1. A prefix
+    that reaches row r >= 2 satisfies rho_i^2 = rho_(i-1) rho_(i+1) at every
+    0 < i < r-1, so a nonzero interior rho_i makes both its neighbours
+    nonzero. Either every rho is then nonzero, a geometric progression
+    fixed by rho_0 and rho_1, (p-1)^2 prefixes, or every interior rho is
+    zero and only the two ends are free, at most p^2. So each of rows 2 ..
+    d-1 takes fewer than 2p^3 steps."""
+    rho = [0] * d
+
+    def fits(i: int) -> bool:
+        return (rho[i] * rho[i] - rho[i - 1] * rho[(i + 1) % d]) % p == 0
+
+    def search(r: int, free: int) -> int:
+        if r == d:
+            return int(fits(0) and fits(d - 1))
+        total = 0
+        for value in range(p):
+            rho[r] = value
+            if r >= 2 and not fits(r - 1):
+                continue
+            if not value:
+                total += search(r + 1, free)
+            elif free:
+                total += free * search(r + 1, free - 1)
+        return total
+
+    return search(0, d) - 1  # the zero matrix satisfies everything
 
 
 def brute_force_full_count(d, p):
@@ -284,36 +327,85 @@ class TestSolver:
         assert sol is not None and sol[0] + sol[1] == 2
 
 
+def row_sum(d, i):
+    total = SparsePoly.zero(d)
+    for j in range(1, d + 1):
+        total = total + SparsePoly.variable(d, ((i - 1) % d + 1, j))
+    return total
+
+
+def with_rho(qs, i, quadric):
+    """``qs`` with its row-sum quadric i replaced by ``quadric``."""
+    rho = list(qs.rho_quadrics)
+    rho[i - 1] = quadric
+    return dataclasses.replace(qs, rho_quadrics=tuple(rho))
+
+
+# quadric sets that break the proof's premise: (d, mutation of the built set)
+PREMISE_MUTATIONS = {
+    "dropped-row-pair": (3, lambda qs: dataclasses.replace(
+        qs, row_monomials=qs.row_monomials[1:])),
+    "column-pair-as-row-pair": (3, lambda qs: dataclasses.replace(
+        qs, column_monomials=qs.row_monomials[:1] + qs.column_monomials[1:])),
+    "rho-neighbour-i-2": (4, lambda qs: with_rho(
+        qs, 2, row_sum(4, 2) * row_sum(4, 2) - row_sum(4, 0) * row_sum(4, 3))),
+    "rho-sign-flipped": (4, lambda qs: with_rho(
+        qs, 2, row_sum(4, 2) * row_sum(4, 2) + row_sum(4, 1) * row_sum(4, 3))),
+    "rho-wrong-at-d2": (2, lambda qs: with_rho(
+        qs, 1, row_sum(2, 1) * row_sum(2, 1) - row_sum(2, 1) * row_sum(2, 2))),
+}
+
+
+class TestLocusProof:
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_the_built_families_prove_the_locus(self, d):
+        proof = locus_proof(quadric_generators(d))
+        assert proof.premise_holds and proof.ok
+        assert proof.d == d and proof.p == DEFAULT_PRIMES[d]
+        assert proof.projective_points == proof.expected == (
+            d * math.factorial(d))
+        assert proof.affine_solutions == (proof.p - 1) * proof.expected
+
+    @pytest.mark.parametrize("name", sorted(PREMISE_MUTATIONS))
+    def test_a_broken_family_fails_the_premise(self, name):
+        d, mutate = PREMISE_MUTATIONS[name]
+        proof = locus_proof(mutate(quadric_generators(d)))
+        assert not proof.premise_holds and not proof.ok
+        assert proof.projective_points == proof.expected
+
+    def test_a_rho_quadric_plus_products_still_proves(self):
+        # the products vanish on the locus, so adding one to a row-sum
+        # quadric changes no zero and keeps the premise
+        qs = quadric_generators(3)
+        proof = locus_proof(with_rho(qs, 1, qs.rho_quadrics[0]
+                                     + qs.row_monomials[0]
+                                     - qs.column_monomials[4]))
+        assert proof.ok
+
+    def test_range_check(self):
+        with pytest.raises(ValueError):
+            locus_proof(QuadricSet(7, (), (), ()))
+
+
 class TestLocusCounts:
-    def test_d2_p5_full(self):
-        count = finite_field_locus_count(2, 5)
-        assert count.affine_solutions == 16
-        assert count.projective_points == 4
-        assert count.expected == 4
-        assert count.matches_expected
+    @pytest.mark.parametrize("d, p", [
+        (2, 3), (2, 5), (3, 7), (4, 5), (5, 11), (6, 7)])
+    def test_search_equals_the_proof(self, d, p):
+        proof = locus_proof(quadric_generators(d))
+        assert full_affine_count(d, p) == (p - 1) * proof.projective_points
+        if p == DEFAULT_PRIMES[d]:
+            assert full_affine_count(d, p) == proof.affine_solutions
 
-    def test_d3_p7_full(self):
-        count = finite_field_locus_count(3, 7)
-        assert count.affine_solutions == 108
-        assert count.projective_points == 18
-        assert count.matches_expected
+    def test_projective_count_matches_normal_form_classes(self):
+        supports = {tuple(point_assignment(3, j, sigma).items())
+                    for j in range(3) for sigma in Perm.all_perms(3)}
+        assert len(supports) == 18
+        assert locus_proof(quadric_generators(3)).projective_points == len(
+            supports)
 
-    def test_d4_p5(self):
-        count = finite_field_locus_count(4, 5)
-        assert count.mode == "full"
-        assert count.affine_solutions == 384
-        assert count.projective_points == 96
-        assert count.expected == 96
-        assert count.matches_expected
-
-    @pytest.mark.parametrize("d, p, points", [
-        (2, 101, 4), (4, 13, 96), (5, 11, 600), (6, 7, 4320)])
-    def test_every_count_is_the_row_search(self, d, p, points):
-        count = finite_field_locus_count(d, p)
-        assert count.mode == "full"
-        assert count.projective_points == count.expected == points
-        assert count.matches_expected
-        assert count.affine_solutions == (p - 1) * points
+    @pytest.mark.parametrize("d, p", [(2, 101), (3, 13), (4, 13), (6, 13)])
+    def test_search_counts_the_scaled_points(self, d, p):
+        assert full_affine_count(d, p) == (p - 1) * d * math.factorial(d)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_row_by_row_count_matches_brute_force(self, p):
@@ -327,21 +419,17 @@ class TestLocusCounts:
             if all(sum(c * math.prod(x[i, j] ** e for i, j, e in m)
                        for c, m in gen) % p == 0 for gen in gens):
                 solutions += 1
-        assert _full_affine_count(2, p) == solutions - 1  # less the zero matrix
-
-    def test_full_count_d3_p13(self):
-        # 18 points times the 12 nonzero scalars of GF(13)
-        assert _full_affine_count(3, 13) == 216
+        assert full_affine_count(2, p) == solutions - 1  # less the zero matrix
 
     @pytest.mark.parametrize("d,p", [(2, 3), (2, 5), (3, 7)])
     def test_row_search_matches_brute_force_rows(self, d, p):
-        assert _full_affine_count(d, p) == brute_force_full_count(d, p)
+        assert full_affine_count(d, p) == brute_force_full_count(d, p)
 
     @pytest.mark.parametrize("d,p", [(2, 3), (2, 5), (3, 7), (4, 5)])
     def test_row_search_matches_per_point(self, d, p):
         # every Delta P_sigma tried against the row-sum quadrics: the
         # search's count of all matrices equals the count on these supports
-        assert _full_affine_count(d, p) == len(per_point_solutions(d, p))
+        assert full_affine_count(d, p) == len(per_point_solutions(d, p))
 
     @pytest.mark.parametrize("d,p", [(2, 5), (3, 7), (4, 5)])
     def test_geometric_ratios(self, d, p):
@@ -375,7 +463,7 @@ class TestLocusCounts:
                           for s in range(1, p))
         points = d * math.factorial(d)
         assert len(scaled) == (p - 1) * points
-        assert _full_affine_count(d, p) == (p - 1) * points
+        assert full_affine_count(d, p) == (p - 1) * points
 
     @pytest.mark.parametrize("d, p, steps", [
         (2, 3, 12), (3, 7, 399), (4, 5, 280), (5, 11, 5225), (6, 7, 1932),
@@ -386,45 +474,13 @@ class TestLocusCounts:
         drawn = []
 
         def counted(*args):
-            values = range(*args)
+            values = builtins.range(*args)
             drawn.append(len(values))
             return values
 
-        monkeypatch.setattr(varieties, "range", counted, raising=False)
-        _full_affine_count(d, p)
+        monkeypatch.setattr(sys.modules[__name__], "range", counted,
+                            raising=False)
+        full_affine_count(d, p)
         monkeypatch.undo()
         assert sum(drawn) == steps
-        assert steps <= p + p * p + 2 * (d - 2) * p ** 3 <= SEARCH_LIMIT
-
-    def test_over_the_limit_is_refused_before_any_search(self, monkeypatch):
-        def search(*args):
-            raise AssertionError("searched")
-
-        monkeypatch.setattr(varieties, "_full_affine_count", search)
-        monkeypatch.setattr(varieties, "_check_prime", search)
-        for d, p in [(2, 1009), (2, 1000003), (3, 1000003), (7, 71),
-                     (2, 10 ** 18 + 9)]:
-            with pytest.raises(ValueError, match="more than"):
-                finite_field_locus_count(d, p)
-
-    def test_projective_count_matches_normal_form_classes(self):
-        supports = {tuple(point_assignment(3, j, sigma).items())
-                    for j in range(3) for sigma in Perm.all_perms(3)}
-        assert len(supports) == 18
-        count = finite_field_locus_count(3, 7)
-        assert count.projective_points == len(supports)
-
-    def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            finite_field_locus_count(2, 6)  # not prime
-        with pytest.raises(ValueError):
-            finite_field_locus_count(3, 5)  # 3 does not divide 4
-        with pytest.raises(ValueError):
-            finite_field_locus_count(1, 5)
-        with pytest.raises(TypeError):
-            finite_field_locus_count(2, 5, mode="full")  # no mode to choose
-
-    def test_report_shape(self):
-        count = finite_field_locus_count(2, 5)
-        assert isinstance(count, LocusCount)
-        assert count.d == 2 and count.p == 5
+        assert steps <= p + p * p + 2 * (d - 2) * p ** 3
