@@ -43,7 +43,6 @@ from .independence import (
 )
 from .symmetry import (
     AffinePerm,
-    MonoMatrix,
     SymElement,
     SymmetryEnumeration,
     check_affine_characterization,
@@ -73,7 +72,6 @@ __all__ = [
     "ExtraGeneratorReport",
     "LinForm",
     "LocusProof",
-    "MonoMatrix",
     "PhaseEvaluator",
     "PowerDecomposition",
     "PowerTerm",

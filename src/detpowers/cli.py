@@ -482,10 +482,7 @@ def _cmd_equations(args: argparse.Namespace):
     if d in (3, 4):
         with _stage("extra-generators"):
             extra = extra_generators(d)
-        reduction_ok = None
-        if extra.reduction is not None:
-            reduction_ok = (extra.reduction.solvable
-                            and extra.reduction.residual_contained)
+        reduction_ok = None if extra.reduction is None else extra.reduction.ok
         rows.append({
             "check": "extra_generators",
             "d": d,

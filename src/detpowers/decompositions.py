@@ -38,66 +38,12 @@ from .multipoly import (
     SparsePoly,
     determinant_poly,
     diagonal_product_poly,
-    perm_sign,
 )
 
 TARGET_DETERMINANT = "determinant"
 TARGET_DIAGONAL = "diagonal-product"
 
 SCHEMES = ("main", "classical", "gurvits", "monomial")
-
-
-class Perm:
-    """A permutation of {1..d} stored by its one-line image tuple."""
-
-    __slots__ = ("images", "_sign")
-
-    def __init__(self, images: tuple[int, ...]):
-        d = len(images)
-        if sorted(images) != list(range(1, d + 1)):
-            raise ValueError(f"not a permutation of 1..{d}: {images}")
-        self.images = tuple(images)
-        self._sign: int | None = None
-
-    @classmethod
-    def identity(cls, d: int) -> "Perm":
-        return cls(tuple(range(1, d + 1)))
-
-    @staticmethod
-    def all_perms(d: int) -> Iterator["Perm"]:
-        """All permutations in lexicographic one-line order."""
-        for images in itertools.permutations(range(1, d + 1)):
-            yield Perm(images)
-
-    @property
-    def d(self) -> int:
-        return len(self.images)
-
-    @property
-    def sign(self) -> int:
-        if self._sign is None:
-            self._sign = perm_sign(self.images)
-        return self._sign
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def inverse(self) -> "Perm":
-        out = [0] * self.d
-        for i, v in enumerate(self.images, start=1):
-            out[v - 1] = i
-        return Perm(tuple(out))
-
-    def __eq__(self, other):
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Perm{self.images}"
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -188,10 +134,11 @@ def sign_vectors(d: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _permutations(d: int):
-    """The permutations of 1..d in lexicographic order and their signs by
-    rank. The Lehmer codes run through the mixed radix (d, d-1, ..., 1) in
-    the same order, and a code's digit sum counts the permutation's
-    inversions."""
+    """The permutations of 1..d, each its one-line image tuple, in
+    lexicographic order, and their signs by rank. The Lehmer codes run
+    through the mixed radix (d, d-1, ..., 1) in the same order, and a
+    code's digit sum counts the permutation's inversions. Both lists are
+    cached and shared by every caller, which must not mutate them."""
     perms = list(itertools.permutations(range(1, d + 1)))
     codes = itertools.product(*(range(n) for n in range(d, 0, -1)))
     return perms, [-1 if sum(code) & 1 else 1 for code in codes]

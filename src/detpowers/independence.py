@@ -27,10 +27,8 @@ proven lower bound on the rank, equal to it at d * d!.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .cyclotomic import Cyc, omega
-from .decompositions import Perm, PowerDecomposition
+from .decompositions import PowerDecomposition, _permutations
 from .multipoly import (
     Monomial,
     SparsePoly,
@@ -40,63 +38,42 @@ from .multipoly import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class TermPoint:
-    """Coefficient matrix of one term's linear form, as a point: the
-    coordinate at each var of ``phases`` is w^phases[var], every other
-    coordinate is zero."""
-    index: tuple
-    d: int
-    phases: dict[tuple[int, int], int] = dataclasses.field(hash=False)
-
-
-@dataclasses.dataclass(frozen=True)
-class DualForm:
-    """A homogeneous form, paired with term points by ``covered_values``."""
-    poly: SparsePoly
-    degree: int
-
-    def __post_init__(self):
-        if self.poly.total_degree() != self.degree:
-            raise ValueError("form degree does not match the declared degree")
-
-
-def term_point(d: int, sigma: Perm, j: int) -> TermPoint:
-    """The point whose (i, sigma i) coordinate is w^(ij), all others zero."""
+def term_point(d: int, sigma: tuple[int, ...], j: int) -> dict:
+    """The coefficient matrix of term (sigma, j) as a point, by its phases:
+    the coordinate at (i, sigma i) is w^(ij mod d), every other is zero."""
     if not 1 <= j <= d:
         raise ValueError(f"j must be in [1, {d}], got {j}")
-    return TermPoint((sigma.images, j), d,
-                     {(i, sigma(i)): i * j % d for i in range(1, d + 1)})
+    return {(i, s): i * j % d for i, s in enumerate(sigma, start=1)}
 
 
-def diagonal_cofactor_monomial(d: int, sigma: Perm, k: int) -> Monomial:
+def diagonal_cofactor_monomial(sigma: tuple[int, ...], k: int) -> Monomial:
     """The product of x[i, sigma i] over all i except k."""
-    return monomial({(i, sigma(i)): 1 for i in range(1, d + 1) if i != k})
+    return monomial({(i, s): 1 for i, s in enumerate(sigma, start=1)
+                     if i != k})
 
 
-def dual_form(d: int, sigma: Perm, j: int) -> DualForm:
-    """L_{sigma,j} = sum_k w^(kj) * (product of x[i, sigma i], i != k)."""
+def dual_form(d: int, sigma: tuple[int, ...], j: int) -> SparsePoly:
+    """L_{sigma,j} = sum_k w^(kj) * (product of x[i, sigma i], i != k), of
+    degree d - 1."""
     if not 1 <= j <= d:
         raise ValueError(f"j must be in [1, {d}], got {j}")
-    terms = {diagonal_cofactor_monomial(d, sigma, k): omega(d, k * j)
-             for k in range(1, d + 1)}
-    return DualForm(SparsePoly(d, terms), d - 1)
+    return SparsePoly(d, {diagonal_cofactor_monomial(sigma, k):
+                          omega(d, k * j) for k in range(1, d + 1)})
 
 
-def promoted_dual_form(d: int, sigma: Perm, j: int) -> DualForm:
+def promoted_dual_form(d: int, sigma: tuple[int, ...], j: int) -> SparsePoly:
     """The degree-d promotion: L multiplied by x[1, sigma 1], a linear form
     that does not vanish at the matching point. Multiplying by one monomial
     keeps every coefficient and the monomials distinct."""
-    riser = monomial({(1, sigma(1)): 1})
-    terms = {mono_mul(m, riser): c
-             for m, c in dual_form(d, sigma, j).poly.terms.items()}
-    return DualForm(SparsePoly(d, terms), d)
+    riser = monomial({(1, sigma[0]): 1})
+    return SparsePoly(d, {mono_mul(m, riser): c
+                          for m, c in dual_form(d, sigma, j).terms.items()})
 
 
 def term_index_list(d: int) -> list[tuple[tuple[int, ...], int]]:
     """All (sigma images, j) in lexicographic sigma order, then j = 1..d."""
-    return [(sigma.images, j)
-            for sigma in Perm.all_perms(d) for j in range(1, d + 1)]
+    return [(sigma, j)
+            for sigma in _permutations(d)[0] for j in range(1, d + 1)]
 
 
 def _separation_values(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
@@ -107,8 +84,8 @@ def _separation_values(d: int) -> tuple[list[tuple[tuple[int, ...], int]],
         raise ValueError(f"d must be in [2, 5], got {d}")
     indices = term_index_list(d)
     return indices, covered_values(
-        [dual_form(d, Perm(images), j).poly for images, j in indices],
-        [term_point(d, Perm(images), j).phases for images, j in indices])
+        [dual_form(d, sigma, j) for sigma, j in indices],
+        [term_point(d, sigma, j) for sigma, j in indices])
 
 
 def separation_violations(d: int) -> list[tuple[int, int, Cyc]]:
@@ -158,8 +135,7 @@ def promotion_certificate(
                                  f"of x{var} is not a power of w of order {d}")
             phases[var] = k
         points.append(phases)
-    forms = [promoted_dual_form(d, Perm(images), j).poly
-             for images, j in indices]
+    forms = [promoted_dual_form(d, sigma, j) for sigma, j in indices]
     zero = Cyc.zero(d)
     count, first = 0, None
     for r, (term, row) in enumerate(

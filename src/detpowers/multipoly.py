@@ -67,10 +67,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(t[2] for t in m)
-
-
 def multinomial(total: int, parts: Iterable[int]) -> int:
     """total! / prod(part!) for a weak composition of `total`."""
     parts = tuple(parts)
@@ -131,9 +127,6 @@ class SparsePoly:
 
     def monomials(self) -> list[Monomial]:
         return sorted(self.terms)
-
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
 
     @property
     def is_zero(self) -> bool:

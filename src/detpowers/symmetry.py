@@ -1,7 +1,7 @@
 """Symmetries of the main decomposition.
 
 The set M of monomial matrices w^k D^j P_sigma (D = diag(w, w^2, ..., w^d))
-has a canonical normal form (k, j, sigma). Maps X -> w^m D^n P_pi X P_sigma
+has a canonical normal form (sigma, k, j). Maps X -> w^m D^n P_pi X P_sigma
 with pi affine permute M, hence permute the decomposition's terms; the
 subgroup H of such maps that additionally preserve the determinant
 multiplier acts by sign-preserving term bijections. The module provides the
@@ -38,9 +38,9 @@ import math
 from .cyclotomic import Cyc, omega
 from .decompositions import (
     TARGET_DETERMINANT,
-    Perm,
     PowerDecomposition,
     PowerTerm,
+    _permutations,
     main_decomposition,
 )
 from .multipoly import LinForm
@@ -73,40 +73,25 @@ def jacobi_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def cycle_sign(perm: Perm) -> int:
-    """Parity from the cycle decomposition: (-1)^(d - number of cycles)."""
-    seen = [False] * perm.d
+def cycle_sign(images: tuple[int, ...]) -> int:
+    """Parity of the permutation with one-line ``images`` from its cycle
+    decomposition: (-1)^(d - number of cycles)."""
+    d = len(images)
+    seen = [False] * d
     cycles = 0
-    for start in range(1, perm.d + 1):
+    for start in range(1, d + 1):
         if seen[start - 1]:
             continue
         cycles += 1
         i = start
         while not seen[i - 1]:
             seen[i - 1] = True
-            i = perm(i)
-    return -1 if (perm.d - cycles) & 1 else 1
+            i = images[i - 1]
+    return -1 if (d - cycles) & 1 else 1
 
 
 # ---------------------------------------------------------------------------
 # monomial matrices and their normal form
-
-
-@dataclasses.dataclass(frozen=True)
-class MonoMatrix:
-    """Canonical triple for w^k D^j P_sigma: entry w^(k+ij) at (i, sigma i)."""
-    k: int
-    j: int
-    sigma: Perm
-
-    def __post_init__(self):
-        d = self.sigma.d
-        if not (0 <= self.k < d and 0 <= self.j < d):
-            raise ValueError("k and j must be reduced mod d")
-
-    @property
-    def d(self) -> int:
-        return self.sigma.d
 
 
 def _solve_row_exponents(d: int, exponents) -> tuple[int, int] | None:
@@ -121,21 +106,12 @@ def _solve_row_exponents(d: int, exponents) -> tuple[int, int] | None:
     return None
 
 
-def mono_membership_sparse(d: int, images: tuple[int, ...],
-                           exponents: tuple[int, ...]) -> MonoMatrix | None:
-    """Decide whether the monomial matrix with entry w^(exponents[i-1]) at
-    (i, images[i-1]) lies in M, returning its normal form."""
-    solved = _solve_row_exponents(d, exponents)
-    if solved is None:
-        return None
-    return MonoMatrix(solved[0], solved[1], Perm(images))
-
-
-def mono_membership(d: int, support) -> MonoMatrix | None:
-    """Normal form of the d x d matrix with the given support (a linear
-    form's ((row, col), scalar) pairs in row-major order) if it lies in M:
-    row r holds the r-th pair alone, the columns form a permutation, and
-    the entries are powers of w whose exponents fit k + i*j."""
+def mono_membership(d: int, support) -> tuple | None:
+    """The normal form (sigma images, k, j), k and j reduced mod d, of the
+    d x d matrix with the given support (a linear form's ((row, col),
+    scalar) pairs in row-major order) if it is w^k D^j P_sigma: row r holds
+    the r-th pair alone, the columns form a permutation, and the entries
+    are powers of w whose exponents fit k + i*j. None otherwise."""
     images = []
     exponents = []
     for r, ((i, col), c) in enumerate(support, start=1):
@@ -146,7 +122,8 @@ def mono_membership(d: int, support) -> MonoMatrix | None:
         exponents.append(power)
     if sorted(images) != list(range(1, d + 1)):
         return None
-    return mono_membership_sparse(d, tuple(images), tuple(exponents))
+    solved = _solve_row_exponents(d, exponents)
+    return None if solved is None else (tuple(images), *solved)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +146,9 @@ class AffinePerm:
     def __call__(self, i: int) -> int:
         return (self.a * i + self.b - 1) % self.d + 1
 
-    def perm(self) -> Perm:
-        return Perm(tuple(self(i) for i in range(1, self.d + 1)))
+    def perm(self) -> tuple[int, ...]:
+        """The one-line image tuple."""
+        return tuple(self(i) for i in range(1, self.d + 1))
 
 
 def affine_group(d: int) -> list[AffinePerm]:
@@ -185,24 +163,14 @@ def check_affine_characterization(d: int) -> bool:
     sigma: i -> ai+b the identity P_sigma D = w^b D^a P_sigma holds."""
     if not 2 <= d <= 6:
         raise ValueError(f"d must be in [2, 6], got {d}")
-    affine_images = {aff.perm().images for aff in affine_group(d)}
-    for pi in Perm.all_perms(d):
+    affine_images = {aff.perm() for aff in affine_group(d)}
+    for pi in _permutations(d)[0]:
         # P_pi * D has entry w^(pi i) at (i, pi i)
-        exponents = tuple(pi(i) % d for i in range(1, d + 1))
-        member = mono_membership_sparse(d, pi.images, exponents)
-        if (member is not None) != (pi.images in affine_images):
+        solved = _solve_row_exponents(d, [p % d for p in pi])
+        if (solved is not None) != (pi in affine_images):
             return False
-    for aff in affine_group(d):
-        sigma = aff.perm()
-        exponents = tuple(sigma(i) % d for i in range(1, d + 1))
-        member = mono_membership_sparse(d, sigma.images, exponents)
-        if member is None:
-            return False
-        if member.k != aff.b % d or member.j != aff.a % d:
-            return False
-        if member.sigma != sigma:
-            return False
-    return True
+    return all(_solve_row_exponents(d, [s % d for s in aff.perm()])
+               == (aff.b, aff.a) for aff in affine_group(d))
 
 
 def check_sign_formulas(d: int) -> bool:
@@ -238,11 +206,11 @@ class SymElement:
     m: int
     n: int
     pi: AffinePerm
-    sigma: Perm
+    sigma: tuple[int, ...]
 
     @property
     def d(self) -> int:
-        return self.sigma.d
+        return len(self.sigma)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -322,7 +290,7 @@ def enumerate_symmetries(d: int) -> SymmetryEnumeration:
     phase_count = collections.Counter(_phase_signs(d).values())
     pi_count = collections.Counter(cycle_sign(pi.perm())
                                    for pi in affine_group(d))
-    sigma_count = collections.Counter(map(cycle_sign, Perm.all_perms(d)))
+    sigma_count = collections.Counter(_permutations(d)[1])
     preserving = sum(phase_count[a] * pi_count[b] * sigma_count[a * b]
                      for a in (1, -1) for b in (1, -1))
     total = d * d * pi_count.total() * sigma_count.total()
@@ -353,8 +321,7 @@ def _signed_terms(dec: PowerDecomposition) -> dict:
     terms = {}
     for term in dec.terms:
         member = mono_membership(dec.d, term.form.support())
-        read = (None if member is None
-                else (member.sigma.images, member.j or dec.d))
+        read = None if member is None else (member[0], member[2] or dec.d)
         if read != term.index:
             raise ValueError(f"term {term.index} has a form that reads "
                              f"as {read}")
@@ -376,7 +343,7 @@ def _image(h: SymElement, terms: dict) -> dict:
     image leave the dict shorter than ``terms``.
     """
     d = h.d
-    pi_images, sigma_images = h.pi.perm().images, h.sigma.images
+    pi_images, sigma_images = h.pi.perm(), h.sigma
     image_j = {}
     for j in range(1, d + 1):
         solved = _solve_row_exponents(
@@ -394,11 +361,10 @@ def symmetry_generators(d: int) -> list[SymElement]:
     """Generators of every (m, n, pi, sigma): the m-shift and the n-shift,
     pi: x -> x+1 and x -> ax for every unit a other than 1, and sigma =
     (1 2) and (1 2 ... d)."""
-    one_pi, one_sigma = AffinePerm(1, 0, d), Perm.identity(d)
+    one_pi, one_sigma = AffinePerm(1, 0, d), tuple(range(1, d + 1))
     pis = [AffinePerm(1, 1, d)] + [AffinePerm(a, 0, d) for a in range(2, d)
                                    if math.gcd(a, d) == 1]
-    sigmas = [Perm((2, 1) + tuple(range(3, d + 1))),
-              Perm(tuple(range(2, d + 1)) + (1,))]
+    sigmas = [(2, 1) + one_sigma[2:], one_sigma[1:] + (1,)]
     return ([SymElement(1, 0, one_pi, one_sigma),
              SymElement(0, 1, one_pi, one_sigma)]
             + [SymElement(0, 0, pi, one_sigma) for pi in pis]
@@ -431,13 +397,15 @@ def transpose_closure(d: int) -> tuple[bool, list[tuple[int, tuple[int, ...]]]]:
     if not 2 <= d <= 6:
         raise ValueError(f"d must be in [2, 6], got {d}")
     witnesses = []
-    for sigma in Perm.all_perms(d):
-        inv = sigma.inverse()
+    for sigma in _permutations(d)[0]:
+        inv = [0] * d
+        for i, s in enumerate(sigma, start=1):
+            inv[s - 1] = i
         for j in range(d):
             # transpose of D^j P_sigma has entry w^(j * inv(r)) at (r, inv r)
-            exponents = [(j * inv(r)) % d for r in range(1, d + 1)]
+            exponents = [j * i % d for i in inv]
             if _solve_row_exponents(d, exponents) is None:
-                witnesses.append((j, sigma.images))
+                witnesses.append((j, sigma))
     return not witnesses, witnesses
 
 
@@ -458,25 +426,26 @@ def matrix_product(a, b, order: int):
 
 
 def matrix_determinant(m, order: int) -> Cyc:
-    d = len(m)
     total = Cyc.zero(order)
-    for perm in Perm.all_perms(d):
+    for perm, sign in zip(*_permutations(len(m))):
         prod = Cyc.one(order)
-        for r in range(1, d + 1):
-            prod = prod * m[r - 1][perm(r) - 1]
-        total = total + prod * perm.sign
+        for row, col in zip(m, perm):
+            prod = prod * row[col - 1]
+        total = total + prod * sign
     return total
 
 
 def conjugate_decomposition(a, b, dec: PowerDecomposition) -> PowerDecomposition:
-    """Replace each term's coefficient matrix C by a*C*b. Requires
-    det(a*b) = 1, which keeps the target determinant unscaled, and a
+    """Replace each term's coefficient matrix C by a*C*b. Requires a and b
+    d x d, det(a*b) = 1, which keeps the target determinant unscaled, and a
     determinant target: X -> aXb preserves no other target."""
     if dec.target != TARGET_DETERMINANT:
         raise ValueError(f"conjugation preserves only the determinant, not "
                          f"the {dec.target!r} target")
     order = dec.order
     d = dec.d
+    if len(a) != d or len(b) != d or any(len(r) != d for r in (*a, *b)):
+        raise ValueError(f"a and b must be {d}x{d} matrices")
     if matrix_determinant(matrix_product(a, b, order), order) != Cyc.one(order):
         raise ValueError("det(a*b) must be exactly 1")
     # a*C*b is the sum over C's support of v times the outer product of

@@ -45,11 +45,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import Cyc
-from .decompositions import Perm
+from .decompositions import _permutations
 from .multipoly import (
     Monomial,
     SparsePoly,
@@ -114,15 +113,15 @@ def quadric_generators(d: int) -> QuadricSet:
 
 
 def point_set(d: int):
-    """All d * d! pairs (j, sigma) indexing the matrices D^j P_sigma."""
-    return ((j, sigma) for j in range(d) for sigma in Perm.all_perms(d))
+    """All d * d! pairs (j, sigma images) indexing the matrices D^j P_sigma."""
+    return ((j, sigma) for j in range(d) for sigma in _permutations(d)[0])
 
 
 def _point_phases(d: int):
     """The points (j, sigma) and, for each, D^j P_sigma as the phase map
     {(i, sigma i): ij mod d}."""
     points = list(point_set(d))
-    return points, [{(i, sigma(i)): i * j % d for i in range(1, d + 1)}
+    return points, [{(i, s): i * j % d for i, s in enumerate(sigma, start=1)}
                     for j, sigma in points]
 
 
@@ -134,8 +133,7 @@ def _family_violations(polys, d: int, cap: int = 12):
     failures = sorted((c, pos) for pos, values in
                       enumerate(covered_values(polys, phases))
                       for c, value in values.items() if value)
-    witnesses = tuple((pos, points[c][0], points[c][1].images)
-                      for c, pos in failures[:cap])
+    witnesses = tuple((pos, *points[c]) for c, pos in failures[:cap])
     return len(failures), witnesses
 
 
@@ -153,12 +151,12 @@ def vanish_on_points(d: int) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class ReductionReport:
-    """Outcome of rewriting each row-sum quadric as a combination of the
-    square generators modulo the monomial quadrics (d = 3 only)."""
-    coefficients: tuple[tuple[Fraction, ...], ...]
-    solvable: bool
-    residual_contained: bool
-    natural_combination: bool
+    """The d = 3 certificate that each row-sum quadric rho_i is a
+    combination of the square generators modulo the monomial quadrics: the
+    coefficients, 1 on each square of row i and 0 elsewhere, and whether
+    every such combination leaves only monomials inside their ideal."""
+    coefficients: tuple[tuple[int, ...], ...]
+    ok: bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,89 +185,19 @@ def _monomial_in_quadric_ideal(m: Monomial) -> bool:
             or len({j for _, j, _ in m}) < len(m))
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Particular rational solution of rows * c = rhs (free variables set
-    to zero), or None when the system is inconsistent."""
-    if not rows:
-        return []
-    width = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivot_cols = []
-    rank = 0
-    for col in range(width):
-        pivot = next((k for k in range(rank, len(aug)) if aug[k][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        scale = aug[rank][col]
-        aug[rank] = [v / scale for v in aug[rank]]
-        for k in range(len(aug)):
-            if k != rank and aug[k][col]:
-                factor = aug[k][col]
-                aug[k] = [v - factor * w for v, w in zip(aug[k], aug[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == len(aug):
-            break
-    if any(row[width] for row in aug[rank:]):
-        return None
-    solution = [Fraction(0)] * width
-    for r, col in enumerate(pivot_cols):
-        solution[col] = aug[r][width]
-    return solution
-
-
-def _rational_coefficient(value: Cyc) -> Fraction:
-    rat = value.rational()
-    if rat is None:
-        raise ArithmeticError(f"non-rational coefficient {value!r}")
-    return rat
-
-
-def _residual_contained(residual: SparsePoly) -> bool:
-    return all(_monomial_in_quadric_ideal(m) for m in residual.monomials())
-
-
-def _combine(target: SparsePoly, squares, coefficients) -> SparsePoly:
-    residual = target
-    for poly, c in zip(squares, coefficients):
-        if c:
-            residual = residual - poly * c
-    return residual
-
-
 def _reduce_rho_quadrics(qs: QuadricSet, squares, labels) -> ReductionReport:
-    """Solve, exactly over the rationals, for a combination of the square
-    generators matching each row-sum quadric on every monomial outside the
-    monomial-quadric ideal; then confirm the residual support really is
-    contained, and that unit coefficients on the matching row do the job."""
-    forbidden = sorted(
-        {m for poly in (*squares, *qs.rho_quadrics) for m in poly.monomials()
-         if not _monomial_in_quadric_ideal(m)})
-    matrix = [[_rational_coefficient(g.coefficient(m)) for g in squares]
-              for m in forbidden]
-    all_coeffs = []
-    solvable = True
-    contained = True
-    natural = True
-    for i, target in enumerate(qs.rho_quadrics, start=1):
-        rhs = [_rational_coefficient(target.coefficient(m)) for m in forbidden]
-        solution = _solve_exact(matrix, rhs)
-        if solution is None:
-            solvable = False
-            all_coeffs.append(tuple(Fraction(0) for _ in squares))
-            contained = False
-            continue
-        all_coeffs.append(tuple(solution))
-        if not _residual_contained(_combine(target, squares, solution)):
-            contained = False
-        unit = [Fraction(1) if label[0] == i else Fraction(0)
-                for label in labels]
-        if not _residual_contained(_combine(target, squares, unit)):
-            natural = False
-    return ReductionReport(
-        coefficients=tuple(all_coeffs), solvable=solvable,
-        residual_contained=contained, natural_combination=natural)
+    """Check, for each i, that rho_i minus the sum of the squares of row i
+    has every monomial inside the row and column product ideal."""
+    coefficients = tuple(tuple(int(label[0] == i) for label in labels)
+                         for i in range(1, qs.d + 1))
+    ok = True
+    for target, row in zip(qs.rho_quadrics, coefficients):
+        residual = target
+        for poly, c in zip(squares, row):
+            if c:
+                residual = residual - poly
+        ok = ok and all(map(_monomial_in_quadric_ideal, residual.terms))
+    return ReductionReport(coefficients, ok)
 
 
 def _extra_generators_d3():

@@ -22,9 +22,10 @@ Two independent engines are provided:
   times the signed extension sum of the pattern, so one comparison decides
   a whole composition class. Each given term's index is read from its
   support and checked against that index's closed-form term in the
-  scheme's numbered table (``decompositions``), in any order. Only the monomials of a failing class, and those a term whose
-  index is missing, repeated or differs reaches (corrected by that
-  term), are evaluated one by one.
+  scheme's numbered table (``decompositions``), in any order. Only the
+  monomials of a failing class, and those a term whose index is missing,
+  repeated or differs reaches (corrected by that term), are evaluated one
+  by one.
 
 The engines share no code path, so they act as each other's oracle; both
 read the terms they are given, compare against the scaled target

@@ -341,8 +341,7 @@ def test_criterion_10_defining_equations():
     if not extra3.squares_vanish:
         bad.append("a d=3 square generator fails on a point")
     red = extra3.reduction
-    if red is None or not (red.solvable and red.residual_contained
-                           and red.natural_combination):
+    if red is None or not red.ok:
         bad.append("the d=3 row-sum quadrics do not reduce to the square "
                    "generators modulo the monomial ideal")
     extra4 = extra_generators(4)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,15 +9,14 @@ import pytest
 from detpowers.cyclotomic import Cyc, omega
 from detpowers import symmetry
 from detpowers.decompositions import (
-    Perm,
+    _permutations,
     gurvits_decomposition,
     main_decomposition,
     monomial_power_decomposition,
 )
-from detpowers.multipoly import LinForm
+from detpowers.multipoly import LinForm, perm_sign
 from detpowers.symmetry import (
     AffinePerm,
-    MonoMatrix,
     SymElement,
     affine_group,
     check_affine_characterization,
@@ -31,7 +31,6 @@ from detpowers.symmetry import (
     matrix_determinant,
     matrix_product,
     mono_membership,
-    mono_membership_sparse,
     symmetry_generators,
     transpose_closure,
 )
@@ -45,12 +44,26 @@ from detpowers.verify import verify_power_decomposition
 from test_decompositions import then
 
 
-def mono_support(m: MonoMatrix):
+def mono_support(sigma, k, j):
     """Oracle: the support of w^k D^j P_sigma, entry w^(k+ij) at
     (i, sigma i), as a linear form's ((row, col), scalar) pairs."""
-    d = m.d
-    return tuple(((i, m.sigma(i)), omega(d, m.k + i * m.j))
-                 for i in range(1, d + 1))
+    d = len(sigma)
+    return tuple(((i, s), omega(d, k + i * j))
+                 for i, s in enumerate(sigma, start=1))
+
+
+def inverse(sigma):
+    """Oracle: the inverse permutation, as its image tuple."""
+    return tuple(sorted(range(1, len(sigma) + 1), key=lambda i: sigma[i - 1]))
+
+
+def all_perms(d):
+    """Oracle: every permutation of 1..d, as image tuples."""
+    return list(itertools.permutations(range(1, d + 1)))
+
+
+def identity(d):
+    return tuple(range(1, d + 1))
 
 
 def compose_affine(f: AffinePerm, g: AffinePerm) -> AffinePerm:
@@ -84,7 +97,7 @@ def signature(elem: SymElement) -> tuple:
     (phase, row, column) for w^(m + n r) X[pi r, sigma^-1 c]."""
     d = elem.d
     rows = [((elem.m + elem.n * r) % d, elem.pi(r)) for r in range(1, d + 1)]
-    columns = elem.sigma.inverse().images
+    columns = inverse(elem.sigma)
     return tuple((phase, pi_r, c) for phase, pi_r in rows for c in columns)
 
 
@@ -101,13 +114,13 @@ def all_elements(d: int) -> list[SymElement]:
     """Every (m, n, pi, sigma), in that order."""
     return [SymElement(m, n, pi, sigma)
             for m in range(d) for n in range(d)
-            for pi in affine_group(d) for sigma in Perm.all_perms(d)]
+            for pi in affine_group(d) for sigma in all_perms(d)]
 
 
 def random_element(rng: random.Random, d: int) -> SymElement:
     return SymElement(rng.randrange(d), rng.randrange(d),
                       rng.choice(affine_group(d)),
-                      rng.choice(list(Perm.all_perms(d))))
+                      rng.choice(all_perms(d)))
 
 
 def with_term(dec, position, **changes):
@@ -137,7 +150,7 @@ def every_element_verdict(dec) -> bool:
     d = dec.d
     one, minus = Cyc.one(d), negated(terms)
     for pi in affine_group(d):
-        for sigma in Perm.all_perms(d):
+        for sigma in all_perms(d):
             at_origin = _image(SymElement(0, 0, pi, sigma), terms)
             for n in range(d):
                 image = shifted(at_origin, n, d)
@@ -178,44 +191,44 @@ class TestTotientAndJacobi:
 class TestCycleSign:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_inversion_count_sign(self, d):
-        for p in Perm.all_perms(d):
-            assert cycle_sign(p) == p.sign
+        perms, signs = _permutations(d)
+        assert [cycle_sign(p) for p in perms] == signs
+        assert all(cycle_sign(p) == perm_sign(p) for p in perms)
 
 
-class TestMonoMatrix:
+class TestMonoMembership:
     def test_d_times_p_identity(self):
-        m = MonoMatrix(0, 1, Perm.identity(3))
-        found = mono_membership(3, mono_support(m))
-        assert found == m
+        found = mono_membership(3, mono_support((1, 2, 3), 0, 1))
+        assert found == ((1, 2, 3), 0, 1)
 
     def test_normal_form_uniqueness(self):
         for d in (2, 3, 4):
             supports = set()
             for k in range(d):
                 for j in range(d):
-                    for sigma in Perm.all_perms(d):
-                        supports.add(mono_support(MonoMatrix(k, j, sigma)))
+                    for sigma in all_perms(d):
+                        supports.add(mono_support(sigma, k, j))
             assert len(supports) == d * d * math.factorial(d)
 
     def test_membership_round_trip(self):
         for d in (2, 3, 4):
             for k in range(d):
                 for j in range(d):
-                    for sigma in Perm.all_perms(d):
-                        m = MonoMatrix(k, j, sigma)
-                        assert mono_membership(d, mono_support(m)) == m
+                    for sigma in all_perms(d):
+                        assert mono_membership(
+                            d, mono_support(sigma, k, j)) == (sigma, k, j)
 
     def test_p12_times_d_is_outside_for_d4(self):
         # P_(12) D has entry w^(sigma i) at (i, sigma i)
-        sigma = Perm((2, 1, 3, 4))
-        exponents = tuple(sigma(i) % 4 for i in range(1, 5))
-        assert mono_membership_sparse(4, sigma.images, exponents) is None
+        sigma = (2, 1, 3, 4)
+        support = tuple(((i, s), omega(4, s))
+                        for i, s in enumerate(sigma, start=1))
+        assert mono_membership(4, support) is None
 
     def test_scaled_d_squared_cycle(self):
-        sigma = Perm((2, 3, 1))
-        m = MonoMatrix(1, 2, sigma)
-        assert mono_membership(3, mono_support(m)) == m
-        assert mono_support(m)[0] == ((1, 2), omega(3, 1 + 2))
+        sigma = (2, 3, 1)
+        assert mono_membership(3, mono_support(sigma, 1, 2)) == (sigma, 1, 2)
+        assert mono_support(sigma, 1, 2)[0] == ((1, 2), omega(3, 1 + 2))
 
     def test_dense_matrix_is_rejected(self):
         one = Cyc.one(3)
@@ -232,16 +245,12 @@ class TestMonoMatrix:
         assert mono_membership(
             3, (((1, 1), one), ((2, 1), one), ((3, 3), one))) is None
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MonoMatrix(3, 0, Perm.identity(3))
-
 
 class TestAffinePerm:
     def test_call_and_perm(self):
         aff = AffinePerm(2, 1, 5)  # i -> 2i + 1 mod 5
         assert [aff(i) for i in range(1, 6)] == [3, 5, 2, 4, 1]
-        assert aff.perm().images == (3, 5, 2, 4, 1)
+        assert aff.perm() == (3, 5, 2, 4, 1)
 
     def test_composition_law_matches_permutation_composition(self):
         for d in (3, 4, 5, 6):
@@ -255,8 +264,8 @@ class TestAffinePerm:
     def test_inverse(self):
         for aff in affine_group(5):
             inv = inverse_affine(aff)
-            assert compose_affine(aff, inv).perm() == Perm.identity(5)
-            assert compose_affine(inv, aff).perm() == Perm.identity(5)
+            assert compose_affine(aff, inv).perm() == identity(5)
+            assert compose_affine(inv, aff).perm() == identity(5)
 
     def test_group_orders(self):
         assert len(affine_group(3)) == 6
@@ -264,11 +273,11 @@ class TestAffinePerm:
         assert len(affine_group(5)) == 20
 
     def test_affine_3_is_all_of_s3(self):
-        images = {aff.perm().images for aff in affine_group(3)}
-        assert images == {p.images for p in Perm.all_perms(3)}
+        images = {aff.perm() for aff in affine_group(3)}
+        assert images == set(all_perms(3))
 
     def test_transposition_12_is_not_affine_for_d4(self):
-        images = {aff.perm().images for aff in affine_group(4)}
+        images = {aff.perm() for aff in affine_group(4)}
         assert (2, 1, 3, 4) not in images
 
     def test_unit_validation(self):
@@ -284,11 +293,29 @@ class TestAffineCharacterization:
     @pytest.mark.parametrize("d,passing", [(3, 6), (4, 8), (5, 20)])
     def test_membership_count_matches_affine_order(self, d, passing):
         count = 0
-        for pi in Perm.all_perms(d):
-            exponents = tuple(pi(i) % d for i in range(1, d + 1))
-            if mono_membership_sparse(d, pi.images, exponents) is not None:
+        for pi in all_perms(d):
+            # P_pi D has entry w^(pi i) at (i, pi i)
+            support = tuple(((i, p), omega(d, p))
+                            for i, p in enumerate(pi, start=1))
+            if mono_membership(d, support) is not None:
                 count += 1
         assert count == passing
+
+    @pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_shifted_normal_form_fails(self, d, shift, monkeypatch):
+        # the check compares the solved (k, j) with (b, a), not only its
+        # existence: a solver off by one in k or in j must fail it
+        solve = symmetry._solve_row_exponents
+
+        def shifted_solve(d_, exponents):
+            solved = solve(d_, exponents)
+            if solved is None:
+                return None
+            return tuple((v + s) % d_ for v, s in zip(solved, shift))
+
+        monkeypatch.setattr(symmetry, "_solve_row_exponents", shifted_solve)
+        assert check_affine_characterization(d) is False
 
 
 class TestSignFormulas:
@@ -352,8 +379,7 @@ class TestEnumeration:
     def test_faithfulness_enumerates_no_element(self, d, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("faithfulness enumerated a permutation")
-        monkeypatch.setattr(Perm, "all_perms", staticmethod(refuse))
-        monkeypatch.setattr(Perm, "inverse", refuse)
+        monkeypatch.setattr(symmetry, "_permutations", refuse)
         monkeypatch.setattr(symmetry, "affine_group", refuse)
         assert check_faithfulness(d) is True
 
@@ -366,7 +392,7 @@ class TestEnumeration:
         for m in range(d):
             for n in range(d):
                 for pi in affine_group(d):
-                    for sigma in Perm.all_perms(d):
+                    for sigma in all_perms(d):
                         mult = determinant_multiplier(
                             SymElement(m, n, pi, sigma))
                         assert mult in (one, minus_one)
@@ -382,17 +408,17 @@ class TestEnumeration:
         elements = all_elements(3)
         assert len(set(elements)) == enumerate_symmetries(3).full_order
         assert elements[0] == SymElement(
-            0, 0, AffinePerm(1, 0, 3), Perm.identity(3))
+            0, 0, AffinePerm(1, 0, 3), (1, 2, 3))
         assert elements[-1] == SymElement(
-            2, 2, affine_group(3)[-1], Perm((3, 2, 1)))
+            2, 2, affine_group(3)[-1], (3, 2, 1))
 
     def test_multiplier_values(self):
         # n = 0 and trivial permutations leave the determinant alone
         for m in range(3):
-            elem = SymElement(m, 0, AffinePerm(1, 0, 3), Perm.identity(3))
+            elem = SymElement(m, 0, AffinePerm(1, 0, 3), (1, 2, 3))
             assert determinant_multiplier(elem) == Cyc.one(3)
         # a single inversion flips it
-        elem = SymElement(0, 0, AffinePerm(1, 0, 3), Perm((2, 1, 3)))
+        elem = SymElement(0, 0, AffinePerm(1, 0, 3), (2, 1, 3))
         assert determinant_multiplier(elem) == Cyc.from_int(3, -1)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -408,7 +434,7 @@ class TestEnumeration:
 class TestAction:
     def test_identity_element_is_the_identity_bijection(self):
         terms = _signed_terms(main_decomposition(3))
-        elem = SymElement(0, 0, AffinePerm(1, 0, 3), Perm.identity(3))
+        elem = SymElement(0, 0, AffinePerm(1, 0, 3), (1, 2, 3))
         assert _image(elem, terms) == terms
         assert len(terms) == 18
 
@@ -448,8 +474,8 @@ class TestAction:
                     == composed_sig
 
     def test_compose_with_identity(self):
-        ident = SymElement(0, 0, AffinePerm(1, 0, 3), Perm.identity(3))
-        elem = SymElement(2, 1, AffinePerm(2, 1, 3), Perm((3, 1, 2)))
+        ident = SymElement(0, 0, AffinePerm(1, 0, 3), (1, 2, 3))
+        elem = SymElement(2, 1, AffinePerm(2, 1, 3), (3, 1, 2))
         assert compose(elem, ident) == elem
         assert compose(ident, elem) == elem
 
@@ -480,9 +506,9 @@ class TestAction:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_generators_reach_every_element(self, d):
-        identity = SymElement(0, 0, AffinePerm(1, 0, d), Perm.identity(d))
+        start = SymElement(0, 0, AffinePerm(1, 0, d), identity(d))
         generators = symmetry_generators(d)
-        reached, frontier = {identity}, {identity}
+        reached, frontier = {start}, {start}
         while frontier:
             frontier = {compose(g, h) for h in frontier
                         for g in generators} - reached
@@ -556,7 +582,7 @@ class TestAction:
     def test_tripled_coefficient_is_not_flipped(self):
         # every generator at d=4 but the m-shift reverses the multiplier,
         # so a reversing image must carry exactly the negated coefficient
-        n_shift = SymElement(0, 1, AffinePerm(1, 0, 4), Perm.identity(4))
+        n_shift = SymElement(0, 1, AffinePerm(1, 0, 4), (1, 2, 3, 4))
         tripled = _signed_terms(self.tampered(4, "tripled"))
         image = _image(n_shift, tripled)
         assert image.keys() == tripled.keys()
@@ -747,6 +773,20 @@ class TestConjugation:
         a = ((Cyc.from_int(2, 2), zero), (zero, Cyc.one(2)))
         with pytest.raises(ValueError):
             conjugate_decomposition(a, self.identity_matrix(2, 2), dec)
+
+    @pytest.mark.parametrize("shape", ["3x3", "5x5", "ragged b"])
+    def test_matrices_must_be_d_by_d(self, shape):
+        # at d = 4 a 3x3 pair would index past its rows and a 5x5 identity
+        # pair has determinant 1; both are refused before the determinant
+        dec = main_decomposition(4)
+        eye = self.identity_matrix(4, 4)
+        a, b = {
+            "3x3": (self.identity_matrix(3, 4),) * 2,
+            "5x5": (self.identity_matrix(5, 4),) * 2,
+            "ragged b": (eye, eye[:3] + (eye[3][:3],)),
+        }[shape]
+        with pytest.raises(ValueError, match="4x4 matrices"):
+            conjugate_decomposition(a, b, dec)
 
     def test_non_determinant_target_is_rejected(self):
         dec = monomial_power_decomposition(3)

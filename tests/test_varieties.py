@@ -1,19 +1,19 @@
 import builtins
 import dataclasses
 import itertools
+import json
 import math
 import sys
-from fractions import Fraction
 
 import pytest
 
+from detpowers import varieties
+from detpowers.cli import main
 from detpowers.cyclotomic import Cyc, omega
-from detpowers.decompositions import Perm
 from detpowers.multipoly import SparsePoly, monomial
 from detpowers.varieties import (
     DEFAULT_PRIMES,
     QuadricSet,
-    _solve_exact,
     extra_generators,
     locus_proof,
     point_set,
@@ -25,7 +25,7 @@ from test_multipoly import evaluate
 
 def point_assignment(d, j, sigma):
     """Sparse coordinates of D^j P_sigma: w^(ij) at (i, sigma i)."""
-    return {(i, sigma(i)): omega(d, i * j) for i in range(1, d + 1)}
+    return {(i, s): omega(d, i * j) for i, s in enumerate(sigma, start=1)}
 
 
 def integer_terms(poly):
@@ -111,11 +111,11 @@ def per_point_solutions(d, p):
     row-sum quadrics themselves, as (sigma images, deltas)."""
     rho = [integer_terms(g) for g in quadric_generators(d).rho_quadrics]
     solutions = []
-    for sigma in Perm.all_perms(d):
+    for sigma in itertools.permutations(range(1, d + 1)):
         for deltas in itertools.product(range(1, p), repeat=d):
-            coords = {(i, sigma(i)): deltas[i - 1] for i in range(1, d + 1)}
+            coords = dict(zip(enumerate(sigma, start=1), deltas))
             if not any(value_mod_p(gen, coords, p) for gen in rho):
-                solutions.append((sigma.images, deltas))
+                solutions.append((sigma, deltas))
     return tuple(solutions)
 
 
@@ -154,7 +154,7 @@ class TestQuadricGenerators:
 
     def test_generators_are_homogeneous_quadrics(self):
         for poly in quadric_generators(4).generators:
-            assert poly.total_degree() == 2
+            assert poly.monomials()
             assert all(sum(e for _, _, e in m) == 2 for m in poly.monomials())
 
     def test_row_monomial_order(self):
@@ -178,7 +178,7 @@ class TestVanishing:
         assert len(list(point_set(2))) == 4
 
     def test_point_assignment_values(self):
-        coords = point_assignment(3, 1, Perm.identity(3))
+        coords = point_assignment(3, 1, (1, 2, 3))
         assert coords == {(1, 1): omega(3, 1), (2, 2): omega(3, 2),
                           (3, 3): omega(3, 0)}
 
@@ -232,18 +232,32 @@ class TestExtraGeneratorsD3:
     def test_reduction_found_and_exact(self, report3):
         red = report3.reduction
         assert red is not None
-        assert red.solvable
-        assert red.residual_contained
-        assert red.natural_combination
+        assert red.ok
 
     def test_reduction_coefficients_are_the_unit_rows(self, report3):
-        # the square coefficients in the combination are forced, so the
-        # solver must land exactly on coefficient 1 for the matching row
         red = report3.reduction
         for i in range(3):
-            expected = tuple(Fraction(1) if label[0] == i + 1 else Fraction(0)
+            expected = tuple(1 if label[0] == i + 1 else 0
                              for label in report3.square_labels)
             assert red.coefficients[i] == expected
+
+    @pytest.mark.parametrize("position", [0, 4, 8])
+    def test_flipped_square_breaks_the_reduction(self, position, capsys,
+                                                 monkeypatch):
+        # -s still vanishes on the points, but rho_i minus the unit-row sum
+        # then keeps 2 x[i,j]^2, a monomial outside the product ideal
+        squares, labels = varieties._extra_generators_d3()
+        flipped = list(squares)
+        flipped[position] = -flipped[position]
+        monkeypatch.setattr(varieties, "_extra_generators_d3",
+                            lambda: (tuple(flipped), labels))
+        report = extra_generators(3)
+        assert report.squares_vanish
+        assert report.reduction.ok is False
+        assert main(["equations", "--d", "3"]) == 1
+        rows = json.loads(capsys.readouterr().out)["results"]
+        extra = next(r for r in rows if r["check"] == "extra_generators")
+        assert extra["reduction_ok"] is False and extra["ok"] is False
 
 
 class TestExtraGeneratorsD4:
@@ -265,7 +279,7 @@ class TestExtraGeneratorsD4:
     def test_failures_match_plain_evaluation(self, report4):
         # the phase evaluator against the evaluate oracle in Q(w), in the
         # report's order: points first, then the family's positions
-        failures = [(pos, j, sigma.images)
+        failures = [(pos, j, sigma)
                     for j, sigma in point_set(4)
                     for pos, poly in enumerate(report4.squares)
                     if evaluate(poly, point_assignment(4, j, sigma))]
@@ -275,7 +289,7 @@ class TestExtraGeneratorsD4:
     def test_explicit_failure_witness(self, report4):
         # x[1,1]^2 + x[1,2]^2 - (x[4,3]x[2,4] + x[4,4]x[2,3]) at D^1 P_id:
         # the squares give w^2, the permanent gives 0
-        coords = point_assignment(4, 1, Perm.identity(4))
+        coords = point_assignment(4, 1, (1, 2, 3, 4))
         assert evaluate(report4.squares[0], coords) == omega(4, 2)
 
     def test_difference_family_counts(self, report4):
@@ -314,17 +328,6 @@ class TestExtraGeneratorsD4:
         for d in (2, 5):
             with pytest.raises(ValueError):
                 extra_generators(d)
-
-
-class TestSolver:
-    def test_inconsistent_system(self):
-        rows = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(0)]]
-        assert _solve_exact(rows, [Fraction(2), Fraction(3)]) is None
-
-    def test_underdetermined_system_picks_a_solution(self):
-        rows = [[Fraction(1), Fraction(1)]]
-        sol = _solve_exact(rows, [Fraction(2)])
-        assert sol is not None and sol[0] + sol[1] == 2
 
 
 def row_sum(d, i):
@@ -398,7 +401,8 @@ class TestLocusCounts:
 
     def test_projective_count_matches_normal_form_classes(self):
         supports = {tuple(point_assignment(3, j, sigma).items())
-                    for j in range(3) for sigma in Perm.all_perms(3)}
+                    for j in range(3)
+                    for sigma in itertools.permutations(range(1, 4))}
         assert len(supports) == 18
         assert locus_proof(quadric_generators(3)).projective_points == len(
             supports)
@@ -456,7 +460,8 @@ class TestLocusCounts:
                 for poly in quadric_generators(d).generators]
         scaled = set()
         for j, sigma in point_set(d):
-            coords = {(i, sigma(i)): pow(g, i * j, p) for i in range(1, d + 1)}
+            coords = {(i, s): pow(g, i * j, p)
+                      for i, s in enumerate(sigma, start=1)}
             assert not any(value_mod_p(gen, coords, p) for gen in gens)
             cells = tuple(sorted(coords.items()))
             scaled.update(tuple((cell, c * s % p) for cell, c in cells)
