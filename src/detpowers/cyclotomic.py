@@ -6,6 +6,12 @@ polynomial, stored as an integer numerator vector over the power basis
 Because Phi_n is irreducible over Q this is a field, so equality with zero
 is simply "all numerators zero" and every nonzero element has an inverse.
 No floating point is used anywhere.
+
+Each order keeps one table, the numerator vectors of w^0, ..., w^(n-1):
+it reduces products (w^n = 1), projects group-ring coefficients, and with
+signs gives the lookup of +-w^k. The inverse is taken by the norm: the
+product of an element's other Galois conjugates, over their product with
+the element, a nonzero rational.
 """
 
 from __future__ import annotations
@@ -52,34 +58,32 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     return num
 
 
-class _FieldData:
-    """Cached per-order tables used by Cyc arithmetic."""
-
-    __slots__ = ("order", "phi", "modulus", "reduction")
-
-    def __init__(self, order: int):
-        self.order = order
-        self.modulus = cyclotomic_polynomial(order)
-        self.phi = len(self.modulus) - 1
-        # reduction[k] = coefficients of x^(phi+k) reduced mod Phi
-        rows: list[tuple[int, ...]] = []
-        # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1}), Phi monic
-        cur = [-c for c in self.modulus[:-1]]
-        rows.append(tuple(cur))
-        for _ in range(self.phi - 2):
-            shifted = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                for i in range(self.phi):
-                    shifted[i] += lead * rows[0][i]
-            cur = shifted
-            rows.append(tuple(cur))
-        self.reduction = tuple(rows)
+@functools.cache
+def _powers(order: int) -> tuple[tuple[int, ...], ...]:
+    """Numerator vectors of w^0, w^1, ..., w^(order-1), each the one before
+    times x, with x^phi reduced by the monic Phi_order."""
+    modulus = cyclotomic_polynomial(order)
+    top = [-c for c in modulus[:-1]]  # x^phi
+    cur = [1] + [0] * (len(top) - 1)
+    vecs = []
+    for _ in range(order):
+        vecs.append(tuple(cur))
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        if lead:
+            cur = [c + lead * t for c, t in zip(cur, top)]
+    return tuple(vecs)
 
 
 @functools.cache
-def _field(order: int) -> _FieldData:
-    return _FieldData(order)
+def _signed_roots(order: int) -> dict:
+    """(num, den) -> (sign, k) for every sign * w^k; where -w^j is itself a
+    power of w, at even orders, the unsigned (1, k) is kept."""
+    table = {}
+    for sign in (-1, 1):
+        for k, vec in enumerate(_powers(order)):
+            table[tuple(sign * x for x in vec), 1] = (sign, k)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +98,10 @@ class Cyc:
     def __init__(self, order: int, num: tuple[int, ...], den: int = 1):
         if den == 0:
             raise ValueError("denominator must be nonzero")
-        phi = _field(order).phi
+        if any(type(c) is not int for c in (*num, den)):
+            raise ValueError(f"numerator and denominator must be ints, got "
+                             f"{num} and {den}")
+        phi = len(_powers(order)[0])
         if len(num) != phi:
             raise ValueError(f"expected {phi} basis coefficients, got {len(num)}")
         canonical = Cyc._make(order, list(num), den)
@@ -140,8 +147,10 @@ class Cyc:
 
     @classmethod
     def from_fraction(cls, order: int, value: Fraction | int) -> "Cyc":
+        if not isinstance(value, (int, Fraction)):
+            raise ValueError(f"expected an int or a Fraction, got {value!r}")
         f = Fraction(value)
-        phi = _field(order).phi
+        phi = len(_powers(order)[0])
         return cls._make(order, [f.numerator] + [0] * (phi - 1), f.denominator)
 
     # predicates and views ----------------------------------------------------
@@ -161,7 +170,8 @@ class Cyc:
 
     def root_power(self) -> int | None:
         """If this value equals w^k for some k in [0, order), return k."""
-        return _root_power_table(self.order).get((self.num, self.den))
+        unit = _signed_roots(self.order).get((self.num, self.den))
+        return unit[1] if unit is not None and unit[0] == 1 else None
 
     # arithmetic --------------------------------------------------------------
 
@@ -217,8 +227,7 @@ class Cyc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        fd = _field(self.order)
-        phi = fd.phi
+        phi = len(self.num)
         a, b = self.num, o.num
         conv = [0] * (2 * phi - 1) if phi > 1 else [a[0] * b[0]]
         if phi > 1:
@@ -228,10 +237,11 @@ class Cyc:
                         if bj:
                             conv[i + j] += ai * bj
         out = conv[:phi]
+        powers = _powers(self.order)
         for k in range(phi, 2 * phi - 1):
             c = conv[k]
             if c:
-                row = fd.reduction[k - phi]
+                row = powers[k % self.order]  # x^k = w^k, and w^order = 1
                 for i in range(phi):
                     if row[i]:
                         out[i] += c * row[i]
@@ -247,25 +257,24 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse, by the extended Euclidean algorithm
-        against the cyclotomic modulus over Q[x]."""
+        """Multiplicative inverse by the norm: the product P of the Galois
+        conjugates sigma_k(self), k a unit mod order other than 1, times
+        self is the norm N, a nonzero rational, so 1/self = P / N."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        fd = _field(self.order)
-        # r0 = modulus, r1 = self; track s only (coefficients on self)
-        r0 = [Fraction(c) for c in fd.modulus]
-        r1 = [Fraction(c, self.den) for c in self.num]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _frac_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        # r0 is a nonzero constant gcd; s0 * self == r0 (mod modulus)
-        g = next(c for c in reversed(r0) if c)
-        inv = [c / g for c in s0]
-        inv += [Fraction(0)] * (fd.phi - len(inv))
-        den = math.lcm(*(f.denominator for f in inv)) if inv else 1
-        return Cyc._make(self.order, [int(f * den) for f in inv[:fd.phi]], den)
+        order = self.order
+        product = _int_cyc(order, 1)
+        for k in range(2, order):
+            if math.gcd(k, order) == 1:
+                # sigma_k sends w^i to w^(i*k)
+                coeffs = [0] * order
+                for i, c in enumerate(self.num):
+                    coeffs[i * k % order] = c
+                product = product * from_root_coefficients(order, coeffs,
+                                                           self.den)
+        norm = self * product  # rational: its numerator is (n, 0, ..., 0)
+        return Cyc._make(order, [c * norm.den for c in product.num],
+                         product.den * norm.num[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -325,56 +334,21 @@ class Cyc:
 
 @functools.cache
 def _int_cyc(order: int, n: int) -> Cyc:
-    phi = _field(order).phi
     out = Cyc.__new__(Cyc)
     out.order = order
-    out.num = tuple([n] + [0] * (phi - 1))
+    out.num = tuple(n * c for c in _powers(order)[0])
     out.den = 1
     return out
-
-
-@functools.cache
-def _omega_power_vectors(order: int) -> tuple[tuple[int, ...], ...]:
-    """Numerator vectors of w^0, w^1, ..., w^(order-1), built by repeated
-    multiplication by x with reduction mod the cyclotomic modulus."""
-    fd = _field(order)
-    phi = fd.phi
-    vecs = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(order):
-        vecs.append(tuple(cur))
-        lead = cur[-1]
-        nxt = ([0] + cur[:-1]) if phi > 1 else [0]
-        if lead:
-            row = fd.reduction[0]
-            for i in range(phi):
-                if row[i]:
-                    nxt[i] += lead * row[i]
-        cur = nxt
-    return tuple(vecs)
 
 
 @functools.cache
 def omega(order: int, power: int = 1) -> Cyc:
     """The root of unity w^power as a field element (power taken mod order)."""
-    vec = _omega_power_vectors(order)[power % order]
     out = Cyc.__new__(Cyc)
     out.order = order
-    out.num = vec
+    out.num = _powers(order)[power % order]
     out.den = 1
     return out
-
-
-@functools.cache
-def _root_power_table(order: int) -> dict[tuple[tuple[int, ...], int], int]:
-    return {(omega(order, k).num, 1): k for k in range(order)}
-
-
-@functools.cache
-def _omega_power_columns(order: int) -> tuple[tuple[int, ...], ...]:
-    """Column i holds coordinate i of w^0, w^1, ..., w^(order-1)."""
-    return tuple(zip(*_omega_power_vectors(order)))
 
 
 def from_root_coefficients(order: int, coeffs, den: int = 1) -> Cyc:
@@ -384,7 +358,7 @@ def from_root_coefficients(order: int, coeffs, den: int = 1) -> Cyc:
     if not any(coeffs):
         return _int_cyc(order, 0)
     num = [sum(map(operator.mul, coeffs, column))
-           for column in _omega_power_columns(order)]
+           for column in zip(*_powers(order))]
     if den != 1:
         return Cyc._make(order, num, den)
     out = Cyc.__new__(Cyc)
@@ -392,45 +366,3 @@ def from_root_coefficients(order: int, coeffs, den: int = 1) -> Cyc:
     out.num = tuple(num)
     out.den = 1
     return out
-
-
-# fraction-polynomial helpers for the inverse ---------------------------------
-
-
-def _frac_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    b = _frac_trim(list(b))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / lead
-        if c:
-            q[k] = c
-            for i, bi in enumerate(b):
-                a[k + i] -= c * bi
-    return q, _frac_trim(a)
-
-
-def _frac_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-

@@ -51,6 +51,7 @@ from typing import NamedTuple
 
 from .cyclotomic import (
     Cyc,
+    _signed_roots,
     cyclotomic_polynomial,
     from_root_coefficients,
     omega,
@@ -183,17 +184,6 @@ class VerificationReport:
 #   and each composition adds prefix * power into its monomial's int.
 # * Denominators are cleared by one common denominator L of the whole sum,
 #   so every term adds integers; a witness's projection divides by L once.
-
-
-@lru_cache(maxsize=None)
-def _signed_roots(order: int) -> dict:
-    """(num, den) -> (sign, k) for every sign * w^k; where -w^j is itself a
-    power of w, at even orders, the unsigned (1, k) is kept."""
-    table = {}
-    for sign in (-1, 1):
-        for k in range(order):
-            table[tuple(sign * x for x in omega(order, k).num), 1] = (sign, k)
-    return table
 
 
 def _unit_phases(coeff: Cyc, support):

@@ -150,6 +150,23 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             cli.parse_decomposition(json.dumps(obj))
 
+    def test_repeated_cell_rejected(self):
+        # a form listing x11 twice was read as a dict, so the last entry
+        # won: main(2)'s -x11 + x22 became 5*x11 + x22
+        obj = cli.decomposition_to_obj(main_decomposition(2))
+        obj["terms"][0]["form"].append(
+            [1, 1, cli.cyc_to_obj(Cyc.from_int(2, 5))])
+        with pytest.raises(ValueError, match="repeated variable"):
+            cli.parse_decomposition(json.dumps(obj))
+
+    @pytest.mark.parametrize("part, value", [("num", [1.5]), ("num", [2.0]),
+                                             ("den", 1.0), ("num", ["1"])])
+    def test_non_int_coefficient_parts_rejected(self, part, value):
+        obj = cli.decomposition_to_obj(main_decomposition(2))
+        obj["terms"][0]["coeff"][part] = value
+        with pytest.raises(ValueError, match="must be ints"):
+            cli.parse_decomposition(json.dumps(obj))
+
 
 # the one-line LaTeX output of `decompose --format latex`, byte for byte
 PINNED_LATEX = [

@@ -6,6 +6,7 @@ from operator import mul
 import pytest
 
 from detpowers import verify
+from detpowers.cli import D_CEILING
 from detpowers.cyclotomic import (
     Cyc,
     cyclotomic_polynomial,
@@ -253,6 +254,25 @@ def test_field_axioms_on_random_elements():
                 checked += 1
 
 
+@pytest.mark.parametrize("order", range(1, D_CEILING + 1))
+def test_inverse_by_the_norm(order):
+    rng = random.Random(2900 + order)
+    one = Cyc.one(order)
+    checked = 0
+    while checked < 40:
+        a = _random_cyc(rng, order)
+        if a:
+            inv = a.inverse()
+            assert a * inv == one
+            assert (-a).inverse() == -inv
+            checked += 1
+    for k in range(-order, 2 * order):
+        assert omega(order, k).inverse() == omega(order, -k)
+    for f in (Fraction(3, 7), Fraction(-5, 2), Fraction(1), Fraction(-12)):
+        assert Cyc.from_fraction(order, f).inverse() \
+            == Cyc.from_fraction(order, 1 / f)
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Cyc.zero(4).inverse()
@@ -276,6 +296,22 @@ def test_rational_and_root_power_views():
             assert omega(d, k).root_power() == k
     assert Cyc.from_int(5, 2).root_power() is None
     assert Cyc.from_int(1, 1).root_power() == 0
+
+
+@pytest.mark.parametrize("order, num, den", [
+    (1, (2.0 ** 53,), 1), (4, (1.5, 0), 1), (4, (1, 0), 2.0),
+    (4, (Fraction(1, 2), 0), 1), (4, ("1", 0), 1)])
+def test_non_int_parts_are_refused(order, num, den):
+    # a float lost exactness silently: Cyc(1, (2.0**53,)) + 1 equalled
+    # Cyc(1, (2**53,)), and repr(Cyc(4, (1.5, 0))) raised TypeError
+    with pytest.raises(ValueError, match="must be ints"):
+        Cyc(order, num, den)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0 ** 53, "1/2"])
+def test_from_fraction_refuses_a_non_rational(value):
+    with pytest.raises(ValueError, match="an int or a Fraction"):
+        Cyc.from_fraction(4, value)
 
 
 def test_canonical_form_and_hash():

@@ -12,7 +12,12 @@ from operator import itemgetter, mul
 import pytest
 
 from detpowers import decompositions, multipoly, verify
-from detpowers.cyclotomic import Cyc, from_root_coefficients, omega
+from detpowers.cyclotomic import (
+    Cyc,
+    _signed_roots,
+    from_root_coefficients,
+    omega,
+)
 from detpowers.decompositions import (
     SCHEME_BUILDERS,
     PowerDecomposition,
@@ -40,7 +45,6 @@ from detpowers.verify import (
     _phase_group_sum,
     _sign_vector_sum,
     _signed_extension_sum,
-    _signed_roots,
     _unit_phases,
     phase_polynomial,
     verify_power_decomposition,
