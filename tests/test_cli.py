@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -25,6 +28,7 @@ from detpowers.verify import verify_power_decomposition
 
 from test_varieties import PREMISE_MUTATIONS
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -485,6 +489,172 @@ class TestCheckCommands:
                       "cglv": 18, "new": 18, "lower": 17}
 
 
+# ---------------------------------------------------------------------------
+# reading the arguments: the option table against argparse
+
+
+HELP_ARGVS = [("top", ["--help"])] + [(name, [name, "--help"])
+                                      for name in cli._COMMANDS]
+
+USAGE_ERRORS = [
+    ("missing_d", ["verify"]),
+    ("bad_scheme", ["verify", "--d", "3", "--scheme", "bogus"]),
+    ("unknown_flag", ["verify", "--d", "3", "--bogus"]),
+    ("unknown_command", ["no-such-command"]),
+]
+
+
+def benchmark_argvs() -> list:
+    """The argument lists of the benchmark's CLI operations, at two seeds
+    (``symmetries --seed`` follows the seed)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return sorted({tuple(op.label.split()) for seed in (0, 1)
+                   for make in workloads.WORKLOADS.values()
+                   for op in make(seed) if op.cli})
+
+
+def argparse_reading(argv, parser=None):
+    """``vars`` of argparse's namespace for argv, or None where it exits."""
+    parser = parser or cli._build_parser()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def read_like_argparse(argv, parser=None):
+    """``cli._read_args(argv)``, checked against argparse: a namespace it
+    returns is argparse's, and it returns None wherever argparse exits."""
+    read = cli._read_args(argv)
+    parsed = argparse_reading(argv, parser)
+    if read is not None:
+        assert vars(read) == parsed, argv
+    if parsed is None:
+        assert read is None, argv
+    return read
+
+
+def table_argvs():
+    """Every command with its defaults, with each option alone (beside the
+    required --d) and each of its choices, and with every option at once."""
+    for command, (_, options) in cli._COMMANDS.items():
+        required = [token for flag, _, _, _, needed, _ in options if needed
+                    for token in (flag, "3")]
+        yield [command, *required]
+        everything = [command]
+        for flag, _, kind, _, needed, _ in options:
+            values = ([None] if kind is bool else list(kind)
+                      if isinstance(kind, tuple)
+                      else ["4"] if kind is int else ["report.json"])
+            for value in values:
+                tokens = [flag] if value is None else [flag, value]
+                yield [command, *tokens] if needed \
+                    else [command, *required, *tokens]
+            everything += tokens
+        yield everything
+
+
+class TestArgumentReader:
+    @pytest.mark.parametrize("argv", list(table_argvs()), ids=" ".join)
+    def test_every_option_alone_and_combined(self, argv):
+        assert read_like_argparse(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--d", "3", "--d", "4"],
+        ["verify", "--d", "3", "--scheme", "gurvits", "--scheme", "main"],
+        ["decompose", "--force", "--d", "2", "--force"],
+        ["verify", "--jobs", "2", "--d", "3", "--jobs", "1"],
+        ["symmetries", "--full", "--seed", "7", "--d", "5", "--full"],
+        ["bounds", "--d", "+4"],
+        ["bounds", "--d", " 4"],
+        ["bounds", "--d", "0_4"],
+        ["bounds", "--d", "\u0664"],
+        ["bounds", "--out", ""],
+        ["bounds", "--out", "verify"],
+    ], ids=repr)
+    def test_repeats_orders_and_int_spellings(self, argv):
+        assert read_like_argparse(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--help"], ["-h"], ["verify", "-h"], ["verify", "--d", "3", "--help"],
+        ["verify", "--d=3"], ["verify", "--d", "3", "--scheme=gurvits"],
+        ["verify", "--d", "3", "--sch", "main"],
+        ["decompose", "--d", "3", "--forc"],
+        ["decompose", "--d", "3", "--fo", "latex"],
+        ["bounds", "--fo", "latex"],
+        ["verify", "-d", "3"],
+        ["verify", "--", "--d", "3"], ["verify", "--d", "3", "--"],
+        ["verify", "--d", "-3"], ["verify", "--d", "3", "--jobs", "-1"],
+        ["bounds", "--out", "-"], ["bounds", "--out", "-x"],
+        ["verify", "--d", "three"], ["verify", "--d", "3.0"],
+        ["verify", "--d", ""], ["symmetries", "--d", "3", "--seed", "x"],
+        ["verify", "--d", "3", "--scheme", "bogus"],
+        ["verify", "--d", "3", "--scheme", "Main"],
+        ["verify", "--d", "3", "--format", "latex"],
+        ["verify"], ["verify", "--scheme", "main"],
+        ["equations", "--jobs", "1"],
+        ["verify", "--d"], ["verify", "--d", "3", "--out"],
+        ["verify", "--d", "3", "--bogus"], ["verify", "--d", "3", "extra"],
+        ["decompose", "--d", "3", "--force", "yes"],
+        ["no-such-command"], ["VERIFY", "--d", "3"], ["-x"],
+        ["symmetries", "--d", "3", "--force"], ["bench", "--d", "3"],
+        ["bounds", "--force"],
+    ], ids=repr)
+    def test_everything_else_goes_to_argparse(self, argv):
+        assert read_like_argparse(argv) is None
+
+    def test_the_benchmark_argvs_are_read(self):
+        argvs = benchmark_argvs()
+        assert argvs
+        for argv in argvs:
+            assert read_like_argparse(list(argv)) is not None
+
+    def test_no_argv_reads_the_command_line(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["detpowers", "bounds", "--d", "5"])
+        assert vars(cli._read_args(None)) == {
+            "command": "bounds", "d": 5, "fmt": "json", "out": None}
+
+    def test_seeded_fuzz_over_the_table_tokens(self):
+        rng = random.Random(30)
+        commands = [*cli._COMMANDS, "no-such-command", "-h"]
+        every_option = [option for _, options in cli._COMMANDS.values()
+                        for option in options]
+        others = ["--help", "--d=3", "--sch", "-d", "--"]
+        values = ["3", "0", "-3", "+3", "x", "", "--", "-h", "out.json",
+                  *cli.ALL_SCHEMES, "json", "latex", "text"]
+
+        def fitting(kind):
+            if isinstance(kind, tuple):
+                return rng.choice(kind)
+            return rng.choice(["0", "3", "6"]) if kind is int else "out.json"
+
+        parser = cli._build_parser()
+        accepted = 0
+        for _ in range(1500):
+            argv = [rng.choice(commands)]
+            own = cli._COMMANDS.get(argv[0], ("", every_option))[1]
+            for _ in range(rng.randrange(5)):
+                if rng.random() < 0.1:
+                    argv.append(rng.choice(others + values))
+                    continue
+                flag, _, kind, _, _, _ = rng.choice(
+                    own if rng.random() < 0.9 else every_option)
+                argv.append(flag)
+                if rng.random() < 0.2:
+                    argv.append(rng.choice(values))
+                elif kind is not bool:
+                    argv.append(fitting(kind))
+            accepted += read_like_argparse(argv, parser) is not None
+        assert accepted > 300, accepted
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ("decompose", "--d", "9", "--scheme", "main"),
@@ -524,9 +694,22 @@ class TestExitCodes:
         rank_row = [r for r in obj["results"] if r["check"] == "rank"][0]
         assert rank_row["rank"] == 96
 
-    def test_help_exits_zero(self, capsys):
-        assert cli.main(["--help"]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("name, argv", HELP_ARGVS)
+    def test_help_exits_zero(self, capsys, monkeypatch, name, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the width
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (DATA_DIR / f"help_{name}.txt").read_text()
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("name, argv", USAGE_ERRORS)
+    def test_usage_errors_print_argparse_messages(self, capsys, monkeypatch,
+                                                  name, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (DATA_DIR / f"usage_{name}.txt").read_text()
 
 
 class TestDeterminism:
@@ -593,6 +776,33 @@ class TestImportPath:
              "if m in sys.modules))"],
             capture_output=True, text=True, check=True, env=child_env())
         assert proc.stdout.strip() == "[]"
+
+    def test_benchmark_commands_leave_argparse_unloaded(self):
+        # argparse, and the gettext it imports, load only for help and
+        # usage errors
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from detpowers import cli\n"
+            "sink = io.StringIO()\n"
+            "with contextlib.redirect_stdout(sink), "
+            "contextlib.redirect_stderr(sink):\n"
+            "    codes = [cli.main(argv) "
+            "for argv in json.loads(sys.argv[1])]\n"
+            "    loaded = [m for m in ('argparse', 'gettext') "
+            "if m in sys.modules]\n"
+            "    help_code = cli.main(['--help'])\n"
+            "print(json.dumps([codes, loaded, help_code, "
+            "'argparse' in sys.modules]))\n")
+        argvs = [list(argv) for argv in benchmark_argvs()]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True, text=True, check=True, env=child_env())
+        codes, loaded, help_code, after_help = json.loads(proc.stdout)
+        # equations --d 4 reports the d = 4 square failure
+        assert codes == [1 if argv[:3] == ["equations", "--d", "4"] else 0
+                         for argv in argvs]
+        assert loaded == []
+        assert (help_code, after_help) == (0, True)
 
 
 class TestReportSerialization:
