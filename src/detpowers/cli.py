@@ -113,8 +113,17 @@ def cyc_to_obj(value: Cyc) -> dict:
     }
 
 
+def _int_field(value, name: str) -> int:
+    """``value``, read from JSON where the format has an int: a float, a
+    bool or anything else is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def obj_to_cyc(obj: dict) -> Cyc:
-    value = Cyc(obj["order"], tuple(obj["num"]), obj["den"])
+    value = Cyc(_int_field(obj["order"], "order"), tuple(obj["num"]),
+                obj["den"])
     sparse = [[k, c] for k, c in enumerate(value.num) if c]
     if sparse != [list(pair) for pair in obj["root_power_combination"]]:
         raise ValueError("inconsistent coefficient encoding")
@@ -126,7 +135,9 @@ def form_to_obj(form: LinForm) -> list:
 
 
 def obj_to_form(obj: list, order: int, d: int) -> LinForm:
-    return LinForm(order, d, [((i, j), obj_to_cyc(c)) for i, j, c in obj])
+    return LinForm(order, d, [
+        ((_int_field(i, "cell row"), _int_field(j, "cell column")),
+         obj_to_cyc(c)) for i, j, c in obj])
 
 
 def _index_to_obj(index):
@@ -180,19 +191,21 @@ def parse_decomposition(text: str):
     """Rebuild the exact decomposition value from its JSON emission."""
     obj = json.loads(text)
     scheme = obj["scheme"]
-    d = obj["d"]
-    order = obj["order"]
+    d = _int_field(obj["d"], "d")
+    order = _int_field(obj["order"], "order")
     if scheme == "krishna-makam":
         terms = tuple(
-            (t["sign"], tuple(obj_to_form(f, order, d) for f in t["forms"]))
+            (_int_field(t["sign"], "sign"),
+             tuple(obj_to_form(f, order, d) for f in t["forms"]))
             for t in obj["terms"])
         return ProductDecomposition(d, scheme, terms)
     terms = tuple(
         PowerTerm(_obj_to_index(t["index"]), obj_to_cyc(t["coeff"]),
-                  obj_to_form(t["form"], order, d), t["exponent"])
+                  obj_to_form(t["form"], order, d),
+                  _int_field(t["exponent"], "exponent"))
         for t in obj["terms"])
-    return PowerDecomposition(d, scheme, obj["scale"], obj["target"], order,
-                              terms)
+    return PowerDecomposition(d, scheme, _int_field(obj["scale"], "scale"),
+                              obj["target"], order, terms)
 
 
 # ---------------------------------------------------------------------------

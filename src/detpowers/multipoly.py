@@ -5,10 +5,11 @@ tuple of (row, col, exponent) triples with strictly positive exponents, so
 it is hashable and cheap to compare; polynomials are hash maps from
 monomials to nonzero cyclotomic coefficients. A linear form is stored as
 its sorted support, the ((row, col), scalar) pairs with nonzero scalars;
-no dense grid is kept. Powers of linear forms are expanded with the
-multinomial theorem over weak compositions, never by repeated
-multiplication (the repeated-multiplication route exists only as a test
-oracle). At points whose coordinates are roots of unity or zero, a
+no dense grid is kept. ``expand_power`` expands a power of a linear form
+with Cyc products, by the multinomial theorem over weak compositions; no
+command calls it (``verify``'s expansion engine takes no Cyc product), and
+it stays as the tests' reference expansion and as a function the benchmark
+counts calls of. At points whose coordinates are roots of unity or zero, a
 polynomial is evaluated by counting phases in the group ring
 (``PhaseEvaluator``).
 """
@@ -382,6 +383,11 @@ def expand_power(form: LinForm, exponent: int) -> SparsePoly:
     One pass over the weak compositions of the exponent across the form's
     support; coefficient powers are precomputed per variable, so each
     composition costs a handful of scalar multiplications.
+
+    Nothing in the package calls it. It is the tests' reference expansion,
+    and ``perfbench/runner.py`` names it in ``PROFILED_CALLS`` when it is
+    imported, so it stays a plain function here while the benchmark counts
+    its calls.
     """
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")

@@ -32,8 +32,10 @@ read the terms they are given, compare against the scaled target
 polynomial with exact arithmetic, and name the first mismatching monomial
 in sorted order as the witness.
 
-The module also houses the closed-form coefficient rule for the single-row
-phase polynomial P = sum_j (-1)^((d+1)j) (sum_i w^(ij) x_i)^d.
+The closed-form coefficient rule for the single-row phase polynomial
+P = sum_j (-1)^((d+1)j) (sum_i w^(ij) x_i)^d, the lemma behind the d * d!
+bound, is checked by the expansion engine: the d powers are its terms and
+the rule's coefficients its target.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .decompositions import (
     TARGET_DETERMINANT,
     TARGET_DIAGONAL,
     PowerDecomposition,
+    PowerTerm,
     ProductDecomposition,
     _classical_table,
     _gurvits_table,
@@ -71,7 +74,6 @@ from .multipoly import (
     Monomial,
     SparsePoly,
     determinant_poly,
-    expand_power,
     monomial,
     multinomial,
     perm_sign,
@@ -93,31 +95,24 @@ def closed_form_coefficient(multiplicities: tuple[int, ...], d: int) -> Cyc:
     return Cyc.from_int(d, multinomial(d, multiplicities) * d)
 
 
-def phase_polynomial(d: int) -> SparsePoly:
-    """P = sum_j (-1)^((d+1)j) (sum_i w^(ij) x_i)^d, with x_i stored as
-    the grid variable (i, 1)."""
-    total = SparsePoly.zero(d)
-    for j in range(1, d + 1):
-        form = LinForm(d, d, {(i, 1): omega(d, i * j)
-                              for i in range(1, d + 1)})
-        total = total + expand_power(form, d) * ((-1) ** ((d + 1) * j))
-    return total
-
-
 def check_closed_form_coefficients(d: int) -> bool:
-    """Exhaustively compare the closed-form rule against the coefficient of
-    every degree-d monomial in the expanded phase polynomial."""
+    """Compare the closed-form rule with the phase polynomial P, expanded
+    by the expansion engine, at every degree-d monomial in x_1..x_d, x_i
+    stored as the grid variable (i, 1)."""
     if not 2 <= d <= 6:
         raise ValueError(f"d must be in [2, 6], got {d}")
-    poly = phase_polynomial(d)
-    seen = 0
-    for comp in weak_compositions(d, d):
-        mono = monomial({(i, 1): e for i, e in enumerate(comp, start=1)})
-        if poly.coefficient(mono) != closed_form_coefficient(comp, d):
-            return False
-        seen += 1
-    # every monomial of P has degree d, so the sweep above was exhaustive
-    return seen == math.comb(2 * d - 1, d - 1) and len(poly) <= seen
+    terms = [PowerTerm((j,), Cyc.from_int(d, (-1) ** ((d + 1) * j)),
+                       LinForm(d, d, {(i, 1): omega(d, i * j)
+                                      for i in range(1, d + 1)}), d)
+             for j in range(1, d + 1)]
+    target = SparsePoly(d, {
+        monomial({(i, 1): e for i, e in enumerate(comp, start=1)}):
+            closed_form_coefficient(comp, d)
+        for comp in weak_compositions(d, d)})
+    mismatches, distinct = _expand_check(d, d, terms, target, False)
+    # every term reaches every degree-d monomial in x_1..x_d, so a table of
+    # all of them, none mismatching, is the whole of P
+    return not mismatches and distinct == math.comb(2 * d - 1, d)
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +503,19 @@ def _add_general_term(term, support, order: int, scale: int, width: int,
         acc[i] += products[parent] * powers[k][e]
 
 
-def _expand_check(dec: PowerDecomposition, collect_all: bool):
+def _expand_check(order: int, d: int, terms, target: SparsePoly,
+                  collect_all: bool):
     """Returns (mismatch list, distinct monomial count): the monomials, in
-    sorted order, where scale * target differs from the expanded sum, and
-    the size of the expansion's table, zeros included."""
-    order, d = dec.order, dec.d
-    scale = _common_denominator(dec.terms)
-    target = dec.target_poly() * dec.scale
-    # the target's coefficients are integers, so each lifts to its
-    # numerator times the common denominator, at phase 0
+    sorted order, where ``target`` differs from the expanded sum of
+    ``terms``, d-th powers of forms on the d x d grid, and the size of the
+    expansion's table, zeros included. The target's coefficients are
+    integers."""
+    scale = _common_denominator(terms)
+    # each integer coefficient lifts to its numerator times the common
+    # denominator, at phase 0
     wants = {mono: (_multinomial(mono), [scale * x for x in c.num])
              for mono, c in target.terms.items()}
-    blocks, acc, width = _expand_chunk(order, scale, dec.terms, d,
+    blocks, acc, width = _expand_chunk(order, scale, terms, d,
                                        wants.values())
     divisor = _pack(cyclotomic_polynomial(order), 1, width)
     found, targets = [], set()
@@ -531,7 +527,7 @@ def _expand_check(dec: PowerDecomposition, collect_all: bool):
             found.append((mono, place))
     bad = [place for place, value in enumerate(acc)
            if value % divisor and place not in targets]
-    found += zip(_monomials_at(blocks, bad, d, dec.d), bad)
+    found += zip(_monomials_at(blocks, bad, d, d), bad)
     # the witness is the first mismatch in sorted monomial order
     found.sort()
     if not collect_all:
@@ -561,7 +557,9 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
     compatibility and ignored.
     """
     if mode == "expansion":
-        mismatches, distinct = _expand_check(dec, collect_all)
+        mismatches, distinct = _expand_check(
+            dec.order, dec.d, dec.terms, dec.target_poly() * dec.scale,
+            collect_all)
     elif mode == "streaming":
         mismatches, distinct = _stream_check(dec, collect_all)
     else:

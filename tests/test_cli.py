@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import detpowers
-from detpowers import cli
+from detpowers import cli, verify
 from detpowers.cyclotomic import Cyc, omega
 from detpowers.decompositions import (
     SCHEME_BUILDERS,
@@ -23,6 +23,7 @@ from detpowers.decompositions import (
     krishna_makam_det3,
     main_decomposition,
 )
+from detpowers.multipoly import weak_compositions
 from detpowers.symmetry import conjugate_decomposition
 from detpowers.verify import verify_power_decomposition
 
@@ -169,6 +170,31 @@ class TestRoundTrip:
         obj = cli.decomposition_to_obj(main_decomposition(2))
         obj["terms"][0]["coeff"][part] = value
         with pytest.raises(ValueError, match="must be ints"):
+            cli.parse_decomposition(json.dumps(obj))
+
+    # a float or bool where the format has an int: a cell of 1.0 broke
+    # expansion while streaming accepted it, and a row of true was row 1
+    @pytest.mark.parametrize("product, path, value", [
+        (False, ("d",), 2.0),
+        (False, ("order",), 2.0),
+        (False, ("scale",), 4.0),
+        (False, ("terms", 0, "exponent"), 2.0),
+        (False, ("terms", 0, "form", 0, 0), 1.0),
+        (False, ("terms", 0, "form", 0, 0), True),
+        (False, ("terms", 0, "form", 0, 1), 1.0),
+        (False, ("terms", 0, "coeff", "order"), 2.0),
+        (True, ("terms", 0, "sign"), True),
+    ], ids=["d", "order", "scale", "exponent", "cell-row", "cell-row-bool",
+            "cell-column", "coeff-order", "product-sign"])
+    def test_non_int_fields_rejected(self, product, path, value):
+        obj = (cli.product_to_obj(krishna_makam_det3()) if product
+               else cli.decomposition_to_obj(main_decomposition(2)))
+        *parents, last = path
+        holder = obj
+        for key in parents:
+            holder = holder[key]
+        holder[last] = value
+        with pytest.raises(ValueError, match="must be an int"):
             cli.parse_decomposition(json.dumps(obj))
 
 
@@ -326,6 +352,47 @@ class TestCheckCommands:
         assert code == 0
         assert obj["results"][0]["matches"] is True
         assert obj["results"][0]["monomial_count"] == 165
+
+    @pytest.mark.parametrize("args, golden", [
+        (("--d", str(d)), f"lemma_d{d}.json") for d in range(2, 6)
+    ] + [
+        (("--d", "6", "--force"), "lemma_d6_force.json"),
+        (("--d", "3", "--format", "text"), "lemma_d3.txt"),
+    ])
+    def test_lemma_check_stdout_is_pinned(self, capsys, args, golden):
+        code, out = run_cli(capsys, "lemma-check", *args)
+        assert code == 0
+        assert out.encode() == (DATA_DIR / golden).read_bytes()
+
+    @pytest.mark.parametrize("args, golden", [
+        (("--d", "6"), "lemma_d6.err"),
+        (("--d", "7", "--force"), "lemma_d7_force.err"),
+        (("--d", "1"), "lemma_d1.err"),
+    ])
+    def test_lemma_check_usage_errors_are_pinned(self, capsys, args, golden):
+        assert cli.main(["lemma-check", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (DATA_DIR / golden).read_text()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("rule_zero", [False, True],
+                             ids=["drop-nonzero", "add-at-zero"])
+    def test_lemma_check_fails_on_a_wrong_coefficient(self, capsys,
+                                                      monkeypatch, d,
+                                                      rule_zero):
+        # one monomial's rule changed: 0 where it is nonzero, or 1 where
+        # it is 0
+        rule = verify.closed_form_coefficient
+        comp = next(c for c in weak_compositions(d, d)
+                    if (not rule(c, d)) == rule_zero)
+        wrong = Cyc.from_int(d, int(rule_zero))
+        monkeypatch.setattr(verify, "closed_form_coefficient",
+                            lambda e, k: wrong if e == comp else rule(e, k))
+        assert verify.check_closed_form_coefficients(d) is False
+        code, obj = run_json(capsys, "lemma-check", "--d", str(d))
+        assert code == 1
+        assert obj["results"][0]["matches"] is False
 
     def test_independence(self, capsys):
         code, obj = run_json(capsys, "independence", "--d", "3")

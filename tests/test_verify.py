@@ -46,7 +46,6 @@ from detpowers.verify import (
     _sign_vector_sum,
     _signed_extension_sum,
     _unit_phases,
-    phase_polynomial,
     verify_power_decomposition,
     verify_product_identity,
 )
@@ -69,6 +68,26 @@ def flip_one_sign(dec, position):
     return dataclasses.replace(dec, terms=terms)
 
 
+def phase_polynomial(d):
+    """The oracle for the lemma: P = sum_j (-1)^((d+1)j) (sum_i w^(ij)
+    x_i)^d, expanded with ``expand_power`` and Cyc products, x_i stored as
+    the grid variable (i, 1)."""
+    total = SparsePoly.zero(d)
+    for j in range(1, d + 1):
+        form = LinForm(d, d, {(i, 1): omega(d, i * j)
+                              for i in range(1, d + 1)})
+        total = total + expand_power(form, d) * ((-1) ** ((d + 1) * j))
+    return total
+
+
+def counting(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestClosedFormCoefficient:
     def test_known_values_d3(self):
         # x1 x2 x3, x1^2 x2 and x1^3, by their multiplicities
@@ -79,6 +98,31 @@ class TestClosedFormCoefficient:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_matches_expanded_phase_polynomial(self, d):
         assert check_closed_form_coefficients(d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_closed_form_matches_expand_power_oracle(self, d):
+        # every degree-d monomial in x_1..x_d, and no other, in the
+        # oracle's P
+        poly = phase_polynomial(d)
+        monos = set()
+        for comp in weak_compositions(d, d):
+            mono = monomial({(i, 1): e for i, e in enumerate(comp, start=1)})
+            assert poly.coefficient(mono) == closed_form_coefficient(comp, d)
+            monos.add(mono)
+        assert set(poly.terms) <= monos
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_the_check_takes_no_cyc_products(self, monkeypatch, d):
+        assert not hasattr(verify, "expand_power")
+        calls = {"mul": 0, "expand_power": 0}
+        monkeypatch.setattr(Cyc, "__mul__",
+                            counting(calls, "mul", Cyc.__mul__))
+        monkeypatch.setattr(Cyc, "__rmul__",
+                            counting(calls, "mul", Cyc.__rmul__))
+        monkeypatch.setattr(multipoly, "expand_power",
+                            counting(calls, "expand_power", expand_power))
+        assert check_closed_form_coefficients(d)
+        assert calls == {"mul": 0, "expand_power": 0}
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_vanishes_when_support_misses_one_value(self, d):
@@ -428,18 +472,12 @@ class TestGroupRingExpansion:
                    if _unit_phases(t.coeff, t.form.support()) is None]
         assert len(general) == 17 and len(dec.terms) == 18
         calls = {"mul": 0, "expand_power": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(Cyc, "__mul__", counting("mul", Cyc.__mul__))
-        monkeypatch.setattr(Cyc, "__rmul__", counting("mul", Cyc.__rmul__))
-        for module in (multipoly, verify):
-            monkeypatch.setattr(module, "expand_power",
-                                counting("expand_power", expand_power))
+        monkeypatch.setattr(Cyc, "__mul__",
+                            counting(calls, "mul", Cyc.__mul__))
+        monkeypatch.setattr(Cyc, "__rmul__",
+                            counting(calls, "mul", Cyc.__rmul__))
+        monkeypatch.setattr(multipoly, "expand_power",
+                            counting(calls, "expand_power", expand_power))
         got = expand_sum(dec)
         assert calls == {"mul": 0, "expand_power": 0}
         monkeypatch.undo()
