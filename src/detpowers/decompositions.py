@@ -11,9 +11,9 @@ forms in the matrix entries:
                   full diagonal sum and d sums each omitting one entry.
 * ``monomial``  - 2^(d-1) forms decomposing the single diagonal monomial.
 
-Each scheme is written once, as a numbered table of its closed-form terms:
-the builders materialize it, and streaming verification decodes the terms
-it is given against it.
+Each scheme is written once, by its terms at sigma = identity: they build
+its terms, and streaming verification decodes given terms against their
+numbering and reads its class factors from the same rows.
 
 The ``krishna-makam`` object is different in kind: five products of three
 linear forms summing to the 3x3 determinant exactly, over the integers.
@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import getitem
-from typing import Iterator
+from typing import Callable
 
 from .cyclotomic import Cyc, omega
 from .multipoly import (
@@ -111,25 +111,18 @@ def expected_term_count(scheme: str, d: int) -> int | None:
     return None  # conjugated and other derived tags validated by their builders
 
 
-def sign_vectors(d: int) -> Iterator[tuple[int, ...]]:
-    """Sign vectors of length d with first entry +1, +1 ordered before -1."""
-    for rest in itertools.product((1, -1), repeat=d - 1):
-        yield (1,) + rest
-
-
 # --- the schemes' own terms, by number --------------------------------------
 #
-# Each scheme is defined once, by a table (order, count, decode,
-# closed_form, index) of its terms n = 0, 1, ..., count - 1, whose scalars
-# have root order ``order``. ``closed_form(n)`` is term n's coefficient
-# sign, one row per matrix row listing the shared pairs ((i, s), scalar) by
-# column s, and the column of each row of its support; ``index(n)`` is its
-# ``PowerTerm.index``. ``decode(support)`` proposes the number a given
-# support would have, read from its columns and scalars, or None; streaming
-# verification takes a given term as term n only when its coefficient and
-# whole support equal term n's. The builders materialize every term in
-# order. Tables are cached per d, so the forms built at d and streaming's
-# checks of them share one pair object per (entry, scalar).
+# A scheme's rows at d are (order, families, label). A family is a sign and,
+# for each matrix row i in order, either the tuple of choices (sign, scalar)
+# for the entry x[i, i] or None, the row left out (at most one per family). Its
+# terms are the products of one choice per kept row, in ``itertools.product``
+# order: the family's sign times the choices' signs, times the d-th power of
+# the sum of the chosen scalars times their entries. Every scalar is +-w^k.
+# ``label(family, choice signs)`` is the term's part of its index. ``main``,
+# ``classical`` and ``gurvits`` repeat these terms at every sigma, moving
+# row i's entry to x[i, sigma i] and multiplying by sgn sigma; ``monomial``
+# takes sigma = identity alone.
 
 
 @lru_cache(maxsize=None)
@@ -144,150 +137,151 @@ def _permutations(d: int):
     return perms, [-1 if sum(code) & 1 else 1 for code in codes]
 
 
-@lru_cache(maxsize=None)
-def _ranks(d: int) -> dict:
-    """The rank of each permutation of 1..d; built on the first decode, as
-    the builders never need it."""
-    return {sigma: r for r, sigma in enumerate(_permutations(d)[0])}
-
-
-def _pair_row(d: int, i: int, c: Cyc) -> tuple:
-    """Row i's pairs ((i, s), c), listed by column s; slot 0 is unused."""
-    return (None,) + tuple(((i, s), c) for s in range(1, d + 1))
-
-
-@lru_cache(maxsize=None)
-def _main_table(d: int) -> tuple:
-    """main: term r * d + j - 1, index (sigma, j), is sgn sigma *
-    (-1)^((d+1)j) times (sum_i w^(ij) x[i, sigma i])^d, sigma of rank r.
-    A support names sigma by its columns and j by row 1's root power."""
-    perms, signs = _permutations(d)
+def _main_rows(d: int) -> tuple:
+    """main: family j = 1..d is (-1)^((d+1)j) with the one choice w^(ij) in
+    row i; its label is j."""
     rows = range(1, d + 1)
     roots = [omega(d, k) for k in range(d)]
-    phase = {w.num: k for k, w in enumerate(roots)}
-    tables = [tuple(_pair_row(d, i, roots[i * j % d]) for i in rows)
-              for j in rows]
-    parity = [(-1) ** ((d + 1) * j) for j in rows]
-
-    def decode(support):
-        if len(support) != d:
-            return None
-        r = _ranks(d).get(tuple([s for (_, s), _ in support]))
-        k = phase.get(support[0][1].num)
-        return None if r is None or k is None else r * d + (k or d) - 1
-
-    def closed_form(n):
-        r, j = divmod(n, d)
-        return signs[r] * parity[j], tables[j], perms[r]
-
-    def index(n):
-        r, j = divmod(n, d)
-        return perms[r], j + 1
-
-    return d, len(perms) * d, decode, closed_form, index
+    families = [((-1) ** ((d + 1) * j),
+                 [((1, roots[i * j % d]),) for i in rows]) for j in rows]
+    return d, families, lambda family, signs: family + 1
 
 
-def _signed_table(d: int, perms, signs, rank) -> tuple:
-    """classical: term r * 2^(d-1) + t, index (sigma, eps), is sgn sigma *
-    prod eps times (sum_i eps_i x[i, sigma i])^d, sigma of rank r among
-    ``perms`` (``rank`` maps columns to r, or None) and eps the t-th of
-    ``sign_vectors(d)``. A form with eps_1 = -1 names no term."""
-    units = {e: Cyc.from_int(1, e) for e in (1, -1)}
-    unit = {c.num: e for e, c in units.items()}
-    rows = {e: [_pair_row(d, i, c) for i in range(1, d + 1)]
-            for e, c in units.items()}
-    vectors = list(sign_vectors(d))
-    eps_rank = {eps: t for t, eps in enumerate(vectors)}
-    eps_sign = [math.prod(eps) for eps in vectors]
-    eps_rows = [tuple(rows[e][i] for i, e in enumerate(eps))
-                for eps in vectors]
-    block = len(vectors)
+def _sign_rows(d: int) -> tuple:
+    """classical and monomial: one family, the choice +1 in row 1 and +1 or
+    -1, each its own sign, in every other row; the label is the sign vector."""
+    one, minus = Cyc.from_int(1, 1), Cyc.from_int(1, -1)
+    rows = [((1, one),)] + [((1, one), (-1, minus))] * (d - 1)
+    return 1, [(1, rows)], lambda family, signs: signs
 
-    def decode(support):
-        if len(support) != d:
-            return None
-        r = rank(tuple([s for (_, s), _ in support]))
-        t = eps_rank.get(tuple([unit.get(c.num) for _, c in support]))
-        return None if r is None or t is None else r * block + t
 
-    def closed_form(n):
-        r, t = divmod(n, block)
-        return signs[r] * eps_sign[t], eps_rows[t], perms[r]
+def _gurvits_rows(d: int) -> tuple:
+    """gurvits: family 0 is +1 with the choice 1 in every row; family
+    m = 1..d is -1 and leaves row m out. Its label is None or m."""
+    one = ((1, Cyc.from_int(1, 1)),)
+    families = [(1, [one] * d)] + [
+        (-1, [None if i == m else one for i in range(1, d + 1)])
+        for m in range(1, d + 1)]
+    return 1, families, lambda family, signs: family or None
 
-    def index(n):
-        r, t = divmod(n, block)
-        return perms[r], vectors[t]
 
-    return 1, len(perms) * block, decode, closed_form, index
+# each scheme's rows and whether they repeat at every sigma, bound by name so
+# that no edit of the mutable SCHEME_BUILDERS reaches streaming's reference
+_SCHEME_ROWS = {
+    "main": (_main_rows, True),
+    "classical": (_sign_rows, True),
+    "gurvits": (_gurvits_rows, True),
+    "monomial": (_sign_rows, False),
+}
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Numbering:
+    """A scheme's terms at d, numbered: term r * len(block) + t is term t at
+    sigma = identity moved to sigma = ``perms[r]``, its sign times
+    ``signs[r]``. ``block[t]`` is (sign, pair rows, cut, label): per kept
+    row its shared pairs ((i, s), scalar) by column s, the place of the row
+    left out or None, and its part of the ``PowerTerm.index``, (sigma,
+    label) when ``over_sigma``, else (label,). ``decode(support)`` proposes
+    the number of a term with that support, or None; ``term(n)`` is term
+    n's coefficient, one of ``units``, and support."""
+    order: int
+    over_sigma: bool
+    families: list
+    perms: list
+    signs: list
+    block: list
+    units: dict
+    decode: Callable
+    term: Callable
 
 
 @lru_cache(maxsize=None)
-def _classical_table(d: int) -> tuple:
-    return _signed_table(d, *_permutations(d),
-                         lambda cols: _ranks(d).get(cols))
-
-
-@lru_cache(maxsize=None)
-def _monomial_table(d: int) -> tuple:
-    """monomial: classical's terms of the identity permutation alone, with
-    index (eps,)."""
-    diagonal = tuple(range(1, d + 1))
-    *table, index = _signed_table(d, [diagonal], [1], {diagonal: 0}.get)
-    return (*table, lambda n: index(n)[1:])
-
-
-@lru_cache(maxsize=None)
-def _gurvits_table(d: int) -> tuple:
-    """gurvits: term r * (d + 1), index (sigma, None), is sgn sigma times
-    (sum_i x[i, sigma i])^d, sigma of rank r, and term r * (d + 1) + m,
-    index (sigma, m), m = 1..d, is -sgn sigma times the same power without
-    row m. A support of d - 1 entries names the missing row and column."""
-    perms, signs = _permutations(d)
-    one = Cyc.from_int(1, 1)
-    full = tuple(_pair_row(d, i, one) for i in range(1, d + 1))
-    tables = [full] + [full[:m - 1] + full[m:] for m in range(1, d + 1)]
-    total = d * (d + 1) // 2
+def _numbering(scheme: str, d: int) -> _Numbering | None:
+    """The numbering of ``scheme``'s terms at d, or None for a name without
+    rows. Cached per d, so the forms built at d and streaming's checks of
+    them share one pair object per (entry, scalar)."""
+    if scheme not in _SCHEME_ROWS:
+        return None
+    rows_of, over_sigma = _SCHEME_ROWS[scheme]
+    order, families, label = rows_of(d)
+    perms, signs = (_permutations(d) if over_sigma
+                    else ([tuple(range(1, d + 1))], [1]))
+    pair_rows, block, scalars = {}, [], []
+    for family, (sign, rows) in enumerate(families):
+        cut = next((i for i, row in enumerate(rows) if row is None), None)
+        # each kept row's choices, each with row i's pairs ((i, col), c)
+        # listed by column (slot 0 unused), shared by every family
+        kept = [[(s, c, pair_rows.setdefault((i, c), (None, *(
+            ((i, col), c) for col in range(1, d + 1))))) for s, c in row]
+            for i, row in enumerate(rows, 1) if row is not None]
+        for picks in itertools.product(*kept):
+            choice_signs = tuple(s for s, _, _ in picks)
+            block.append((sign * math.prod(choice_signs),
+                          tuple(pairs for _, _, pairs in picks), cut,
+                          label(family, choice_signs)))
+            scalars.append((cut, tuple(c.num for _, c, _ in picks)))
+    # the fewest leading scalars that, with the row left out, tell the terms
+    # at sigma = identity apart
+    lead = next((n for n in range(d) if len(
+        {(cut, nums[:n]) for cut, nums in scalars}) == len(scalars)), d)
+    # keys[cut][num_1]...[num_lead] = t, one level per leading scalar
+    keys: dict = {}
+    for t, (cut, nums) in enumerate(scalars):
+        *path, last = cut, *nums[:lead]
+        node = keys
+        for key in path:
+            node = node.setdefault(key, {})
+        node[last] = t
+    size, total = len(block), d * (d + 1) // 2
+    units = {e: Cyc.from_int(order, e) for e in (1, -1)}
+    # filled on the first decode, as the builders never need it
+    rank = {}
 
     def decode(support):
         cols = tuple([s for (_, s), _ in support])
-        if len(cols) == d:
-            omit = 0
-        elif len(cols) == d - 1:
-            omit = total - sum([i for (i, _), _ in support])
-            if not 1 <= omit <= d:
+        cut = None
+        if len(cols) == d - 1:
+            # the row left out, and its column, complete 1..d
+            cut = total - sum([i for (i, _), _ in support]) - 1
+            if not 0 <= cut < d:
                 return None
-            cols = cols[:omit - 1] + (total - sum(cols),) + cols[omit - 1:]
-        else:
-            return None
-        r = _ranks(d).get(cols)
-        return None if r is None else r * (d + 1) + omit
+            cols = cols[:cut] + (total - sum(cols),) + cols[cut:]
+        if not rank:
+            rank.update((sigma, r) for r, sigma in enumerate(perms))
+        r = rank.get(cols)
+        t = keys.get(cut)
+        for _, c in support[:lead]:
+            t = t and t.get(c.num)
+        return r * size + t if r is not None and type(t) is int else None
 
-    def closed_form(n):
-        r, omit = divmod(n, d + 1)
+    def term(n):
+        r, t = divmod(n, size)
+        sign, rows, cut, _ = block[t]
         sigma = perms[r]
-        if omit:
-            return -signs[r], tables[omit], sigma[:omit - 1] + sigma[omit:]
-        return signs[r], full, sigma
+        cols = sigma if cut is None else sigma[:cut] + sigma[cut + 1:]
+        return units[signs[r] * sign], tuple(map(getitem, rows, cols))
 
-    def index(n):
-        r, omit = divmod(n, d + 1)
-        return perms[r], omit or None
-
-    return 1, len(perms) * (d + 1), decode, closed_form, index
+    return _Numbering(order, over_sigma, families, perms, signs, block, units,
+                      decode, term)
 
 
-def _materialize(d: int, scheme: str, scale: int, target: str,
-                 table: tuple) -> PowerDecomposition:
-    """Every term of ``table``, in its numbered order. A table's rows hold
+def _materialize(d: int, scheme: str, scale: int,
+                 target: str) -> PowerDecomposition:
+    """Every term of the scheme's numbering, in order. Its pair rows hold
     shared nonzero pairs of its order, one per row in row order, and a term
     takes them at distinct columns, so its forms skip ``LinForm``'s checks."""
-    order, count, _, closed_form, index = table
-    units = {e: Cyc.from_int(order, e) for e in (1, -1)}
+    numbering = _numbering(scheme, d)
+    order, over_sigma, units = (numbering.order, numbering.over_sigma,
+                                numbering.units)
     terms = []
-    for n in range(count):
-        sign, rows, cols = closed_form(n)
-        form = LinForm._of_support(order, d, tuple(map(getitem, rows, cols)))
-        terms.append(PowerTerm(index(n), units[sign], form, d))
+    for sigma, sigma_sign in zip(numbering.perms, numbering.signs):
+        for sign, rows, cut, label in numbering.block:
+            cols = sigma if cut is None else sigma[:cut] + sigma[cut + 1:]
+            form = LinForm._of_support(order, d,
+                                       tuple(map(getitem, rows, cols)))
+            terms.append(PowerTerm((sigma, label) if over_sigma else (label,),
+                                   units[sigma_sign * sign], form, d))
     return PowerDecomposition(d, scheme, scale, target, order, tuple(terms))
 
 
@@ -296,8 +290,7 @@ def main_decomposition(d: int) -> PowerDecomposition:
     whose (i, sigma(i)) coefficient is w^(i*j)."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    return _materialize(d, "main", d * math.factorial(d), TARGET_DETERMINANT,
-                        _main_table(d))
+    return _materialize(d, "main", d * math.factorial(d), TARGET_DETERMINANT)
 
 
 def classical_decomposition(d: int) -> PowerDecomposition:
@@ -305,7 +298,7 @@ def classical_decomposition(d: int) -> PowerDecomposition:
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     return _materialize(d, "classical", 2 ** (d - 1) * math.factorial(d),
-                        TARGET_DETERMINANT, _classical_table(d))
+                        TARGET_DETERMINANT)
 
 
 def gurvits_decomposition(d: int) -> PowerDecomposition:
@@ -313,8 +306,7 @@ def gurvits_decomposition(d: int) -> PowerDecomposition:
     each omit one matrix entry of the permutation diagonal."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    return _materialize(d, "gurvits", math.factorial(d), TARGET_DETERMINANT,
-                        _gurvits_table(d))
+    return _materialize(d, "gurvits", math.factorial(d), TARGET_DETERMINANT)
 
 
 def monomial_power_decomposition(d: int) -> PowerDecomposition:
@@ -322,7 +314,7 @@ def monomial_power_decomposition(d: int) -> PowerDecomposition:
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     return _materialize(d, "monomial", 2 ** (d - 1) * math.factorial(d),
-                        TARGET_DIAGONAL, _monomial_table(d))
+                        TARGET_DIAGONAL)
 
 
 SCHEME_BUILDERS = {

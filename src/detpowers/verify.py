@@ -17,15 +17,15 @@ Two independent engines are provided:
   Phi_n; denominators are cleared by one common denominator of the sum;
   only a mismatching monomial is decoded and projected to Q(w), and
   nothing falls back to Cyc products;
-* streaming mode never expands a term: the scheme's combinatorial formula
-  gives its total at a monomial as a factor of the exponents' composition
-  times the signed extension sum of the pattern, so one comparison decides
-  a whole composition class. Each given term's index is read from its
-  support and checked against that index's closed-form term in the
-  scheme's numbered table (``decompositions``), in any order. Only the
-  monomials of a failing class, and those a term whose index is missing,
-  repeated or differs reaches (corrected by that term), are evaluated one
-  by one.
+* streaming mode never expands a term: the scheme's total at a monomial
+  is a class factor of the exponents' composition, read from the scheme's
+  rows at sigma = identity (``decompositions``), times the signed
+  extension sum of the pattern, so one comparison decides a whole
+  composition class. Each given term's number is read from its support
+  and the term checked against that term of the scheme's numbering, in
+  any order. Only the monomials of a failing class, and those a term whose
+  index is missing, repeated or differs reaches (corrected by that term),
+  are evaluated one by one.
 
 The engines share no code path, so they act as each other's oracle; both
 read the terms they are given, compare against the scaled target
@@ -46,9 +46,10 @@ import math
 import struct
 import sys
 from bisect import bisect_right
+from collections import defaultdict
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, getitem, is_, mul
+from operator import add, is_, mul
 from typing import NamedTuple
 
 from .cyclotomic import (
@@ -64,10 +65,7 @@ from .decompositions import (
     PowerDecomposition,
     PowerTerm,
     ProductDecomposition,
-    _classical_table,
-    _gurvits_table,
-    _main_table,
-    _monomial_table,
+    _numbering,
 )
 from .multipoly import (
     LinForm,
@@ -550,9 +548,12 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
     """Check scale * target == sum of the terms, exactly.
 
     ``mode`` picks the engine: "expansion" works for any decomposition;
-    "streaming" works for the four structured schemes, and raises
-    ValueError when a term whose index is missing, repeated or differs
-    reaches a monomial outside the scheme's walk.
+    "streaming" works for the four structured schemes. It reads its class
+    factors from the scheme's rows and matches every given term to its
+    number in the same scheme's numbering, or corrects it, so its verdict
+    rests on the factorization F(e) * ext and the numbering alone. It
+    raises ValueError when a term whose index is missing, repeated or
+    differs reaches a monomial outside the scheme's walk.
     Both engines run in the calling process; ``jobs`` is accepted for
     compatibility and ignored.
     """
@@ -574,12 +575,20 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
 
 # --- streaming engine -------------------------------------------------------
 #
-# At a monomial with exponents e on the entries (i, sigma i) of k rows, the
-# scheme's own terms sum to F(e) * ext: the class factor F depends on the
-# composition e alone (phase-group sum, sign-vector sum or 1 - zero rows,
-# times the multinomial), ext is the signed extension sum of the pattern.
-# The determinant target is scale * sgn(columns) when e is all ones and 0
-# otherwise, so one test decides a whole composition class, exactly:
+# The scheme's numbering (``decompositions._numbering``) repeats its terms
+# at sigma = identity at every sigma, with sgn sigma, or keeps sigma =
+# identity alone. At a monomial with exponents e on the entries (i, sigma i)
+# of k rows, the terms at sigma sum to sgn sigma * F(e), the class factor
+#
+#   F(e) = multinomial(e) * sum over families of sign
+#          * prod over rows i of (sum over choices of sign * scalar^(e_i))
+#
+# (a left-out row gives 1 at e_i = 0, else 0), and the terms at another
+# sigma reach it iff that sigma extends the pattern. So the scheme's total
+# is F(e) * ext, ext the signed extension sum of the pattern over its
+# sigmas (over the identity alone: 1 on the diagonal, else 0). Over all
+# sigmas, against the determinant target (scale * sgn(columns) when e is
+# all ones, else 0), one test decides a whole composition class:
 #
 # * k <= d-2: ext = 0 and the target is 0, so the class matches;
 # * k = d-1: the target is 0 and ext = +-1, so it matches iff F == 0;
@@ -587,26 +596,11 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
 #
 # Evaluated one by one, in sorted order, are only the monomials that can
 # mismatch: those of a failing class or one whose target is not uniform
-# (all ones under the diagonal-product target), those of the monomial
-# scheme (F on the diagonal, 0 off it), and those reached by a given term
-# that differs from the scheme's term in its position, which adds its
-# difference, term minus scheme term.
-
-
-@lru_cache(maxsize=None)
-def _phase_group_sum(d: int, s: int) -> Cyc:
-    """sum over j = 1..d of (-1)^((d+1)j) w^(js)."""
-    total = Cyc.zero(d)
-    for j in range(1, d + 1):
-        total = total + omega(d, j * s) * ((-1) ** ((d + 1) * j))
-    return total
-
-
-def _sign_vector_sum(powers: tuple[int, ...]) -> int:
-    """sum over sign vectors eps (eps_1 = +1) of prod_i eps_i^powers[i].
-    The sum factors as prod over i >= 2 of (1 + (-1)^powers[i]): 2^(d-1)
-    when powers[1:] are all even, else 0."""
-    return 0 if any(p & 1 for p in powers[1:]) else 1 << (len(powers) - 1)
+# (all ones under the diagonal-product target), every pattern of a scheme
+# at sigma = identity alone, and those reached by a given term that differs
+# from the scheme's term in its position, which adds term minus scheme
+# term. Every given term is checked against the numbering, so the verdict
+# is proved from the terms given.
 
 
 def _signed_extension_sum(d: int, partial: dict[int, int]) -> int:
@@ -621,53 +615,39 @@ def _signed_extension_sum(d: int, partial: dict[int, int]) -> int:
                            for r in range(1, d + 1)))
 
 
-# the closed forms the streaming formulas describe, bound by name so that a
-# replaced entry of the mutable SCHEME_BUILDERS registry cannot become the
-# reference a given decomposition is compared with
-_STREAM_REFERENCE = {
-    "main": _main_table,
-    "classical": _classical_table,
-    "gurvits": _gurvits_table,
-    "monomial": _monomial_table,
-}
-
-
 def _term_corrections(dec: PowerDecomposition, diagonal: bool) -> dict:
     """The given terms that are not the scheme's, with sign +1, and the
     scheme's terms no given term is, with sign -1. A given term is the
-    scheme's term n when its coefficient and support are term n's closed
-    form and no earlier term was term n; so a term whose index is missing,
-    repeated or differs is corrected, and term order does not matter.
-    Each correction is indexed by every nonempty subset of its support, so
-    a monomial finds the terms whose power reaches it by its own support.
-    Raises ValueError when the root orders differ, or for a corrected term
-    whose support is not a partial permutation pattern the walk covers
-    (only the diagonal when ``diagonal``)."""
-    d = dec.d
-    order, count, decode, closed_form, _ = _STREAM_REFERENCE[dec.scheme](d)
-    if dec.order != order:
+    scheme's term n when its coefficient and support are term n's in the
+    scheme's numbering and no earlier term was term n; so a term whose
+    index is missing, repeated or differs is corrected, and term order does
+    not matter. Each correction is indexed by every nonempty subset of its
+    support, so a monomial finds the terms whose power reaches it by its
+    own support. Raises ValueError when the root orders differ, or for a
+    corrected term whose support is not a partial permutation pattern the
+    walk covers (only the diagonal when ``diagonal``)."""
+    d, numbering = dec.d, _numbering(dec.scheme, dec.d)
+    if dec.order != numbering.order:
         raise ValueError(f"streaming {dec.scheme} needs root order "
-                         f"{order}, got {dec.order}")
-    coeffs = {sign: Cyc.from_int(order, sign) for sign in (1, -1)}
-    used = bytearray(count)
+                         f"{numbering.order}, got {dec.order}")
+    decode, reference = numbering.decode, numbering.term
+    used = bytearray(len(numbering.perms) * len(numbering.block))
     out: dict[tuple[tuple[int, int], ...], list] = {}
     for term in dec.terms:
         support = term.form.support()
         n = decode(support)
         if n is not None and not used[n]:
-            sign, rows, cols = closed_form(n)
-            # a builder's forms hold the table's own pairs, so they match
-            # by identity
-            if support == tuple(map(getitem, rows, cols)) and \
-                    term.coeff == coeffs[sign]:
+            coeff, want = reference(n)
+            # a builder's terms hold the numbering's own units and pairs,
+            # so they match by identity
+            if support == want and (term.coeff is coeff
+                                    or term.coeff == coeff):
                 used[n] = 1
                 continue
         _index_correction(out, 1, term.coeff, support, d, diagonal,
                           term.index)
     for n in [n for n, hit in enumerate(used) if not hit]:
-        sign, rows, cols = closed_form(n)
-        _index_correction(out, -1, coeffs[sign],
-                          tuple(map(getitem, rows, cols)), d, diagonal, n)
+        _index_correction(out, -1, *reference(n), d, diagonal, n)
     return out
 
 
@@ -713,23 +693,25 @@ def _stream_check(dec: PowerDecomposition, collect_all: bool):
     in sorted order. The count is of the whole walk, whether or not the
     check stops at the first mismatch, as expansion counts its whole
     table."""
-    d, scheme = dec.d, dec.scheme
-    if scheme not in _STREAM_REFERENCE:
-        raise ValueError(f"streaming mode not available for scheme {scheme!r}")
+    d = dec.d
+    numbering = _numbering(dec.scheme, d)
+    if numbering is None:
+        raise ValueError(
+            f"streaming mode not available for scheme {dec.scheme!r}")
     if dec.target not in (TARGET_DETERMINANT, TARGET_DIAGONAL):
         raise ValueError(f"unknown target {dec.target!r}")
-    # the monomial scheme lives on the diagonal; a determinant target also
-    # needs the off-diagonal permutation patterns walked
-    diagonal = scheme == "monomial" and dec.target == TARGET_DIAGONAL
+    # a scheme at sigma = identity alone lives on the diagonal; a
+    # determinant target also needs the off-diagonal patterns walked
+    diagonal = not numbering.over_sigma and dec.target == TARGET_DIAGONAL
     corrections = _term_corrections(dec, diagonal)
     visit = set()
     for comp in weak_compositions(d, d):
         rows = tuple(i for i, e in enumerate(comp, start=1) if e)
         k = len(rows)
         # a class decided by the rule above is never walked
-        uniform = scheme != "monomial" and (
+        uniform = numbering.over_sigma and (
             k < d or dec.target == TARGET_DETERMINANT)
-        if uniform and (k < d - 1 or _class_factor(scheme, d, comp)
+        if uniform and (k < d - 1 or _class_factor(numbering, comp)
                         == (dec.scale if k == d else 0)):
             continue
         exps = tuple(e for e in comp if e)
@@ -748,7 +730,12 @@ def _stream_check(dec: PowerDecomposition, collect_all: bool):
         for i, _, e in mono:
             comp[i - 1] = e
         comp = tuple(comp)
-        got = _streaming_coefficient(scheme, d, mono, comp)
+        # the scheme's own total: F(e) times the signed extension sum of
+        # the pattern over the scheme's sigmas
+        ext = (_signed_extension_sum(d, {i: j for i, j, _ in mono})
+               if numbering.over_sigma
+               else int(all(i == j for i, j, _ in mono)))
+        got = _class_factor(numbering, comp) * ext
         entries = corrections.get(tuple((i, j) for i, j, _ in mono))
         if entries:
             got = got + _correction(entries, mono, multinomial(d, comp),
@@ -761,29 +748,49 @@ def _stream_check(dec: PowerDecomposition, collect_all: bool):
     return mismatches, _walk_count(d, diagonal)
 
 
-def _class_factor(scheme: str, d: int, comp: tuple[int, ...]) -> Cyc:
-    """F(e): the scheme's total at a monomial of composition ``comp`` over
-    its signed extension sum (over its diagonal indicator for the monomial
-    scheme, whose factor is classical's)."""
-    mult = multinomial(d, comp)
-    if scheme == "main":
-        s = sum(i * e for i, e in enumerate(comp, start=1)) % d
-        return _phase_group_sum(d, s) * mult
-    if scheme == "gurvits":
-        return Cyc.from_int(1, mult * (1 - comp.count(0)))
-    return Cyc.from_int(1, mult * _sign_vector_sum(tuple(e + 1 for e in comp)))
+@lru_cache(maxsize=None)
+def _row_sums(numbering) -> list:
+    """Each family's sign and, per row, the row's sums over its choices of
+    sign * scalar^e for e = 0..d, each the (phase, coefficient) pairs of an
+    element of Z[C_n], as every scalar is +-w^k; a left-out row gives 1 at
+    e = 0 and 0 after. Rows with equal choices share their sums."""
+    order = numbering.order
+
+    @lru_cache(maxsize=None)
+    def sums(row, d):
+        if row is None:
+            return [[(0, 1)]] + [[]] * d
+        out = []
+        for e in range(d + 1):
+            by_phase = defaultdict(int)
+            for s, c in row:
+                unit, k = _signed_roots(order)[c.num, c.den]
+                by_phase[k * e % order] += s * unit ** e
+            out.append([(p, a) for p, a in by_phase.items() if a])
+        return out
+
+    return [(sign, [sums(row, len(rows)) for row in rows])
+            for sign, rows in numbering.families]
 
 
-def _streaming_coefficient(scheme: str, d: int, mono: Monomial,
-                           comp: tuple[int, ...]) -> Cyc:
-    """The scheme's own total at ``mono``: the class factor times the
-    signed extension sum of its pattern, or, for the monomial scheme, times
-    1 on the diagonal and 0 off it."""
-    if scheme == "monomial":
-        ext = int(all(i == j for i, j, _ in mono))
-    else:
-        ext = _signed_extension_sum(d, {i: j for i, j, _ in mono})
-    return _class_factor(scheme, d, comp) * ext
+@lru_cache(maxsize=None)
+def _class_factor(numbering, comp: tuple[int, ...]) -> Cyc:
+    """F(e) of the rule above, for the composition ``comp``: each family's
+    product of its rows' sums, term by term (no more terms than the family
+    has), counted by phase in Z[C_n] and projected to Q(w) once."""
+    order = numbering.order
+    total = [0] * order
+    for sign, rows in _row_sums(numbering):
+        phases = [(0, sign)]
+        for sums, e in zip(rows, comp):
+            phases = [((p + q) % order, a * b)
+                      for p, a in phases for q, b in sums[e]]
+            if not phases:
+                break
+        for p, a in phases:
+            total[p] += a
+    mult = multinomial(len(comp), comp) if any(total) else 0
+    return from_root_coefficients(order, [mult * a for a in total])
 
 
 def _target_coefficient(dec: PowerDecomposition, mono: Monomial,

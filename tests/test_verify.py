@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -27,7 +28,6 @@ from detpowers.decompositions import (
     krishna_makam_det3,
     main_decomposition,
     monomial_power_decomposition,
-    sign_vectors,
 )
 from detpowers.multipoly import (
     LinForm,
@@ -42,13 +42,12 @@ from detpowers.verify import (
     check_closed_form_coefficients,
     closed_form_coefficient,
     _common_denominator,
-    _phase_group_sum,
-    _sign_vector_sum,
     _signed_extension_sum,
     _unit_phases,
     verify_power_decomposition,
     verify_product_identity,
 )
+from test_decompositions import paper_terms
 
 
 # the builders by scheme, bound here so that no test's edit of the
@@ -1128,10 +1127,51 @@ class TestStreamingDecoders:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_permutation_signs_by_rank(self, d):
         perms, signs = decompositions._permutations(d)
-        rank = decompositions._ranks(d)
         assert perms == sorted(itertools.permutations(range(1, d + 1)))
-        assert all(rank[p] == r for r, p in enumerate(perms))
         assert signs == [cycle_sign(p) for p in perms]
+        # every term's support decodes to its own number
+        for scheme in BUILDERS:
+            numbering = decompositions._numbering(scheme, d)
+            count = len(numbering.perms) * len(numbering.block)
+            assert [numbering.decode(numbering.term(n)[1])
+                    for n in range(count)] == list(range(count))
+
+
+def sign_vectors(d):
+    """Sign vectors of length d with first entry +1, +1 ordered before -1."""
+    for rest in itertools.product((1, -1), repeat=d - 1):
+        yield (1,) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def phase_group_sum(d, s):
+    """The hand formula of main's class factor: sum over j = 1..d of
+    (-1)^((d+1)j) w^(js)."""
+    total = Cyc.zero(d)
+    for j in range(1, d + 1):
+        total = total + omega(d, j * s) * ((-1) ** ((d + 1) * j))
+    return total
+
+
+def sign_vector_sum(powers):
+    """The hand formula of classical's class factor: sum over sign vectors
+    eps (eps_1 = +1) of prod_i eps_i^powers[i] factors as prod over i >= 2
+    of (1 + (-1)^powers[i]): 2^(d-1) when powers[1:] are all even, else
+    0."""
+    return 0 if any(p & 1 for p in powers[1:]) else 1 << (len(powers) - 1)
+
+
+def hand_class_factor(scheme, d, comp):
+    """F(e) written by hand for each scheme: the phase-group sum, the
+    sign-vector sum (classical's, for the monomial scheme too) or
+    1 - zero rows, times the multinomial."""
+    mult = multinomial(d, comp)
+    if scheme == "main":
+        s = sum(i * e for i, e in enumerate(comp, start=1)) % d
+        return phase_group_sum(d, s) * mult
+    if scheme == "gurvits":
+        return Cyc.from_int(1, mult * (1 - comp.count(0)))
+    return Cyc.from_int(1, mult * sign_vector_sum(tuple(e + 1 for e in comp)))
 
 
 def enumerated_sign_vector_sum(powers):
@@ -1159,7 +1199,7 @@ def walked_coefficient(scheme, d, order, mono, comp, mult):
         return Cyc.zero(order)
     if scheme == "main":
         s = sum(i * e for i, _, e in mono) % d
-        return _phase_group_sum(d, s) * (mult * ext)
+        return phase_group_sum(d, s) * (mult * ext)
     if scheme == "classical":
         eps_sum = enumerated_sign_vector_sum(tuple(e + 1 for e in comp))
         return Cyc.from_int(1, mult * ext * eps_sum)
@@ -1245,8 +1285,35 @@ class TestClassDecidedStreaming:
     def test_sign_vector_sum_closed_form(self, d):
         # both parities at every position, and up to d + 1 for d <= 3
         for powers in itertools.product(range(1, min(d, 3) + 2), repeat=d):
-            assert _sign_vector_sum(powers) == \
+            assert sign_vector_sum(powers) == \
                 enumerated_sign_vector_sum(powers)
+
+    @pytest.mark.parametrize("scheme, d", [
+        *((scheme, d) for scheme in ("main", "gurvits") for d in range(2, 9)),
+        *((scheme, d) for scheme in ("classical", "monomial")
+          for d in range(2, 8)),
+    ])
+    def test_class_factor_matches_the_hand_formula(self, scheme, d):
+        # streaming's F(e), read from the scheme's rows, at every weak
+        # composition, past the sizes expansion can check
+        numbering = decompositions._numbering(scheme, d)
+        for comp in weak_compositions(d, d):
+            assert verify._class_factor(numbering, comp) \
+                == hand_class_factor(scheme, d, comp), comp
+
+    @pytest.mark.parametrize("builder, d", [
+        (main_decomposition, 6), (classical_decomposition, 5),
+        (monomial_power_decomposition, 6)],
+        ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_streaming_takes_no_cyc_powers(self, monkeypatch, builder, d):
+        dec = builder(d)
+        calls = {"pow": 0}
+        monkeypatch.setattr(Cyc, "__pow__",
+                            counting(calls, "pow", Cyc.__pow__))
+        verify._row_sums.cache_clear()
+        verify._class_factor.cache_clear()
+        assert verify_power_decomposition(dec, mode="streaming").equal
+        assert calls == {"pow": 0}
 
     @pytest.mark.parametrize("builder, d", [
         (builder, d)
@@ -1277,7 +1344,10 @@ class TestClassDecidedStreaming:
         dec = builder(4)
 
         def engine_formula(scheme, d, order, mono, comp, mult):
-            return verify._streaming_coefficient(scheme, d, mono, comp)
+            # the engine's class factor, at one monomial
+            ext = _signed_extension_sum(d, {i: j for i, j, _ in mono})
+            return verify._class_factor(
+                decompositions._numbering(scheme, d), comp) * ext
 
         want = walk_check(dec, engine_formula)
         for collect_all, fields in zip((False, True), want):
@@ -1305,6 +1375,67 @@ class TestClassDecidedStreaming:
         assert stream.witness == exp.witness
         first = verify_power_decomposition(dec, mode="streaming")
         assert first.witness == exp.witness
+
+
+@pytest.fixture
+def fresh_numberings():
+    """Numberings built anew in the test and after it, so that a patched
+    description reaches no other test."""
+    decompositions._numbering.cache_clear()
+    yield
+    decompositions._numbering.cache_clear()
+
+
+class TestFaultyDescription:
+    """A fault in a scheme's rows reaches the builder and streaming alike:
+    the terms built are the numbering's own, so none is corrected, and the
+    class factors come from the same faulty rows, so streaming rejects the
+    terms with expansion's witness."""
+
+    def patch_rows(self, monkeypatch, scheme, fault):
+        rows_of, over_sigma = decompositions._SCHEME_ROWS[scheme]
+
+        def faulty(d):
+            order, families, label = rows_of(d)
+            return order, fault(list(families)), label
+
+        monkeypatch.setitem(decompositions._SCHEME_ROWS, scheme,
+                            (faulty, over_sigma))
+
+    def check_rejected(self, dec, every_mismatch):
+        assert correction_terms(dec) == set()
+        exp = verify_power_decomposition(dec, collect_all=every_mismatch)
+        stream = verify_power_decomposition(dec, mode="streaming",
+                                            collect_all=every_mismatch)
+        assert not exp.equal and not stream.equal
+        assert stream.witness == exp.witness
+        assert stream.mismatches == exp.mismatches
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_main_with_family_1_negated(self, d, monkeypatch,
+                                        fresh_numberings):
+        def negate_first(families):
+            (sign, rows), *rest = families
+            return [(-sign, rows), *rest]
+
+        self.patch_rows(monkeypatch, "main", negate_first)
+        dec = main_decomposition(d)
+        # every j = 1 term is negated, and no other term changed
+        assert [t.coeff for t in dec.terms] == [
+            -c if j == 1 else c for (_, j), c, _ in paper_terms("main", d)]
+        self.check_rejected(dec, d < 5)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_gurvits_with_a_row_scalar_changed(self, d, monkeypatch,
+                                               fresh_numberings):
+        def minus_first_scalar(families):
+            (sign, rows), *rest = families
+            return [(sign, [((1, Cyc.from_int(1, -1)),), *rows[1:]]), *rest]
+
+        self.patch_rows(monkeypatch, "gurvits", minus_first_scalar)
+        dec = gurvits_decomposition(d)
+        assert dict(dec.terms[0].form.support())[1, 1] == Cyc.from_int(1, -1)
+        self.check_rejected(dec, True)
 
 
 class TestSignedExtensionSum:
