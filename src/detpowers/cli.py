@@ -555,6 +555,8 @@ def _cmd_bench(args: SimpleNamespace):
          lambda: _verifies(build_main(7), "streaming")),
         ("verify-classical-3",
          lambda: _verifies(SCHEME_BUILDERS["classical"](3))),
+        ("verify-gurvits-5-expansion",
+         lambda: _verifies(SCHEME_BUILDERS["gurvits"](5))),
         ("verify-monomial-5",
          lambda: _verifies(SCHEME_BUILDERS["monomial"](5))),
         ("verify-conjugated-main-4-expansion",

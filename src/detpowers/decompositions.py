@@ -71,6 +71,8 @@ class PowerDecomposition:
     terms: tuple[PowerTerm, ...]
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be positive, got {self.d}")
         expected = expected_term_count(self.scheme, self.d)
         if expected is not None and len(self.terms) != expected:
             raise ValueError(

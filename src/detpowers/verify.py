@@ -10,7 +10,11 @@ Two independent engines are provided:
   the comparison, and a monomial matches iff its integer, minus the
   lifted target, leaves no remainder mod Phi_n(B). A term whose scalars
   are all units +-w^k adds +-B^s at each composition's phase s, read for
-  all its compositions at once from the fields of one packed integer;
+  all its compositions at once from the fields of one packed integer.
+  Such terms on cells inside one support, as a builder's terms at one
+  sigma are, form a run: its sum is computed once for each distinct run,
+  memoised by the run's signature, and added with one add per
+  composition, a cell a term leaves out taking a dead code that reads 0;
   any other term has its scalars lifted to the ring and packed, so one
   integer product mod B^n - 1 is one product in the ring. W comes from
   a proved bound on every digit, the target and the reduction mod
@@ -49,7 +53,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, is_, mul
+from operator import add, is_, itemgetter, mul
 from typing import NamedTuple
 
 from .cyclotomic import (
@@ -165,8 +169,20 @@ class VerificationReport:
 #   of order 2 * order (z^2 = w, z^order = -1), so composition e's product
 #   is z^v, v = sum_k code_k * e_k. One int holds every composition's v in
 #   a field of its own: sum_k code_k * column_k, column k holding e_k of
-#   every composition, one field each; a table per exponent and
-#   coefficient turns v into the signed power of B it adds.
+#   every composition, one field each; a table per coefficient turns v
+#   into the signed phase it adds.
+# * Unit terms are added in runs: a unit term that opens a support, and
+#   every unit term after it whose cells lie inside it, as a builder's
+#   terms at one sigma do. A term's codes are placed on the run's cells; a
+#   cell it leaves out takes the dead code, past every code sum, so each
+#   composition that uses the cell reads 0. The run's sum at each
+#   composition is counted by phase at a narrow width, each distinct count
+#   packed at B once, and memoised by the run's signature: the table
+#   prefix and each term's (sign, k0, codes). A builder's runs repeat at
+#   every sigma up to sgn sigma, so two sums are computed, and each run
+#   adds its nonzero sums into the table, one add per composition. Only
+#   the latest ``_KEPT_SUMS`` sums are kept, so runs that never repeat
+#   hold no more than that many runs' sums.
 # * Any other scalar is lifted to the ring: its numerator over 1, w, ...,
 #   w^(phi-1), padded with zeros to length order, is an element of
 #   Z[C_order] that projects back to itself, and the projection is a ring
@@ -195,7 +211,7 @@ def _unit_phases(coeff: Cyc, support):
         if unit is None:
             return None
         codes.append(2 * unit[1] + (order if unit[0] < 0 else 0))
-    return head, codes
+    return head, tuple(codes)
 
 
 def _code_bound(exponent: int, order: int) -> int:
@@ -204,10 +220,21 @@ def _code_bound(exponent: int, order: int) -> int:
     return exponent * (3 * order - 2)
 
 
-def _field_format(exponent: int, order: int) -> str:
+def _dead_code(exponent: int, order: int) -> int:
+    """The code of a cell that a run's term leaves out: past every code sum
+    of the cells it has, so a composition that uses the cell reads 0."""
+    return _code_bound(exponent, order) + 1
+
+
+def _field_format(exponent: int, order: int,
+                  dead_codes: bool = False) -> str:
     """The struct format of the smallest unsigned native field that holds
-    every code sum of a unit term."""
+    every code sum of a unit term, or, with ``dead_codes``, every sum of
+    ``exponent`` codes each at most the dead code: at most exponent *
+    dead."""
     bound = _code_bound(exponent, order)
+    if dead_codes:
+        bound = exponent * _dead_code(exponent, order)
     return next(code for code in "BHIQ"
                 if bound < 1 << 8 * struct.calcsize(code))
 
@@ -405,6 +432,12 @@ def _multinomial(mono: Monomial) -> int:
     return multinomial(sum(exps), exps)
 
 
+# the run sums expansion keeps at once: a builder's runs take one signature
+# per sgn sigma, and runs that never repeat (a builder's terms with every
+# sigma's phases moved) would otherwise keep all of theirs to the end
+_KEPT_SUMS = 16
+
+
 def _expand_chunk(order: int, scale: int, terms, d: int, wants):
     """``scale`` times the sum of the terms without the multinomials, as
     (blocks, acc, width): acc[place] is congruent to f_E(2^width) mod
@@ -428,18 +461,17 @@ def _expand_chunk(order: int, scale: int, terms, d: int, wants):
         (len(term.form.support()) for term in terms), default=0))
     blocks: dict[int, int] = {}
     acc: list[int] = []
-    columns = field = None
-    phases: dict[tuple[int, int], list] = {}
+    cache: dict = {}
+    sums: dict[tuple, list] = {}
     lifts = [scale << i * width for i in range(order)]
-    last_vars = run = None
-    for term, unit in zip(terms, units):
-        support = term.form.support()
+    last_vars = None
+    for support, term, members in _runs(terms, units,
+                                        _dead_code(exponent, order)):
         variables = [var for var, _ in support]
         if variables != last_vars:
             # find or make the blocks of all its subsets at once
             last_vars = variables
             node_end, step_end = table.ends[len(variables)]
-            nodes = table.nodes[:node_end]
             cells = _cell_masks([1 << (i - 1) * d + j - 1
                                  for i, j in variables], table.grows)
             starts = list(map(blocks.get, cells))
@@ -448,32 +480,110 @@ def _expand_chunk(order: int, scale: int, terms, d: int, wants):
                 starts[b] = blocks[cells[b]] = len(acc)
                 acc += repeat(0, math.comb(exponent - 1,
                                            table.masks[b].bit_count() - 1))
-            run = list(map(add, map(starts.__getitem__,
-                                    table.blocks[:step_end]),
-                           table.ranks[:step_end]))
-        if unit is None:
-            _add_general_term(term, support, order, scale, width, acc, run,
+            places = None
+        if members is None:
+            # each composition's place, made once per support
+            if places is None:
+                places = list(map(add, map(starts.__getitem__,
+                                           table.blocks[:step_end]),
+                                  table.ranks[:step_end]))
+                nodes = table.nodes[:node_end]
+            _add_general_term(term, support, order, scale, width, acc, places,
                               nodes, table.steps)
             continue
-        (sign, k0), codes = unit
-        if columns is None:
-            field = _field_format(exponent, order)
-            columns = _packed_columns(table.comps, field)
-        # field c of the sum is the code sum v of composition c: the
-        # product of its entry powers is z^v, which is w^(v/2) for even v
-        # and -w^((v - order)/2) for odd v (odd v needs an odd order)
-        packed = sum(map(mul, codes, columns))
-        fields = memoryview(packed.to_bytes(len(table.comps) * struct.calcsize(
-            field), sys.byteorder)).cast(field)
-        phase_of = phases.get((sign, k0))
-        if phase_of is None:
-            phase_of = phases[sign, k0] = [
-                (-sign if v & 1 else sign)
-                * lifts[(k0 + ((v - (order if v & 1 else 0)) >> 1)) % order]
-                for v in range(_code_bound(exponent, order) + 1)]
-        for i, v in zip(run, fields):
-            acc[i] += phase_of[v]
+        # the run's signature is everything its sum depends on; a builder's
+        # runs differ from sigma to sigma only in sgn sigma
+        key = (step_end, *members)
+        found = sums.get(key)
+        if found is None:
+            if len(sums) == _KEPT_SUMS:
+                del sums[next(iter(sums))]
+            found = sums[key] = _run_sum(members, step_end, table, cache,
+                                         exponent, lifts)
+        at_blocks, ranks, values = found
+        for i, x in zip(map(add, map(starts.__getitem__, at_blocks), ranks),
+                        values):
+            acc[i] += x
     return blocks, acc, width
+
+
+def _runs(terms, units, dead: int):
+    """The terms in order, as (support, term, None) for a term that is not
+    a unit term and (support, None, members) for a run: a unit term that
+    opens a support, and every unit term after it whose cells lie inside
+    that support. A member is (sign, k0, codes), its codes on the run's
+    cells, ``dead`` on a cell it leaves out."""
+    at = None
+    for term, unit in zip(terms, units):
+        support = term.form.support()
+        if unit is None or at is None or not all(
+                map(at.__contains__, map(itemgetter(0), support))):
+            if at is not None:
+                yield opening, None, members
+            if unit is None:
+                yield support, term, None
+                at = None
+                continue
+            opening, members = support, []
+            at = {var: k for k, (var, _) in enumerate(support)}
+        (sign, k0), codes = unit
+        # supports are in row-major order, so one of the run's size inside
+        # it is its own, its codes already aligned
+        if len(support) < len(at):
+            aligned = [dead] * len(at)
+            for (var, _), code in zip(support, codes):
+                aligned[at[var]] = code
+            codes = tuple(aligned)
+        members.append((sign, k0, codes))
+    if at is not None:
+        yield opening, None, members
+
+
+def _run_sum(members, step_end: int, table: _Table, cache: dict,
+             exponent: int, lifts) -> list:
+    """The sum of a run's unit terms at the first ``step_end`` compositions
+    of ``table``, as the blocks, ranks and sums of those where it is not
+    0, each sum packed at the ``lifts`` scale * B^s. Member (sign, k0,
+    codes) adds sign * w^k0 * z^v, v its code sum, and 0 where v passes the
+    code bound, as at every composition that uses a cell of dead code. The
+    members are counted by phase at a narrow width, and each distinct count
+    is packed at B once. ``cache`` keeps what runs share: the packed
+    columns by field, the phase tables by (sign, k0, narrow width) and the
+    packed counts by narrow width."""
+    order = len(lifts)
+    dead = _dead_code(exponent, order)
+    field = _field_format(exponent, order,
+                          any(dead in codes for _, _, codes in members))
+    columns = cache.get(field)
+    if columns is None:
+        columns = cache[field] = _packed_columns(table.comps, field)
+    size = len(table.comps) * struct.calcsize(field)
+    # no phase counts more than len(members) in absolute value
+    narrow = (2 * len(members) + 1).bit_length()
+    counts = [0] * step_end
+    # the lookups of up to 32 members at once, summed per composition
+    for group in range(0, len(members), 32):
+        lookups = []
+        for sign, k0, codes in members[group:group + 32]:
+            phase_of = cache.get((sign, k0, narrow))
+            if phase_of is None:
+                # z^v is w^(v/2) for even v and -w^((v - order)/2) for odd
+                # v (odd v needs an odd order)
+                phase_of = cache[sign, k0, narrow] = [
+                    (-sign if v & 1 else sign) << (k0 + (
+                        (v - (order if v & 1 else 0)) >> 1)) % order * narrow
+                    for v in range(dead)] + [0] * ((exponent - 1) * dead + 1)
+            # field c of the sum is the code sum v of composition c
+            packed = sum(map(mul, codes, columns))
+            fields = memoryview(packed.to_bytes(size, sys.byteorder)).cast(
+                field)
+            lookups.append(map(phase_of.__getitem__, fields[:step_end]))
+        counts = list(map(sum, zip(*lookups), counts))
+    wide = cache.setdefault(narrow, {})
+    for v in set(counts).difference(wide):
+        wide[v] = sum(map(mul, _digits(v, order, narrow), lifts))
+    return [list(compress(column, counts)) for column
+            in (table.blocks, table.ranks, map(wide.__getitem__, counts))]
 
 
 def _add_general_term(term, support, order: int, scale: int, width: int,

@@ -148,6 +148,16 @@ class TestRoundTrip:
             verify_power_decomposition(
                 cli.parse_decomposition(json.dumps(obj)), mode=mode)
 
+    @pytest.mark.parametrize("scheme", ["main", "classical", "gurvits",
+                                        "monomial"])
+    def test_d_zero_is_refused_as_the_builders_refuse_it(self, scheme):
+        obj = cli.decomposition_to_obj(SCHEME_BUILDERS[scheme](1))
+        obj["d"], obj["terms"] = 0, []
+        with pytest.raises(ValueError, match="^d must be positive, got 0$"):
+            cli.parse_decomposition(json.dumps(obj))
+        with pytest.raises(ValueError, match="^d must be positive, got 0$"):
+            SCHEME_BUILDERS[scheme](0)
+
     def test_tampered_combination_rejected(self):
         dec = SCHEME_BUILDERS["main"](2)
         obj = cli.decomposition_to_obj(dec)
@@ -897,6 +907,7 @@ class TestBench:
         assert "verify-main-6-streaming" in names
         assert "verify-main-7-streaming" in names
         assert "verify-main-6-expansion" in names
+        assert "verify-gurvits-5-expansion" in names
         assert "verify-conjugated-main-4-expansion" in names
         assert "verify-conjugated-classical-4-expansion" in names
         assert "separation-5" in names

@@ -156,6 +156,18 @@ class TestSchemes:
             PowerDecomposition(2, "main", dec.scale, dec.target, 2,
                                dec.terms[:-1])
 
+    @pytest.mark.parametrize("scheme, target, order", [
+        ("main", "determinant", 1), ("classical", "determinant", 1),
+        ("gurvits", "determinant", 1), ("monomial", "diagonal-product", 1),
+        ("conjugated", "determinant", 2)])
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_below_one_is_refused_before_the_term_count(self, scheme,
+                                                          target, order, d):
+        # classical and monomial at d = 0 were refused as needing 0.5
+        # terms, and main at d = 0 was accepted with none
+        with pytest.raises(ValueError, match=f"^d must be positive, got {d}$"):
+            PowerDecomposition(d, scheme, 1, target, order, ())
+
     def test_gurvits_d1_allows_its_single_empty_form(self):
         dec = gurvits_decomposition(1)
         assert expand_decomposition(dec) == determinant_poly(1)

@@ -6,8 +6,11 @@ import itertools
 import json
 import math
 import random
+import struct
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from operator import itemgetter, mul
 
 import pytest
@@ -621,6 +624,32 @@ class TestPackedPhases:
         assert verify._field_format(1, 21845) == "H"
         assert verify._field_format(1, 21846) == "I"
 
+    def test_dead_codes_widen_the_field(self):
+        # the dead code is one past the code bound, and a composition puts
+        # at most the whole exponent on dead cells: exponent * dead
+        assert verify._dead_code(16, 1) == 17
+        assert verify._field_format(15, 1, True) == "B"  # 15 * 16 = 240
+        assert verify._field_format(16, 1) == "B"  # 16
+        assert verify._field_format(16, 1, True) == "H"  # 16 * 17 = 272
+        assert verify._field_format(20, 100) == "H"  # 20 * 298 = 5,960
+        assert verify._field_format(20, 100, True) == "I"  # 20 * 5,961
+
+    def test_run_at_the_dead_bound_decodes_exactly(self):
+        # -x11 - x22 opens a run and -x22 joins it with x11 dead, so the
+        # composition x11^16 has the code sum 16 * 17 = 272, past a byte
+        order, exponent = 1, 16
+        minus = Cyc.from_int(order, -1)
+        terms = [PowerTerm((n,), Cyc.one(order),
+                           LinForm(order, exponent, cells), exponent)
+                 for n, cells in enumerate(({(1, 1): minus, (2, 2): minus},
+                                            {(2, 2): minus}))]
+        dec = loose(exponent, order, terms)
+        assert_runs_match(dec)
+        got = expand_sum(dec)
+        assert got == circulant_path(dec)
+        assert got[((1, 1, exponent),)] == Cyc.one(order)
+        assert got[((2, 2, exponent),)] == Cyc.from_int(order, 2)
+
     def test_dropped_table_leaves_no_cycle(self):
         # nothing a table holds waits for the cyclic collector
         gc.collect()
@@ -712,6 +741,198 @@ class TestPackedPhases:
         assert verify._cell_masks([a, b, c], table.grows) \
             == [a, b, a | b, c, a | c, b | c]
         assert verify._cell_masks([a, b], table.grows) == [a, b, a | b]
+
+
+def per_term_unit_path(order, scale, terms, d, wants=()):
+    """The oracle of the runs: ``verify._expand_chunk`` as it was before unit
+    terms were added in runs. Each unit term adds, at each composition, the
+    signed power of B that its code sum v reads from the phase table of its
+    coefficient, one add per term and composition; the runs only regroup
+    these adds. Every other term goes through ``_add_general_term``, and
+    each term's support finds or makes its blocks in the same order."""
+    units = [_unit_phases(term.coeff, term.form.support()) for term in terms]
+    bound = verify._digit_bound(terms, units, scale)
+    width = verify._packed_width(order, max([bound, *(
+        m * bound + sum(map(abs, want)) for m, want in wants)]))
+    exponent, = {term.exponent for term in terms} or {1}
+    table = verify._composition_table(exponent, max(
+        (len(term.form.support()) for term in terms), default=0))
+    field = verify._field_format(exponent, order)
+    columns = verify._packed_columns(table.comps, field)
+    lifts = [scale << i * width for i in range(order)]
+    blocks, acc = {}, []
+    for term, unit in zip(terms, units):
+        support = term.form.support()
+        cells = verify._cell_masks([1 << (i - 1) * d + j - 1
+                                    for (i, j), _ in support], table.grows)
+        for b, cell in enumerate(cells):
+            if cell not in blocks:
+                blocks[cell] = len(acc)
+                acc += [0] * math.comb(exponent - 1,
+                                       table.masks[b].bit_count() - 1)
+        node_end, step_end = table.ends[len(support)]
+        places = [blocks[cells[b]] + rank for b, rank
+                  in zip(table.blocks[:step_end], table.ranks)]
+        if unit is None:
+            verify._add_general_term(term, support, order, scale, width, acc,
+                                     places, table.nodes[:node_end],
+                                     table.steps)
+            continue
+        (sign, k0), codes = unit
+        packed = sum(map(mul, codes, columns))
+        fields = memoryview(packed.to_bytes(
+            len(table.comps) * struct.calcsize(field), sys.byteorder)).cast(
+                field)
+        for i, v in zip(places, fields):
+            # z^v is w^(v/2) for even v and -w^((v - order)/2) for odd v
+            half = v - (order if v & 1 else 0) >> 1
+            acc[i] += (-sign if v & 1 else sign) * lifts[(k0 + half) % order]
+    return blocks, acc, width
+
+
+def target_wants(dec):
+    """The (m(E), lifted vector) pairs of the scaled target, as
+    ``_expand_check`` passes them to ``_expand_chunk``."""
+    return [(verify._multinomial(mono), list(c.num))
+            for mono, c in (dec.target_poly() * dec.scale).terms.items()]
+
+
+def assert_runs_match(dec, wants=()):
+    """``_expand_chunk`` builds the per-term path's table key for key: the
+    same blocks in the same order, the same ints and the same width."""
+    scale = _common_denominator(dec.terms)
+    blocks, acc, width = verify._expand_chunk(dec.order, scale, dec.terms,
+                                              dec.d, wants)
+    want_blocks, want_acc, want_width = per_term_unit_path(
+        dec.order, scale, dec.terms, dec.d, wants)
+    assert list(blocks.items()) == list(want_blocks.items())
+    assert acc == want_acc and width == want_width
+
+
+def benchmark_tampered(seed):
+    """The benchmark's tampered inputs at ``seed``: (scheme, d, index) of a
+    builder's decomposition with that one term negated."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads._tampered_inputs(seed)[1]
+
+
+class TestUnitRuns:
+    """Unit terms are added in runs: each run's sum over its compositions
+    is computed once per signature and added with one add per composition.
+    The per-term loop is the oracle; the runs only regroup its adds."""
+
+    @pytest.mark.parametrize("scheme, d", [
+        (scheme, d) for scheme in BUILDERS for d in range(1, 6)
+    ] + [("monomial", 6)])
+    def test_builders_match_the_per_term_path(self, scheme, d):
+        dec = BUILDERS[scheme](d)
+        assert_runs_match(dec, target_wants(dec))
+
+    @pytest.mark.parametrize("scheme, d", [
+        ("main", 4), ("classical", 3), ("gurvits", 4), ("monomial", 5)])
+    def test_shuffled_terms_break_the_runs_up(self, scheme, d):
+        rng = random.Random(3300 + d)
+        base = BUILDERS[scheme](d)
+        for _ in range(3):
+            terms = list(base.terms)
+            rng.shuffle(terms)
+            dec = dataclasses.replace(base, terms=tuple(terms))
+            assert_runs_match(dec, target_wants(dec))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_gurvits_sub_support_opens_the_run(self, d):
+        # each sigma's block reversed: the term that leaves row d out comes
+        # first, and no later term of the block fits inside its support
+        base = gurvits_decomposition(d)
+        block = d + 1
+        terms = tuple(t for r in range(0, len(base.terms), block)
+                      for t in reversed(base.terms[r:r + block]))
+        assert len(terms[0].form.support()) == d - 1
+        dec = dataclasses.replace(base, terms=terms)
+        assert_runs_match(dec, target_wants(dec))
+        assert verify_power_decomposition(dec).equal
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_tampered_inputs(self, seed):
+        for scheme, d, index in benchmark_tampered(seed):
+            dec = flip_one_sign(BUILDERS[scheme](d), index)
+            assert_runs_match(dec, target_wants(dec))
+            assert not verify_power_decomposition(dec).equal
+
+    def test_run_interrupted_by_a_general_term(self):
+        # a conjugated term between the first and second of the first
+        # sigma's three unit terms closes that run; the next opens another
+        base = main_decomposition(3)
+        general = conjugated_main3().terms[0]
+        assert _unit_phases(general.coeff, general.form.support()) is None
+        terms = base.terms[:1] + (general,) + base.terms[1:]
+        dec = loose(3, 3, terms)
+        assert_runs_match(dec, target_wants(dec))
+        assert expand_sum(dec) == cyc_path(terms)
+
+    def test_runs_that_never_repeat(self, monkeypatch):
+        # main(4) conjugated by diag(w^i) and diag(w^-j) keeps every entry a
+        # unit but moves the codes of each sigma's run: 24 signatures, more
+        # than the sums kept, so the oldest are dropped as new ones come
+        d = 4
+        zero = Cyc.zero(d)
+        a, b = (tuple(tuple(omega(d, sign * i) if i == j else zero
+                            for j in range(d)) for i in range(d))
+                for sign in (1, -1))
+        dec = conjugate_decomposition(a, b, main_decomposition(d))
+        assert all(_unit_phases(t.coeff, t.form.support()) for t in dec.terms)
+        calls = collections.Counter()
+        monkeypatch.setattr(verify, "_run_sum",
+                            counting(calls, "misses", verify._run_sum))
+        assert_runs_match(dec, target_wants(dec))
+        assert calls["misses"] == 24 > verify._KEPT_SUMS
+        assert verify_power_decomposition(dec).equal
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gurvits_1_zero_form(self, reverse):
+        # the zero form joins the run with its one cell dead, or opens a
+        # run of no compositions
+        dec = gurvits_decomposition(1)
+        if reverse:
+            dec = dataclasses.replace(dec, terms=dec.terms[::-1])
+        assert_runs_match(dec, target_wants(dec))
+        assert verify_power_decomposition(dec).equal
+
+    @pytest.mark.parametrize("builder, d, misses, adds", [
+        # one add per term and composition was 600 * 126 = 75,600 adds,
+        # 120 * (126 + 5 * 70) = 57,120 and 192 * 35 = 6,720
+        (main_decomposition, 5, 2, 120 * 126),
+        # a composition with exactly one zero part sums to 0
+        (gurvits_decomposition, 5, 2, 120 * (126 - 5 * 4)),
+        # only x_{1 s1} ... x_{4 s4} has its sign vectors sum to nonzero
+        (classical_decomposition, 4, 2, 24),
+    ])
+    def test_work_counts(self, monkeypatch, builder, d, misses, adds):
+        # a run's sum is computed once for each sgn sigma, and each run adds
+        # its nonzero sums: counts, so a change that defeats the memo fails
+        # on any machine
+        counts = collections.Counter()
+
+        class Counted(list):
+            def __iter__(self):
+                for x in list.__iter__(self):
+                    counts["adds"] += 1
+                    yield x
+
+        run_sum = verify._run_sum
+
+        def counted(*args):
+            counts["misses"] += 1
+            at_blocks, ranks, values = run_sum(*args)
+            return at_blocks, ranks, Counted(values)
+
+        monkeypatch.setattr(verify, "_run_sum", counted)
+        assert verify_power_decomposition(builder(d)).equal
+        assert counts == {"misses": misses, "adds": adds}
 
 
 def cyc_mismatches(dec):
