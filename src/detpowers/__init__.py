@@ -37,10 +37,7 @@ from .verify import (
     verify_power_decomposition,
     verify_product_identity,
 )
-from .independence import (
-    promotion_certificate,
-    separation_violations,
-)
+from .independence import independence_certificate
 from .symmetry import (
     AffinePerm,
     SymElement,
@@ -96,6 +93,7 @@ __all__ = [
     "enumerate_symmetries",
     "extra_generators",
     "gurvits_decomposition",
+    "independence_certificate",
     "krishna_makam_det3",
     "locus_proof",
     "main_decomposition",
@@ -103,9 +101,7 @@ __all__ = [
     "monomial_power_decomposition",
     "omega",
     "permanent_poly",
-    "promotion_certificate",
     "quadric_generators",
-    "separation_violations",
     "transpose_closure",
     "vanish_on_points",
     "verify_power_decomposition",

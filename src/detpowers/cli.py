@@ -42,7 +42,7 @@ from .decompositions import (
     bounds_table,
     krishna_makam_det3,
 )
-from .independence import promotion_certificate, separation_violations
+from .independence import independence_certificate
 from .multipoly import LinForm
 from .symmetry import (
     check_affine_characterization,
@@ -436,10 +436,8 @@ def _cmd_lemma_check(args: SimpleNamespace):
 def _cmd_independence(args: SimpleNamespace):
     d = args.d
     _check_cap(args, INDEPENDENCE_CAP, "independence")
-    with _stage("separation"):
-        violations = separation_violations(d)
     with _stage("certificate"):
-        rank, violation = promotion_certificate(SCHEME_BUILDERS["main"](d))
+        violations, rank, violation = independence_certificate(d)
     expected = d * math.factorial(d)
     rows = [
         {"check": "separation", "d": d, "ok": not violations,
@@ -563,9 +561,9 @@ def _cmd_bench(args: SimpleNamespace):
          lambda: _verifies(_conjugated("main", 4))),
         ("verify-conjugated-classical-4-expansion",
          lambda: _verifies(_conjugated("classical", 4))),
-        ("separation-5", lambda: not separation_violations(5)),
+        ("separation-5", lambda: not independence_certificate(5)[0]),
         ("rank-5-certificate",
-         lambda: promotion_certificate(build_main(5)) == (600, None)),
+         lambda: independence_certificate(5)[1:] == (600, None)),
         ("symmetries-6", lambda: enumerate_symmetries(6).matches_formula),
         ("symmetries-4-full", lambda: enumerate_symmetries(4).faithful
          and check_symmetry_action(4)),

@@ -103,10 +103,15 @@ def check_closed_form_coefficients(d: int) -> bool:
     stored as the grid variable (i, 1)."""
     if not 2 <= d <= 6:
         raise ValueError(f"d must be in [2, 6], got {d}")
-    terms = [PowerTerm((j,), Cyc.from_int(d, (-1) ** ((d + 1) * j)),
-                       LinForm(d, d, {(i, 1): omega(d, i * j)
-                                      for i in range(1, d + 1)}), d)
-             for j in range(1, d + 1)]
+    terms = []
+    # main's rows at sigma = identity, one choice per row, with row i's
+    # scalar moved to the cell (i, 1)
+    for j, (sign, rows) in enumerate(_numbering("main", d).families, 1):
+        choices = [choice for choice, in rows]
+        terms.append(PowerTerm(
+            (j,), Cyc.from_int(d, sign * math.prod(s for s, _ in choices)),
+            LinForm(d, d, {(i, 1): c for i, (_, c) in enumerate(choices, 1)}),
+            d))
     target = SparsePoly(d, {
         monomial({(i, 1): e for i, e in enumerate(comp, start=1)}):
             closed_form_coefficient(comp, d)

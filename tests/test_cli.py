@@ -822,7 +822,7 @@ class TestDeterminism:
         (("verify", "--d", "3", "--scheme", "krishna-makam"),
          ["verify-product"]),
         (("lemma-check", "--d", "2"), ["lemma-check"]),
-        (("independence", "--d", "2"), ["separation", "certificate"]),
+        (("independence", "--d", "2"), ["certificate"]),
         (("symmetries", "--d", "3"), ["enumerate", "action"]),
         (("equations", "--d", "3"),
          ["vanishing", "extra-generators", "locus"]),

@@ -12,18 +12,61 @@ from detpowers.decompositions import (
     main_decomposition,
 )
 from detpowers.independence import (
-    _separation_values,
+    _certificate,
     diagonal_cofactor_monomial,
     dual_form,
-    promoted_dual_form,
-    promotion_certificate,
-    separation_violations,
+    independence_certificate,
     term_index_list,
-    term_point,
 )
-from detpowers.multipoly import LinForm, SparsePoly, expand_power
+from detpowers.multipoly import (
+    LinForm,
+    SparsePoly,
+    covered_values,
+    expand_power,
+)
 from test_decompositions import transposition
 from test_multipoly import evaluate
+
+
+def term_point(d, sigma, j):
+    """Oracle: the coefficient matrix of term (sigma, j) by main's formula,
+    as a point by its phases: the coordinate at (i, sigma i) is
+    w^(ij mod d), every other is zero."""
+    if not 1 <= j <= d:
+        raise ValueError(f"j must be in [1, {d}], got {j}")
+    return {(i, s): i * j % d for i, s in enumerate(sigma, start=1)}
+
+
+def promoted_dual_form(d, sigma, j, make_form=dual_form):
+    """Oracle: the degree-d promotion, the dual form multiplied by
+    x[1, sigma 1]."""
+    return make_form(d, sigma, j) * SparsePoly.variable(d, (1, sigma[0]))
+
+
+def _separation_values(d):
+    """Oracle: every dual form of the library paired with the formula's term
+    points, both in ``term_index_list`` order, by ``covered_values``."""
+    if not 2 <= d <= 5:
+        raise ValueError(f"d must be in [2, 5], got {d}")
+    indices = term_index_list(d)
+    return indices, covered_values(
+        [independence.dual_form(d, sigma, j) for sigma, j in indices],
+        [term_point(d, sigma, j) for sigma, j in indices])
+
+
+def formula_separation_violations(d):
+    """Oracle: the entries of the formula-point table breaking the pattern,
+    row by row, in column order."""
+    indices, values = _separation_values(d)
+    zero = Cyc.zero(d)
+    bad = []
+    for r, ((_, j), row) in enumerate(zip(indices, values)):
+        expected_diag = Cyc.from_int(d, (-1) ** ((d + 1) * j) * d)
+        for c in sorted(row.keys() | {r}):
+            value = row.get(c, zero)
+            if value != (expected_diag if r == c else zero):
+                bad.append((r, c, value))
+    return bad
 
 
 def separation_matrix(d):
@@ -179,30 +222,43 @@ class TestSeparation:
                     assert matrix[r][c].is_zero
 
     def test_check_separation_d4(self):
-        assert separation_violations(4) == []
+        assert independence_certificate(4)[0] == []
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_violations_equal_the_formula_point_table(self, d):
+        # the certificate reads the points of the terms main(d) holds; the
+        # oracle reads them from main's formula
+        violations = independence_certificate(d)[0]
+        assert violations == formula_separation_violations(d)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_promotion_preserves_pattern(self, d):
-        assert promotion_certificate(main_decomposition(d))[1] is None
+        assert independence_certificate(d)[2] is None
 
     def test_promoted_form_degree(self):
         form = promoted_dual_form(3, (1, 2, 3), 1)
         assert degrees(form) == {3}
         assert len(form) == 3
 
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            separation_matrix(6)
+    @pytest.mark.parametrize("d", [-1, 0, 1, 6, 12])
+    def test_range_check(self, d, monkeypatch):
+        # refused before main(d) is built
+        monkeypatch.setattr(independence, "main_decomposition", None)
+        with pytest.raises(ValueError,
+                           match=rf"^d must be in \[2, 5\], got {d}$"):
+            independence_certificate(d)
 
     def test_index_order_is_sigma_lex_then_j(self):
         indices = term_index_list(2)
         assert indices == [((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2)]
 
 
-def full_table(d, make_form=dual_form):
-    """Oracle: every dual form evaluated at every term point."""
+def full_table(d, make_form=dual_form, points=None):
+    """Oracle: every form evaluated at every point, by default the term
+    points of main's formula."""
     indices = term_index_list(d)
-    points = [coords(d, term_point(d, sigma, j)) for sigma, j in indices]
+    if points is None:
+        points = [coords(d, term_point(d, sigma, j)) for sigma, j in indices]
     return [[evaluate(make_form(d, sigma, j), p) for p in points]
             for sigma, j in indices]
 
@@ -217,41 +273,79 @@ def pattern_violations(d, table):
     return count
 
 
+def promoted_reading(dec, make_form=dual_form):
+    """Oracle: the certified rank and the first violation, read from the
+    full table of the promoted forms at the points of the given terms."""
+    table = full_table(
+        dec.d, lambda d, sigma, j: promoted_dual_form(d, sigma, j, make_form),
+        [dict(term.form.support()) for term in dec.terms])
+    count, first = 0, None
+    for r, (term, row) in enumerate(zip(dec.terms, table)):
+        bad = [(r, c, value) for c, value in enumerate(row)
+               if (r == c) == value.is_zero]
+        if not bad:
+            count += not term.coeff.is_zero
+        elif first is None:
+            first = bad[0]
+    return count, first
+
+
+def widened_by(tau):
+    """The dual forms, the first one with tau's cofactor monomial at k = 1
+    added, so that it no longer vanishes at tau's points."""
+    def widened(d, sigma, j):
+        form = dual_form(d, sigma, j)
+        if sigma != identity(d) or j != 1:
+            return form
+        terms = dict(form.terms)
+        terms[diagonal_cofactor_monomial(tau, 1)] = Cyc.one(d)
+        return SparsePoly(d, terms)
+    return widened
+
+
+def tampered(d, kind):
+    """main(d) as built, with term 0 repeated at 1, or with a zero
+    coefficient at term 3."""
+    dec = main_decomposition(d)
+    if kind == "duplicated":
+        return with_term(dec, 1, dec.terms[0])
+    if kind == "zero-coefficient":
+        return with_term(dec, 3, dataclasses.replace(dec.terms[3],
+                                                     coeff=Cyc.zero(d)))
+    return dec
+
+
 class TestSupportDecidedPairings:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matrix_equals_full_table(self, d):
         _, matrix = separation_matrix(d)
         assert matrix == full_table(d)
 
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_covering_monomial_is_caught(self, d, monkeypatch):
-        # the first form gains a cofactor monomial of tau = (2 3), so it no
-        # longer vanishes at tau's points, nor does its promotion by x[1,1]
-        original = dual_form
-        tau = transposition(d, 2, 3)
-
-        def widened(d_, sigma, j):
-            form = original(d_, sigma, j)
-            if sigma != identity(d_) or j != 1:
-                return form
-            extra = diagonal_cofactor_monomial(tau, 1)
-            terms = dict(form.terms)
-            terms[extra] = Cyc.one(d_)
-            return SparsePoly(d_, terms)
-
+    @pytest.mark.parametrize("d,tau", [
+        (2, (1, 2)), (3, (1, 2)), (4, (1, 2)), (3, (2, 3)), (4, (2, 3))],
+        ids=["2-(12)", "3-(12)", "4-(12)", "3-(23)", "4-(23)"])
+    def test_covering_monomial_is_caught(self, d, tau, monkeypatch):
+        # the first form gains a cofactor monomial of tau, so it no longer
+        # vanishes at tau's points. Nor does its promotion by x[1, 1] when
+        # tau fixes 1; tau = (1 2) moves 1, so tau's points have no (1, 1)
+        # coordinate, and the promotion stays zero there and keeps the rank
+        widened = widened_by(transposition(d, *tau))
         expected = pattern_violations(d, full_table(d, widened))
-        promoted = full_table(d, lambda d_, sigma, j: widened(d_, sigma, j)
-                              * SparsePoly.variable(d, (1, sigma[0])))
-        first = next((r, c, value) for r, row in enumerate(promoted)
-                     for c, value in enumerate(row)
-                     if (r == c) == value.is_zero)
+        reading = promoted_reading(main_decomposition(d), widened)
         monkeypatch.setattr(independence, "dual_form", widened)
+        violations, *rest = independence_certificate(d)
         assert expected > 0
-        assert len(separation_violations(d)) == expected
-        count, violation = promotion_certificate(main_decomposition(d))
-        assert violation == first
-        assert count < d * math.factorial(d)
+        assert len(violations) == expected
+        assert violations == formula_separation_violations(d)
+        assert tuple(rest) == reading
+        assert (reading == (d * math.factorial(d), None)) == (tau == (1, 2))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["main", "duplicated",
+                                      "zero-coefficient"])
+    def test_certificate_equals_promoted_table(self, d, kind):
+        dec = tampered(d, kind)
+        assert _certificate(dec)[1:] == promoted_reading(dec)
 
 class TestRank:
     def test_rank_of_simple_rows(self):
@@ -300,7 +394,7 @@ def with_term(dec, r, term):
 class TestRankCertificate:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_certified_rank_equals_exact_oracle(self, d):
-        count, violation = promotion_certificate(main_decomposition(d))
+        _, count, violation = independence_certificate(d)
         assert count == rank_oracle(d) == d * math.factorial(d)
         assert violation is None
 
@@ -316,7 +410,7 @@ class TestRankCertificate:
         assert rank_of_rows(rows) == d * math.factorial(d)
 
     def test_certified_rank_at_d5_is_full(self):
-        assert promotion_certificate(main_decomposition(5)) == (600, None)
+        assert independence_certificate(5) == ([], 600, None)
 
     def test_duplicated_term_breaks_the_pattern(self):
         # two equal points: form 0 is nonzero at both and form 1 at neither,
@@ -324,7 +418,7 @@ class TestRankCertificate:
         dec = main_decomposition(3)
         dec = with_term(dec, 1, dec.terms[0])
         exact = exact_rank(dec.terms)
-        count, violation = promotion_certificate(dec)
+        _, count, violation = _certificate(dec)
         assert count == 16 <= exact == 17
         assert violation == (0, 1, Cyc.from_int(3, 3) * omega(3))
 
@@ -332,7 +426,7 @@ class TestRankCertificate:
         dec = main_decomposition(3)
         dec = with_term(dec, 5, dataclasses.replace(dec.terms[5],
                                                     coeff=Cyc.zero(3)))
-        assert promotion_certificate(dec) == (17, None)
+        assert _certificate(dec)[1:] == (17, None)
 
     def test_scalar_off_the_roots_of_unity_is_rejected(self):
         # 2w, and the root i of order 4 where the points' w has order 2
@@ -341,7 +435,7 @@ class TestRankCertificate:
         (var, c), *rest = term.form.support()
         form = LinForm(3, 3, [(var, c * 2), *rest])
         with pytest.raises(ValueError, match=r"term 4 .*not a power of w"):
-            promotion_certificate(with_term(
+            _certificate(with_term(
                 dec, 4, dataclasses.replace(term, form=form)))
         # main(2) read at root order 4, its first form's entries i: a
         # decomposition refuses a form whose order is not its own
@@ -359,13 +453,13 @@ class TestRankCertificate:
                               for var, _ in dec.terms[0].form.support()])
         terms[0] = dataclasses.replace(terms[0], form=form)
         with pytest.raises(ValueError, match=r"term 0 .*of order 2"):
-            promotion_certificate(dataclasses.replace(
+            _certificate(dataclasses.replace(
                 dec, order=4, terms=tuple(terms)))
 
     def test_range_check(self):
         # a decomposition with other than d * d! terms has no pairing
         with pytest.raises(ValueError, match="pairs 18 terms"):
-            promotion_certificate(classical_decomposition(3))
+            _certificate(classical_decomposition(3))
 
     def test_cli_d5_is_certified_without_exact_elimination(self, capsys):
         # the library has no exact elimination; only these tests do
@@ -374,3 +468,29 @@ class TestRankCertificate:
         report = json.loads(capsys.readouterr().out)
         rank_row = [r for r in report["results"] if r["check"] == "rank"][0]
         assert rank_row["rank"] == rank_row["expected"] == 600
+
+
+class TestOnePairing:
+    """Work counts, with no clock: the separation pattern and the rank
+    certificate are read from one pairing of the dual forms with the points
+    of the built terms."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = independence.covered_values
+
+        def counted(forms, points):
+            calls.append((len(forms), len(points)))
+            return original(forms, points)
+
+        monkeypatch.setattr(independence, "covered_values", counted)
+        return calls
+
+    def test_cli_d4_pairs_once(self, calls, capsys):
+        assert main(["independence", "--d", "4"]) == 0
+        assert calls == [(96, 96)]
+
+    def test_d5_pairs_once(self, calls):
+        assert independence_certificate(5) == ([], 600, None)
+        assert calls == [(600, 600)]

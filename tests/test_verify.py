@@ -15,7 +15,7 @@ from operator import itemgetter, mul
 
 import pytest
 
-from detpowers import decompositions, multipoly, verify
+from detpowers import cli, decompositions, multipoly, verify
 from detpowers.cyclotomic import (
     Cyc,
     _signed_roots,
@@ -1607,6 +1607,12 @@ def fresh_numberings():
     decompositions._numbering.cache_clear()
 
 
+def negate_first(families):
+    """Family j = 1 of a scheme's rows with its sign negated."""
+    (sign, rows), *rest = families
+    return [(-sign, rows), *rest]
+
+
 class TestFaultyDescription:
     """A fault in a scheme's rows reaches the builder and streaming alike:
     the terms built are the numbering's own, so none is corrected, and the
@@ -1635,16 +1641,23 @@ class TestFaultyDescription:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_main_with_family_1_negated(self, d, monkeypatch,
                                         fresh_numberings):
-        def negate_first(families):
-            (sign, rows), *rest = families
-            return [(-sign, rows), *rest]
-
         self.patch_rows(monkeypatch, "main", negate_first)
         dec = main_decomposition(d)
         # every j = 1 term is negated, and no other term changed
         assert [t.coeff for t in dec.terms] == [
             -c if j == 1 else c for (_, j), c, _ in paper_terms("main", d)]
         self.check_rejected(dec, d < 5)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_lemma_check_reads_main_rows(self, d, monkeypatch,
+                                         fresh_numberings, capsys):
+        # P's terms are main's rows at sigma = identity, so the fault
+        # reaches the lemma check as well
+        self.patch_rows(monkeypatch, "main", negate_first)
+        assert check_closed_form_coefficients(d) is False
+        assert cli.main(["lemma-check", "--d", str(d)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"][0]["matches"] is False
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_gurvits_with_a_row_scalar_changed(self, d, monkeypatch,
