@@ -268,22 +268,35 @@ def _numbering(scheme: str, d: int) -> _Numbering | None:
                       decode, term)
 
 
+# the slot setters of PowerTerm's fields, in field order: ``_materialize``
+# fills a term through them, as the frozen class's generated __init__ would
+_TERM_SETTERS = (PowerTerm.index.__set__, PowerTerm.coeff.__set__,
+                 PowerTerm.form.__set__, PowerTerm.exponent.__set__)
+
+
 def _materialize(d: int, scheme: str, scale: int,
                  target: str) -> PowerDecomposition:
     """Every term of the scheme's numbering, in order. Its pair rows hold
     shared nonzero pairs of its order, one per row in row order, and a term
-    takes them at distinct columns, so its forms skip ``LinForm``'s checks."""
+    takes them at distinct columns, so its forms skip ``LinForm``'s checks.
+    Each term is made by ``PowerTerm.__new__`` and its slot setters,
+    without the frozen ``__init__``'s ``object.__setattr__`` calls."""
     numbering = _numbering(scheme, d)
     order, over_sigma, units = (numbering.order, numbering.over_sigma,
                                 numbering.units)
+    new, of_support = PowerTerm.__new__, LinForm._of_support
+    set_index, set_coeff, set_form, set_exponent = _TERM_SETTERS
     terms = []
     for sigma, sigma_sign in zip(numbering.perms, numbering.signs):
         for sign, rows, cut, label in numbering.block:
             cols = sigma if cut is None else sigma[:cut] + sigma[cut + 1:]
-            form = LinForm._of_support(order, d,
-                                       tuple(map(getitem, rows, cols)))
-            terms.append(PowerTerm((sigma, label) if over_sigma else (label,),
-                                   units[sigma_sign * sign], form, d))
+            term = new(PowerTerm)
+            set_index(term, (sigma, label) if over_sigma else (label,))
+            set_coeff(term, units[sigma_sign * sign])
+            set_form(term, of_support(order, d,
+                                      tuple(map(getitem, rows, cols))))
+            set_exponent(term, d)
+            terms.append(term)
     return PowerDecomposition(d, scheme, scale, target, order, tuple(terms))
 
 

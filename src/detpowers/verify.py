@@ -25,11 +25,12 @@ Two independent engines are provided:
   is a class factor of the exponents' composition, read from the scheme's
   rows at sigma = identity (``decompositions``), times the signed
   extension sum of the pattern, so one comparison decides a whole
-  composition class. Each given term's number is read from its support
-  and the term checked against that term of the scheme's numbering, in
-  any order. Only the monomials of a failing class, and those a term whose
-  index is missing, repeated or differs reaches (corrected by that term),
-  are evaluated one by one.
+  composition class. Each given term is checked against the term of the
+  scheme's numbering at its own position; a term found elsewhere has its
+  number read from its support, so terms may come in any order. Only the
+  monomials of a failing class, and those a term whose index is missing,
+  repeated or differs reaches (corrected by that term), are evaluated one
+  by one.
 
 The engines share no code path, so they act as each other's oracle; both
 read the terms they are given, compare against the scaled target
@@ -52,7 +53,7 @@ import sys
 from bisect import bisect_right
 from collections import defaultdict
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, is_, itemgetter, mul
 from typing import NamedTuple
 
@@ -323,13 +324,17 @@ def _packed_columns(comps, field: str) -> list[int]:
                            sys.byteorder) for column in zip(*comps)]
 
 
-def _common_denominator(terms) -> int:
+def _common_denominator(terms, units=None) -> int:
     """lcm over the terms of coeff.den * D^exponent, D the lcm of the
     form's scalar denominators: L times a term is an integer times the
     coefficient's numerator times the power of the form scaled by D, all
-    integral. 1 when every scalar is integral, as for every builder."""
+    integral. 1 when every scalar is integral, as for every builder. A
+    unit term, one whose ``units`` entry (its ``_unit_phases``) is not
+    None, has every denominator 1 and is skipped."""
     common = 1
-    for term in terms:
+    for term, unit in zip(terms, units or repeat(None)):
+        if unit is not None:
+            continue
         den = math.lcm(*(c.den for _, c in term.form.support()))
         common = math.lcm(common, term.coeff.den * den ** term.exponent)
     return common
@@ -443,7 +448,8 @@ def _multinomial(mono: Monomial) -> int:
 _KEPT_SUMS = 16
 
 
-def _expand_chunk(order: int, scale: int, terms, d: int, wants):
+def _expand_chunk(order: int, scale: int, terms, d: int, wants,
+                  units=None):
     """``scale`` times the sum of the terms without the multinomials, as
     (blocks, acc, width): acc[place] is congruent to f_E(2^width) mod
     2^(order * width) - 1 for the monomial x^E at that place. Every term
@@ -456,14 +462,20 @@ def _expand_chunk(order: int, scale: int, terms, d: int, wants):
     those that cancel to zero included. ``scale`` must clear every
     denominator (see ``_common_denominator``). ``wants`` holds the target's
     (m(E), lifted vector) pairs: the width holds each comparison with
-    them (see ``_packed_width``)."""
-    units = [_unit_phases(term.coeff, term.form.support()) for term in terms]
+    them (see ``_packed_width``). ``units`` are the terms'
+    ``_unit_phases``, computed here when not given."""
+    if units is None:
+        units = [_unit_phases(term.coeff, term.form.support())
+                 for term in terms]
     bound = _digit_bound(terms, units, scale)
     width = _packed_width(order, max([bound, *(
         m * bound + sum(map(abs, want)) for m, want in wants)]))
     exponent, = {term.exponent for term in terms} or {1}
     table = _composition_table(exponent, max(
         (len(term.form.support()) for term in terms), default=0))
+    # the number of compositions in each table block
+    sizes = [math.comb(exponent - 1, mask.bit_count() - 1)
+             for mask in table.masks]
     blocks: dict[int, int] = {}
     acc: list[int] = []
     cache: dict = {}
@@ -480,11 +492,17 @@ def _expand_chunk(order: int, scale: int, terms, d: int, wants):
             cells = _cell_masks([1 << (i - 1) * d + j - 1
                                  for i, j in variables], table.grows)
             starts = list(map(blocks.get, cells))
-            for b in compress(range(len(cells)),
-                              map(is_, starts, repeat(None))):
-                starts[b] = blocks[cells[b]] = len(acc)
-                acc += repeat(0, math.comb(exponent - 1,
-                                           table.masks[b].bit_count() - 1))
+            missing = list(compress(range(len(cells)),
+                                    map(is_, starts, repeat(None))))
+            if missing:
+                # the missing blocks one after another at the table's end,
+                # in the order of ``cells``
+                new = list(map(sizes.__getitem__, missing))
+                firsts = list(accumulate(new[:-1], initial=len(acc)))
+                blocks.update(zip(map(cells.__getitem__, missing), firsts))
+                acc += repeat(0, sum(new))
+                for b, first in zip(missing, firsts):
+                    starts[b] = first
             places = None
         if members is None:
             # each composition's place, made once per support
@@ -623,13 +641,14 @@ def _expand_check(order: int, d: int, terms, target: SparsePoly,
     ``terms``, d-th powers of forms on the d x d grid, and the size of the
     expansion's table, zeros included. The target's coefficients are
     integers."""
-    scale = _common_denominator(terms)
+    units = [_unit_phases(term.coeff, term.form.support()) for term in terms]
+    scale = _common_denominator(terms, units)
     # each integer coefficient lifts to its numerator times the common
     # denominator, at phase 0
     wants = {mono: (_multinomial(mono), [scale * x for x in c.num])
              for mono, c in target.terms.items()}
     blocks, acc, width = _expand_chunk(order, scale, terms, d,
-                                       wants.values())
+                                       wants.values(), units)
     divisor = _pack(cyclotomic_polynomial(order), 1, width)
     found, targets = [], set()
     for mono, (m, want) in wants.items():
@@ -715,7 +734,9 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
 # at sigma = identity alone, and those reached by a given term that differs
 # from the scheme's term in its position, which adds term minus scheme
 # term. Every given term is checked against the numbering, so the verdict
-# is proved from the terms given.
+# is proved from the terms given: first against the term at its own
+# position, where a builder puts it, and only when its support is not that
+# term's against the term its support decodes to.
 
 
 def _signed_extension_sum(d: int, partial: dict[int, int]) -> int:
@@ -736,11 +757,16 @@ def _term_corrections(dec: PowerDecomposition, diagonal: bool) -> dict:
     scheme's term n when its coefficient and support are term n's in the
     scheme's numbering and no earlier term was term n; so a term whose
     index is missing, repeated or differs is corrected, and term order does
-    not matter. Each correction is indexed by every nonempty subset of its
-    support, so a monomial finds the terms whose power reaches it by its
-    own support. Raises ValueError when the root orders differ, or for a
-    corrected term whose support is not a partial permutation pattern the
-    walk covers (only the diagonal when ``diagonal``)."""
+    not matter. The term at position n is first checked against term n,
+    as a builder's terms come in the numbering's order, and ``decode``
+    reads a term's number only when its support is not term n's. No two
+    of the scheme's terms share a support, so a term with term n's support
+    is term n or no term of the scheme. Each correction is indexed by
+    every nonempty subset of its support, so a monomial finds the terms
+    whose power reaches it by its own support. Raises ValueError when the
+    root orders differ, or for a corrected term whose support is not a
+    partial permutation pattern the walk covers (only the diagonal when
+    ``diagonal``)."""
     d, numbering = dec.d, _numbering(dec.scheme, dec.d)
     if dec.order != numbering.order:
         raise ValueError(f"streaming {dec.scheme} needs root order "
@@ -748,17 +774,21 @@ def _term_corrections(dec: PowerDecomposition, diagonal: bool) -> dict:
     decode, reference = numbering.decode, numbering.term
     used = bytearray(len(numbering.perms) * len(numbering.block))
     out: dict[tuple[tuple[int, int], ...], list] = {}
-    for term in dec.terms:
+    for n, term in enumerate(dec.terms):
         support = term.form.support()
-        n = decode(support)
-        if n is not None and not used[n]:
+        if n < len(used):
             coeff, want = reference(n)
-            # a builder's terms hold the numbering's own units and pairs,
-            # so they match by identity
-            if support == want and (term.coeff is coeff
-                                    or term.coeff == coeff):
-                used[n] = 1
-                continue
+        if n >= len(used) or support != want:
+            # not at its own position: its number is read from its support
+            n = decode(support)
+            if n is not None:
+                coeff, want = reference(n)
+        # a builder's terms hold the numbering's own units and pairs, so
+        # they match by identity
+        if n is not None and not used[n] and support == want and (
+                term.coeff is coeff or term.coeff == coeff):
+            used[n] = 1
+            continue
         _index_correction(out, 1, term.coeff, support, d, diagonal,
                           term.index)
     for n in [n for n, hit in enumerate(used) if not hit]:

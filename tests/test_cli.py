@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -235,6 +236,21 @@ PINNED_LATEX = [
      r"\left(-x_{1,1} + x_{1,2}\right) x_{2,3} \left(x_{3,1} + "
      r"x_{3,2} + x_{3,3}\right)" "\n"),
 ]
+
+
+DECOMPOSE_DIGESTS = json.loads(
+    (DATA_DIR / "decompose_json_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(DECOMPOSE_DIGESTS))
+def test_decompose_json_is_byte_stable(capsys, name):
+    # the sha256 of `decompose --format json` stdout, per "<scheme>_d<d>"
+    scheme, d = name.rsplit("_d", 1)
+    code, out = run_cli(capsys, "decompose", "--d", d, "--scheme", scheme,
+                        "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == DECOMPOSE_DIGESTS[name]
 
 
 class TestLatex:

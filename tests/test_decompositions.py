@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 import detpowers
+from detpowers import decompositions
 from detpowers.cyclotomic import Cyc, omega
 from detpowers.decompositions import (
     SCHEME_BUILDERS,
@@ -92,6 +93,36 @@ class TestSignVectors:
         assert all(v[0] == 1 for v in vecs)
         assert len(set(vecs)) == 8
         assert vecs[0] == (1, 1, 1, 1)
+
+
+class TestBuiltTerms:
+    """The builders make each PowerTerm through ``__new__`` and its slot
+    setters, not the frozen dataclass's __init__; what they make must be
+    the same object __init__ makes."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_the_constructor(self, scheme, d):
+        for t in SCHEME_BUILDERS[scheme](d).terms:
+            made = PowerTerm(t.index, t.coeff, t.form, t.exponent)
+            assert t == made and hash(t) == hash(made)
+            assert repr(t) == repr(made)
+
+    def test_replace_and_frozen_fields_still_work(self):
+        t = main_decomposition(3).terms[4]
+        negated = dataclasses.replace(t, coeff=-t.coeff)
+        assert type(negated) is PowerTerm and negated.coeff == -t.coeff
+        assert (negated.index, negated.form, negated.exponent) \
+            == (t.index, t.form, t.exponent)
+        for field in dataclasses.fields(PowerTerm):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, field.name, None)
+
+    def test_setters_are_the_fields_in_order(self):
+        # a field added to PowerTerm without a setter here would be unset
+        assert [setter.__self__ for setter in decompositions._TERM_SETTERS] \
+            == [getattr(PowerTerm, field.name)
+                for field in dataclasses.fields(PowerTerm)]
 
 
 class TestSchemes:

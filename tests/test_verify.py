@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from operator import itemgetter, mul
+from operator import itemgetter, mul, ne
 
 import pytest
 
@@ -363,6 +363,21 @@ def unit_of(c):
     return _signed_roots(c.order).get((c.num, c.den))
 
 
+def expansion_scale(dec, monkeypatch):
+    """The scale that expansion passes ``_expand_chunk`` for ``dec``."""
+    scales = []
+    chunk = verify._expand_chunk
+
+    def spy(order, scale, *args):
+        scales.append(scale)
+        return chunk(order, scale, *args)
+
+    monkeypatch.setattr(verify, "_expand_chunk", spy)
+    verify_power_decomposition(dec)
+    scale, = scales
+    return scale
+
+
 def loose(d, order, terms):
     """A decomposition with no term-count rule, for hand-made term lists."""
     return PowerDecomposition(d, "mixed", 1, "determinant", order,
@@ -453,6 +468,39 @@ class TestGroupRingExpansion:
     @pytest.mark.parametrize("scheme", SCHEME_BUILDERS)
     def test_builder_terms_need_no_denominator(self, scheme):
         assert _common_denominator(SCHEME_BUILDERS[scheme](4).terms) == 1
+
+    @pytest.mark.parametrize("scheme", list(BUILDERS))
+    def test_builder_scale_stays_one(self, scheme, monkeypatch):
+        assert expansion_scale(BUILDERS[scheme](4), monkeypatch) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("scheme", ["main", "classical", "gurvits"])
+    def test_benchmark_conjugates_keep_their_scale(self, seed, scheme,
+                                                   monkeypatch):
+        # the lcm over the general terms alone is the lcm over all terms
+        dec = benchmark_conjugated(seed, scheme)
+        assert expansion_scale(dec, monkeypatch) \
+            == _common_denominator(dec.terms) == 1
+
+    def test_unit_terms_beside_a_fraction_keep_the_scale(self, monkeypatch):
+        # main(3) with one term's first scalar halved and its coefficient
+        # times 2/3: the one general term sets the scale, 3 * 2^3
+        order, dec = 3, main_decomposition(3)
+        term = dec.terms[4]
+        half = Cyc.from_fraction(order, Fraction(1, 2))
+        form = LinForm(order, 3, [(var, c * half if k == 0 else c)
+                                  for k, (var, c)
+                                  in enumerate(term.form.support())])
+        mixed = dataclasses.replace(term, form=form, coeff=term.coeff
+                                    * Cyc.from_fraction(order,
+                                                        Fraction(2, 3)))
+        dec = dataclasses.replace(
+            dec, terms=dec.terms[:4] + (mixed,) + dec.terms[5:])
+        units = [_unit_phases(t.coeff, t.form.support()) for t in dec.terms]
+        assert [unit is None for unit in units].count(True) == 1
+        assert expansion_scale(dec, monkeypatch) \
+            == _common_denominator(dec.terms, units) \
+            == _common_denominator(dec.terms) == 3 * 2 ** 3
 
     @pytest.mark.parametrize("scheme", ["main", "classical", "gurvits"])
     def test_seeded_conjugates_match_cyc_path(self, scheme):
@@ -809,15 +857,29 @@ def assert_runs_match(dec, wants=()):
     assert acc == want_acc and width == want_width
 
 
-def benchmark_tampered(seed):
-    """The benchmark's tampered inputs at ``seed``: (scheme, d, index) of a
-    builder's decomposition with that one term negated."""
+def benchmark_inputs(seed):
+    """The benchmark's seed-drawn foreign inputs: its conjugating pair of
+    integer matrices, then (scheme, d, index) of each builder's
+    decomposition with that one term negated."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    return workloads._tampered_inputs(seed)[1]
+    return workloads._tampered_inputs(seed)
+
+
+def benchmark_tampered(seed):
+    """The benchmark's tampered inputs at ``seed``."""
+    return benchmark_inputs(seed)[1]
+
+
+def benchmark_conjugated(seed, scheme):
+    """The benchmark's conjugated d=4 input of ``scheme`` at ``seed``."""
+    dec = BUILDERS[scheme](4)
+    a, b = ([[Cyc.from_int(dec.order, v) for v in row] for row in m]
+            for m in benchmark_inputs(seed)[0])
+    return conjugate_decomposition(a, b, dec)
 
 
 class TestUnitRuns:
@@ -1356,6 +1418,166 @@ class TestStreamingDecoders:
             count = len(numbering.perms) * len(numbering.block)
             assert [numbering.decode(numbering.term(n)[1])
                     for n in range(count)] == list(range(count))
+
+
+def decode_only_corrections(dec, diagonal):
+    """The oracle of streaming's term matching: ``verify._term_corrections``
+    as it was before each term was first checked at its own position.
+    Every given term's number is read from its support by ``decode``."""
+    d, numbering = dec.d, decompositions._numbering(dec.scheme, dec.d)
+    if dec.order != numbering.order:
+        raise ValueError(f"streaming {dec.scheme} needs root order "
+                         f"{numbering.order}, got {dec.order}")
+    decode, reference = numbering.decode, numbering.term
+    used = bytearray(len(numbering.perms) * len(numbering.block))
+    out = {}
+    for term in dec.terms:
+        support = term.form.support()
+        n = decode(support)
+        if n is not None and not used[n]:
+            coeff, want = reference(n)
+            if support == want and term.coeff == coeff:
+                used[n] = 1
+                continue
+        verify._index_correction(out, 1, term.coeff, support, d, diagonal,
+                                 term.index)
+    for n in [n for n, hit in enumerate(used) if not hit]:
+        verify._index_correction(out, -1, *reference(n), d, diagonal, n)
+    return out
+
+
+def corrections_or_error(find, dec):
+    """``find``'s corrections of ``dec`` as a list of items, or the text of
+    the ValueError it raises."""
+    diagonal = dec.scheme == "monomial" and dec.target == "diagonal-product"
+    try:
+        return list(find(dec, diagonal).items())
+    except ValueError as exc:
+        return str(exc)
+
+
+def with_copy(dec, copy):
+    """``dec`` as given, or one of its copies."""
+    terms = list(dec.terms)
+    if copy == "reversed":
+        terms.reverse()
+    elif copy == "shuffled":
+        random.Random(len(terms)).shuffle(terms)
+    elif copy == "duplicated":
+        # one number given twice, the one it replaces missing
+        terms[len(terms) // 2] = terms[0]
+    elif copy == "negated":
+        return flip_one_sign(dec, len(terms) // 2)
+    return dataclasses.replace(dec, terms=tuple(terms))
+
+
+def counting_decodes(monkeypatch):
+    """Counts of the calls streaming makes to each numbering's ``decode``,
+    by (scheme, d), through numberings that wrap it."""
+    calls = collections.Counter()
+    numbering = verify._numbering
+    wrapped = {}
+
+    def counted(scheme, d):
+        if (scheme, d) not in wrapped:
+            base = numbering(scheme, d)
+            wrapped[scheme, d] = base and dataclasses.replace(
+                base, decode=counting(calls, (scheme, d), base.decode))
+        return wrapped[scheme, d]
+
+    monkeypatch.setattr(verify, "_numbering", counted)
+    return calls
+
+
+COPIES = ["given", "reversed", "shuffled", "duplicated", "negated"]
+
+
+class TestPositionFirstMatching:
+    """Streaming checks each given term against the numbering's term at its
+    own position and decodes only the terms found elsewhere. Reading every
+    term's number from its support is the oracle: a term can equal at most
+    one scheme term, so both match the same terms."""
+
+    @pytest.mark.parametrize("copy", COPIES)
+    @pytest.mark.parametrize("scheme, d", [
+        (scheme, d) for scheme in BUILDERS for d in range(1, 6)
+    ] + [("main", 6)])
+    def test_corrections_match_the_decode_oracle(self, scheme, d, copy):
+        dec = with_copy(BUILDERS[scheme](d), copy)
+        got = corrections_or_error(verify._term_corrections, dec)
+        assert got == corrections_or_error(decode_only_corrections, dec)
+        if copy in ("given", "reversed", "shuffled"):
+            assert got == []
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_tampered_inputs(self, seed):
+        for scheme, d, index in benchmark_tampered(seed):
+            dec = flip_one_sign(BUILDERS[scheme](d), index)
+            got = corrections_or_error(verify._term_corrections, dec)
+            assert got == corrections_or_error(decode_only_corrections, dec)
+            # the negated term, and its number left unmatched
+            assert sorted(sign for _, entries in got[:1]
+                          for sign, _, _ in entries) == [-1, 1]
+
+    @pytest.mark.parametrize("dec", [
+        dataclasses.replace(conjugated_main3(), scheme="main"),
+        dataclasses.replace(main_decomposition(2), scheme="classical"),
+        dataclasses.replace(monomial_power_decomposition(2), terms=(
+            dataclasses.replace(monomial_power_decomposition(2).terms[0],
+                                form=LinForm(1, 2, {(1, 2): 1, (2, 1): 1})),
+        ) + monomial_power_decomposition(2).terms[1:]),
+    ], ids=["conjugated-relabelled-main", "main-relabelled-classical",
+            "off-pattern"])
+    def test_errors_match_the_decode_oracle(self, dec):
+        got = corrections_or_error(verify._term_corrections, dec)
+        assert isinstance(got, str)
+        assert got == corrections_or_error(decode_only_corrections, dec)
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_a_later_scalar_is_checked(self, moved):
+        # main(3)'s term 5 with its row 3 scalar moved to another root: its
+        # leading scalar still decodes to 5, but its support is not term 5's
+        dec = main_decomposition(3)
+        term = dec.terms[5]
+        support = term.form.support()
+        (var, c), = support[2:]
+        changed = dataclasses.replace(term, form=LinForm(
+            3, 3, support[:2] + ((var, c * omega(3, 1)),)))
+        numbering = decompositions._numbering("main", 3)
+        assert numbering.decode(changed.form.support()) == 5
+        terms = dec.terms[:5] + (changed,) + dec.terms[6:]
+        bad = dataclasses.replace(dec, terms=terms[1:] + terms[:1] if moved
+                                  else terms)
+        got = corrections_or_error(verify._term_corrections, bad)
+        assert got == corrections_or_error(decode_only_corrections, bad)
+        assert correction_terms(bad) == {
+            (1, term.coeff, changed.form.support()),
+            (-1, term.coeff, support)}
+        stream = verify_power_decomposition(bad, mode="streaming")
+        exp = verify_power_decomposition(bad)
+        assert not stream.equal and not exp.equal
+        assert stream.witness == exp.witness
+
+    @pytest.mark.parametrize("scheme", list(BUILDERS))
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_builder_input_decodes_nothing(self, scheme, d, monkeypatch):
+        dec = BUILDERS[scheme](d)
+        calls = counting_decodes(monkeypatch)
+        assert verify_power_decomposition(dec, mode="streaming").equal
+        assert calls == {}
+
+    @pytest.mark.parametrize("scheme", list(BUILDERS))
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_reversed_input_decodes_each_moved_term(self, scheme, d,
+                                                    monkeypatch):
+        dec = BUILDERS[scheme](d)
+        given = with_copy(dec, "reversed")
+        moved = sum(map(ne, given.terms, dec.terms))
+        # only the middle of an odd count stays at its own number
+        assert moved == len(dec.terms) - len(dec.terms) % 2
+        calls = counting_decodes(monkeypatch)
+        assert verify_power_decomposition(given, mode="streaming").equal
+        assert calls == ({(scheme, d): moved} if moved else {})
 
 
 def sign_vectors(d):
