@@ -23,12 +23,12 @@ fails, 2 on usage errors.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import math
 import sys
 import time
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import __version__
 from .cyclotomic import Cyc
@@ -79,8 +79,7 @@ class UsageError(ValueError):
     ValueError the library raises on its inputs."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     command: str
     ok: bool
     results: tuple = ()
@@ -88,7 +87,7 @@ class Report:
 
 
 def report_json(report: Report) -> str:
-    return json.dumps(dataclasses.asdict(report), sort_keys=True,
+    return json.dumps(report._asdict(), sort_keys=True,
                       indent=2) + "\n"
 
 
@@ -532,14 +531,38 @@ def _cmd_bounds(args: SimpleNamespace):
     rows = bounds_table(args.d)
     if args.fmt == "latex":
         return bounds_latex(rows), True
-    return [dataclasses.asdict(row) for row in rows], True
+    return [row._asdict() for row in rows], True
 
 
 def _verifies(dec: PowerDecomposition, mode: str = "expansion") -> bool:
     return verify_power_decomposition(dec, mode=mode).equal
 
 
+def _import_seconds() -> tuple[bool, float]:
+    """Whether every module of the package has its ``.pyc`` in the cache,
+    and the wall seconds a fresh interpreter takes to import
+    ``detpowers.cli`` from this package's source."""
+    import importlib.util
+    import os
+    import subprocess
+
+    package = os.path.dirname(os.path.abspath(__file__))
+    cached = all(os.path.exists(importlib.util.cache_from_source(
+        os.path.join(package, name)))
+        for name in os.listdir(package) if name.endswith(".py"))
+    path = [os.path.dirname(package), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import time; started = time.perf_counter(); "
+         "import detpowers.cli; print(time.perf_counter() - started)"],
+        env=env, capture_output=True, text=True, check=True)
+    return cached, float(done.stdout)
+
+
 def _cmd_bench(args: SimpleNamespace):
+    cached, seconds = _import_seconds()
+    print(f"[time] import detpowers.cli (fresh interpreter, .pyc present: "
+          f"{'yes' if cached else 'no'}): {seconds:.3f}s", file=sys.stderr)
     build_main = SCHEME_BUILDERS["main"]
     suite = [
         ("decompose-main-4", lambda: len(build_main(4).terms) == 96),

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import getitem
-from typing import Callable
+from typing import NamedTuple
 
 from .cyclotomic import Cyc, omega
 from .multipoly import (
@@ -177,7 +177,6 @@ _SCHEME_ROWS = {
 }
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
 class _Numbering:
     """A scheme's terms at d, numbered: term r * len(block) + t is term t at
     sigma = identity moved to sigma = ``perms[r]``, its sign times
@@ -186,16 +185,17 @@ class _Numbering:
     left out or None, and its part of the ``PowerTerm.index``, (sigma,
     label) when ``over_sigma``, else (label,). ``decode(support)`` proposes
     the number of a term with that support, or None; ``term(n)`` is term
-    n's coefficient, one of ``units``, and support."""
-    order: int
-    over_sigma: bool
-    families: list
-    perms: list
-    signs: list
-    block: list
-    units: dict
-    decode: Callable
-    term: Callable
+    n's coefficient, one of ``units``, and support. It holds lists, so it
+    hashes by identity, as the caches keyed on it need."""
+    __slots__ = ("order", "over_sigma", "families", "perms", "signs",
+                 "block", "units", "decode", "term")
+
+    def __init__(self, order, over_sigma, families, perms, signs, block,
+                 units, decode, term):
+        self.order, self.over_sigma = order, over_sigma
+        self.families, self.perms, self.signs = families, perms, signs
+        self.block, self.units = block, units
+        self.decode, self.term = decode, term
 
 
 @lru_cache(maxsize=None)
@@ -344,8 +344,7 @@ SCHEME_BUILDERS = {
 # the five-term product decomposition of the 3x3 determinant
 
 
-@dataclasses.dataclass(frozen=True)
-class ProductDecomposition:
+class ProductDecomposition(NamedTuple):
     """det = sum of sign * (product of d linear forms), over the integers."""
     d: int
     scheme: str
@@ -390,8 +389,7 @@ def krishna_makam_det3() -> ProductDecomposition:
 # bounds table
 
 
-@dataclasses.dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     d: int
     classical: int
     derksen: int

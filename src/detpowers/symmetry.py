@@ -32,8 +32,8 @@ sign of (m, n) times the cycle signs of pi and sigma.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import math
+from typing import NamedTuple
 
 from .cyclotomic import Cyc, omega
 from .decompositions import (
@@ -130,18 +130,22 @@ def mono_membership(d: int, support) -> tuple | None:
 # affine permutations
 
 
-@dataclasses.dataclass(frozen=True)
-class AffinePerm:
-    """The permutation i -> a*i + b mod d, with values taken in [1, d]."""
+class _AffineFields(NamedTuple):
     a: int
     b: int
     d: int
 
-    def __post_init__(self):
-        if not (0 <= self.a < self.d and 0 <= self.b < self.d):
+
+class AffinePerm(_AffineFields):
+    """The permutation i -> a*i + b mod d, with values taken in [1, d]."""
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, d: int):
+        if not (0 <= a < d and 0 <= b < d):
             raise ValueError("a and b must be reduced mod d")
-        if math.gcd(self.a, self.d) != 1:
-            raise ValueError(f"a = {self.a} is not a unit mod {self.d}")
+        if math.gcd(a, d) != 1:
+            raise ValueError(f"a = {a} is not a unit mod {d}")
+        return super().__new__(cls, a, b, d)
 
     def __call__(self, i: int) -> int:
         return (self.a * i + self.b - 1) % self.d + 1
@@ -200,8 +204,7 @@ def check_sign_formulas(d: int) -> bool:
 # the symmetry group
 
 
-@dataclasses.dataclass(frozen=True)
-class SymElement:
+class SymElement(NamedTuple):
     """The map X -> w^m D^n P_pi X P_sigma."""
     m: int
     n: int
@@ -213,8 +216,7 @@ class SymElement:
         return len(self.sigma)
 
 
-@dataclasses.dataclass(frozen=True)
-class SymmetryEnumeration:
+class SymmetryEnumeration(NamedTuple):
     d: int
     full_order: int          # |H~|, all (m, n, pi, sigma)
     preserving_order: int    # |H|, multiplier +1

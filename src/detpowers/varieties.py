@@ -42,10 +42,10 @@ rather than papering over the discrepancy.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cyclotomic import Cyc
 from .decompositions import _permutations
@@ -73,8 +73,7 @@ def _row_sum_poly(d: int, i: int) -> SparsePoly:
     return total
 
 
-@dataclasses.dataclass(frozen=True)
-class QuadricSet:
+class QuadricSet(NamedTuple):
     """The three quadric families, in fixed partition order."""
     d: int
     row_monomials: tuple[SparsePoly, ...]
@@ -149,8 +148,7 @@ def vanish_on_points(d: int) -> bool:
 # extra generators for d = 3 and d = 4
 
 
-@dataclasses.dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     """The d = 3 certificate that each row-sum quadric rho_i is a
     combination of the square generators modulo the monomial quadrics: the
     coefficients, 1 on each square of row i and 0 elsewhere, and whether
@@ -159,8 +157,7 @@ class ReductionReport:
     ok: bool
 
 
-@dataclasses.dataclass(frozen=True)
-class ExtraGeneratorReport:
+class ExtraGeneratorReport(NamedTuple):
     d: int
     squares: tuple[SparsePoly, ...]
     square_labels: tuple[tuple[int, ...], ...]
@@ -295,8 +292,7 @@ def extra_generators(d: int) -> ExtraGeneratorReport:
 # the locus, proved
 
 
-@dataclasses.dataclass(frozen=True)
-class LocusProof:
+class LocusProof(NamedTuple):
     """What ``locus_proof`` read from one ``QuadricSet``: whether it holds
     the families the module docstring's proof needs, and how many distinct
     points D^j P_sigma there are. p is the smallest prime with d | p - 1."""

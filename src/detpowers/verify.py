@@ -45,7 +45,6 @@ the rule's coefficients its target.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import struct
@@ -127,8 +126,7 @@ def check_closed_form_coefficients(d: int) -> bool:
 # decomposition verification
 
 
-@dataclasses.dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     scheme: str
     d: int
     mode: str
@@ -201,23 +199,44 @@ class VerificationReport:
 #   so every term adds integers; a witness's projection divides by L once.
 
 
-def _unit_phases(coeff: Cyc, support):
-    """(sign, k) of the coefficient, and the code of each entry, when every
-    scalar of the term is a unit; else None. The entry (-1)^neg * w^p has
-    code 2 * p + order * neg, the exponent of z in z^(2p) * (z^order)^neg
-    for a root z of order 2 * order, with z^2 = w and z^order = -1."""
-    roots = _signed_roots(coeff.order)
-    head = roots.get((coeff.num, coeff.den))
-    if head is None:
-        return None
-    order = coeff.order
-    codes = []
-    for _, c in support:
-        unit = roots.get((c.num, c.den))
-        if unit is None:
-            return None
-        codes.append(2 * unit[1] + (order if unit[0] < 0 else 0))
-    return head, tuple(codes)
+def _terms_unit_phases(terms) -> list:
+    """Per term, (sign, k) of its coefficient and the code of each entry,
+    when every scalar of the term is a unit; else None. The entry
+    (-1)^neg * w^p has code 2 * p + order * neg, the exponent of z in
+    z^(2p) * (z^order)^neg for a root z of order 2 * order, with z^2 = w
+    and z^order = -1. Each distinct coefficient object, and each distinct
+    (entry, scalar) pair object with a unit scalar, is looked up once, by
+    its id, which the terms keep in use: a builder's terms share their
+    numbering's few pairs."""
+    heads: dict = {}  # id of a coefficient -> its (sign, k), or None
+    codes: dict = {}  # id of a pair with a unit scalar -> its code
+    code_of, unseen = codes.get, object()
+    out = []
+    append = out.append
+    for term in terms:
+        coeff = term.coeff
+        head = heads.get(id(coeff), unseen)
+        if head is unseen:
+            head = heads[id(coeff)] = _signed_roots(coeff.order).get(
+                (coeff.num, coeff.den))
+        if head is None:
+            append(None)
+            continue
+        entry = []
+        for pair in term.form.support():
+            code = code_of(id(pair))
+            if code is None:
+                c = pair[1]
+                unit = _signed_roots(c.order).get((c.num, c.den))
+                if unit is None:
+                    append(None)
+                    break
+                code = codes[id(pair)] = 2 * unit[1] + (
+                    c.order if unit[0] < 0 else 0)
+            entry.append(code)
+        else:
+            append((head, tuple(entry)))
+    return out
 
 
 def _code_bound(exponent: int, order: int) -> int:
@@ -329,8 +348,8 @@ def _common_denominator(terms, units=None) -> int:
     form's scalar denominators: L times a term is an integer times the
     coefficient's numerator times the power of the form scaled by D, all
     integral. 1 when every scalar is integral, as for every builder. A
-    unit term, one whose ``units`` entry (its ``_unit_phases``) is not
-    None, has every denominator 1 and is skipped."""
+    unit term, one whose ``units`` entry (from ``_terms_unit_phases``) is
+    not None, has every denominator 1 and is skipped."""
     common = 1
     for term, unit in zip(terms, units or repeat(None)):
         if unit is not None:
@@ -342,7 +361,7 @@ def _common_denominator(terms, units=None) -> int:
 
 def _digit_bound(terms, units, scale: int) -> int:
     """A bound F on |f_E|_1, the L1 norm of every monomial's sum without
-    its multinomial, ``units`` being the terms' ``_unit_phases``. A term
+    its multinomial, ``units`` being ``_terms_unit_phases(terms)``. A term
     reaches a monomial through one composition e at most. A unit term adds
     +-scale at one phase there. Any other adds the lift of factor * coeff *
     prod_k entry_k^e_k, entry_k scaled by D / entry_k.den and factor =
@@ -462,11 +481,10 @@ def _expand_chunk(order: int, scale: int, terms, d: int, wants,
     those that cancel to zero included. ``scale`` must clear every
     denominator (see ``_common_denominator``). ``wants`` holds the target's
     (m(E), lifted vector) pairs: the width holds each comparison with
-    them (see ``_packed_width``). ``units`` are the terms'
-    ``_unit_phases``, computed here when not given."""
+    them (see ``_packed_width``). ``units`` are
+    ``_terms_unit_phases(terms)``, read here when not given."""
     if units is None:
-        units = [_unit_phases(term.coeff, term.form.support())
-                 for term in terms]
+        units = _terms_unit_phases(terms)
     bound = _digit_bound(terms, units, scale)
     width = _packed_width(order, max([bound, *(
         m * bound + sum(map(abs, want)) for m, want in wants)]))
@@ -641,7 +659,7 @@ def _expand_check(order: int, d: int, terms, target: SparsePoly,
     ``terms``, d-th powers of forms on the d x d grid, and the size of the
     expansion's table, zeros included. The target's coefficients are
     integers."""
-    units = [_unit_phases(term.coeff, term.form.support()) for term in terms]
+    units = _terms_unit_phases(terms)
     scale = _common_denominator(terms, units)
     # each integer coefficient lifts to its numerator times the common
     # denominator, at phase 0

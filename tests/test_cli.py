@@ -4,9 +4,11 @@ import ast
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -41,6 +43,10 @@ def child_env():
     path = os.environ.get("PYTHONPATH")
     return {**os.environ,
             "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
+
+
+# each --format and the extension of its golden files
+FORMAT_FILES = (("json", "json"), ("text", "txt"), ("latex", "tex"))
 
 
 def run_cli(capsys, *args):
@@ -464,6 +470,7 @@ class TestCheckCommands:
         (("--d", "5", "--seed", "7"), "symmetries_d5_seed7.json"),
         (("--d", "5", "--full"), "symmetries_d5_full.json"),
         (("--d", "6", "--full"), "symmetries_d6_full.json"),
+        (("--d", "4", "--format", "text"), "symmetries_d4.txt"),
     ])
     def test_symmetries_stdout_is_pinned(self, capsys, args, golden):
         # the action proved from generators at d=2..6, byte for byte; a
@@ -485,6 +492,21 @@ class TestCheckCommands:
                   if r["check"] == "action"]
         assert action == [{"check": "action", "mode": "full", "d": d,
                            "ok": True}]
+
+    @pytest.mark.parametrize("args, golden", [
+        (("bounds", *d, "--format", fmt), f"bounds_d9.{ext}")
+        for d in ((), ("--d", "9")) for fmt, ext in FORMAT_FILES
+    ] + [
+        (("decompose", "--scheme", "krishna-makam", "--d", "3", "--format",
+          fmt), f"decompose_krishna-makam_d3.{ext}")
+        for fmt, ext in FORMAT_FILES
+    ])
+    def test_bounds_and_product_stdout_is_pinned(self, capsys, args, golden):
+        # the bounds rows (the default --d is 9) and the product
+        # decomposition, in every format, byte for byte
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        assert out.encode() == (DATA_DIR / golden).read_bytes()
 
     @pytest.mark.parametrize("args, golden", [
         (("--d", "2"), "independence_d2.json"),
@@ -851,10 +873,13 @@ class TestDeterminism:
         assert code == 0
         assert "[time]" not in captured.out
         obj = json.loads(captured.out)
-        if labels is None:
-            labels = [row["benchmark"] for row in obj["results"]]
         timed = re.findall(r"^\[time\] (.+): \d+\.\d{3}s$", captured.err,
                            re.MULTILINE)
+        if labels is None:
+            # a fresh interpreter's import, then every case in the report
+            assert re.fullmatch(r"import detpowers\.cli \(fresh interpreter, "
+                                r"\.pyc present: (yes|no)\)", timed[0])
+            labels = timed[:1] + [row["benchmark"] for row in obj["results"]]
         assert timed == labels
 
 
@@ -869,6 +894,34 @@ class TestImportPath:
              "if m in sys.modules))"],
             capture_output=True, text=True, check=True, env=child_env())
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_every_layer_and_not_argparse(self):
+        # every layer is compiled before the benchmark forks its ops, so no
+        # op pays for one; argparse waits for help and usage errors
+        layers = ["cyclotomic", "decompositions", "independence",
+                  "multipoly", "symmetry", "varieties", "verify"]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, detpowers.cli; print(json.dumps(sorted("
+             "m for m in sys.modules if m.startswith('detpowers.') or m in "
+             "('argparse', 'gettext'))))"],
+            capture_output=True, text=True, check=True, env=child_env())
+        assert json.loads(proc.stdout) == [
+            "detpowers.cli"] + [f"detpowers.{name}" for name in layers]
+
+    def test_only_the_term_records_are_dataclasses(self):
+        # every other record is a NamedTuple, made without the generated
+        # code a dataclass decorator compiles at import
+        modules = [importlib.import_module(f"detpowers.{info.name}")
+                   for info in pkgutil.iter_modules(detpowers.__path__)]
+        found = sorted(f"{module.__name__}.{name}" for module in modules
+                       for name, value in vars(module).items()
+                       if isinstance(value, type)
+                       and dataclasses.is_dataclass(value)
+                       and value.__module__ == module.__name__)
+        assert len(modules) == 8
+        assert found == ["detpowers.decompositions.PowerDecomposition",
+                         "detpowers.decompositions.PowerTerm"]
 
     def test_benchmark_commands_leave_argparse_unloaded(self):
         # argparse, and the gettext it imports, load only for help and
@@ -931,6 +984,20 @@ class TestBench:
         assert "symmetries-6" in names
         assert "symmetries-4-full" in names
         assert all(r["ok"] for r in obj["results"])
+
+    def test_import_line_says_whether_pyc_files_are_present(
+            self, monkeypatch, tmp_path):
+        # the cache is looked up under sys.pycache_prefix: empty, then
+        # holding a file for every module of the package
+        monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
+        package = Path(cli.__file__).parent
+        cached, seconds = cli._import_seconds()
+        assert cached is False and seconds > 0
+        for path in package.glob("*.py"):
+            cache = Path(importlib.util.cache_from_source(str(path)))
+            cache.parent.mkdir(parents=True, exist_ok=True)
+            cache.touch()
+        assert cli._import_seconds()[0] is True
 
 
 def test_every_exported_name_resolves():

@@ -1,5 +1,4 @@
 import builtins
-import dataclasses
 import itertools
 import json
 import math
@@ -341,15 +340,15 @@ def with_rho(qs, i, quadric):
     """``qs`` with its row-sum quadric i replaced by ``quadric``."""
     rho = list(qs.rho_quadrics)
     rho[i - 1] = quadric
-    return dataclasses.replace(qs, rho_quadrics=tuple(rho))
+    return qs._replace(rho_quadrics=tuple(rho))
 
 
 # quadric sets that break the proof's premise: (d, mutation of the built set)
 PREMISE_MUTATIONS = {
-    "dropped-row-pair": (3, lambda qs: dataclasses.replace(
-        qs, row_monomials=qs.row_monomials[1:])),
-    "column-pair-as-row-pair": (3, lambda qs: dataclasses.replace(
-        qs, column_monomials=qs.row_monomials[:1] + qs.column_monomials[1:])),
+    "dropped-row-pair": (3, lambda qs: qs._replace(
+        row_monomials=qs.row_monomials[1:])),
+    "column-pair-as-row-pair": (3, lambda qs: qs._replace(
+        column_monomials=qs.row_monomials[:1] + qs.column_monomials[1:])),
     "rho-neighbour-i-2": (4, lambda qs: with_rho(
         qs, 2, row_sum(4, 2) * row_sum(4, 2) - row_sum(4, 0) * row_sum(4, 3))),
     "rho-sign-flipped": (4, lambda qs: with_rho(

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import functools
 import gc
@@ -46,7 +47,7 @@ from detpowers.verify import (
     closed_form_coefficient,
     _common_denominator,
     _signed_extension_sum,
-    _unit_phases,
+    _terms_unit_phases,
     verify_power_decomposition,
     verify_product_identity,
 )
@@ -363,6 +364,25 @@ def unit_of(c):
     return _signed_roots(c.order).get((c.num, c.den))
 
 
+def term_unit_phases(coeff, support):
+    """The per-term oracle of ``verify._terms_unit_phases``: (sign, k) of
+    the coefficient and the code 2 * p + order * neg of each entry
+    (-1)^neg * w^p, every scalar looked up afresh, or None when a scalar
+    is not a unit."""
+    roots = _signed_roots(coeff.order)
+    head = roots.get((coeff.num, coeff.den))
+    if head is None:
+        return None
+    order = coeff.order
+    codes = []
+    for _, c in support:
+        unit = roots.get((c.num, c.den))
+        if unit is None:
+            return None
+        codes.append(2 * unit[1] + (order if unit[0] < 0 else 0))
+    return head, tuple(codes)
+
+
 def expansion_scale(dec, monkeypatch):
     """The scale that expansion passes ``_expand_chunk`` for ``dec``."""
     scales = []
@@ -496,7 +516,8 @@ class TestGroupRingExpansion:
                                                         Fraction(2, 3)))
         dec = dataclasses.replace(
             dec, terms=dec.terms[:4] + (mixed,) + dec.terms[5:])
-        units = [_unit_phases(t.coeff, t.form.support()) for t in dec.terms]
+        units = [term_unit_phases(t.coeff, t.form.support())
+                 for t in dec.terms]
         assert [unit is None for unit in units].count(True) == 1
         assert expansion_scale(dec, monkeypatch) \
             == _common_denominator(dec.terms, units) \
@@ -519,7 +540,7 @@ class TestGroupRingExpansion:
     def test_general_terms_take_no_cyc_products(self, monkeypatch):
         dec = conjugated_main3()
         general = [t for t in dec.terms
-                   if _unit_phases(t.coeff, t.form.support()) is None]
+                   if term_unit_phases(t.coeff, t.form.support()) is None]
         assert len(general) == 17 and len(dec.terms) == 18
         calls = {"mul": 0, "expand_power": 0}
         monkeypatch.setattr(Cyc, "__mul__",
@@ -612,7 +633,7 @@ class TestPackedGroupRing:
         assert not term.form.support()
         terms = (dec.terms[0],
                  dataclasses.replace(term, coeff=Cyc.from_int(1, 7)))
-        assert _unit_phases(terms[1].coeff, []) is None
+        assert term_unit_phases(terms[1].coeff, []) is None
         dec = dataclasses.replace(dec, terms=terms)
         assert expand_sum(dec) == cyc_path(terms) \
             == {((1, 1, 1),): Cyc.from_int(1, 1)}
@@ -654,7 +675,7 @@ class TestPackedPhases:
         (7, -omega(7, 6), 20, 380),
     ])
     def test_field_wider_than_a_byte(self, order, entry, exponent, wide):
-        _, (code,) = _unit_phases(Cyc.one(order), [((1, 1), entry)])
+        _, (code,) = term_unit_phases(Cyc.one(order), [((1, 1), entry)])
         assert code * exponent == wide
         assert verify._field_format(exponent, order) == "H"
         form = LinForm(order, exponent, {(1, 1): entry, (2, 2): entry})
@@ -798,7 +819,8 @@ def per_term_unit_path(order, scale, terms, d, wants=()):
     coefficient, one add per term and composition; the runs only regroup
     these adds. Every other term goes through ``_add_general_term``, and
     each term's support finds or makes its blocks in the same order."""
-    units = [_unit_phases(term.coeff, term.form.support()) for term in terms]
+    units = [term_unit_phases(term.coeff, term.form.support())
+             for term in terms]
     bound = verify._digit_bound(terms, units, scale)
     width = verify._packed_width(order, max([bound, *(
         m * bound + sum(map(abs, want)) for m, want in wants)]))
@@ -882,6 +904,65 @@ def benchmark_conjugated(seed, scheme):
     return conjugate_decomposition(a, b, dec)
 
 
+def distinct_objects(terms):
+    """The distinct coefficient objects plus the distinct (entry, scalar)
+    pair objects of the terms' forms."""
+    return (len({id(t.coeff) for t in terms})
+            + len({id(pair) for t in terms for pair in t.form.support()}))
+
+
+class TestTermsUnitPhases:
+    """Expansion reads the (sign, k) of each distinct coefficient object,
+    and of each distinct pair object with a unit scalar, once; the
+    per-term lookup of every scalar is the oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(terms):
+        assert _terms_unit_phases(terms) == [
+            term_unit_phases(t.coeff, t.form.support()) for t in terms]
+
+    @pytest.mark.parametrize("scheme, d", [
+        (scheme, d) for scheme in BUILDERS for d in range(1, 7)])
+    def test_builders(self, scheme, d, monkeypatch):
+        terms = BUILDERS[scheme](d).terms
+        self.assert_matches_oracle(terms)
+        calls = collections.Counter()
+        monkeypatch.setattr(verify, "_signed_roots", counting(
+            calls, "lookups", verify._signed_roots))
+        _terms_unit_phases(terms)
+        # a builder's terms share their numbering's pairs: at most d per
+        # cell, not one per term and entry
+        assert calls["lookups"] == distinct_objects(terms) <= 2 + d ** 3
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("scheme", ["main", "classical", "gurvits"])
+    def test_benchmark_conjugated_inputs(self, seed, scheme):
+        terms = benchmark_conjugated(seed, scheme).terms
+        units = _terms_unit_phases(terms)
+        assert units.count(None) > 0
+        self.assert_matches_oracle(terms)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_tampered_inputs(self, seed):
+        for scheme, d, index in benchmark_tampered(seed):
+            self.assert_matches_oracle(
+                flip_one_sign(BUILDERS[scheme](d), index).terms)
+
+    def test_shared_scalars_in_mixed_terms(self):
+        # one non-unit entry object in two terms, beside unit terms that
+        # share its order's roots: every term keeps its own answer
+        base = main_decomposition(3)
+        half = Cyc.from_fraction(3, Fraction(1, 2))
+        odd = [PowerTerm(t.index, t.coeff, LinForm._of_support(
+            3, 3, ((t.form.support()[0][0], half),) + t.form.support()[1:]),
+            3) for t in base.terms[:2]]
+        terms = (odd[0],) + base.terms[2:9] + (odd[1],) + base.terms[9:]
+        units = _terms_unit_phases(terms)
+        assert [unit is None for unit in units] == [True] + [False] * 7 + [
+            True] + [False] * 9
+        self.assert_matches_oracle(terms)
+
+
 class TestUnitRuns:
     """Unit terms are added in runs: each run's sum over its compositions
     is computed once per signature and added with one add per composition.
@@ -930,7 +1011,8 @@ class TestUnitRuns:
         # sigma's three unit terms closes that run; the next opens another
         base = main_decomposition(3)
         general = conjugated_main3().terms[0]
-        assert _unit_phases(general.coeff, general.form.support()) is None
+        assert term_unit_phases(general.coeff,
+                                general.form.support()) is None
         terms = base.terms[:1] + (general,) + base.terms[1:]
         dec = loose(3, 3, terms)
         assert_runs_match(dec, target_wants(dec))
@@ -946,7 +1028,8 @@ class TestUnitRuns:
                             for j in range(d)) for i in range(d))
                 for sign in (1, -1))
         dec = conjugate_decomposition(a, b, main_decomposition(d))
-        assert all(_unit_phases(t.coeff, t.form.support()) for t in dec.terms)
+        assert all(term_unit_phases(t.coeff, t.form.support())
+                   for t in dec.terms)
         calls = collections.Counter()
         monkeypatch.setattr(verify, "_run_sum",
                             counting(calls, "misses", verify._run_sum))
@@ -1481,8 +1564,10 @@ def counting_decodes(monkeypatch):
     def counted(scheme, d):
         if (scheme, d) not in wrapped:
             base = numbering(scheme, d)
-            wrapped[scheme, d] = base and dataclasses.replace(
-                base, decode=counting(calls, (scheme, d), base.decode))
+            if base is not None:
+                base = copy.copy(base)
+                base.decode = counting(calls, (scheme, d), base.decode)
+            wrapped[scheme, d] = base
         return wrapped[scheme, d]
 
     monkeypatch.setattr(verify, "_numbering", counted)
@@ -1934,7 +2019,7 @@ class TestProductIdentity:
         sign, forms = terms[2]
         terms[2] = (-sign, forms)
         assert not verify_product_identity(
-            dataclasses.replace(pd, terms=tuple(terms)))
+            pd._replace(terms=tuple(terms)))
 
     def test_cancellation_profile(self):
         pd = krishna_makam_det3()
