@@ -590,6 +590,8 @@ def _cmd_bench(args: SimpleNamespace):
         ("symmetries-6", lambda: enumerate_symmetries(6).matches_formula),
         ("symmetries-4-full", lambda: enumerate_symmetries(4).faithful
          and check_symmetry_action(4)),
+        ("equations-4", lambda: vanish_on_points(4)
+         and extra_generators(4).square_failure_count == 768),
         ("bounds-9", lambda: len(bounds_table(9)) == 8),
     ]
     rows = []

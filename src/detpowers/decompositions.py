@@ -15,6 +15,9 @@ Each scheme is written once, by its terms at sigma = identity: they build
 its terms, and streaming verification decodes given terms against their
 numbering and reads its class factors from the same rows.
 
+``phase_codes`` reads a decomposition's terms as integer phase codes, once,
+for the structure layers (``symmetry`` and ``independence``).
+
 The ``krishna-makam`` object is different in kind: five products of three
 linear forms summing to the 3x3 determinant exactly, over the integers.
 
@@ -32,7 +35,7 @@ from functools import lru_cache
 from operator import getitem
 from typing import NamedTuple
 
-from .cyclotomic import Cyc, omega
+from .cyclotomic import Cyc, _signed_roots, omega
 from .multipoly import (
     LinForm,
     SparsePoly,
@@ -298,6 +301,36 @@ def _materialize(d: int, scheme: str, scale: int,
             set_exponent(term, d)
             terms.append(term)
     return PowerDecomposition(d, scheme, scale, target, order, tuple(terms))
+
+
+def _unit_code(c: Cyc) -> int | None:
+    """The phase code of +-w^k, else None: k for w^k, as ``Cyc.root_power``
+    reads it, and order + k for -w^k at an odd order. At an even order -w^k
+    is w^(k + order/2), so every code is below the order."""
+    unit = _signed_roots(c.order).get((c.num, c.den))
+    return None if unit is None else unit[1] + (c.order if unit[0] < 0 else 0)
+
+
+def phase_codes(dec: PowerDecomposition) -> list:
+    """Per term, (columns, codes): each row's column, 0 for a row without
+    an entry, and each entry's ``_unit_code``, in row order. A term with an
+    entry off +-w^k, or two entries in one row, reads None. Each pair
+    object is looked up once, by its id, as builders share pairs."""
+    codes, out = {}, []
+    for term in dec.terms:
+        cols, entry = [0] * dec.d, []
+        for pair in term.form.support():
+            (i, j), c = pair
+            if id(pair) not in codes:
+                codes[id(pair)] = _unit_code(c)
+            entry.append(codes[id(pair)])
+            if entry[-1] is None or cols[i - 1]:
+                out.append(None)
+                break
+            cols[i - 1] = j
+        else:
+            out.append((tuple(cols), tuple(entry)))
+    return out
 
 
 def main_decomposition(d: int) -> PowerDecomposition:

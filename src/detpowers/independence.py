@@ -13,8 +13,9 @@ point's support contributes an exact zero. So a form none of whose monomials
 lies in a point's support is exactly 0 there. An integer support index built
 from the actual monomials and points finds the covered pairs. Only those pairs
 are evaluated, exactly, from the point's phases (every coordinate is w^k or
-0) by counting phases in the group ring (``multipoly.covered_values``); for
-the dual forms that is d points per form.
+0, its code read from ``decompositions.phase_codes``) by counting phases in
+the group ring, monomial by monomial (``multipoly.covered_values``); for the
+dual forms that is d points per form.
 
 The rank comes from apolarity: for a form f of degree d and a linear form l
 with coefficient vector a, f(D) l^d = d! f(a). Multiplied by one linear
@@ -35,14 +36,15 @@ from .decompositions import (
     PowerDecomposition,
     _permutations,
     main_decomposition,
+    phase_codes,
 )
-from .multipoly import Monomial, SparsePoly, covered_values, monomial
+from .multipoly import Monomial, SparsePoly, covered_values
 
 
 def diagonal_cofactor_monomial(sigma: tuple[int, ...], k: int) -> Monomial:
-    """The product of x[i, sigma i] over all i except k."""
-    return monomial({(i, s): 1 for i, s in enumerate(sigma, start=1)
-                     if i != k})
+    """The product of x[i, sigma i] over all i except k, its entries in row
+    order and so already canonical."""
+    return tuple((i, s, 1) for i, s in enumerate(sigma, start=1) if i != k)
 
 
 def dual_form(d: int, sigma: tuple[int, ...], j: int) -> SparsePoly:
@@ -75,8 +77,8 @@ def _certificate(
         dec: PowerDecomposition) -> tuple[list[tuple[int, int, Cyc]], int,
                                           tuple[int, int, Cyc] | None]:
     """Pair the dual form L_r of the r-th (sigma, j) of ``term_index_list``
-    with the point a_c of every given term c (its form's coefficients, each
-    a power of w) once, and read the table twice.
+    with the point a_c of every given term c (its form's phase codes, each
+    a power of w, one entry per row) once, and read the table twice.
 
     The separation violations are the entries (r, c, value) off the pattern:
     (-1)^((d+1)j) * d on the diagonal, zero elsewhere. The promoted entry
@@ -93,15 +95,14 @@ def _certificate(
         raise ValueError(f"the certificate pairs {len(indices)} terms at "
                          f"d={d}, got {len(dec.terms)}")
     points = []
-    for r, term in enumerate(dec.terms):
-        phases = {}
-        for var, c in term.form.support():
-            k = c.root_power() if c.order == d else None
-            if k is None:
-                raise ValueError(f"term {r} {term.index}: coefficient {c!r} "
-                                 f"of x{var} is not a power of w of order {d}")
-            phases[var] = k
-        points.append(phases)
+    for r, (term, view) in enumerate(zip(dec.terms, phase_codes(dec))):
+        if view is None or dec.order != d or max(view[1], default=0) >= d:
+            raise ValueError(f"term {r} {term.index}: its form is not a "
+                             f"power of w of order {d} at each of its "
+                             f"cells, one cell per row")
+        cols, codes = view
+        points.append(dict(zip([(i, s) for i, s in enumerate(cols, 1) if s],
+                               codes)))
     values = covered_values([dual_form(d, sigma, j) for sigma, j in indices],
                             points)
     zero = Cyc.zero(d)

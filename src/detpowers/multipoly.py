@@ -10,8 +10,9 @@ with Cyc products, by the multinomial theorem over weak compositions; no
 command calls it (``verify``'s expansion engine takes no Cyc product), and
 it stays as the tests' reference expansion and as a function the benchmark
 counts calls of. At points whose coordinates are roots of unity or zero, a
-polynomial is evaluated by counting phases in the group ring
-(``PhaseEvaluator``).
+polynomial is evaluated by counting phases in the group ring, at one point
+(``PhaseEvaluator``) or, many polynomials at many points, monomial by
+monomial (``covered_values``).
 """
 
 from __future__ import annotations
@@ -276,31 +277,58 @@ def covered_values(polys: list[SparsePoly],
     point's support, and a polynomial with no such monomial is a sum of
     exact zeros. The covering points come from an integer support index:
     for every variable, the bit set of the points where it is nonzero; a
-    monomial's covering set is the intersection over its variables. Only
-    covered pairs are evaluated.
+    monomial's covering set is the intersection over its variables. The
+    evaluation is monomial by monomial: each adds its lift, rotated by its
+    phase at each point of its covering set, into that point's vector in
+    Z[C_order], and each vector is projected once.
     """
     holders: dict[Var, int] = {}
     for c, point in enumerate(points):
         for var in point:
             holders[var] = holders.get(var, 0) | (1 << c)
     everyone = (1 << len(points)) - 1
+    # a monomial's (point position, phase) over its covering set, made once
+    # for all the polynomials that hold it
+    spreads: dict[tuple, list[tuple[int, int]]] = {}
+    # each distinct vector's projection, with its denominator
+    projected: dict[tuple, Cyc] = {}
     out = []
     for poly in polys:
-        covering = 0
-        for mono in poly.terms:
-            bits = everyone
-            for i, j, _ in mono:
-                bits &= holders.get((i, j), 0)
-            covering |= bits
+        lifted = PhaseEvaluator(poly)
+        order = lifted.order
+        rings: dict[int, list[int]] = {}
+        for factors, lift in lifted.terms:
+            spread = spreads.get(factors)
+            if spread is None:
+                bits = everyone
+                for var, _ in factors:
+                    bits &= holders.get(var, 0)
+                spread = spreads[factors] = [
+                    (c, sum([e * points[c][var] for var, e in factors]))
+                    for c in _bit_positions(bits)]
+            for c, shift in spread:
+                ring = rings.get(c)
+                if ring is None:
+                    ring = rings[c] = [0] * order
+                for s, x in lift:
+                    ring[(s + shift) % order] += x
         values = {}
-        at = PhaseEvaluator(poly)
-        while covering:
-            low = covering & -covering
-            c = low.bit_length() - 1
-            values[c] = at(points[c])
-            covering ^= low
+        for c in sorted(rings):
+            key = (lifted.den, *rings[c])
+            if key not in projected:
+                projected[key] = from_root_coefficients(order, rings[c],
+                                                        lifted.den)
+            values[c] = projected[key]
         out.append(values)
     return out
+
+
+def _bit_positions(bits: int) -> Iterator[int]:
+    """The positions of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _as_cyc(order: int, value) -> Cyc:

@@ -16,11 +16,13 @@ is +-1, the number of preserving tuples is a sum of products of the factor
 tallies, which equals the walk's count exactly (the tests keep the walk).
 
 The signed term set S is a dict {(sigma images, j): coefficient}, with
-(sigma, j) read from each term's form once per decomposition. Membership in
-M is decided on integer exponent tuples: rows 1 and 2 fix the only
-candidate (k, j). An element's image of S is the same values re-keyed: d
-row solves give the image j of every term, and the image permutation is
-built once per source sigma.
+(sigma, j) read once per decomposition from its integer phase codes
+(``decompositions.phase_codes``): sigma is a term's column tuple, and j is
+solved once per distinct tuple of entry codes. Membership in M is decided
+on integer exponent tuples: rows 1 and 2 fix the only candidate (k, j). An
+element's image of S is the same values re-keyed: d row solves give the
+image j of every term, and the image permutation is built once per source
+sigma.
 
 The action check is a proof from generators, one dict comparison each:
 the image of S under generator g must equal chi(g) S. The term action is a
@@ -42,6 +44,7 @@ from .decompositions import (
     PowerTerm,
     _permutations,
     main_decomposition,
+    phase_codes,
 )
 from .multipoly import LinForm
 
@@ -310,7 +313,9 @@ def enumerate_symmetries(d: int) -> SymmetryEnumeration:
 
 def _signed_terms(dec: PowerDecomposition) -> dict:
     """The signed term set S of a main decomposition, as {(sigma images, j):
-    coefficient} with (sigma, j) read from each term's form.
+    coefficient} with (sigma, j) read from each term's phase codes
+    (``phase_codes``): sigma is the column tuple, and j is solved once per
+    distinct tuple of entry codes, d of them for ``main``.
 
     A term's form must be w^k D^j P_sigma for the (sigma images, j) of its
     index (k is free: w^k dies in the d-th power); any other form raises
@@ -320,10 +325,20 @@ def _signed_terms(dec: PowerDecomposition) -> dict:
     if dec.scheme != "main":
         raise ValueError(
             "the symmetry action is defined for the main scheme")
-    terms = {}
-    for term in dec.terms:
-        member = mono_membership(dec.d, term.form.support())
-        read = None if member is None else (member[0], member[2] or dec.d)
+    d = dec.d
+    permutations = set(_permutations(d)[0])
+    terms, solved = {}, {}
+    for term, view in zip(dec.terms, phase_codes(dec)):
+        read = None
+        if view is not None and view[0] in permutations:
+            cols, codes = view
+            if codes not in solved:
+                # a code past the order is -w^k, at an odd order no power
+                # of w
+                solved[codes] = None if max(codes) >= dec.order \
+                    else _solve_row_exponents(d, codes)
+            if solved[codes] is not None:
+                read = (cols, solved[codes][1] or d)
         if read != term.index:
             raise ValueError(f"term {term.index} has a form that reads "
                              f"as {read}")

@@ -116,9 +116,11 @@ def point_set(d: int):
     return ((j, sigma) for j in range(d) for sigma in _permutations(d)[0])
 
 
+@lru_cache(maxsize=None)
 def _point_phases(d: int):
     """The points (j, sigma) and, for each, D^j P_sigma as the phase map
-    {(i, sigma i): ij mod d}."""
+    {(i, sigma i): ij mod d}, built once per d and shared by every caller,
+    which must not mutate them."""
     points = list(point_set(d))
     return points, [{(i, s): i * j % d for i, s in enumerate(sigma, start=1)}
                     for j, sigma in points]

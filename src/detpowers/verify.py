@@ -332,9 +332,10 @@ def _composition_table(exponent: int, size: int) -> _Table:
 @lru_cache(maxsize=None)
 def _positive_compositions(exponent: int, size: int) -> tuple:
     """The compositions of ``exponent`` into ``size`` positive parts, in the
-    order of a block's slots."""
-    return tuple(tuple(c) for c in _composition_table(exponent, size).comps
-                 if all(c))
+    order of a block's slots: lexicographically descending, as
+    ``weak_compositions`` lists them less one per part, with no table."""
+    return tuple(tuple(e + 1 for e in c)
+                 for c in weak_compositions(exponent - size, size))
 
 
 def _packed_columns(comps, field: str) -> list[int]:

@@ -983,6 +983,7 @@ class TestBench:
         assert "rank-5-certificate" in names
         assert "symmetries-6" in names
         assert "symmetries-4-full" in names
+        assert "equations-4" in names
         assert all(r["ok"] for r in obj["results"])
 
     def test_import_line_says_whether_pyc_files_are_present(

@@ -21,8 +21,10 @@ from detpowers.decompositions import (
     krishna_makam_det3,
     main_decomposition,
     monomial_power_decomposition,
+    phase_codes,
     _permutations,
 )
+from detpowers.symmetry import _solve_row_exponents, mono_membership
 from detpowers.multipoly import (
     LinForm,
     SparsePoly,
@@ -396,3 +398,118 @@ class TestBoundsTable:
             bounds_table(1)
         with pytest.raises(ValueError):
             bounds_table(21)
+
+
+def unit_code(c):
+    """Oracle of a scalar's phase code, from ``Cyc.root_power`` alone: k
+    for w^k, order + k for -w^k that is no power of w, else None."""
+    k = c.root_power()
+    if k is not None:
+        return k
+    k = (-c).root_power()
+    return None if k is None else c.order + k
+
+
+def term_codes(term, d):
+    """Oracle of one term's entry in the phase-code view, read from its
+    support scalar by scalar."""
+    cols, codes = [0] * d, []
+    for (i, j), c in term.form.support():
+        if unit_code(c) is None or cols[i - 1]:
+            return None
+        cols[i - 1] = j
+        codes.append(unit_code(c))
+    return tuple(cols), tuple(codes)
+
+
+def membership_read(d, order, view):
+    """What ``mono_membership`` reads from a support, read from its view:
+    (sigma images, k, j) when the columns are a permutation and every entry
+    is a power of w whose codes fit k + i*j, else None."""
+    if view is None:
+        return None
+    cols, codes = view
+    if sorted(cols) != list(range(1, d + 1)) or max(codes) >= order:
+        return None
+    solved = _solve_row_exponents(d, codes)
+    return None if solved is None else (cols, *solved)
+
+
+def phase_code_lookups(monkeypatch):
+    """A list that counts the scalar lookups of ``phase_codes``."""
+    calls = []
+    real = decompositions._unit_code
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(decompositions, "_unit_code", counted)
+    return calls
+
+
+def pair_objects(dec):
+    """The distinct (entry, scalar) pair objects of a decomposition's
+    forms."""
+    return {id(pair) for t in dec.terms for pair in t.form.support()}
+
+
+class TestPhaseCodes:
+    """The phase-code view against ``Cyc.root_power`` and
+    ``mono_membership``, term by term."""
+
+    @pytest.mark.parametrize("scheme, d", [
+        (scheme, d) for scheme in SCHEMES for d in range(1, 7)])
+    def test_builders_match_the_oracles(self, scheme, d, monkeypatch):
+        dec = SCHEME_BUILDERS[scheme](d)
+        lookups = phase_code_lookups(monkeypatch)
+        view = phase_codes(dec)
+        assert view == [term_codes(t, d) for t in dec.terms]
+        assert [membership_read(d, dec.order, v) for v in view] == [
+            mono_membership(d, t.form.support()) for t in dec.terms]
+        # one lookup per distinct pair object, not one per entry of a term
+        assert len(lookups) == len(pair_objects(dec))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("scheme", ["main", "classical", "gurvits"])
+    def test_benchmark_conjugated_inputs(self, seed, scheme):
+        from test_verify import benchmark_conjugated  # it imports this module
+        dec = benchmark_conjugated(seed, scheme)
+        view = phase_codes(dec)
+        assert view == [term_codes(t, 4) for t in dec.terms]
+        # None exactly where an entry is not +-w^k or a row holds two
+        assert view.count(None) > 0
+        for term, read in zip(dec.terms, view):
+            support = term.form.support()
+            units = all(unit_code(c) is not None for _, c in support)
+            rows = len({i for (i, _), _ in support}) == len(support)
+            assert (read is None) is not (units and rows)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_tampered_inputs(self, seed):
+        # a negated coefficient leaves every form, and so the view, as it was
+        from test_verify import benchmark_tampered, flip_one_sign
+        for scheme, d, index in benchmark_tampered(seed):
+            dec = flip_one_sign(SCHEME_BUILDERS[scheme](d), index)
+            view = phase_codes(dec)
+            assert view == [term_codes(t, d) for t in dec.terms]
+            assert view == phase_codes(SCHEME_BUILDERS[scheme](d))
+            assert None not in view
+
+    @pytest.mark.parametrize("d, minus", [(4, 2), (6, 3)])
+    def test_even_order_folds_minus_one(self, d, minus):
+        # -1 is w^(d/2), so -w^k reads as the power it is
+        view = phase_codes(main_decomposition(d))
+        assert view[0] == (tuple(range(1, d + 1)),
+                           tuple(i % d for i in range(1, d + 1)))
+        assert [decompositions._unit_code(-omega(d, k)) for k in range(d)] \
+            == [(k + minus) % d for k in range(d)]
+        assert all(unit_code(-omega(d, k)) == (-omega(d, k)).root_power()
+                   for k in range(d))
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_odd_order_keeps_the_sign_past_the_order(self, d):
+        assert [decompositions._unit_code(-omega(d, k)) for k in range(d)] \
+            == [d + k for k in range(d)]
+        assert decompositions._unit_code(Cyc.from_int(d, 2)) is None
+        assert decompositions._unit_code(Cyc.from_int(1, -1)) == 1

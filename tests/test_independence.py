@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from detpowers import independence
+from detpowers import decompositions, independence
 from detpowers.cli import main
 from detpowers.cyclotomic import Cyc, omega
 from detpowers.decompositions import (
@@ -494,3 +494,17 @@ class TestOnePairing:
     def test_d5_pairs_once(self, calls):
         assert independence_certificate(5) == ([], 600, None)
         assert calls == [(600, 600)]
+
+    def test_points_look_up_no_root_per_term(self, monkeypatch):
+        # the points are read from the phase-code view: one lookup per
+        # distinct pair object of main(4), 44 for its 96 * 4 entries, and
+        # no Cyc.root_power at all
+        lookups, powers = [], []
+        code, power = decompositions._unit_code, Cyc.root_power
+        monkeypatch.setattr(decompositions, "_unit_code",
+                            lambda c: lookups.append(c) or code(c))
+        monkeypatch.setattr(Cyc, "root_power",
+                            lambda c: powers.append(c) or power(c))
+        assert independence_certificate(4) == ([], 96, None)
+        assert len(lookups) == 44
+        assert powers == []

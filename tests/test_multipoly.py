@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from detpowers import multipoly, varieties
 from detpowers.cyclotomic import Cyc, omega
+from detpowers.decompositions import main_decomposition
+from detpowers.independence import dual_form, term_index_list
 from detpowers.multipoly import (
     MONO_ONE,
     LinForm,
     PhaseEvaluator,
     SparsePoly,
+    covered_values,
     determinant_poly,
     diagonal_product_poly,
     expand_power,
@@ -231,6 +235,114 @@ class TestPhaseEvaluator:
 
     def test_zero_polynomial(self):
         assert PhaseEvaluator(SparsePoly.zero(4))({(1, 1): 3}).is_zero
+
+
+def point_by_point(polys, points):
+    """Oracle of ``covered_values``: each polynomial evaluated by the
+    per-point ``PhaseEvaluator`` at every point that holds all variables
+    of one of its monomials, in point order."""
+    out = []
+    for poly in polys:
+        at = PhaseEvaluator(poly)
+        out.append({c: at(point) for c, point in enumerate(points)
+                    if any(all((i, j) in point for i, j, _ in mono)
+                           for mono in poly.terms)})
+    return out
+
+
+def term_points(d):
+    """The phase maps of main(d)'s term points, read by ``root_power``."""
+    return [{var: c.root_power() for var, c in term.form.support()}
+            for term in main_decomposition(d).terms]
+
+
+class TestCoveredValues:
+    """Monomial-major evaluation against the per-point evaluator: the same
+    keys, zero values included, in the same order, and the same values."""
+
+    @staticmethod
+    def assert_matches(polys, points):
+        got = covered_values(polys, points)
+        want = point_by_point(polys, points)
+        assert got == want
+        assert [list(values) for values in got] == [
+            list(values) for values in want]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_quadric_families(self, d):
+        qs = varieties.quadric_generators(d)
+        _, phases = varieties._point_phases(d)
+        for family in (qs.row_monomials, qs.column_monomials,
+                       qs.rho_quadrics):
+            self.assert_matches(list(family), phases)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_extra_generators(self, d):
+        report = varieties.extra_generators(d)
+        _, phases = varieties._point_phases(d)
+        self.assert_matches(list(report.squares), phases)
+        if d == 4:
+            raw = varieties._extra_generators_d4()[2]
+            self.assert_matches(list(raw), phases)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_dual_forms(self, d):
+        # at d = 5 every tenth of the 600 forms, at all 600 points
+        forms = [dual_form(d, sigma, j)
+                 for sigma, j in term_index_list(d)][::1 if d < 5 else 10]
+        self.assert_matches(forms, term_points(d))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_seeded_sparse_polynomials(self, order):
+        # coefficients with denominators and off the roots of unity, the
+        # constant monomial, and points that cover nothing
+        rng = random.Random(300 + order)
+        variables = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        for _ in range(12):
+            polys = []
+            for _ in range(rng.randint(1, 5)):
+                terms = {}
+                for _ in range(rng.randint(0, 7)):
+                    chosen = rng.sample(variables, rng.randint(0, 3))
+                    terms[monomial({v: rng.randint(1, 3) for v in chosen})] \
+                        = TestPhaseEvaluator.random_coefficient(rng, order)
+                polys.append(SparsePoly(order, terms))
+            points = [{v: rng.randrange(2 * order)
+                       for v in rng.sample(variables, rng.randint(0, 9))}
+                      for _ in range(rng.randint(0, 10))]
+            self.assert_matches(polys, points)
+
+    def test_work_counts_of_the_d4_rho_family(self, monkeypatch):
+        # 4 quadrics of 26 monomials: each square x[i, a]^2 is covered by
+        # 24 points and each cross product x[i-1, a] x[i+1, b], a != b, by
+        # 8, so 768 (quadric, monomial, point) adds. Quadrics 1 and 3 hold
+        # the same cross products, as do 2 and 4, so a phase is computed
+        # for 576 distinct (monomial, point) pairs
+        positions, projections = [], []
+        bits, project = multipoly._bit_positions, \
+            multipoly.from_root_coefficients
+
+        def counted_positions(b):
+            for c in bits(b):
+                positions.append(c)
+                yield c
+
+        def counted_project(*args):
+            projections.append(tuple(args[1]))
+            return project(*args)
+
+        monkeypatch.setattr(multipoly, "_bit_positions", counted_positions)
+        monkeypatch.setattr(multipoly, "from_root_coefficients",
+                            counted_project)
+        rho = varieties.quadric_generators(4).rho_quadrics
+        _, phases = varieties._point_phases(4)
+        values = covered_values(list(rho), phases)
+        assert len(positions) == 576
+        # every point holds one square of every quadric: 384 values, each
+        # the zero vector of Z[C_4] already, projected once for all
+        assert sum(map(len, values)) == 4 * 96
+        assert not any(v for row in values for v in row.values())
+        assert projections == [(0, 0, 0, 0)]
 
 
 def test_determinant_poly_small():

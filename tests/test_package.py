@@ -49,3 +49,14 @@ class TestNoUnusedDefinitions:
                    for qualified, _ in top_level_definitions()}
         assert modules == {path.stem for path in SRC_DIR.glob("*.py")
                            if path.stem != "__init__"}
+
+
+def test_the_engines_keep_their_own_phase_reads():
+    # expansion and streaming read their own unit phases, so a fault in the
+    # structure layers' phase-code view cannot reach a verdict of theirs
+    tree = ast.parse((SRC_DIR / "verify.py").read_text())
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"phase_codes", "_unit_code"}

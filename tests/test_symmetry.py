@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from detpowers.cyclotomic import Cyc, omega
-from detpowers import symmetry
+from detpowers import decompositions, symmetry
 from detpowers.decompositions import (
     _permutations,
     gurvits_decomposition,
@@ -623,9 +623,27 @@ class TestAction:
         monkeypatch.setattr(symmetry, "_solve_row_exponents", counted_solve)
         monkeypatch.setattr(symmetry, "_image", counted_image)
         assert check_symmetry_action(4)
-        term_read = 4 * 24  # one membership solve per term of main(4)
+        # one membership solve per distinct tuple of entry codes, the d
+        # families of main(4), not one per term
+        term_read = 4
         assert images == len(symmetry_generators(4)) == 6
         assert solves - term_read == 4 * 6
+
+    def test_term_read_looks_up_no_root_per_term(self, monkeypatch):
+        # the terms are read from the phase-code view: one lookup per
+        # distinct pair object of main(4), 44 for its 96 * 4 entries, and
+        # no Cyc.root_power at all
+        lookups, powers = [], []
+        code, power = decompositions._unit_code, Cyc.root_power
+        monkeypatch.setattr(decompositions, "_unit_code",
+                            lambda c: lookups.append(c) or code(c))
+        monkeypatch.setattr(Cyc, "root_power",
+                            lambda c: powers.append(c) or power(c))
+        assert check_symmetry_action(4)
+        pairs = {id(pair) for term in main_decomposition(4).terms
+                 for pair in term.form.support()}
+        assert len(lookups) == len(pairs) == 44
+        assert powers == []
 
     def test_form_swapped_term_is_rejected(self):
         dec = main_decomposition(3)

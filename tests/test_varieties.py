@@ -172,6 +172,17 @@ class TestVanishing:
     def test_all_generators_vanish(self, d):
         assert vanish_on_points(d)
 
+    def test_points_are_built_once_per_d(self, monkeypatch, capsys):
+        # vanishing, the squares, the raw differences and the locus proof
+        # of one ``equations --d 4`` share one list of points
+        varieties._point_phases.cache_clear()
+        calls = []
+        real = varieties.point_set
+        monkeypatch.setattr(varieties, "point_set",
+                            lambda d: calls.append(d) or real(d))
+        assert main(["equations", "--d", "4"]) == 1
+        assert calls == [4]
+
     def test_point_set_size(self):
         assert len(list(point_set(3))) == 18
         assert len(list(point_set(2))) == 4

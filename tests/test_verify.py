@@ -1223,6 +1223,23 @@ class TestRingComparison:
         assert verify_power_decomposition(dec).equal
         assert calls == [(4, 12)]
 
+    @pytest.mark.parametrize("scheme, d", [
+        (scheme, d) for scheme in BUILDERS for d in range(1, 6)])
+    def test_one_table_per_builder_expansion(self, scheme, d, monkeypatch):
+        # the target's monomials find their slots without a second table,
+        # whether or not their compositions were listed before
+        verify._positive_compositions.cache_clear()
+        calls = []
+        real = verify._composition_table
+
+        def counting(exponent, size):
+            calls.append((exponent, size))
+            return real(exponent, size)
+
+        monkeypatch.setattr(verify, "_composition_table", counting)
+        assert verify_power_decomposition(BUILDERS[scheme](d)).equal
+        assert calls == [(d, d)]
+
     @pytest.mark.parametrize("name", TAMPERED)
     def test_witness_and_mismatches_match_the_cyc_oracle(self, name):
         dec = TAMPERED[name]
