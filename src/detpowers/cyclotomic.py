@@ -76,6 +76,13 @@ def _powers(order: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
+def _columns(order: int) -> tuple[tuple[int, ...], ...]:
+    """``_powers(order)`` transposed: column i holds basis coefficient i of
+    w^0, ..., w^(order-1)."""
+    return tuple(zip(*_powers(order)))
+
+
+@functools.cache
 def _signed_roots(order: int) -> dict:
     """(num, den) -> (sign, k) for every sign * w^k; where -w^j is itself a
     power of w, at even orders, the unsigned (1, k) is kept."""
@@ -358,7 +365,7 @@ def from_root_coefficients(order: int, coeffs, den: int = 1) -> Cyc:
     if not any(coeffs):
         return _int_cyc(order, 0)
     num = [sum(map(operator.mul, coeffs, column))
-           for column in zip(*_powers(order))]
+           for column in _columns(order)]
     if den != 1:
         return Cyc._make(order, num, den)
     out = Cyc.__new__(Cyc)

@@ -12,8 +12,9 @@ forms in the matrix entries:
 * ``monomial``  - 2^(d-1) forms decomposing the single diagonal monomial.
 
 Each scheme is written once, by its terms at sigma = identity: they build
-its terms, and streaming verification decodes given terms against their
-numbering and reads its class factors from the same rows.
+its terms, read in order from their numbering, and streaming verification
+reads the same numbering beside the given terms, decodes those found
+elsewhere, and reads its class factors from the same rows.
 
 ``phase_codes`` reads a decomposition's terms as integer phase codes, once,
 for the structure layers (``symmetry`` and ``independence``).
@@ -28,10 +29,11 @@ the main scheme needs genuine cyclotomic coefficients.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import getitem
 from typing import NamedTuple
 
@@ -186,10 +188,11 @@ class _Numbering:
     ``signs[r]``. ``block[t]`` is (sign, pair rows, cut, label): per kept
     row its shared pairs ((i, s), scalar) by column s, the place of the row
     left out or None, and its part of the ``PowerTerm.index``, (sigma,
-    label) when ``over_sigma``, else (label,). ``decode(support)`` proposes
-    the number of a term with that support, or None; ``term(n)`` is term
-    n's coefficient, one of ``units``, and support. It holds lists, so it
-    hashes by identity, as the caches keyed on it need."""
+    label) when ``over_sigma``, else (label,). ``walk()`` reads the terms
+    in this order; ``decode(support)`` proposes the number of a term with
+    that support, or None; ``term(n)`` is term n's coefficient, one of
+    ``units``, and support. It holds lists, so it hashes by identity, as
+    the caches keyed on it need."""
     __slots__ = ("order", "over_sigma", "families", "perms", "signs",
                  "block", "units", "decode", "term")
 
@@ -199,6 +202,16 @@ class _Numbering:
         self.families, self.perms, self.signs = families, perms, signs
         self.block, self.units = block, units
         self.decode, self.term = decode, term
+
+    def walk(self):
+        """Every term in number order, as (sigma, label, coefficient,
+        support): the one place that writes the order down."""
+        units, block = self.units, self.block
+        for sigma, sigma_sign in zip(self.perms, self.signs):
+            for sign, rows, cut, label in block:
+                cols = sigma if cut is None else sigma[:cut] + sigma[cut + 1:]
+                yield sigma, label, units[sigma_sign * sign], tuple(
+                    map(getitem, rows, cols))
 
 
 @lru_cache(maxsize=None)
@@ -277,6 +290,25 @@ _TERM_SETTERS = (PowerTerm.index.__set__, PowerTerm.coeff.__set__,
                  PowerTerm.form.__set__, PowerTerm.exponent.__set__)
 
 
+def _nogc(fn):
+    """``fn`` with the cyclic garbage collector paused while it runs, and
+    its prior state restored after, also on an exception; a call made with
+    the collector already off leaves it off. What these calls make is freed
+    by reference counting, so collections in between would scan many new
+    objects and free almost none."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+@_nogc
 def _materialize(d: int, scheme: str, scale: int,
                  target: str) -> PowerDecomposition:
     """Every term of the scheme's numbering, in order. Its pair rows hold
@@ -285,21 +317,17 @@ def _materialize(d: int, scheme: str, scale: int,
     Each term is made by ``PowerTerm.__new__`` and its slot setters,
     without the frozen ``__init__``'s ``object.__setattr__`` calls."""
     numbering = _numbering(scheme, d)
-    order, over_sigma, units = (numbering.order, numbering.over_sigma,
-                                numbering.units)
+    order, over_sigma = numbering.order, numbering.over_sigma
     new, of_support = PowerTerm.__new__, LinForm._of_support
     set_index, set_coeff, set_form, set_exponent = _TERM_SETTERS
     terms = []
-    for sigma, sigma_sign in zip(numbering.perms, numbering.signs):
-        for sign, rows, cut, label in numbering.block:
-            cols = sigma if cut is None else sigma[:cut] + sigma[cut + 1:]
-            term = new(PowerTerm)
-            set_index(term, (sigma, label) if over_sigma else (label,))
-            set_coeff(term, units[sigma_sign * sign])
-            set_form(term, of_support(order, d,
-                                      tuple(map(getitem, rows, cols))))
-            set_exponent(term, d)
-            terms.append(term)
+    for sigma, label, coeff, support in numbering.walk():
+        term = new(PowerTerm)
+        set_index(term, (sigma, label) if over_sigma else (label,))
+        set_coeff(term, coeff)
+        set_form(term, of_support(order, d, support))
+        set_exponent(term, d)
+        terms.append(term)
     return PowerDecomposition(d, scheme, scale, target, order, tuple(terms))
 
 

@@ -12,25 +12,28 @@ Two independent engines are provided:
   are all units +-w^k adds +-B^s at each composition's phase s, read for
   all its compositions at once from the fields of one packed integer.
   Such terms on cells inside one support, as a builder's terms at one
-  sigma are, form a run: its sum is computed once for each distinct run,
-  memoised by the run's signature, and added with one add per
-  composition, a cell a term leaves out taking a dead code that reads 0;
-  any other term has its scalars lifted to the ring and packed, so one
-  integer product mod B^n - 1 is one product in the ring. W comes from
-  a proved bound on every digit, the target and the reduction mod
-  Phi_n; denominators are cleared by one common denominator of the sum;
+  sigma are, form a run, a cell a term leaves out taking a dead code that
+  reads 0. A run's sum is computed once per signature, its overall sign
+  divided out, and the run adds only +-1 to that signature's count on
+  each set of cells it reaches; each nonzero count adds the sum once, so
+  the cell sets where a builder's sigmas cancel are never stored. Any
+  other term has its scalars lifted to the ring and packed, so one
+  integer product mod B^n - 1 is one product in the ring. W comes from a
+  proved bound on every digit, the target and the reduction mod Phi_n;
+  denominators are cleared by one common denominator of the sum;
   only a mismatching monomial is decoded and projected to Q(w), and
   nothing falls back to Cyc products;
 * streaming mode never expands a term: the scheme's total at a monomial
   is a class factor of the exponents' composition, read from the scheme's
   rows at sigma = identity (``decompositions``), times the signed
   extension sum of the pattern, so one comparison decides a whole
-  composition class. Each given term is checked against the term of the
-  scheme's numbering at its own position; a term found elsewhere has its
-  number read from its support, so terms may come in any order. Only the
-  monomials of a failing class, and those a term whose index is missing,
-  repeated or differs reaches (corrected by that term), are evaluated one
-  by one.
+  composition class; a scheme kept at sigma = identity has one monomial
+  per class under the diagonal target, decided the same way. Each given
+  term is checked against the numbering's terms, read in order beside
+  it; a term found elsewhere has its number read from its support, so
+  terms may come in any order. Only the monomials of a failing class, and
+  those a term whose index is missing, repeated or differs reaches
+  (corrected by that term), are evaluated one by one.
 
 The engines share no code path, so they act as each other's oracle; both
 read the terms they are given, compare against the scaled target
@@ -50,10 +53,10 @@ import math
 import struct
 import sys
 from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from operator import add, is_, itemgetter, mul
+from operator import add, is_, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .cyclotomic import (
@@ -69,6 +72,7 @@ from .decompositions import (
     PowerDecomposition,
     PowerTerm,
     ProductDecomposition,
+    _nogc,
     _numbering,
 )
 from .multipoly import (
@@ -154,11 +158,13 @@ class VerificationReport(NamedTuple):
 #   ``_packed_width``).
 # * The ints sit in one flat list, in blocks: the monomials on one set of
 #   cells, in a fixed order of their compositions. A support reaches the
-#   whole block of each nonempty subset of at most exponent of its cells.
-#   One composition table, for the largest support, serves every term
-#   (all share the exponent d): a smaller support takes its prefix. A new
-#   support looks up the blocks of all its subsets at once, makes the
-#   missing ones, and places each composition at start plus rank.
+#   whole block of each nonempty subset of at most exponent of its cells,
+#   and every block reached is counted. One composition table, for the
+#   largest support, serves every term (all share the exponent d): a
+#   smaller support takes its prefix. A general term's support looks up
+#   the blocks of all its subsets at once, makes the missing ones, and
+#   places each composition at start plus rank; a block only runs reach
+#   is made when a nonzero count first adds to it.
 # * The check compares in the ring, one remainder per monomial: Phi_order
 #   divides x^order - 1, so Phi_order(B) divides M, and V mod Phi_order(B)
 #   is 0 iff f_E vanishes in Q(w). A target monomial matches iff
@@ -182,11 +188,19 @@ class VerificationReport(NamedTuple):
 #   composition that uses the cell reads 0. The run's sum at each
 #   composition is counted by phase at a narrow width, each distinct count
 #   packed at B once, and memoised by the run's signature: the table
-#   prefix and each term's (sign, k0, codes). A builder's runs repeat at
-#   every sigma up to sgn sigma, so two sums are computed, and each run
-#   adds its nonzero sums into the table, one add per composition. Only
-#   the latest ``_KEPT_SUMS`` sums are kept, so runs that never repeat
-#   hold no more than that many runs' sums.
+#   prefix and each term's (sign, k0, codes), the signs divided by the
+#   first term's. Every head carries its sign (at an even order w^k with
+#   k >= order/2 is -w^(k - order/2)), so a builder's runs, which repeat
+#   at every sigma up to sgn sigma, share one signature and one sum.
+# * A run adds nothing to the table itself: it adds +-1, its first term's
+#   sign, to its signature's count on each (table block, cell set) it
+#   reaches. When a sum leaves the memo, and at the end, each count left
+#   nonzero adds count times the sum's values at that block into the cell
+#   set's block. A builder reaches a set of k cells on k rows from the
+#   (d - k)! sigmas that extend it, whose signs cancel for k <= d - 2, so
+#   only the blocks of d - 1 and d rows are stored, and the others are
+#   only counted. Only the latest ``_KEPT_SUMS`` sums, and their counts,
+#   are kept, so runs that never repeat hold no more than that many.
 # * Any other scalar is lifted to the ring: its numerator over 1, w, ...,
 #   w^(phi-1), padded with zeros to length order, is an element of
 #   Z[C_order] that projects back to itself, and the projection is a ring
@@ -201,7 +215,10 @@ class VerificationReport(NamedTuple):
 
 def _terms_unit_phases(terms) -> list:
     """Per term, (sign, k) of its coefficient and the code of each entry,
-    when every scalar of the term is a unit; else None. The entry
+    when every scalar of the term is a unit; else None. The head carries
+    its sign: at an even order n, w^k with k >= n/2 is read as
+    -w^(k - n/2), the same element of Q(w) as Phi_n divides x^(n/2) + 1,
+    so a coefficient and its negative differ in the sign alone. The entry
     (-1)^neg * w^p has code 2 * p + order * neg, the exponent of z in
     z^(2p) * (z^order)^neg for a root z of order 2 * order, with z^2 = w
     and z^order = -1. Each distinct coefficient object, and each distinct
@@ -217,8 +234,11 @@ def _terms_unit_phases(terms) -> list:
         coeff = term.coeff
         head = heads.get(id(coeff), unseen)
         if head is unseen:
-            head = heads[id(coeff)] = _signed_roots(coeff.order).get(
-                (coeff.num, coeff.den))
+            order = coeff.order
+            head = _signed_roots(order).get((coeff.num, coeff.den))
+            if head is not None and not order & 1 and 2 * head[1] >= order:
+                head = (-head[0], head[1] - order // 2)
+            heads[id(coeff)] = head
         if head is None:
             append(None)
             continue
@@ -272,7 +292,8 @@ class _Table(NamedTuple):
     the first ``ends[s][0]`` are over s parts. ``steps[c]`` = (parent, k,
     e) completes composition c, at place ``ranks[c]`` of block b =
     ``blocks[c]``, its positive parts ``masks[b]``, ordered by last part:
-    part k extends the earlier blocks ``grows[k]``, of < exponent parts."""
+    part k extends the earlier blocks ``grows[k]``, of < exponent parts.
+    Block b holds ``sizes[b]`` compositions."""
     comps: list
     nodes: list
     steps: list
@@ -281,6 +302,7 @@ class _Table(NamedTuple):
     masks: list
     grows: list
     ends: list
+    sizes: list
 
 
 def _cell_masks(bits, grows) -> list[int]:
@@ -326,7 +348,8 @@ def _composition_table(exponent: int, size: int) -> _Table:
                 prefixes.append((rem - e, parts[:k] + [e] + parts[k + 1:],
                                  mask | 1 << k))
         ends.append((node_end, len(steps)))
-    return _Table(comps, nodes, steps, blocks, ranks, masks, grows, ends)
+    return _Table(comps, nodes, steps, blocks, ranks, masks, grows, ends,
+                  counts)
 
 
 @lru_cache(maxsize=None)
@@ -462,27 +485,29 @@ def _multinomial(mono: Monomial) -> int:
     return multinomial(sum(exps), exps)
 
 
-# the run sums expansion keeps at once: a builder's runs take one signature
-# per sgn sigma, and runs that never repeat (a builder's terms with every
-# sigma's phases moved) would otherwise keep all of theirs to the end
+# the run sums expansion keeps at once: a builder's runs share one signature,
+# and runs that never repeat (a builder's terms with every sigma's phases
+# moved) would otherwise keep all of theirs, and their multiplicities, to
+# the end
 _KEPT_SUMS = 16
 
 
 def _expand_chunk(order: int, scale: int, terms, d: int, wants,
                   units=None):
     """``scale`` times the sum of the terms without the multinomials, as
-    (blocks, acc, width): acc[place] is congruent to f_E(2^width) mod
-    2^(order * width) - 1 for the monomial x^E at that place. Every term
-    has one exponent e, as in a ``PowerDecomposition``. The monomials on
-    one set of cells S of the d x d grid take consecutive places, a block,
-    in the order of ``_positive_compositions(e, |S|)``; ``blocks`` maps the
-    bit mask of S (bit (i - 1) * d + j - 1 for cell (i, j)) to the block's
-    first place, in increasing order. A term whose support holds S reaches
-    the whole block, so the table holds the union of the terms' monomials,
-    those that cancel to zero included. ``scale`` must clear every
-    denominator (see ``_common_denominator``). ``wants`` holds the target's
-    (m(E), lifted vector) pairs: the width holds each comparison with
-    them (see ``_packed_width``). ``units`` are
+    (blocks, acc, width, reached): acc[place] is congruent to f_E(2^width)
+    mod 2^(order * width) - 1 for the monomial x^E at that place. Every
+    term has one exponent e, as in a ``PowerDecomposition``. The monomials
+    on one set of cells S of the d x d grid take consecutive places, a
+    block, in the order of ``_positive_compositions(e, |S|)``; ``blocks``
+    maps the bit mask of S (bit (i - 1) * d + j - 1 for cell (i, j)) to
+    the block's first place, in increasing order. A term whose support
+    holds S reaches the whole block; ``reached`` counts the places of all
+    such blocks, and a block runs reach is stored only where a nonzero net
+    count adds to it, so a monomial without a place sums to 0.
+    ``scale`` must clear every denominator (see ``_common_denominator``).
+    ``wants`` holds the target's (m(E), lifted vector) pairs: the width
+    holds each comparison with them (see ``_packed_width``). ``units`` are
     ``_terms_unit_phases(terms)``, read here when not given."""
     if units is None:
         units = _terms_unit_phases(terms)
@@ -492,40 +517,41 @@ def _expand_chunk(order: int, scale: int, terms, d: int, wants,
     exponent, = {term.exponent for term in terms} or {1}
     table = _composition_table(exponent, max(
         (len(term.form.support()) for term in terms), default=0))
-    # the number of compositions in each table block
-    sizes = [math.comb(exponent - 1, mask.bit_count() - 1)
-             for mask in table.masks]
+    sizes = table.sizes
     blocks: dict[int, int] = {}
     acc: list[int] = []
+    reached: dict[int, int] = {}  # mask of each block runs reach -> size
     cache: dict = {}
-    sums: dict[tuple, list] = {}
+    # signature -> (its sum by block, +1 and -1 counts by (block, mask))
+    sums: dict[tuple, tuple] = {}
     lifts = [scale << i * width for i in range(order)]
     last_vars = None
-    for support, term, members in _runs(terms, units,
-                                        _dead_code(exponent, order)):
+    for support, term, members, lead in _runs(terms, units,
+                                              _dead_code(exponent, order)):
         variables = [var for var, _ in support]
         if variables != last_vars:
-            # find or make the blocks of all its subsets at once
             last_vars = variables
             node_end, step_end = table.ends[len(variables)]
             cells = _cell_masks([1 << (i - 1) * d + j - 1
                                  for i, j in variables], table.grows)
-            starts = list(map(blocks.get, cells))
-            missing = list(compress(range(len(cells)),
-                                    map(is_, starts, repeat(None))))
-            if missing:
-                # the missing blocks one after another at the table's end,
-                # in the order of ``cells``
-                new = list(map(sizes.__getitem__, missing))
-                firsts = list(accumulate(new[:-1], initial=len(acc)))
-                blocks.update(zip(map(cells.__getitem__, missing), firsts))
-                acc += repeat(0, sum(new))
-                for b, first in zip(missing, firsts):
-                    starts[b] = first
             places = None
         if members is None:
             # each composition's place, made once per support
             if places is None:
+                # find or make the blocks of all its subsets at once
+                starts = list(map(blocks.get, cells))
+                missing = list(compress(range(len(cells)),
+                                        map(is_, starts, repeat(None))))
+                if missing:
+                    # the missing blocks one after another at the table's
+                    # end, in the order of ``cells``
+                    new = list(map(sizes.__getitem__, missing))
+                    firsts = list(accumulate(new[:-1], initial=len(acc)))
+                    blocks.update(zip(map(cells.__getitem__, missing),
+                                      firsts))
+                    acc += repeat(0, sum(new))
+                    for b, first in zip(missing, firsts):
+                        starts[b] = first
                 places = list(map(add, map(starts.__getitem__,
                                            table.blocks[:step_end]),
                                   table.ranks[:step_end]))
@@ -534,39 +560,72 @@ def _expand_chunk(order: int, scale: int, terms, d: int, wants,
                               nodes, table.steps)
             continue
         # the run's signature is everything its sum depends on; a builder's
-        # runs differ from sigma to sigma only in sgn sigma
+        # runs differ from sigma to sigma only in sgn sigma, the lead
         key = (step_end, *members)
         found = sums.get(key)
         if found is None:
             if len(sums) == _KEPT_SUMS:
-                del sums[next(iter(sums))]
-            found = sums[key] = _run_sum(members, step_end, table, cache,
-                                         exponent, lifts)
-        at_blocks, ranks, values = found
-        for i, x in zip(map(add, map(starts.__getitem__, at_blocks), ranks),
-                        values):
-            acc[i] += x
-    return blocks, acc, width
+                _add_multiples(sums.pop(next(iter(sums))), sizes, blocks, acc,
+                               reached)
+            found = sums[key] = (
+                _run_sum(members, step_end, table, cache, exponent, lifts),
+                Counter(), Counter())
+        # the run reaches block b of the table on the cells cells[b]
+        found[1 if lead > 0 else 2].update(enumerate(cells))
+    for found in sums.values():
+        _add_multiples(found, sizes, blocks, acc, reached)
+    # the places stored, and those of the blocks runs reached but left out
+    return blocks, acc, width, len(acc) + sum(
+        map(reached.get, reached.keys() - blocks.keys()))
+
+
+def _add_multiples(found, sizes, blocks: dict, acc: list,
+                   reached: dict) -> None:
+    """Add a run sum into the table, each of its blocks times the net
+    count of the runs that reached a set of cells through it, and record
+    the size of every set of cells they reached in ``reached``. A count
+    that cancels adds nothing and stores no block."""
+    values, plus, minus = found
+    keys = [*plus.keys() | minus.keys()]
+    reached.update(zip(map(itemgetter(1), keys),
+                       map(sizes.__getitem__, map(itemgetter(0), keys))))
+    nets = list(map(sub, map(plus.get, keys, repeat(0)),
+                    map(minus.get, keys, repeat(0))))
+    for (b, mask), n in zip(compress(keys, nets), filter(None, nets)):
+        row = values.get(b)
+        if row is None:
+            continue  # the sum is 0 on the whole block
+        if n != 1:
+            row = [n * x for x in row]
+        start = blocks.get(mask)
+        if start is None:
+            blocks[mask] = len(acc)
+            acc += row
+        else:
+            acc[start:start + len(row)] = map(
+                add, acc[start:start + len(row)], row)
 
 
 def _runs(terms, units, dead: int):
-    """The terms in order, as (support, term, None) for a term that is not
-    a unit term and (support, None, members) for a run: a unit term that
-    opens a support, and every unit term after it whose cells lie inside
-    that support. A member is (sign, k0, codes), its codes on the run's
-    cells, ``dead`` on a cell it leaves out."""
-    at = None
+    """The terms in order, as (support, term, None, None) for a term that
+    is not a unit term and (support, None, members, lead) for a run: a
+    unit term that opens a support, and every unit term after it whose
+    cells lie inside that support. A member is (sign, k0, codes), its
+    codes on the run's cells, ``dead`` on a cell it leaves out, and its
+    sign divided by ``lead``, the sign of the run's first term, so runs
+    that differ only in their overall sign share their members."""
+    at, var_of = None, itemgetter(0)
     for term, unit in zip(terms, units):
         support = term.form.support()
         if unit is None or at is None or not all(
-                map(at.__contains__, map(itemgetter(0), support))):
+                map(at.__contains__, map(var_of, support))):
             if at is not None:
-                yield opening, None, members
+                yield opening, None, members, lead
             if unit is None:
-                yield support, term, None
+                yield support, term, None, None
                 at = None
                 continue
-            opening, members = support, []
+            opening, members, lead = support, [], unit[0][0]
             at = {var: k for k, (var, _) in enumerate(support)}
         (sign, k0), codes = unit
         # supports are in row-major order, so one of the run's size inside
@@ -576,22 +635,22 @@ def _runs(terms, units, dead: int):
             for (var, _), code in zip(support, codes):
                 aligned[at[var]] = code
             codes = tuple(aligned)
-        members.append((sign, k0, codes))
+        members.append((sign * lead, k0, codes))
     if at is not None:
-        yield opening, None, members
+        yield opening, None, members, lead
 
 
 def _run_sum(members, step_end: int, table: _Table, cache: dict,
-             exponent: int, lifts) -> list:
+             exponent: int, lifts) -> dict:
     """The sum of a run's unit terms at the first ``step_end`` compositions
-    of ``table``, as the blocks, ranks and sums of those where it is not
-    0, each sum packed at the ``lifts`` scale * B^s. Member (sign, k0,
-    codes) adds sign * w^k0 * z^v, v its code sum, and 0 where v passes the
-    code bound, as at every composition that uses a cell of dead code. The
-    members are counted by phase at a narrow width, and each distinct count
-    is packed at B once. ``cache`` keeps what runs share: the packed
-    columns by field, the phase tables by (sign, k0, narrow width) and the
-    packed counts by narrow width."""
+    of ``table``, by block: each block where it is not 0 maps to its
+    values, one per rank, each packed at the ``lifts`` scale * B^s. Member
+    (sign, k0, codes) adds sign * w^k0 * z^v, v its code sum, and 0 where
+    v passes the code bound, as at every composition that uses a cell of
+    dead code. The members are counted by phase at a narrow width, and
+    each distinct count is packed at B once. ``cache`` keeps what runs
+    share: the packed columns by field, the phase tables by (sign, k0,
+    narrow width) and the packed counts by narrow width."""
     order = len(lifts)
     dead = _dead_code(exponent, order)
     field = _field_format(exponent, order,
@@ -624,8 +683,14 @@ def _run_sum(members, step_end: int, table: _Table, cache: dict,
     wide = cache.setdefault(narrow, {})
     for v in set(counts).difference(wide):
         wide[v] = sum(map(mul, _digits(v, order, narrow), lifts))
-    return [list(compress(column, counts)) for column
-            in (table.blocks, table.ranks, map(wide.__getitem__, counts))]
+    values: dict[int, list] = {}
+    for b, rank, v in zip(table.blocks, table.ranks, counts):
+        if v:
+            row = values.get(b)
+            if row is None:
+                row = values[b] = [0] * table.sizes[b]
+            row[rank] = wide[v]
+    return values
 
 
 def _add_general_term(term, support, order: int, scale: int, width: int,
@@ -654,20 +719,20 @@ def _add_general_term(term, support, order: int, scale: int, width: int,
 
 
 def _expand_check(order: int, d: int, terms, target: SparsePoly,
-                  collect_all: bool):
+                  collect_all: bool, times: int = 1):
     """Returns (mismatch list, distinct monomial count): the monomials, in
-    sorted order, where ``target`` differs from the expanded sum of
-    ``terms``, d-th powers of forms on the d x d grid, and the size of the
-    expansion's table, zeros included. The target's coefficients are
-    integers."""
+    sorted order, where ``times`` * ``target`` differs from the expanded
+    sum of ``terms``, d-th powers of forms on the d x d grid, and the
+    number of monomials the terms reach, zeros included. The target's
+    coefficients are integers."""
     units = _terms_unit_phases(terms)
     scale = _common_denominator(terms, units)
-    # each integer coefficient lifts to its numerator times the common
-    # denominator, at phase 0
-    wants = {mono: (_multinomial(mono), [scale * x for x in c.num])
+    # each integer coefficient lifts to its numerator times ``times`` and
+    # the common denominator, at phase 0
+    wants = {mono: (_multinomial(mono), [scale * times * x for x in c.num])
              for mono, c in target.terms.items()}
-    blocks, acc, width = _expand_chunk(order, scale, terms, d,
-                                       wants.values(), units)
+    blocks, acc, width, reached = _expand_chunk(order, scale, terms, d,
+                                                wants.values(), units)
     divisor = _pack(cyclotomic_polynomial(order), 1, width)
     found, targets = [], set()
     for mono, (m, want) in wants.items():
@@ -691,10 +756,11 @@ def _expand_check(order: int, d: int, terms, target: SparsePoly,
         m = _multinomial(mono)
         out.append((mono, from_root_coefficients(
             order, [m * x for x in digits], scale),
-            target.terms.get(mono, zero)))
-    return out, len(acc)
+            target.terms.get(mono, zero) * times))
+    return out, reached
 
 
+@_nogc
 def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
                                jobs: int = 1,
                                collect_all: bool = False) -> VerificationReport:
@@ -707,13 +773,13 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
     rests on the factorization F(e) * ext and the numbering alone. It
     raises ValueError when a term whose index is missing, repeated or
     differs reaches a monomial outside the scheme's walk.
-    Both engines run in the calling process; ``jobs`` is accepted for
-    compatibility and ignored.
+    Both engines run in the calling process, with the cyclic garbage
+    collector paused; ``jobs`` is accepted for compatibility and ignored.
     """
     if mode == "expansion":
         mismatches, distinct = _expand_check(
-            dec.order, dec.d, dec.terms, dec.target_poly() * dec.scale,
-            collect_all)
+            dec.order, dec.d, dec.terms, dec.target_poly(), collect_all,
+            dec.scale)
     elif mode == "streaming":
         mismatches, distinct = _stream_check(dec, collect_all)
     else:
@@ -747,15 +813,20 @@ def verify_power_decomposition(dec: PowerDecomposition, mode: str = "expansion",
 # * k = d-1: the target is 0 and ext = +-1, so it matches iff F == 0;
 # * k = d: ext = sgn(columns) = target / scale, so it matches iff F == scale.
 #
+# At sigma = identity alone, against the diagonal-product target, the walk
+# holds one monomial per class, on the diagonal, with ext = 1: the class
+# matches iff F == scale when e is all ones, else iff F == 0.
+#
 # Evaluated one by one, in sorted order, are only the monomials that can
 # mismatch: those of a failing class or one whose target is not uniform
-# (all ones under the diagonal-product target), every pattern of a scheme
-# at sigma = identity alone, and those reached by a given term that differs
-# from the scheme's term in its position, which adds term minus scheme
-# term. Every given term is checked against the numbering, so the verdict
-# is proved from the terms given: first against the term at its own
-# position, where a builder puts it, and only when its support is not that
-# term's against the term its support decodes to.
+# (all ones under the diagonal-product target over all sigmas), every
+# pattern of a scheme at sigma = identity alone under the determinant
+# target, and those reached by a given term that differs from the scheme's
+# term in its position, which adds term minus scheme term. Every given
+# term is checked against the numbering, so the verdict is proved from the
+# terms given: first against the term at its own position, read in order
+# from the numbering's walk, where a builder puts it, and only when its
+# support is not that term's against the term its support decodes to.
 
 
 def _signed_extension_sum(d: int, partial: dict[int, int]) -> int:
@@ -777,8 +848,9 @@ def _term_corrections(dec: PowerDecomposition, diagonal: bool) -> dict:
     scheme's numbering and no earlier term was term n; so a term whose
     index is missing, repeated or differs is corrected, and term order does
     not matter. The term at position n is first checked against term n,
-    as a builder's terms come in the numbering's order, and ``decode``
-    reads a term's number only when its support is not term n's. No two
+    read in order from the numbering's ``walk``, as a builder's terms come
+    in that order, and ``decode`` reads a term's number only when its
+    support is not term n's. No two
     of the scheme's terms share a support, so a term with term n's support
     is term n or no term of the scheme. Each correction is indexed by
     every nonempty subset of its support, so a monomial finds the terms
@@ -793,11 +865,12 @@ def _term_corrections(dec: PowerDecomposition, diagonal: bool) -> dict:
     decode, reference = numbering.decode, numbering.term
     used = bytearray(len(numbering.perms) * len(numbering.block))
     out: dict[tuple[tuple[int, int], ...], list] = {}
-    for n, term in enumerate(dec.terms):
+    # the numbering's terms in order, beside the given ones; a scheme's
+    # decomposition holds as many terms as its numbering
+    for n, (term, (_, _, coeff, want)) in enumerate(
+            zip(dec.terms, numbering.walk(), strict=True)):
         support = term.form.support()
-        if n < len(used):
-            coeff, want = reference(n)
-        if n >= len(used) or support != want:
+        if support != want:
             # not at its own position: its number is read from its support
             n = decode(support)
             if n is not None:
@@ -870,14 +943,16 @@ def _stream_check(dec: PowerDecomposition, collect_all: bool):
     corrections = _term_corrections(dec, diagonal)
     visit = set()
     for comp in weak_compositions(d, d):
-        rows = tuple(i for i, e in enumerate(comp, start=1) if e)
-        k = len(rows)
-        # a class decided by the rule above is never walked
+        k = d - comp.count(0)
+        # a class decided by the rule above is never walked; on the
+        # diagonal a class is its one monomial, of ext = 1
         uniform = numbering.over_sigma and (
             k < d or dec.target == TARGET_DETERMINANT)
-        if uniform and (k < d - 1 or _class_factor(numbering, comp)
-                        == (dec.scale if k == d else 0)):
+        if (uniform or diagonal) and (
+                uniform and k < d - 1 or _class_factor(numbering, comp)
+                == (dec.scale if k == d else 0)):
             continue
+        rows = tuple(i for i, e in enumerate(comp, start=1) if e)
         exps = tuple(e for e in comp if e)
         for cols in ([rows] if diagonal
                      else itertools.permutations(range(1, d + 1), k)):

@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from detpowers import verify
+from detpowers import cyclotomic, verify
 from detpowers.cli import D_CEILING
 from detpowers.cyclotomic import (
     Cyc,
@@ -95,6 +95,16 @@ def test_from_root_coefficients_matches_summed_powers():
         # the sum of all roots of unity of order > 1 is zero
         assert from_root_coefficients(order, [1] * order) \
             == Cyc.from_int(order, 1 if order == 1 else 0)
+
+
+def test_projection_columns_are_built_once_per_order():
+    # the transposed table of powers is cached, not rebuilt per projection
+    cyclotomic._columns.cache_clear()
+    for order in (4, 5, 4, 5, 12):
+        from_root_coefficients(order, list(range(1, order + 1)))
+        assert cyclotomic._columns(order) == tuple(
+            zip(*cyclotomic._powers(order)))
+    assert cyclotomic._columns.cache_info().misses == 3
 
 
 def root_coefficients_vanish(order, coeffs):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import pickle
@@ -125,6 +126,64 @@ class TestBuiltTerms:
         assert [setter.__self__ for setter in decompositions._TERM_SETTERS] \
             == [getattr(PowerTerm, field.name)
                 for field in dataclasses.fields(PowerTerm)]
+
+
+class TestPausedCollector:
+    """``_nogc`` pauses the cyclic garbage collector while the builders and
+    ``verify_power_decomposition`` run, and puts back the state it found."""
+
+    def test_restores_the_prior_state(self):
+        seen = []
+        paused = decompositions._nogc(lambda: seen.append(gc.isenabled()))
+        was = gc.isenabled()
+        try:
+            gc.enable()
+            paused()
+            assert gc.isenabled()
+            gc.disable()
+            paused()
+            assert not gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
+
+    def test_restores_it_on_an_exception(self):
+        def fail():
+            assert not gc.isenabled()
+            raise KeyError("raised inside")
+
+        assert gc.isenabled()
+        with pytest.raises(KeyError, match="raised inside"):
+            decompositions._nogc(fail)()
+        assert gc.isenabled()
+
+    def test_returns_the_result_and_keeps_the_name(self):
+        def add(a, b=0):
+            return a + b
+
+        paused = decompositions._nogc(add)
+        assert paused(2, b=3) == 5 and paused.__name__ == "add"
+
+    def test_builders_and_verification_run_paused(self, monkeypatch):
+        from detpowers import verify
+        seen = []
+        check = verify._expand_check
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return check(*args)
+
+        of_support = LinForm._of_support.__func__
+        monkeypatch.setattr(LinForm, "_of_support", classmethod(
+            lambda cls, *args: seen.append(gc.isenabled())
+            or of_support(cls, *args)))
+        assert gc.isenabled()
+        dec = main_decomposition(2)
+        assert gc.isenabled() and seen == [False] * 4
+        monkeypatch.undo()
+        monkeypatch.setattr(verify, "_expand_check", spy)
+        assert verify.verify_power_decomposition(dec).equal
+        assert gc.isenabled() and seen == [False] * 5
 
 
 class TestSchemes:

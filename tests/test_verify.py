@@ -265,21 +265,45 @@ def cyc_path(terms):
     return acc
 
 
-def expand_sum(dec):
-    """The expansion's table as a view for the oracles: each place named by
-    its monomial, and its packed int decoded to its vector, times the
-    monomial's multinomial and projected to Q(w), zeros included."""
-    order, d = dec.order, dec.d
-    scale = _common_denominator(dec.terms)
-    blocks, acc, width = verify._expand_chunk(order, scale, dec.terms, d, [])
+def reached_monomials(terms):
+    """Every monomial a term's power reaches: positive exponents on a
+    subset of its support, the oracle of expansion's reached count."""
+    out = set()
+    for term in terms:
+        variables = [var for var, _ in term.form.support()]
+        for comp in weak_compositions(term.exponent, len(variables)):
+            out.add(tuple((i, j, e) for (i, j), e in zip(variables, comp)
+                          if e))
+    return out
+
+
+def projected(order, d, exponent, scale, blocks, acc, width):
+    """A table's stored places, each named by its monomial, its packed int
+    decoded to its vector, times the monomial's multinomial and projected
+    to Q(w)."""
     out = {}
     for mono, value in zip(
-            verify._monomials_at(blocks, range(len(acc)), d, dec.d), acc):
+            verify._monomials_at(blocks, range(len(acc)), d, exponent), acc):
         m = multinomial(sum(e for _, _, e in mono), [e for _, _, e in mono])
         digits = verify._digits(value, order, width)
         out[mono] = from_root_coefficients(order, [m * x for x in digits],
                                            scale)
     return out
+
+
+def expand_sum(dec):
+    """The expansion's table as a view for the oracles: every monomial a
+    term reaches, with its projected value where the table stores it and 0
+    where its block cancelled. The table stores no other monomial and
+    counts all of them."""
+    order, d = dec.order, dec.d
+    scale = _common_denominator(dec.terms)
+    blocks, acc, width, reached = verify._expand_chunk(order, scale,
+                                                       dec.terms, d, [])
+    monos = reached_monomials(dec.terms)
+    stored = projected(order, d, dec.d, scale, blocks, acc, width)
+    assert set(stored) <= monos and reached == len(monos)
+    return {mono: stored.get(mono, Cyc.zero(order)) for mono in monos}
 
 
 def circulant(b, order):
@@ -366,14 +390,17 @@ def unit_of(c):
 
 def term_unit_phases(coeff, support):
     """The per-term oracle of ``verify._terms_unit_phases``: (sign, k) of
-    the coefficient and the code 2 * p + order * neg of each entry
-    (-1)^neg * w^p, every scalar looked up afresh, or None when a scalar
-    is not a unit."""
+    the coefficient, with k < order / 2 and the sign written out at an even
+    order, and the code 2 * p + order * neg of each entry (-1)^neg * w^p,
+    every scalar looked up afresh, or None when a scalar is not a unit."""
     roots = _signed_roots(coeff.order)
     head = roots.get((coeff.num, coeff.den))
     if head is None:
         return None
     order = coeff.order
+    if order % 2 == 0 and head[1] >= order // 2:
+        # w^(order/2) = -1
+        head = (-head[0], head[1] - order // 2)
     codes = []
     for _, c in support:
         unit = roots.get((c.num, c.den))
@@ -413,9 +440,15 @@ class TestGroupRingExpansion:
         assert expand_sum(dec) == cyc_path(dec.terms)
 
     def test_keeps_keys_that_cancel_to_zero(self):
-        got = expand_sum(main_decomposition(3))
+        dec = main_decomposition(3)
+        got = expand_sum(dec)
         zeros = [mono for mono, c in got.items() if not c]
         assert len(got) == 51 and len(zeros) == 51 - 6
+        # the nine x_ij^3 lie on one row each, reached by two sigmas of
+        # opposite sign: their blocks cancel and are counted, not stored
+        blocks, acc, _, reached = verify._expand_chunk(3, 1, dec.terms, 3, [])
+        assert reached == 51 and len(acc) == 51 - 9
+        assert all(mask.bit_count() >= 2 for mask in blocks)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mixed_unit_and_general_terms(self, jobs):
@@ -619,7 +652,7 @@ class TestPackedGroupRing:
             PowerTerm((1,), Cyc.from_int(order, -sign),
                       LinForm(order, 2, {(1, 1): big}), 2),
         ]
-        blocks, acc, width = verify._expand_chunk(order, 1, terms, 2, [])
+        blocks, acc, width, _ = verify._expand_chunk(order, 1, terms, 2, [])
         digits = [0, -2, 1] + [0] * (order - 3)
         # x11^2, of multinomial 1, is the one block, of cell bit 0
         assert blocks == {1: 0}
@@ -816,11 +849,15 @@ def per_term_unit_path(order, scale, terms, d, wants=()):
     """The oracle of the runs: ``verify._expand_chunk`` as it was before unit
     terms were added in runs. Each unit term adds, at each composition, the
     signed power of B that its code sum v reads from the phase table of its
-    coefficient, one add per term and composition; the runs only regroup
-    these adds. Every other term goes through ``_add_general_term``, and
-    each term's support finds or makes its blocks in the same order."""
-    units = [term_unit_phases(term.coeff, term.form.support())
-             for term in terms]
+    coefficient, one add per term and composition, into a block made for
+    every cell set it reaches. Each coefficient is read as ``_signed_roots``
+    gives it, -1 as w^(order/2) at an even order, so its ints differ from
+    the engine's where a head is negated, and only their projections must
+    agree. Every other term goes through ``_add_general_term``."""
+    units = []
+    for term in terms:
+        unit = term_unit_phases(term.coeff, term.form.support())
+        units.append(unit and (unit_of(term.coeff), unit[1]))
     bound = verify._digit_bound(terms, units, scale)
     width = verify._packed_width(order, max([bound, *(
         m * bound + sum(map(abs, want)) for m, want in wants)]))
@@ -868,15 +905,20 @@ def target_wants(dec):
 
 
 def assert_runs_match(dec, wants=()):
-    """``_expand_chunk`` builds the per-term path's table key for key: the
-    same blocks in the same order, the same ints and the same width."""
-    scale = _common_denominator(dec.terms)
-    blocks, acc, width = verify._expand_chunk(dec.order, scale, dec.terms,
-                                              dec.d, wants)
-    want_blocks, want_acc, want_width = per_term_unit_path(
-        dec.order, scale, dec.terms, dec.d, wants)
-    assert list(blocks.items()) == list(want_blocks.items())
-    assert acc == want_acc and width == want_width
+    """``_expand_chunk`` builds the per-term path's table monomial by
+    monomial: at the same width, every monomial the per-term path holds
+    projects to the same value, stored or 0 where its block cancelled, no
+    other monomial is stored, and the reached count is the per-term
+    table's size."""
+    order, d, scale = dec.order, dec.d, _common_denominator(dec.terms)
+    exponent, = {term.exponent for term in dec.terms} or {1}
+    *table, reached = verify._expand_chunk(order, scale, dec.terms, d, wants)
+    want_table = per_term_unit_path(order, scale, dec.terms, d, wants)
+    assert table[2] == want_table[2] and reached == len(want_table[1])
+    got = projected(order, d, exponent, scale, *table)
+    want = projected(order, d, exponent, scale, *want_table)
+    assert set(got) <= set(want)
+    assert {mono: got.get(mono, Cyc.zero(order)) for mono in want} == want
 
 
 def benchmark_inputs(seed):
@@ -948,6 +990,25 @@ class TestTermsUnitPhases:
             self.assert_matches_oracle(
                 flip_one_sign(BUILDERS[scheme](d), index).terms)
 
+    @pytest.mark.parametrize("order, coeff, head", [
+        # at an even order w^k, k >= order / 2, is -w^(k - order / 2)
+        (4, Cyc.from_int(4, -1), (-1, 0)),
+        (4, omega(4, 3), (-1, 1)),
+        (4, omega(4, 1), (1, 1)),
+        (6, -omega(6, 1), (-1, 1)),
+        (2, Cyc.from_int(2, -1), (-1, 0)),
+        # at an odd order -1 is no power of w, and the sign stays apart
+        (3, Cyc.from_int(3, -1), (-1, 0)),
+        (5, -omega(5, 4), (-1, 4)),
+        (1, Cyc.from_int(1, -1), (-1, 0)),
+    ])
+    def test_heads_carry_their_sign(self, order, coeff, head):
+        form = LinForm(order, 1, {(1, 1): 1})
+        (got, codes), = _terms_unit_phases([PowerTerm((0,), coeff, form, 1)])
+        assert got == head and codes == (0,)
+        sign, k = head
+        assert omega(order, k) * sign == coeff
+
     def test_shared_scalars_in_mixed_terms(self):
         # one non-unit entry object in two terms, beside unit terms that
         # share its order's roots: every term keeps its own answer
@@ -970,7 +1031,7 @@ class TestUnitRuns:
 
     @pytest.mark.parametrize("scheme, d", [
         (scheme, d) for scheme in BUILDERS for d in range(1, 6)
-    ] + [("monomial", 6)])
+    ] + [("monomial", 6), ("main", 6)])
     def test_builders_match_the_per_term_path(self, scheme, d):
         dec = BUILDERS[scheme](d)
         assert_runs_match(dec, target_wants(dec))
@@ -1021,7 +1082,8 @@ class TestUnitRuns:
     def test_runs_that_never_repeat(self, monkeypatch):
         # main(4) conjugated by diag(w^i) and diag(w^-j) keeps every entry a
         # unit but moves the codes of each sigma's run: 24 signatures, more
-        # than the sums kept, so the oldest are dropped as new ones come
+        # than the sums kept, so the oldest are added into the table and
+        # dropped as new ones come, and no more are held at once
         d = 4
         zero = Cyc.zero(d)
         a, b = (tuple(tuple(omega(d, sign * i) if i == j else zero
@@ -1030,11 +1092,24 @@ class TestUnitRuns:
         dec = conjugate_decomposition(a, b, main_decomposition(d))
         assert all(term_unit_phases(t.coeff, t.form.support())
                    for t in dec.terms)
+        held, run_sum, add = [0, 0], verify._run_sum, verify._add_multiples
         calls = collections.Counter()
-        monkeypatch.setattr(verify, "_run_sum",
-                            counting(calls, "misses", verify._run_sum))
+
+        def made(*args):
+            calls["misses"] += 1
+            held[0] += 1
+            held[1] = max(held)
+            return run_sum(*args)
+
+        def added(*args):
+            held[0] -= 1
+            return add(*args)
+
+        monkeypatch.setattr(verify, "_run_sum", made)
+        monkeypatch.setattr(verify, "_add_multiples", added)
         assert_runs_match(dec, target_wants(dec))
         assert calls["misses"] == 24 > verify._KEPT_SUMS
+        assert held == [0, verify._KEPT_SUMS]
         assert verify_power_decomposition(dec).equal
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -1047,37 +1122,43 @@ class TestUnitRuns:
         assert_runs_match(dec, target_wants(dec))
         assert verify_power_decomposition(dec).equal
 
-    @pytest.mark.parametrize("builder, d, misses, adds", [
-        # one add per term and composition was 600 * 126 = 75,600 adds,
-        # 120 * (126 + 5 * 70) = 57,120 and 192 * 35 = 6,720
-        (main_decomposition, 5, 2, 120 * 126),
+    @pytest.mark.parametrize("builder, d, stored, reached", [
+        # per sigma the cell set of all 5 rows (1 place) and the 5 sets of
+        # 4 rows (4 places each) keep a net count
+        (main_decomposition, 5, 120 * (1 + 5 * 4), 6945),
         # a composition with exactly one zero part sums to 0
-        (gurvits_decomposition, 5, 2, 120 * (126 - 5 * 4)),
+        (gurvits_decomposition, 5, 120, 6945),
         # only x_{1 s1} ... x_{4 s4} has its sign vectors sum to nonzero
-        (classical_decomposition, 4, 2, 24),
+        (classical_decomposition, 4, 24, 544),
+        # -1 = w^2 and w^3 = -w read with their signs: at an even order
+        # too every sigma's run shares the one signature
+        (main_decomposition, 4, 24 * (1 + 4 * 3), 544),
+        (main_decomposition, 6, 720 * (1 + 6 * 5), 102606),
     ])
-    def test_work_counts(self, monkeypatch, builder, d, misses, adds):
-        # a run's sum is computed once for each sgn sigma, and each run adds
-        # its nonzero sums: counts, so a change that defeats the memo fails
-        # on any machine
+    def test_work_counts(self, monkeypatch, builder, d, stored, reached):
+        # a builder's runs differ only in sgn sigma, so one run sum is
+        # computed; a cell set of d - 2 or fewer rows is reached by sigmas
+        # whose signs cancel, so only the blocks of d - 1 and d rows where
+        # the sum is not 0 are stored: counts, so a change that defeats the
+        # memo or the cancellation fails on any machine
         counts = collections.Counter()
-
-        class Counted(list):
-            def __iter__(self):
-                for x in list.__iter__(self):
-                    counts["adds"] += 1
-                    yield x
-
-        run_sum = verify._run_sum
+        run_sum, chunk = verify._run_sum, verify._expand_chunk
 
         def counted(*args):
-            counts["misses"] += 1
-            at_blocks, ranks, values = run_sum(*args)
-            return at_blocks, ranks, Counted(values)
+            counts["sums"] += 1
+            return run_sum(*args)
+
+        def table(*args):
+            blocks, acc, width, count = chunk(*args)
+            counts["stored"] += len(acc)
+            counts["reached"] += count
+            return blocks, acc, width, count
 
         monkeypatch.setattr(verify, "_run_sum", counted)
-        assert verify_power_decomposition(builder(d)).equal
-        assert counts == {"misses": misses, "adds": adds}
+        monkeypatch.setattr(verify, "_expand_chunk", table)
+        report = verify_power_decomposition(builder(d))
+        assert report.equal and report.distinct_monomials == reached
+        assert counts == {"sums": 1, "stored": stored, "reached": reached}
 
 
 def cyc_mismatches(dec):
@@ -1146,12 +1227,12 @@ class TestRingComparison:
             mono = monomial(collections.Counter(
                 rng.choice(variables) for _ in range(d)))
             form = LinForm(1, d, {(i, j): 1 for i, j, _ in mono})
-            blocks, acc, _ = verify._expand_chunk(
+            blocks, acc, _, _ = verify._expand_chunk(
                 1, 1, [PowerTerm((0,), Cyc.one(1), form, d)], d, [])
             place = verify._slot(blocks, mono, d)
             assert verify._monomials_at(blocks, [place], d, d) == [mono]
         # x_dd^d is the one monomial of the block of cell (d, d)
-        blocks, acc, _ = verify._expand_chunk(
+        blocks, acc, _, _ = verify._expand_chunk(
             1, 1, [PowerTerm((0,), Cyc.one(1),
                              LinForm(1, d, {(d, d): 1}), d)], d, [])
         assert blocks == {1 << d * d - 1: 0} and len(acc) == 1
@@ -1162,7 +1243,7 @@ class TestRingComparison:
         # one unit term on the diagonal: its 2^d - 1 cell sets are its
         # blocks, and their places are its monomials, each once
         form = LinForm(d, d, {(i, i): omega(d, i) for i in range(1, d + 1)})
-        blocks, acc, _ = verify._expand_chunk(
+        blocks, acc, _, _ = verify._expand_chunk(
             d, 1, [PowerTerm((0,), Cyc.one(d), form, d)], d, [])
         monos = expand_power(form, d).terms
         assert len(blocks) == 2 ** d - 1
@@ -1179,7 +1260,7 @@ class TestRingComparison:
         terms = [PowerTerm((n,), Cyc.one(1), LinForm(1, d, {
             var: 1 for var in [(d, d), *rng.sample(variables[:-1], 3)]}), d)
             for n in range(6)]
-        blocks, acc, _ = verify._expand_chunk(1, 1, terms, d, [])
+        blocks, acc, _, _ = verify._expand_chunk(1, 1, terms, d, [])
         assert max(blocks).bit_length() == d * d
         got = verify._monomials_at(blocks, range(len(acc)), d, d)
         assert sorted(got) == sorted(set().union(
@@ -1661,6 +1742,21 @@ class TestPositionFirstMatching:
         assert stream.witness == exp.witness
 
     @pytest.mark.parametrize("scheme", list(BUILDERS))
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_walk_reads_the_numbering_in_order(self, scheme, d):
+        # the one in-order reader: term n's coefficient and support, and
+        # the builder's terms, index included, in the same order
+        numbering = decompositions._numbering(scheme, d)
+        walked = list(numbering.walk())
+        assert len(walked) == len(numbering.perms) * len(numbering.block)
+        assert [(coeff, support) for _, _, coeff, support in walked] \
+            == [numbering.term(n) for n in range(len(walked))]
+        assert [(t.index, t.coeff, t.form.support())
+                for t in BUILDERS[scheme](d).terms] == [
+            ((sigma, label) if numbering.over_sigma else (label,), coeff,
+             support) for sigma, label, coeff, support in walked]
+
+    @pytest.mark.parametrize("scheme", list(BUILDERS))
     @pytest.mark.parametrize("d", range(1, 7))
     def test_builder_input_decodes_nothing(self, scheme, d, monkeypatch):
         dec = BUILDERS[scheme](d)
@@ -1920,6 +2016,68 @@ class TestClassDecidedStreaming:
         assert stream.witness == exp.witness
         first = verify_power_decomposition(dec, mode="streaming")
         assert first.witness == exp.witness
+
+
+def counting_walked(monkeypatch):
+    """The monomials streaming evaluates one by one, each once: every one
+    it walks reads its target coefficient."""
+    walked = []
+    target = verify._target_coefficient
+
+    def counted(dec, mono, comp):
+        walked.append(mono)
+        return target(dec, mono, comp)
+
+    monkeypatch.setattr(verify, "_target_coefficient", counted)
+    return walked
+
+
+class TestDiagonalClasses:
+    """A scheme kept at sigma = identity under the diagonal target has one
+    monomial per class, of ext = 1, so streaming decides each class by
+    F(e) against its target and walks only the failing classes and the
+    monomials of corrected terms."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_builder_input_walks_no_monomial(self, d, monkeypatch):
+        walked = counting_walked(monkeypatch)
+        report = verify_power_decomposition(
+            monomial_power_decomposition(d), mode="streaming")
+        assert report.equal and walked == []
+        # the count is still of the whole walk: one monomial per class
+        assert report.distinct_monomials == math.comb(2 * d - 1, d) \
+            == verify._walk_count(d, True)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_tampered_input_keeps_the_witness(self, d, monkeypatch):
+        dec = flip_one_sign(monomial_power_decomposition(d), d % 2 + 1)
+        walked = counting_walked(monkeypatch)
+        for collect_all in (False, True):
+            stream = verify_power_decomposition(dec, mode="streaming",
+                                                collect_all=collect_all)
+            exp = verify_power_decomposition(dec, collect_all=collect_all)
+            assert not stream.equal and not exp.equal
+            assert stream.witness == exp.witness
+            assert stream.mismatches == exp.mismatches
+        # only the monomials of the negated term and of the number it left
+        # unmatched, both on the whole diagonal
+        assert 0 < len(set(walked)) <= math.comb(2 * d - 1, d)
+
+    def test_failing_class_is_walked(self, monkeypatch):
+        # scale + 1 fails the all-ones class alone: its one monomial is the
+        # only one walked, and the witness
+        dec = dataclasses.replace(monomial_power_decomposition(5),
+                                  scale=monomial_power_decomposition(5).scale
+                                  + 1)
+        walked = counting_walked(monkeypatch)
+        report = verify_power_decomposition(dec, mode="streaming",
+                                            collect_all=True)
+        diagonal = tuple((i, i, 1) for i in range(1, 6))
+        assert walked == [diagonal]
+        assert [mono for mono, _, _ in report.mismatches] == [diagonal]
+        assert report == verify_power_decomposition(dec, collect_all=True) \
+            ._replace(mode="streaming",
+                      distinct_monomials=report.distinct_monomials)
 
 
 @pytest.fixture
